@@ -15,17 +15,21 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 import json
+import numbers
+import os
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import Callable
 
+from . import verifiers
 from .constants import (
     alpha_ratio,
     beta_generic,
     beta_power_closed,
-    kantorovich_C,
-    kantorovich_C2,
     kantorovich_K,
     kantorovich_K2,
     power_fun,
@@ -40,41 +44,119 @@ from .generators import (
     gen_weighted_family,
 )
 from .hermitian import SpectralWindow
-from .verifiers import (
-    CHAIN_CATALOG,
-    check_corollary_2_2,
-    check_corollary_2_3,
-    check_corollary_2_4,
-    check_corollary_3_2,
-    check_corollary_3_3,
-    check_corollary_4_3,
-    check_corollary_4_4,
-    check_lemma_3_1_forward,
-    check_theorem_1_1,
-    check_theorem_2_1,
-    check_theorem_4_1,
-    check_theorem_4_2,
-    check_theorem_4_5,
-)
-
-ALL_SUITES = [
-    "theorem_1_1",
-    "theorem_2_1",
-    "corollary_2_2",
-    "corollary_2_3",
-    "corollary_2_4",
-    "lemma_3_1",
-    "corollary_3_2",
-    "corollary_3_3",
-    "theorem_4_1",
-    "theorem_4_2",
-    "corollary_4_3",
-    "corollary_4_4",
-    "theorem_4_5",
-]
+from .verifiers import CHAIN_CATALOG
 
 MAP_SEED_OFFSET = 1 << 32
 DEGENERATE_GAP = 0.05
+
+
+@dataclass(frozen=True)
+class Suite:
+    """How the campaign runs one catalogued chain.
+
+    A sample calls ``check(*generate(dim, window, seed), *cell_args, rel_tol)``.
+    ``axes`` lists (parameter, source) pairs in loop order; a source names a
+    config grid field or is a tuple of literal values.  ``cell_args(window,
+    **params)`` computes once per cell the arguments after the instance; by
+    default they are the parameter values in axis order.  ``deviation(window,
+    **params)`` is the cell's closed-form-vs-oracle distance, if any.
+    ``check`` names a ``verifiers`` function and is looked up at call time,
+    so a rebinding of that name (as a tracer makes) is honoured; the other
+    callables resolve module globals at call time for the same reason.
+    """
+
+    axes: tuple
+    generate: Callable
+    check: str
+    cell_args: Callable | None = None
+    deviation: Callable | None = None
+
+
+def _out_dim(dim: int) -> int:
+    return max(1, dim - 1)
+
+
+def _kraus_count(seed: int) -> int:
+    return 1 + seed % 3
+
+
+def _dominated_on_b(dim, w, seed):
+    return (gen_dominated_pair(dim, w, seed),)
+
+
+def _dominated_on_a(dim, w, seed):
+    return (gen_dominated_pair(dim, w, seed, window_side=WINDOW_ON_A),)
+
+
+def _chaotic(dim, w, seed):
+    return (gen_chaotic_pair(dim, w, seed),)
+
+
+def _relative_with_map(dim, w, seed):
+    pair = gen_relative_pair(dim, w, seed)
+    phi = gen_positive_linear_map(dim, _out_dim(dim), _kraus_count(seed), seed + MAP_SEED_OFFSET)
+    return pair, phi
+
+
+def _weighted_family(dim, w, seed):
+    return (gen_weighted_family(3, dim, _out_dim(dim), w, seed),)
+
+
+def _tight_alpha(w, p, q):
+    """t^p, t^q and alpha = max chord(t^p)/t^q, the calibration at which beta is ~0."""
+    f, g = power_fun(p), power_fun(q)
+    return f, g, alpha_ratio(f, g, w).value
+
+
+def _ratio_deviation(w, p, q) -> float:
+    """|K2(m,M,p,q) - max chord(t^p)/t^q| against the oracle."""
+    return abs(kantorovich_K2(w, p, q) - alpha_ratio(power_fun(p), power_fun(q), w).value)
+
+
+def _gap_deviation(w, p, q, alpha) -> float:
+    """|beta(p,q,alpha) - max{chord(t^p) - alpha t^q}| against the oracle."""
+    return abs(beta_power_closed(w, p, q, alpha)
+               - beta_generic(power_fun(p), power_fun(q), alpha, w).value)
+
+
+_P = (("p", "p_grid"),)
+_PQ = _P + (("q", "q_grid"),)
+_PR = _P + (("r", "r_grid"),)
+
+SUITES = {
+    "theorem_1_1": Suite((("p", "p_grid_theorem_1_1"),), _dominated_on_a, "check_theorem_1_1",
+                         deviation=lambda w, p: _ratio_deviation(w, p, p)),
+    "theorem_2_1": Suite(_PQ, _dominated_on_b, "check_theorem_2_1",
+                         cell_args=lambda w, p, q: (*_tight_alpha(w, p, q), "i")),
+    "corollary_2_2": Suite(_PQ + (("alpha", "alpha_grid"),), _dominated_on_b,
+                           "check_corollary_2_2", deviation=_gap_deviation),
+    "corollary_2_3": Suite(_PQ, _dominated_on_b, "check_corollary_2_3",
+                           deviation=_ratio_deviation),
+    "corollary_2_4": Suite(_PQ, _dominated_on_b, "check_corollary_2_4",
+                           deviation=lambda w, p, q: _gap_deviation(w, p, q, 1.0)),
+    "lemma_3_1": Suite(_PR, _chaotic, "check_lemma_3_1_forward"),
+    "corollary_3_2": Suite(_PR, _chaotic, "check_corollary_3_2",
+                           deviation=lambda w, p, r: _ratio_deviation(w, p + r, p + r)),
+    "corollary_3_3": Suite(_PR, _chaotic, "check_corollary_3_3",
+                           deviation=lambda w, p, r: _gap_deviation(w, p + r, p + r, 1.0)),
+    "theorem_4_1": Suite(_PQ, _weighted_family, "check_theorem_4_1", cell_args=_tight_alpha),
+    "theorem_4_2": Suite(_P, _relative_with_map, "check_theorem_4_2",
+                         cell_args=lambda w, p: (power_fun(p), kantorovich_K(w, p)),
+                         deviation=lambda w, p: _gap_deviation(w, p, p, kantorovich_K(w, p))),
+    "corollary_4_3": Suite(_P, _relative_with_map, "check_corollary_4_3",
+                           cell_args=lambda w, p: (p, kantorovich_K(w, p)),
+                           deviation=lambda w, p: _gap_deviation(w, p, p, kantorovich_K(w, p))),
+    "corollary_4_4": Suite(
+        _P + (("mode", ("ratio", "difference")),), _relative_with_map, "check_corollary_4_4",
+        deviation=lambda w, p, mode: (_ratio_deviation(w, p, p) if mode == "ratio"
+                                      else _gap_deviation(w, p, p, 1.0))),
+    # regime -1 <= p < 0
+    "theorem_4_5": Suite((("p", "q_grid"),), _relative_with_map, "check_theorem_4_5",
+                         deviation=lambda w, p: max(_ratio_deviation(w, p, p),
+                                                    _gap_deviation(w, p, p, 1.0))),
+}
+
+ALL_SUITES = list(SUITES)
 
 
 @dataclass
@@ -114,8 +196,10 @@ class CampaignConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(data)
-        if "windows" in kwargs:
-            kwargs["windows"] = [tuple(w) for w in kwargs["windows"]]
+        windows = kwargs.get("windows")
+        # anything but a list of lists is left for validate_config to reject
+        if isinstance(windows, list) and all(isinstance(w, list) for w in windows):
+            kwargs["windows"] = [tuple(w) for w in windows]
         if output_dir is not None:
             kwargs["output_dir"] = output_dir
         return cls(**kwargs)
@@ -132,10 +216,41 @@ def load_config(path) -> CampaignConfig:
     return CampaignConfig.from_dict(data)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_list_of(value, item_ok) -> bool:
+    return isinstance(value, (list, tuple)) and all(item_ok(item) for item in value)
+
+
+def _check_field_types(cfg: CampaignConfig) -> None:
+    """Reject wrongly typed fields, which a JSON config can carry."""
+    def require(ok: bool, name: str, kind: str) -> None:
+        if not ok:
+            raise ConfigError(f"{name} must be {kind}, got {getattr(cfg, name)!r}")
+
+    require(_is_list_of(cfg.suites, lambda s: isinstance(s, str)), "suites", "a list of names")
+    require(_is_list_of(cfg.dims, _is_int), "dims", "a list of integers")
+    require(_is_list_of(cfg.windows, lambda w: _is_list_of(w, _is_real) and len(w) == 2),
+            "windows", "a list of [m, M] pairs")
+    for name in ("p_grid", "q_grid", "r_grid", "alpha_grid", "p_grid_theorem_1_1"):
+        require(_is_list_of(getattr(cfg, name), _is_real), name, "a list of numbers")
+    for name in ("samples_per_cell", "base_seed", "fuzz_samples"):
+        require(_is_int(getattr(cfg, name)), name, "an integer")
+    require(_is_real(cfg.rel_tol), "rel_tol", "a number")
+    require(isinstance(cfg.output_dir, (str, os.PathLike)), "output_dir", "a path")
+
+
 def validate_config(cfg: CampaignConfig) -> None:
-    """Reject configurations whose grids leave a suite's supported regime."""
+    """Reject wrongly typed fields, and grids that leave a suite's supported regime."""
+    _check_field_types(cfg)
     for suite in cfg.suites:
-        if suite not in ALL_SUITES:
+        if suite not in SUITES:
             raise ConfigError(f"unknown suite {suite!r}; known: {ALL_SUITES}")
     if cfg.samples_per_cell < 1:
         raise ConfigError(f"samples_per_cell must be >= 1, got {cfg.samples_per_cell}")
@@ -179,41 +294,15 @@ class Cell:
 def enumerate_cells(cfg: CampaignConfig) -> list:
     """Deterministic cell order: suites as configured, grids as listed."""
     cells = []
-
-    def add(suite, **params):
-        cells.append(Cell(suite=suite, params=params))
-
     for suite in cfg.suites:
+        axes = SUITES[suite].axes
+        grids = [source if isinstance(source, tuple) else [float(v) for v in getattr(cfg, source)]
+                 for _, source in axes]
         for window in cfg.windows:
             window = (float(window[0]), float(window[1]))
-            if suite == "theorem_1_1":
-                for p in cfg.p_grid_theorem_1_1:
-                    add(suite, window=window, p=float(p))
-            elif suite in ("theorem_2_1", "corollary_2_3", "corollary_2_4", "theorem_4_1"):
-                for p in cfg.p_grid:
-                    for q in cfg.q_grid:
-                        add(suite, window=window, p=float(p), q=float(q))
-            elif suite == "corollary_2_2":
-                for p in cfg.p_grid:
-                    for q in cfg.q_grid:
-                        for alpha in cfg.alpha_grid:
-                            add(suite, window=window, p=float(p), q=float(q), alpha=float(alpha))
-            elif suite in ("lemma_3_1", "corollary_3_2", "corollary_3_3"):
-                for p in cfg.p_grid:
-                    for r in cfg.r_grid:
-                        add(suite, window=window, p=float(p), r=float(r))
-            elif suite in ("theorem_4_2", "corollary_4_3"):
-                for p in cfg.p_grid:
-                    add(suite, window=window, p=float(p))
-            elif suite == "corollary_4_4":
-                for p in cfg.p_grid:
-                    for mode in ("ratio", "difference"):
-                        add(suite, window=window, p=float(p), mode=mode)
-            elif suite == "theorem_4_5":
-                for p in cfg.q_grid:  # regime -1 <= p < 0
-                    add(suite, window=window, p=float(p))
-            else:  # pragma: no cover - guarded by validate_config
-                raise ConfigError(f"unknown suite {suite!r}")
+            for values in itertools.product(*grids):
+                params = dict(zip((name for name, _ in axes), values))
+                cells.append(Cell(suite=suite, params={"window": window, **params}))
     for index, cell in enumerate(cells):
         cell.global_index = index
     return cells
@@ -228,153 +317,20 @@ def _dim_for(cfg: CampaignConfig, j: int) -> int:
     return int(cfg.dims[j % len(cfg.dims)])
 
 
-def _out_dim(dim: int) -> int:
-    return max(1, dim - 1)
-
-
-def _kraus_count(seed: int) -> int:
-    return 1 + seed % 3
-
-
 def run_cell(cfg: CampaignConfig, cell: Cell) -> tuple[list, float | None]:
     """Run every sample of one parameter cell.
 
     Returns the chain reports plus the absolute closed-form-vs-oracle
     deviation of the cell's constant, when the suite has one.
     """
-    w = SpectralWindow(*cell.params["window"])
-    seeds = _cell_seeds(cfg, cell)
-    suite = cell.suite
-    rel_tol = cfg.rel_tol
-    reports = []
-    deviation = None
-
-    if suite == "theorem_1_1":
-        p = cell.params["p"]
-        deviation = abs(kantorovich_K(w, p) - alpha_ratio(power_fun(p), power_fun(p), w).value)
-        for j, seed in enumerate(seeds):
-            pair = gen_dominated_pair(_dim_for(cfg, j), w, seed, window_side=WINDOW_ON_A)
-            reports.append(check_theorem_1_1(pair, p, rel_tol))
-
-    elif suite == "theorem_2_1":
-        p, q = cell.params["p"], cell.params["q"]
-        f, g = power_fun(p), power_fun(q)
-        alpha = alpha_ratio(f, g, w).value  # tight calibration: beta is ~0
-        for j, seed in enumerate(seeds):
-            pair = gen_dominated_pair(_dim_for(cfg, j), w, seed)
-            reports.append(check_theorem_2_1(pair, f, g, alpha, "i", rel_tol))
-
-    elif suite == "corollary_2_2":
-        p, q, alpha = cell.params["p"], cell.params["q"], cell.params["alpha"]
-        deviation = abs(beta_power_closed(w, p, q, alpha)
-                        - beta_generic(power_fun(p), power_fun(q), alpha, w).value)
-        for j, seed in enumerate(seeds):
-            pair = gen_dominated_pair(_dim_for(cfg, j), w, seed)
-            reports.append(check_corollary_2_2(pair, p, q, alpha, rel_tol))
-
-    elif suite == "corollary_2_3":
-        p, q = cell.params["p"], cell.params["q"]
-        deviation = abs(kantorovich_K2(w, p, q) - alpha_ratio(power_fun(p), power_fun(q), w).value)
-        for j, seed in enumerate(seeds):
-            pair = gen_dominated_pair(_dim_for(cfg, j), w, seed)
-            reports.append(check_corollary_2_3(pair, p, q, rel_tol))
-
-    elif suite == "corollary_2_4":
-        p, q = cell.params["p"], cell.params["q"]
-        deviation = abs(kantorovich_C2(w, p, q)
-                        - beta_generic(power_fun(p), power_fun(q), 1.0, w).value)
-        for j, seed in enumerate(seeds):
-            pair = gen_dominated_pair(_dim_for(cfg, j), w, seed)
-            reports.append(check_corollary_2_4(pair, p, q, rel_tol))
-
-    elif suite == "lemma_3_1":
-        p, r = cell.params["p"], cell.params["r"]
-        for j, seed in enumerate(seeds):
-            pair = gen_chaotic_pair(_dim_for(cfg, j), w, seed)
-            reports.append(check_lemma_3_1_forward(pair, p, r, rel_tol))
-
-    elif suite == "corollary_3_2":
-        p, r = cell.params["p"], cell.params["r"]
-        s = p + r
-        deviation = abs(kantorovich_K(w, s) - alpha_ratio(power_fun(s), power_fun(s), w).value)
-        for j, seed in enumerate(seeds):
-            pair = gen_chaotic_pair(_dim_for(cfg, j), w, seed)
-            reports.append(check_corollary_3_2(pair, p, r, rel_tol))
-
-    elif suite == "corollary_3_3":
-        p, r = cell.params["p"], cell.params["r"]
-        s = p + r
-        deviation = abs(kantorovich_C(w, s)
-                        - beta_generic(power_fun(s), power_fun(s), 1.0, w).value)
-        for j, seed in enumerate(seeds):
-            pair = gen_chaotic_pair(_dim_for(cfg, j), w, seed)
-            reports.append(check_corollary_3_3(pair, p, r, rel_tol))
-
-    elif suite == "theorem_4_1":
-        p, q = cell.params["p"], cell.params["q"]
-        f, g = power_fun(p), power_fun(q)
-        alpha = alpha_ratio(f, g, w).value
-        for j, seed in enumerate(seeds):
-            dim = _dim_for(cfg, j)
-            family = gen_weighted_family(3, dim, _out_dim(dim), w, seed)
-            report = check_theorem_4_1(family, f, g, alpha, rel_tol)
-            report.seed = seed
-            reports.append(report)
-
-    elif suite == "theorem_4_2":
-        p = cell.params["p"]
-        alpha = kantorovich_K(w, p)
-        deviation = abs(beta_generic(power_fun(p), power_fun(p), alpha, w).value
-                        - beta_power_closed(w, p, p, alpha))
-        for j, seed in enumerate(seeds):
-            dim = _dim_for(cfg, j)
-            pair = gen_relative_pair(dim, w, seed)
-            phi = gen_positive_linear_map(dim, _out_dim(dim), _kraus_count(seed),
-                                          seed + MAP_SEED_OFFSET)
-            reports.append(check_theorem_4_2(pair, phi, power_fun(p), alpha, rel_tol))
-
-    elif suite == "corollary_4_3":
-        p = cell.params["p"]
-        alpha = kantorovich_K(w, p)
-        deviation = abs(beta_power_closed(w, p, p, alpha)
-                        - beta_generic(power_fun(p), power_fun(p), alpha, w).value)
-        for j, seed in enumerate(seeds):
-            dim = _dim_for(cfg, j)
-            pair = gen_relative_pair(dim, w, seed)
-            phi = gen_positive_linear_map(dim, _out_dim(dim), _kraus_count(seed),
-                                          seed + MAP_SEED_OFFSET)
-            reports.append(check_corollary_4_3(pair, phi, p, alpha, rel_tol))
-
-    elif suite == "corollary_4_4":
-        p, mode = cell.params["p"], cell.params["mode"]
-        if mode == "ratio":
-            deviation = abs(kantorovich_K(w, p)
-                            - alpha_ratio(power_fun(p), power_fun(p), w).value)
-        else:
-            deviation = abs(kantorovich_C(w, p)
-                            - beta_generic(power_fun(p), power_fun(p), 1.0, w).value)
-        for j, seed in enumerate(seeds):
-            dim = _dim_for(cfg, j)
-            pair = gen_relative_pair(dim, w, seed)
-            phi = gen_positive_linear_map(dim, _out_dim(dim), _kraus_count(seed),
-                                          seed + MAP_SEED_OFFSET)
-            reports.append(check_corollary_4_4(pair, phi, p, mode, rel_tol))
-
-    elif suite == "theorem_4_5":
-        p = cell.params["p"]
-        deviation = max(
-            abs(kantorovich_K(w, p) - alpha_ratio(power_fun(p), power_fun(p), w).value),
-            abs(kantorovich_C(w, p) - beta_generic(power_fun(p), power_fun(p), 1.0, w).value),
-        )
-        for j, seed in enumerate(seeds):
-            dim = _dim_for(cfg, j)
-            pair = gen_relative_pair(dim, w, seed)
-            phi = gen_positive_linear_map(dim, _out_dim(dim), _kraus_count(seed),
-                                          seed + MAP_SEED_OFFSET)
-            reports.append(check_theorem_4_5(pair, phi, p, rel_tol))
-
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown suite {suite!r}")
+    suite = SUITES[cell.suite]
+    params = dict(cell.params)
+    w = SpectralWindow(*params.pop("window"))
+    args = tuple(params.values()) if suite.cell_args is None else suite.cell_args(w, **params)
+    deviation = None if suite.deviation is None else suite.deviation(w, **params)
+    check = getattr(verifiers, suite.check)
+    reports = [check(*suite.generate(_dim_for(cfg, j), w, seed), *args, cfg.rel_tol)
+               for j, seed in enumerate(_cell_seeds(cfg, cell))]
     return reports, deviation
 
 
@@ -495,29 +451,43 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
 
 
 def summarize_report_file(path) -> str:
-    """Human-readable digest of a report JSONL or a summary CSV."""
+    """Human-readable digest of a report JSONL or a summary CSV.
+
+    A missing, empty or malformed file raises ConfigError.
+    """
     path = Path(path)
-    lines = []
-    if path.suffix == ".csv":
-        with open(path, "r", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
-        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-        for row in rows:
-            lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
-        return "\n".join(lines)
-    with open(path, "r", encoding="utf-8") as handle:
-        header = json.loads(handle.readline())
-        checks = passed = 0
-        worst = float("inf")
-        for raw in handle:
-            record = json.loads(raw)
-            checks += 1
-            passed += int(record["overall"])
-            worst = min(worst, min(l["min_slack"] for l in record["links"]))
-    lines.append(f"suite:        {header['suite']}")
-    lines.append(f"statement:    {header['statement']}")
-    lines.append(f"config_hash:  {header['config_hash']}   base_seed: {header['base_seed']}")
-    lines.append(f"checks:       {checks}   passed: {passed}   failed: {checks - passed}")
+    try:
+        text = path.read_text(encoding="utf-8")
+        if not text.strip():
+            raise ValueError("file is empty")
+        if path.suffix == ".csv":
+            return _format_csv(list(csv.reader(io.StringIO(text))))
+        return _format_report(text.splitlines())
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise ConfigError(f"cannot read report {path}: {exc}") from exc
+
+
+def _format_csv(rows: list) -> str:
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.ljust(width) for cell, width in zip(row, widths))
+                     for row in rows)
+
+
+def _format_report(lines: list) -> str:
+    header = json.loads(lines[0])
+    checks = passed = 0
+    worst = float("inf")
+    for raw in lines[1:]:
+        record = json.loads(raw)
+        checks += 1
+        passed += int(record["overall"])
+        worst = min(worst, min(l["min_slack"] for l in record["links"]))
+    out = [
+        f"suite:        {header['suite']}",
+        f"statement:    {header['statement']}",
+        f"config_hash:  {header['config_hash']}   base_seed: {header['base_seed']}",
+        f"checks:       {checks}   passed: {passed}   failed: {checks - passed}",
+    ]
     if checks:
-        lines.append(f"worst_slack:  {worst:.6e}")
-    return "\n".join(lines)
+        out.append(f"worst_slack:  {worst:.6e}")
+    return "\n".join(out)

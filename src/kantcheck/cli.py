@@ -15,6 +15,7 @@ from .campaign import (
     load_config,
     run_campaign,
     summarize_report_file,
+    validate_config,
 )
 from .errors import ConfigError, KantCheckError
 from .hunt import hunt_sharpness
@@ -88,6 +89,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config) if args.config else CampaignConfig()
+    validate_config(cfg)
     result = sweep_constants(cfg.windows, cfg.p_grid, cfg.q_grid, args.out)
     print(f"wrote {result.csv_path} ({len(result.rows)} rows) and "
           f"{len(result.svg_paths)} charts")

@@ -166,14 +166,9 @@ def _branch_slack(window: SpectralWindow) -> float:
 def kantorovich_K(window: SpectralWindow, p: float) -> float:
     """Ratio constant K(m, M, p): closed form of max{chord(t^p)/t^p}.
 
-    Defined for p outside {0, 1}; the closed form has no branch test.
+    Defined for p outside {0, 1}; it is the two-exponent constant at q = p.
     """
-    w = window.require_positive()
-    p = _require_nondegenerate(p, "p")
-    m, M = w.m, w.M
-    num = m * M ** p - M * m ** p
-    base = (p - 1.0) / p * (M ** p - m ** p) / num
-    return float(num / ((p - 1.0) * w.width) * base ** p)
+    return kantorovich_K2(window, p, p)
 
 
 def kantorovich_K2(window: SpectralWindow, p: float, q: float) -> float:
@@ -224,40 +219,14 @@ def kantorovich_C2(window: SpectralWindow, p: float, q: float) -> float:
 
     Requires p <= 0 and q < 0 (q outside {0, 1}); returns the larger
     endpoint difference when the interior touch point leaves the window.
+    It is the gap constant at alpha = 1.
     """
-    w = window.require_positive()
-    p = float(p)
-    q = _require_nondegenerate(q, "q")
-    if p > 0.0:
-        raise ParameterError(f"difference constant needs p <= 0, got p={p}")
-    if q > 0.0:
-        raise ParameterError(f"difference constant needs q < 0, got q={q}")
-    m, M = w.m, w.M
-    ratio = (M ** p - m ** p) / (q * w.width)
-    if ratio > 0.0:
-        t0 = ratio ** (1.0 / (q - 1.0))
-        eps = _branch_slack(w)
-        if m - eps <= t0 <= M + eps:
-            return float((M * m ** p - m * M ** p) / w.width
-                         + (q - 1.0) * ratio ** (q / (q - 1.0)))
-    return float(max(M ** p - M ** q, m ** p - m ** q))
+    return beta_power_closed(window, p, q, 1.0)
 
 
 def kantorovich_C(window: SpectralWindow, p: float) -> float:
     """One-exponent difference constant C(m, M, p); 0 on the endpoint branch."""
-    w = window.require_positive()
-    p = _require_nondegenerate(p, "p")
-    if p > 0.0:
-        raise ParameterError(f"difference constant needs p < 0, got p={p}")
-    m, M = w.m, w.M
-    ratio = (M ** p - m ** p) / (p * w.width)
-    if ratio > 0.0:
-        t0 = ratio ** (1.0 / (p - 1.0))
-        eps = _branch_slack(w)
-        if m - eps <= t0 <= M + eps:
-            return float((M * m ** p - m * M ** p) / w.width
-                         + (p - 1.0) * ratio ** (p / (p - 1.0)))
-    return 0.0
+    return kantorovich_C2(window, p, p)
 
 
 def beta_power_closed(window: SpectralWindow, p: float, q: float, alpha: float) -> float:

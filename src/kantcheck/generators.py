@@ -243,7 +243,12 @@ def gen_positive_linear_map(dim_in: int, dim_out: int, n_kraus: int, seed_or_rng
 def gen_weighted_family(n_items: int, dim_in: int, dim_out: int,
                         window: SpectralWindow, seed_or_rng,
                         max_kraus: int = 3) -> WeightedFamily:
-    """Random weighted family (w_i, Phi_i, A_i) with Sp(A_i) inside the window."""
+    """Random weighted family (w_i, Phi_i, A_i) with Sp(A_i) inside the window.
+
+    An integer seed is recorded on the family; a family drawn from a
+    Generator records seed 0.
+    """
+    seed = int(seed_or_rng) if isinstance(seed_or_rng, (int, np.integer)) else 0
     rng = _rng(seed_or_rng)
     raw = 0.1 + rng.random(n_items)
     weights = raw / raw.sum()
@@ -253,7 +258,7 @@ def gen_weighted_family(n_items: int, dim_in: int, dim_out: int,
         phi = gen_positive_linear_map(dim_in, dim_out, n_kraus, rng)
         op = gen_hermitian_in_window(dim_in, window, rng)
         items.append((float(weights[i]), phi, op))
-    return WeightedFamily(items=tuple(items), window=window).validate()
+    return WeightedFamily(items=tuple(items), window=window, seed=seed).validate()
 
 
 def pair_to_json(pair: CertifiedPair) -> dict:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .campaign import CampaignConfig
+from .campaign import CampaignConfig, validate_config
 from .constants import alpha_ratio, grid_max_1d, kantorovich_K
 from .generators import (
     CERT_CHAOTIC,
@@ -41,6 +41,8 @@ from .verifiers import (
 SQUARED_ORDER_WITNESS_A = [[1.01, 0.0], [0.0, 0.01]]
 SQUARED_ORDER_WITNESS_B = [[2.01, 1.0], [1.0, 1.01]]
 
+UNWEIGHTED_LINK = "B^(-r) G_{t^(p+r)}(B) <= C I + A^p"
+
 
 @dataclass
 class HuntModeResult:
@@ -62,22 +64,29 @@ class HuntModeResult:
         }
 
 
-def _observe(result: HuntModeResult, report, pair: CertifiedPair, params: dict) -> None:
-    """Fold one fuzz report into the mode result, keeping the worst witness."""
+def _observe(result: HuntModeResult, failing: list, pair: CertifiedPair, params: dict) -> None:
+    """Fold one fuzz sample into the mode result, keeping the worst witness.
+
+    failing lists (label, min_slack) for each link of the sample that did
+    not hold.
+    """
     result.samples += 1
-    failing = [lk for lk in report.links if not lk.holds]
     if not failing:
         return
     result.violations += 1
-    worst = min(lk.min_slack for lk in failing)
+    worst = min(slack for _, slack in failing)
     if worst < result.max_violation:
         result.max_violation = worst
         result.witness = {
             "pair": pair_to_json(pair),
             "params": params,
-            "failing_links": [lk.label for lk in failing],
+            "failing_links": [label for label, _ in failing],
             "min_slack": worst,
         }
+
+
+def _failing_links(report) -> list:
+    return [(lk.label, lk.min_slack) for lk in report.links if not lk.holds]
 
 
 def _cycle(cfg: CampaignConfig, j: int) -> tuple[int, SpectralWindow]:
@@ -97,7 +106,7 @@ def _hunt_q_beyond_regime(cfg: CampaignConfig, samples: int, q: float = -2.0,
         seed = cfg.base_seed + j
         pair = gen_dominated_pair(dim, w, seed)
         report = check_corollary_2_3(pair, p, q, cfg.rel_tol)
-        _observe(result, report, pair, {"p": p, "q": q, "m": w.m, "M": w.M})
+        _observe(result, _failing_links(report), pair, {"p": p, "q": q, "m": w.m, "M": w.M})
     return result
 
 
@@ -111,7 +120,7 @@ def _hunt_r_beyond_regime(cfg: CampaignConfig, samples: int, r: float = -2.0,
         seed = cfg.base_seed + j
         pair = gen_chaotic_pair(dim, w, seed)
         report = check_corollary_3_2(pair, p, r, cfg.rel_tol)
-        _observe(result, report, pair, {"p": p, "r": r, "m": w.m, "M": w.M})
+        _observe(result, _failing_links(report), pair, {"p": p, "r": r, "m": w.m, "M": w.M})
     return result
 
 
@@ -128,8 +137,8 @@ def _hunt_non_log_convex(cfg: CampaignConfig, samples: int) -> HuntModeResult:
         g = lambda t: t ** -1.0
         alpha = alpha_ratio(f, g, w).value
         report = check_theorem_2_1(pair, f, g, alpha, "i", cfg.rel_tol)
-        _observe(result, report, pair, {"f": "sqrt", "g": "t^-1", "alpha": alpha,
-                                        "m": w.m, "M": w.M})
+        _observe(result, _failing_links(report), pair,
+                 {"f": "sqrt", "g": "t^-1", "alpha": alpha, "m": w.m, "M": w.M})
     return result
 
 
@@ -149,8 +158,8 @@ def _hunt_missing_domination(cfg: CampaignConfig, samples: int) -> HuntModeResul
         pair = CertifiedPair(A=a, B=b, window=w, certificate=CERT_DOMINATED, seed=seed)
         alpha = kantorovich_K(w, -1.0)
         report = check_corollary_2_2(pair, p, q, alpha, cfg.rel_tol)
-        _observe(result, report, pair, {"p": p, "q": q, "alpha": alpha,
-                                        "m": w.m, "M": w.M})
+        _observe(result, _failing_links(report), pair,
+                 {"p": p, "q": q, "alpha": alpha, "m": w.m, "M": w.M})
     return result
 
 
@@ -183,30 +192,22 @@ def _hunt_lemma_exponent_variants(cfg: CampaignConfig, samples: int) -> HuntMode
     result = HuntModeResult(mode="lemma_3_1_exponent_variants", samples=0,
                             violations=0, max_violation=0.0)
     grids = [(-1.0, -0.5), (-0.5, -0.25)]
+    corpus = [gen_chaotic_pair(*_cycle(cfg, j), cfg.base_seed + j) for j in range(samples)]
+    # the A = B, p != r instance separates the exponents immediately
+    dim, w = _cycle(cfg, 0)
+    base = gen_chaotic_pair(dim, w, cfg.base_seed)
+    corpus.append(CertifiedPair(A=base.B, B=base.B, window=w, certificate=CERT_CHAOTIC,
+                                seed=base.seed))
     stats = {"r_over_p_plus_r": {"holds": 0, "worst": 0.0},
              "p_over_p_plus_r": {"holds": 0, "worst": 0.0}}
     total = 0
-    for j in range(samples):
-        dim, w = _cycle(cfg, j)
-        seed = cfg.base_seed + j
-        pair = gen_chaotic_pair(dim, w, seed)
+    for pair in corpus:
         for p, r in grids:
             slacks = lemma_3_1_exponent_slacks(pair, p, r, cfg.rel_tol)
             total += 1
             for name, info in slacks.items():
                 stats[name]["holds"] += int(info["holds"])
                 stats[name]["worst"] = min(stats[name]["worst"], info["min_slack"])
-    # the A = B, p != r instance separates the exponents immediately
-    dim, w = _cycle(cfg, 0)
-    base = gen_chaotic_pair(dim, w, cfg.base_seed)
-    same = CertifiedPair(A=base.B, B=base.B, window=w, certificate=CERT_CHAOTIC,
-                         seed=base.seed)
-    for p, r in grids:
-        slacks = lemma_3_1_exponent_slacks(same, p, r, cfg.rel_tol)
-        total += 1
-        for name, info in slacks.items():
-            stats[name]["holds"] += int(info["holds"])
-            stats[name]["worst"] = min(stats[name]["worst"], info["min_slack"])
     result.samples = total
     result.violations = total - stats["p_over_p_plus_r"]["holds"]
     result.max_violation = stats["p_over_p_plus_r"]["worst"]
@@ -241,40 +242,22 @@ def _hunt_unweighted_difference_constant(cfg: CampaignConfig, samples: int) -> H
         np.exp(((w0.M - t) * lnm + (t - w0.m) * lnM) / w0.width) - t ** s)
     t_star = grid_max_1d(weighted_gap, w0).t_star
     mat = np.diag(np.asarray([t_star, w0.m], dtype=complex))
-    witness_pair = CertifiedPair(A=mat, B=mat, window=w0, certificate=CERT_CHAOTIC, seed=-1)
-    slack = corollary_3_3_unweighted_slack(witness_pair, p, r, cfg.rel_tol)
-    result.samples += 1
-    if not slack["holds"]:
-        result.violations += 1
-        result.max_violation = slack["min_slack"]
-        result.witness = {
-            "pair": pair_to_json(witness_pair),
-            "params": {"p": p, "r": r, "m": w0.m, "M": w0.M},
-            "failing_links": ["B^(-r) G_{t^(p+r)}(B) <= C I + A^p"],
-            "min_slack": slack["min_slack"],
-        }
+    pairs = [CertifiedPair(A=mat, B=mat, window=w0, certificate=CERT_CHAOTIC, seed=-1)]
     for j in range(samples):
         dim = int(cfg.dims[j % len(cfg.dims)])
         w = SpectralWindow(*windows[j % len(windows)])
-        seed = cfg.base_seed + j
-        pair = gen_chaotic_pair(dim, w, seed)
+        pairs.append(gen_chaotic_pair(dim, w, cfg.base_seed + j))
+    for pair in pairs:
         slack = corollary_3_3_unweighted_slack(pair, p, r, cfg.rel_tol)
-        result.samples += 1
-        if not slack["holds"]:
-            result.violations += 1
-            if slack["min_slack"] < result.max_violation:
-                result.max_violation = slack["min_slack"]
-                result.witness = {
-                    "pair": pair_to_json(pair),
-                    "params": {"p": p, "r": r, "m": w.m, "M": w.M},
-                    "failing_links": ["B^(-r) G_{t^(p+r)}(B) <= C I + A^p"],
-                    "min_slack": slack["min_slack"],
-                }
+        failing = [] if slack["holds"] else [(UNWEIGHTED_LINK, slack["min_slack"])]
+        _observe(result, failing, pair,
+                 {"p": p, "r": r, "m": pair.window.m, "M": pair.window.M})
     return result
 
 
 def hunt_sharpness(cfg: CampaignConfig, out_dir=None) -> dict:
     """Run every fuzz mode; write hunt_report.json when out_dir is given."""
+    validate_config(cfg)
     main_samples = max(1, cfg.fuzz_samples)
     side_samples = max(50, cfg.fuzz_samples // 20)
     modes = [

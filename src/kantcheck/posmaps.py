@@ -108,10 +108,15 @@ def tsallis_entropy(a, b, p: float) -> Array:
 
 @dataclass(frozen=True)
 class WeightedFamily:
-    """Positive weights summing to 1, each with a map and a window-bounded operator."""
+    """Positive weights summing to 1, each with a map and a window-bounded operator.
+
+    seed is the integer the family was drawn from, 0 when it was not drawn
+    from one; reports carry it so a report line can regenerate its family.
+    """
 
     items: tuple
     window: SpectralWindow
+    seed: int = 0
 
     def validate(self, spectrum_tol: float = 1e-9) -> "WeightedFamily":
         if not self.items:

@@ -145,6 +145,20 @@ def _link(label: str, lhs: Array, rhs: Array, rel_tol: float) -> Link:
     )
 
 
+def _chain(lower: tuple, mid: tuple, upper: tuple, rel_tol: float) -> list:
+    """Links lower <= mid and mid <= upper, then the audit lower <= upper.
+
+    Each term is a (printed name, matrix) pair; the labels are built from
+    the printed names.
+    """
+    (lo, lo_op), (mi, mid_op), (up, up_op) = lower, mid, upper
+    return [
+        _link(f"{lo} <= {mi}", lo_op, mid_op, rel_tol),
+        _link(f"{mi} <= {up}", mid_op, up_op, rel_tol),
+        _link(f"{lo} <= {up} [audit]", lo_op, up_op, rel_tol),
+    ]
+
+
 def _finish(theorem_id: str, dim: int, seed: int, params: dict, links: list,
             notes: list | None = None) -> ChainReport:
     return ChainReport(
@@ -178,11 +192,8 @@ def check_theorem_1_1(pair: CertifiedPair, p: float,
     a_pow = matrix_power(pair.A, p)
     b_pow = matrix_power(pair.B, p)
     cap = (w.M / w.m) ** (p - 1.0)
-    links = [
-        _link("A^p <= K B^p", a_pow, k * b_pow, rel_tol),
-        _link("K B^p <= (M/m)^(p-1) B^p", k * b_pow, cap * b_pow, rel_tol),
-        _link("A^p <= (M/m)^(p-1) B^p [audit]", a_pow, cap * b_pow, rel_tol),
-    ]
+    links = _chain(("A^p", a_pow), ("K B^p", k * b_pow), ("(M/m)^(p-1) B^p", cap * b_pow),
+                   rel_tol)
     return _finish("theorem_1_1", pair.dim, pair.seed,
                    {"m": w.m, "M": w.M, "p": p, "K": k}, links)
 
@@ -212,11 +223,7 @@ def check_theorem_2_1(pair: CertifiedPair, f, g, alpha: float, case: str = "i",
     f_b = apply_scalar_function(pair.B, f)
     mid = superlog_bound(pair.B, w, float(f(w.m)), float(f(w.M)))
     rhs = alpha * apply_scalar_function(pair.A, g) + beta * identity(pair.dim)
-    links = [
-        _link("f(B) <= G_f(B)", f_b, mid, rel_tol),
-        _link("G_f(B) <= alpha g(A) + beta", mid, rhs, rel_tol),
-        _link("f(B) <= alpha g(A) + beta [audit]", f_b, rhs, rel_tol),
-    ]
+    links = _chain(("f(B)", f_b), ("G_f(B)", mid), ("alpha g(A) + beta", rhs), rel_tol)
     return _finish("theorem_2_1", pair.dim, pair.seed,
                    {"m": w.m, "M": w.M, "alpha": alpha, "beta": beta, "case": case}, links)
 
@@ -238,11 +245,7 @@ def check_corollary_2_2(pair: CertifiedPair, p: float, q: float, alpha: float,
     b_pow = matrix_power(pair.B, p)
     mid = superlog_bound(pair.B, w, w.m ** p, w.M ** p)
     rhs = alpha * matrix_power(pair.A, q) + beta * identity(pair.dim)
-    links = [
-        _link("B^p <= G_{t^p}(B)", b_pow, mid, rel_tol),
-        _link("G_{t^p}(B) <= alpha A^q + beta", mid, rhs, rel_tol),
-        _link("B^p <= alpha A^q + beta [audit]", b_pow, rhs, rel_tol),
-    ]
+    links = _chain(("B^p", b_pow), ("G_{t^p}(B)", mid), ("alpha A^q + beta", rhs), rel_tol)
     return _finish("corollary_2_2", pair.dim, pair.seed,
                    {"m": w.m, "M": w.M, "p": p, "q": q, "alpha": alpha, "beta": beta}, links)
 
@@ -266,11 +269,7 @@ def check_corollary_2_3(pair: CertifiedPair, p: float, q: float,
     b_pow = matrix_power(pair.B, p)
     mid = superlog_bound(pair.B, w, w.m ** p, w.M ** p)
     rhs = k2 * matrix_power(pair.A, q)
-    links = [
-        _link("B^p <= G_{t^p}(B)", b_pow, mid, rel_tol),
-        _link("G_{t^p}(B) <= K2 A^q", mid, rhs, rel_tol),
-        _link("B^p <= K2 A^q [audit]", b_pow, rhs, rel_tol),
-    ]
+    links = _chain(("B^p", b_pow), ("G_{t^p}(B)", mid), ("K2 A^q", rhs), rel_tol)
     return _finish("corollary_2_3", pair.dim, pair.seed,
                    {"m": w.m, "M": w.M, "p": p, "q": q, "K2": k2}, links, notes)
 
@@ -290,11 +289,7 @@ def check_corollary_2_4(pair: CertifiedPair, p: float, q: float,
     b_pow = matrix_power(pair.B, p)
     mid = superlog_bound(pair.B, w, w.m ** p, w.M ** p)
     rhs = c2 * identity(pair.dim) + matrix_power(pair.A, q)
-    links = [
-        _link("B^p <= G_{t^p}(B)", b_pow, mid, rel_tol),
-        _link("G_{t^p}(B) <= C2 + A^q", mid, rhs, rel_tol),
-        _link("B^p <= C2 + A^q [audit]", b_pow, rhs, rel_tol),
-    ]
+    links = _chain(("B^p", b_pow), ("G_{t^p}(B)", mid), ("C2 + A^q", rhs), rel_tol)
     return _finish("corollary_2_4", pair.dim, pair.seed,
                    {"m": w.m, "M": w.M, "p": p, "q": q, "C2": c2}, links)
 
@@ -377,11 +372,7 @@ def check_corollary_3_2(pair: CertifiedPair, p: float, r: float,
     b_pow = matrix_power(pair.B, p)
     mid = _chaotic_middle(pair, p, r)
     rhs = k * matrix_power(pair.A, p)
-    links = [
-        _link("B^p <= B^(-r) G_{t^(p+r)}(B)", b_pow, mid, rel_tol),
-        _link("B^(-r) G_{t^(p+r)}(B) <= K A^p", mid, rhs, rel_tol),
-        _link("B^p <= K A^p [audit]", b_pow, rhs, rel_tol),
-    ]
+    links = _chain(("B^p", b_pow), ("B^(-r) G_{t^(p+r)}(B)", mid), ("K A^p", rhs), rel_tol)
     return _finish("corollary_3_2", pair.dim, pair.seed,
                    {"m": w.m, "M": w.M, "p": p, "r": r, "K": k}, links, notes)
 
@@ -406,11 +397,8 @@ def check_corollary_3_3(pair: CertifiedPair, p: float, r: float,
     b_pow = matrix_power(pair.B, p)
     mid = _chaotic_middle(pair, p, r)
     rhs = c * matrix_power(pair.B, -r) + matrix_power(pair.A, p)
-    links = [
-        _link("B^p <= B^(-r) G_{t^(p+r)}(B)", b_pow, mid, rel_tol),
-        _link("B^(-r) G_{t^(p+r)}(B) <= C B^(-r) + A^p", mid, rhs, rel_tol),
-        _link("B^p <= C B^(-r) + A^p [audit]", b_pow, rhs, rel_tol),
-    ]
+    links = _chain(("B^p", b_pow), ("B^(-r) G_{t^(p+r)}(B)", mid), ("C B^(-r) + A^p", rhs),
+                   rel_tol)
     return _finish("corollary_3_3", pair.dim, pair.seed,
                    {"m": w.m, "M": w.M, "p": p, "r": r, "C": c}, links, notes)
 
@@ -452,13 +440,10 @@ def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,
         agg += weight * apply_map(phi, op)
     lhs, mid, agg = hermitize(lhs), hermitize(mid), hermitize(agg)
     rhs = alpha * apply_scalar_function(agg, g) + beta * identity(dim_out)
-    links = [
-        _link("sum w_i Phi_i(f(A_i)) <= sum w_i Phi_i(G_f(A_i))", lhs, mid, rel_tol),
-        _link("sum w_i Phi_i(G_f(A_i)) <= alpha g(agg) + beta", mid, rhs, rel_tol),
-        _link("sum w_i Phi_i(f(A_i)) <= alpha g(agg) + beta [audit]", lhs, rhs, rel_tol),
-    ]
+    links = _chain(("sum w_i Phi_i(f(A_i))", lhs), ("sum w_i Phi_i(G_f(A_i))", mid),
+                   ("alpha g(agg) + beta", rhs), rel_tol)
     dim_in = family.items[0][1].dim_in
-    return _finish("theorem_4_1", dim_in, 0,
+    return _finish("theorem_4_1", dim_in, family.seed,
                    {"m": w.m, "M": w.M, "alpha": alpha, "beta": beta,
                     "n": len(family.items), "dim_out": dim_out}, links)
 
@@ -470,6 +455,14 @@ def _relative_interpolant(pair: CertifiedPair, fm: float, fM: float,
     t = hermitize(irt @ pair.B @ irt)
     g_t = superlog_bound(t, pair.window, fm, fM, hypothesis_tol)
     return t, rt, hermitize(rt @ g_t @ rt)
+
+
+def _relative_terms(pair: CertifiedPair, phi: PositiveLinearMap, f) -> tuple:
+    """Phi(A sigma_f B), Phi(A^(1/2) G_f(T) A^(1/2)), Phi(A) and Phi(B)."""
+    w = pair.window
+    t, rt, interp = _relative_interpolant(pair, float(f(w.m)), float(f(w.M)))
+    lhs = apply_map(phi, hermitize(rt @ apply_scalar_function(t, f) @ rt))
+    return lhs, apply_map(phi, interp), apply_map(phi, pair.A), apply_map(phi, pair.B)
 
 
 def check_theorem_4_2(pair: CertifiedPair, phi: PositiveLinearMap, f, alpha: float,
@@ -484,19 +477,10 @@ def check_theorem_4_2(pair: CertifiedPair, phi: PositiveLinearMap, f, alpha: flo
     alpha = float(alpha)
     w = pair.window
     beta = beta_generic(f, f, alpha, w).value
-    t, rt, interp = _relative_interpolant(pair, float(f(w.m)), float(f(w.M)))
-    lhs = apply_map(phi, hermitize(rt @ apply_scalar_function(t, f) @ rt))
-    mid = apply_map(phi, interp)
-    phi_a = apply_map(phi, pair.A)
-    phi_b = apply_map(phi, pair.B)
+    lhs, mid, phi_a, phi_b = _relative_terms(pair, phi, f)
     rhs = beta * phi_a + alpha * f_connection(phi_a, phi_b, f)
-    links = [
-        _link("Phi(A sigma_f B) <= Phi(A^(1/2) G_f(T) A^(1/2))", lhs, mid, rel_tol),
-        _link("Phi(A^(1/2) G_f(T) A^(1/2)) <= beta Phi(A) + alpha Phi(A) sigma_f Phi(B)",
-              mid, rhs, rel_tol),
-        _link("Phi(A sigma_f B) <= beta Phi(A) + alpha Phi(A) sigma_f Phi(B) [audit]",
-              lhs, rhs, rel_tol),
-    ]
+    links = _chain(("Phi(A sigma_f B)", lhs), ("Phi(A^(1/2) G_f(T) A^(1/2))", mid),
+                   ("beta Phi(A) + alpha Phi(A) sigma_f Phi(B)", rhs), rel_tol)
     return _finish("theorem_4_2", pair.dim, pair.seed,
                    {"m": w.m, "M": w.M, "alpha": alpha, "beta": beta,
                     "dim_out": phi.dim_out}, links)
@@ -512,18 +496,10 @@ def check_corollary_4_3(pair: CertifiedPair, phi: PositiveLinearMap, p: float, a
         raise ParameterError(f"needs p <= 0, got p={p}")
     w = pair.window
     beta = beta_power_closed(w, p, p, alpha)
-    t, rt, interp = _relative_interpolant(pair, w.m ** p, w.M ** p)
-    lhs = apply_map(phi, hermitize(rt @ apply_scalar_function(t, power_fun(p)) @ rt))
-    mid = apply_map(phi, interp)
-    phi_a = apply_map(phi, pair.A)
-    phi_b = apply_map(phi, pair.B)
+    lhs, mid, phi_a, phi_b = _relative_terms(pair, phi, power_fun(p))
     rhs = beta * phi_a + alpha * sharp(phi_a, phi_b, p)
-    links = [
-        _link("Phi(A #_p B) <= Phi(A^(1/2) G_{t^p}(T) A^(1/2))", lhs, mid, rel_tol),
-        _link("Phi(A^(1/2) G_{t^p}(T) A^(1/2)) <= beta Phi(A) + alpha Phi(A) #_p Phi(B)",
-              mid, rhs, rel_tol),
-        _link("Phi(A #_p B) <= beta Phi(A) + alpha Phi(A) #_p Phi(B) [audit]", lhs, rhs, rel_tol),
-    ]
+    links = _chain(("Phi(A #_p B)", lhs), ("Phi(A^(1/2) G_{t^p}(T) A^(1/2))", mid),
+                   ("beta Phi(A) + alpha Phi(A) #_p Phi(B)", rhs), rel_tol)
     return _finish("corollary_4_3", pair.dim, pair.seed,
                    {"m": w.m, "M": w.M, "p": p, "alpha": alpha, "beta": beta,
                     "dim_out": phi.dim_out}, links)
@@ -546,11 +522,7 @@ def check_corollary_4_4(pair: CertifiedPair, phi: PositiveLinearMap, p: float,
     if mode not in ("ratio", "difference"):
         raise ValueError(f"mode must be 'ratio' or 'difference', got {mode!r}")
     w = pair.window
-    t, rt, interp = _relative_interpolant(pair, w.m ** p, w.M ** p)
-    lhs = apply_map(phi, hermitize(rt @ apply_scalar_function(t, power_fun(p)) @ rt))
-    mid = apply_map(phi, interp)
-    phi_a = apply_map(phi, pair.A)
-    phi_b = apply_map(phi, pair.B)
+    lhs, mid, phi_a, phi_b = _relative_terms(pair, phi, power_fun(p))
     mean_term = sharp(phi_a, phi_b, p)
     params = {"m": w.m, "M": w.M, "p": p, "mode": mode, "dim_out": phi.dim_out}
     links = []
@@ -560,20 +532,13 @@ def check_corollary_4_4(pair: CertifiedPair, phi: PositiveLinearMap, p: float,
     if mode == "ratio":
         k = kantorovich_K(w, p)
         params["K"] = k
-        rhs = k * mean_term
-        final_label = "Phi(A^(1/2) G_{t^p}(T) A^(1/2)) <= K Phi(A) #_p Phi(B)"
-        audit_label = "Phi(A #_p B) <= K Phi(A) #_p Phi(B) [audit]"
+        upper = ("K Phi(A) #_p Phi(B)", k * mean_term)
     else:
         c = kantorovich_C(w, p)
         params["C"] = c
-        rhs = c * phi_a + mean_term
-        final_label = "Phi(A^(1/2) G_{t^p}(T) A^(1/2)) <= C Phi(A) + Phi(A) #_p Phi(B)"
-        audit_label = "Phi(A #_p B) <= C Phi(A) + Phi(A) #_p Phi(B) [audit]"
-    links.extend([
-        _link("Phi(A #_p B) <= Phi(A^(1/2) G_{t^p}(T) A^(1/2))", lhs, mid, rel_tol),
-        _link(final_label, mid, rhs, rel_tol),
-        _link(audit_label, lhs, rhs, rel_tol),
-    ])
+        upper = ("C Phi(A) + Phi(A) #_p Phi(B)", c * phi_a + mean_term)
+    links += _chain(("Phi(A #_p B)", lhs), ("Phi(A^(1/2) G_{t^p}(T) A^(1/2))", mid), upper,
+                    rel_tol)
     return _finish("corollary_4_4", pair.dim, pair.seed, params, links)
 
 

@@ -17,11 +17,13 @@ from kantcheck.campaign import (
     validate_config,
 )
 from kantcheck.cli import main as cli_main
-from kantcheck.constants import kantorovich_K2
+from kantcheck.constants import kantorovich_K2, power_fun
 from kantcheck.errors import ConfigError
+from kantcheck.generators import gen_weighted_family
 from kantcheck.hermitian import SpectralWindow
 from kantcheck.hunt import hunt_sharpness
 from kantcheck.sweep import sweep_constants
+from kantcheck.verifiers import check_theorem_4_1
 
 
 def read_bytes_tree(out_dir):
@@ -141,6 +143,22 @@ class TestRunCampaign:
         stats = {"x": SuiteStats(suite="x", checks=3, passed=2, failed=1)}
         summary = CampaignSummary(suites=stats, config_hash="", output_dir="", wall_seconds=0.0)
         assert summary.exit_code == 1
+
+    def test_theorem_4_1_line_regenerates_from_its_seed(self, tmp_path):
+        cfg = CampaignConfig(suites=["theorem_4_1"], dims=[2, 3], windows=[(1.0, 2.0)],
+                             p_grid=[-1.0], q_grid=[-0.5], samples_per_cell=3, base_seed=5,
+                             output_dir=str(tmp_path / "t41"))
+        run_campaign(cfg)
+        lines = (tmp_path / "t41" / "reports" / "theorem_4_1.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        assert [rec["seed"] for rec in records] == [5, 6, 7]
+        w = SpectralWindow(1.0, 2.0)
+        for rec in records:
+            family = gen_weighted_family(3, rec["dim"], max(1, rec["dim"] - 1), w, rec["seed"])
+            assert family.seed == rec["seed"]
+            report = check_theorem_4_1(family, power_fun(-1.0), power_fun(-0.5),
+                                       rec["params"]["alpha"], cfg.rel_tol)
+            assert json.loads(json.dumps(report.to_json_dict())) == rec
 
     def test_show_summarizes_both_formats(self, small_config):
         run_campaign(small_config)
@@ -268,6 +286,31 @@ class TestCli:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("body", ['{"dims": ["x"]}', '{"samples_per_cell": "4"}',
+                                      '{"windows": [[1.0]]}', '{"windows": [1.0]}',
+                                      '{"q_grid": -0.5}'])
+    def test_wrongly_typed_config_field(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.json"
+        bad.write_text(body)
+        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "hunt"])
+    def test_sweep_and_hunt_validate_config(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"windows": [[2.0, 1.0]]}')
+        assert cli_main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_show_rejects_unreadable_reports(self, tmp_path, capsys):
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "empty.jsonl").write_text("")
+        (tmp_path / "broken.jsonl").write_text("{not json\n")
+        for name in ("missing.jsonl", "empty.csv", "empty.jsonl", "broken.jsonl"):
+            assert cli_main(["show", str(tmp_path / name)]) == 2, name
+            assert "cannot read report" in capsys.readouterr().err
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from kantcheck import verifiers
+from kantcheck.campaign import ALL_SUITES, SUITES
 from kantcheck.constants import alpha_ratio, kantorovich_C, kantorovich_K, power_fun
 from kantcheck.errors import (
     DegenerateExponentError,
@@ -450,6 +452,10 @@ class TestReportMachinery:
             "theorem_4_1", "theorem_4_2", "corollary_4_3", "corollary_4_4",
             "theorem_4_5",
         }
+        assert list(SUITES) == ALL_SUITES
+        assert set(SUITES) == set(CHAIN_CATALOG)
+        for suite in SUITES.values():
+            assert callable(getattr(verifiers, suite.check))
 
     def test_transitivity_audit_present_and_passing(self):
         for seed in range(10):
