@@ -18,6 +18,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import numbers
 import os
 import time
@@ -43,7 +44,7 @@ from .generators import (
     gen_relative_pair,
     gen_weighted_family,
 )
-from .hermitian import SpectralWindow
+from .hermitian import DIM_CAP, SpectralWindow
 from .verifiers import CHAIN_CATALOG
 
 MAP_SEED_OFFSET = 1 << 32
@@ -221,7 +222,14 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number that is finite as a float.  JSON and argparse's float
+    also read NaN and Infinity, and JSON reads integers too large for a float."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_list_of(value, item_ok) -> bool:
@@ -237,12 +245,12 @@ def _check_field_types(cfg: CampaignConfig) -> None:
     require(_is_list_of(cfg.suites, lambda s: isinstance(s, str)), "suites", "a list of names")
     require(_is_list_of(cfg.dims, _is_int), "dims", "a list of integers")
     require(_is_list_of(cfg.windows, lambda w: _is_list_of(w, _is_real) and len(w) == 2),
-            "windows", "a list of [m, M] pairs")
+            "windows", "a list of finite [m, M] pairs")
     for name in ("p_grid", "q_grid", "r_grid", "alpha_grid", "p_grid_theorem_1_1"):
-        require(_is_list_of(getattr(cfg, name), _is_real), name, "a list of numbers")
+        require(_is_list_of(getattr(cfg, name), _is_real), name, "a list of finite numbers")
     for name in ("samples_per_cell", "base_seed", "fuzz_samples"):
         require(_is_int(getattr(cfg, name)), name, "an integer")
-    require(_is_real(cfg.rel_tol), "rel_tol", "a number")
+    require(_is_real(cfg.rel_tol), "rel_tol", "a finite number")
     require(isinstance(cfg.output_dir, (str, os.PathLike)), "output_dir", "a path")
 
 
@@ -252,13 +260,14 @@ def validate_config(cfg: CampaignConfig) -> None:
     for suite in cfg.suites:
         if suite not in SUITES:
             raise ConfigError(f"unknown suite {suite!r}; known: {ALL_SUITES}")
-    if cfg.samples_per_cell < 1:
-        raise ConfigError(f"samples_per_cell must be >= 1, got {cfg.samples_per_cell}")
+    for name in ("samples_per_cell", "fuzz_samples"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     if not cfg.dims:
         raise ConfigError("dims must be nonempty")
     for dim in cfg.dims:
-        if not 1 <= int(dim) <= 64:
-            raise ConfigError(f"dim {dim} outside [1, 64]")
+        if not 1 <= int(dim) <= DIM_CAP:
+            raise ConfigError(f"dim {dim} outside [1, {DIM_CAP}]")
     if not cfg.windows:
         raise ConfigError("windows must be nonempty")
     for m, upper in cfg.windows:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import GenerationError
 from .hermitian import (
     DIM_CAP,
     Array,
+    SpectralDecomposition,
     SpectralWindow,
     eig_hermitian,
     hermitize,
@@ -51,6 +53,9 @@ class CertifiedPair:
     certificate is one of "dominated" (A <= B with the window on the side
     named by window_side), "chaotic" (log A <= log B, window on B) or
     "relative" (m A <= B <= M A).
+
+    spec_A and spec_B decompose A and B on first use and are kept, since
+    the matrices are never modified after construction.
     """
 
     A: Array
@@ -63,6 +68,14 @@ class CertifiedPair:
     @property
     def dim(self) -> int:
         return int(self.A.shape[0])
+
+    @cached_property
+    def spec_A(self) -> SpectralDecomposition:
+        return eig_hermitian(self.A)
+
+    @cached_property
+    def spec_B(self) -> SpectralDecomposition:
+        return eig_hermitian(self.B)
 
 
 def _rng(seed_or_rng) -> np.random.Generator:
@@ -157,19 +170,19 @@ def gen_dominated_pair(dim: int, window: SpectralWindow, seed: int,
         raise ValueError(f"window_side must be 'A' or 'B', got {window_side!r}")
     pair = CertifiedPair(A=a, B=b, window=w, certificate=CERT_DOMINATED,
                          seed=int(seed), window_side=window_side)
-    _verify_dominated(pair)
+    bounded = pair.spec_B if window_side == WINDOW_ON_B else pair.spec_A
+    return _certified(pair, order=loewner_leq(a, b).holds,
+                      window=spectrum_in_window(bounded, w, 0.0))
+
+
+def _certified(pair: CertifiedPair, **facts) -> CertifiedPair:
+    """Return ``pair`` if each named certificate fact holds, plus the one all
+    certificates share, a strictly positive A; else raise listing every fact."""
+    facts["positive"] = float(pair.spec_A.eigenvalues[0]) > 0.0
+    if not all(facts.values()):
+        listed = " ".join(f"{name}={holds}" for name, holds in facts.items())
+        raise GenerationError(f"{pair.certificate} certificate failed for seed {pair.seed}: {listed}")
     return pair
-
-
-def _verify_dominated(pair: CertifiedPair) -> None:
-    order = loewner_leq(pair.A, pair.B)
-    bounded = pair.B if pair.window_side == WINDOW_ON_B else pair.A
-    in_window = spectrum_in_window(bounded, pair.window, 0.0)
-    positive = float(eig_hermitian(pair.A).eigenvalues[0]) > 0.0
-    if not (order.holds and in_window and positive):
-        raise GenerationError(
-            f"dominated certificate failed for seed {pair.seed}: order={order.holds} "
-            f"window={in_window} positive={positive}")
 
 
 def gen_chaotic_pair(dim: int, window: SpectralWindow, seed: int,
@@ -187,14 +200,9 @@ def gen_chaotic_pair(dim: int, window: SpectralWindow, seed: int,
     a = matrix_exp(hermitize(k - q))
     b = matrix_exp(k)
     pair = CertifiedPair(A=a, B=b, window=w, certificate=CERT_CHAOTIC, seed=int(seed))
-    log_order = loewner_leq(matrix_log(a), matrix_log(b))
-    in_window = spectrum_in_window(b, w, 1e-10 * max(1.0, abs(w.M)))
-    positive = float(eig_hermitian(a).eigenvalues[0]) > 0.0
-    if not (log_order.holds and in_window and positive):
-        raise GenerationError(
-            f"chaotic certificate failed for seed {seed}: log_order={log_order.holds} "
-            f"window={in_window} positive={positive}")
-    return pair
+    return _certified(pair,
+                      log_order=loewner_leq(matrix_log(pair.spec_A), matrix_log(pair.spec_B)).holds,
+                      window=spectrum_in_window(pair.spec_B, w, 1e-10 * max(1.0, abs(w.M))))
 
 
 def gen_relative_pair(dim: int, window: SpectralWindow, seed: int,
@@ -207,14 +215,8 @@ def gen_relative_pair(dim: int, window: SpectralWindow, seed: int,
     root = matrix_power(a, 0.5)
     b = hermitize(root @ c @ root)
     pair = CertifiedPair(A=a, B=b, window=w, certificate=CERT_RELATIVE, seed=int(seed))
-    lower = loewner_leq(w.m * a, b)
-    upper = loewner_leq(b, w.M * a)
-    positive = float(eig_hermitian(a).eigenvalues[0]) > 0.0
-    if not (lower.holds and upper.holds and positive):
-        raise GenerationError(
-            f"relative certificate failed for seed {seed}: lower={lower.holds} "
-            f"upper={upper.holds} positive={positive}")
-    return pair
+    return _certified(pair, lower=loewner_leq(w.m * a, b).holds,
+                      upper=loewner_leq(b, w.M * a).holds)
 
 
 def gen_positive_linear_map(dim_in: int, dim_out: int, n_kraus: int, seed_or_rng) -> PositiveLinearMap:

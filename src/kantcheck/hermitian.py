@@ -3,7 +3,9 @@
 Matrices are plain numpy arrays of shape (n, n) with n <= 64.  All
 functional calculus goes through a full eigendecomposition, and every
 result is re-symmetrized so that roundoff never leaks a non-Hermitian
-part into later order checks.
+part into later order checks.  The spectral functions also take a
+SpectralDecomposition, so an operand is decomposed (and its Hermiticity
+checked) once for every function applied to it.
 """
 
 from __future__ import annotations
@@ -108,6 +110,11 @@ def eig_hermitian(a) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs)
 
 
+def decompose(a) -> SpectralDecomposition:
+    """``a`` if it is already a SpectralDecomposition, else ``eig_hermitian(a)``."""
+    return a if isinstance(a, SpectralDecomposition) else eig_hermitian(a)
+
+
 def _eval_pointwise(f, xs: Array) -> Array:
     out = np.empty(xs.shape, dtype=float)
     for i, t in enumerate(xs):
@@ -147,7 +154,7 @@ def eval_scalar(f, xs: Array) -> Array:
 
 def apply_scalar_function(a, f) -> Array:
     """Apply a real scalar function to a Hermitian matrix spectrally."""
-    dec = eig_hermitian(a)
+    dec = decompose(a)
     return dec.rebuild(eval_scalar(f, dec.eigenvalues))
 
 
@@ -159,21 +166,21 @@ def _require_positive_spectrum(dec: SpectralDecomposition, what: str) -> None:
 
 def matrix_power(a, p: float) -> Array:
     """Spectral power A^p; the spectrum must be strictly positive."""
-    dec = eig_hermitian(a)
+    dec = decompose(a)
     _require_positive_spectrum(dec, f"matrix power p={p}")
     return dec.rebuild(dec.eigenvalues ** float(p))
 
 
 def matrix_log(a) -> Array:
     """Spectral logarithm; the spectrum must be strictly positive."""
-    dec = eig_hermitian(a)
+    dec = decompose(a)
     _require_positive_spectrum(dec, "matrix logarithm")
     return dec.rebuild(np.log(dec.eigenvalues))
 
 
 def matrix_exp(a) -> Array:
     """Spectral exponential of a Hermitian matrix."""
-    dec = eig_hermitian(a)
+    dec = decompose(a)
     return dec.rebuild(np.exp(dec.eigenvalues))
 
 
@@ -204,7 +211,7 @@ def loewner_leq(a, b, rel_tol: float = DEFAULT_REL_TOL) -> LoewnerVerdict:
 
 def spectrum_in_window(a, window: SpectralWindow, tol: float = 0.0) -> bool:
     """True iff every eigenvalue lies in [m - tol, M + tol]."""
-    vals = eig_hermitian(a).eigenvalues
+    vals = decompose(a).eigenvalues
     return bool(vals[0] >= window.m - tol and vals[-1] <= window.M + tol)
 
 
@@ -221,7 +228,7 @@ def superlog_bound(b, window: SpectralWindow, fm: float, fM: float,
     fM = float(fM)
     if not (fm > 0.0 and fM > 0.0):
         raise DomainError(f"endpoint values must be positive, got fm={fm}, fM={fM}")
-    dec = eig_hermitian(b)
+    dec = decompose(b)
     lam = dec.eigenvalues
     if lam[0] < window.m - hypothesis_tol or lam[-1] > window.M + hypothesis_tol:
         raise HypothesisError(

@@ -258,10 +258,9 @@ def _hunt_unweighted_difference_constant(cfg: CampaignConfig, samples: int) -> H
 def hunt_sharpness(cfg: CampaignConfig, out_dir=None) -> dict:
     """Run every fuzz mode; write hunt_report.json when out_dir is given."""
     validate_config(cfg)
-    main_samples = max(1, cfg.fuzz_samples)
     side_samples = max(50, cfg.fuzz_samples // 20)
     modes = [
-        _hunt_q_beyond_regime(cfg, main_samples),
+        _hunt_q_beyond_regime(cfg, cfg.fuzz_samples),
         _hunt_r_beyond_regime(cfg, side_samples),
         _hunt_non_log_convex(cfg, side_samples),
         _hunt_missing_domination(cfg, side_samples),

@@ -6,6 +6,7 @@ negative parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from .hermitian import (
     Array,
     SpectralWindow,
     apply_scalar_function,
+    decompose,
     eig_hermitian,
     hermitize,
     require_hermitian,
@@ -67,10 +69,11 @@ def apply_map(phi: PositiveLinearMap, x) -> Array:
 def sqrt_invsqrt(a) -> tuple[Array, Array]:
     """A^(1/2) and A^(-1/2) for strictly positive, well-conditioned A.
 
-    Refuses when the smallest eigenvalue is below 1e-10 times the largest:
-    the inequality chains amplify inversion error.
+    ``a`` is the matrix or its SpectralDecomposition.  Refuses when the
+    smallest eigenvalue is below 1e-10 times the largest: the inequality
+    chains amplify inversion error.
     """
-    dec = eig_hermitian(require_hermitian(a, "A"))
+    dec = decompose(a)
     lam = dec.eigenvalues
     if lam[0] <= 0.0 or lam[0] < CONDITION_FLOOR * lam[-1]:
         raise DomainError(
@@ -118,22 +121,27 @@ class WeightedFamily:
     window: SpectralWindow
     seed: int = 0
 
+    @cached_property
+    def spectra(self) -> tuple:
+        """Eigendecomposition of each operator in item order, made on first
+        use and kept: the items are never modified after construction."""
+        return tuple(eig_hermitian(op) for _, _, op in self.items)
+
     def validate(self, spectrum_tol: float = 1e-9) -> "WeightedFamily":
         if not self.items:
             raise HypothesisError("weighted family is empty")
         total = 0.0
         dim_in = self.items[0][1].dim_in
         dim_out = self.items[0][1].dim_out
-        for weight, phi, op in self.items:
+        for (weight, phi, _), dec in zip(self.items, self.spectra):
             if weight <= 0.0:
                 raise HypothesisError(f"weights must be positive, got {weight}")
             total += weight
             if phi.dim_in != dim_in or phi.dim_out != dim_out:
                 raise HypothesisError("all maps must share input and output dimensions")
-            arr = require_hermitian(op, "family operator")
-            if arr.shape[0] != dim_in:
+            if dec.dim != dim_in:
                 raise HypothesisError("operator dimension does not match the maps")
-            lam = eig_hermitian(arr).eigenvalues
+            lam = dec.eigenvalues
             tol = spectrum_tol * max(1.0, abs(self.window.M))
             if lam[0] < self.window.m - tol or lam[-1] > self.window.M + tol:
                 raise HypothesisError(
@@ -143,33 +151,3 @@ class WeightedFamily:
             raise HypothesisError(f"weights sum to {total!r}, expected 1")
         return self
 
-
-def _rect_to_json(w: Array) -> dict:
-    return {
-        "rows": int(w.shape[0]),
-        "cols": int(w.shape[1]),
-        "re": [[float(v) for v in row] for row in w.real],
-        "im": [[float(v) for v in row] for row in w.imag],
-    }
-
-
-def _rect_from_json(obj: dict) -> Array:
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
-    if re.shape != (obj["rows"], obj["cols"]) or im.shape != re.shape:
-        raise ValueError("Kraus factor shape does not match rows/cols")
-    return re + 1j * im
-
-
-def map_to_json(phi: PositiveLinearMap) -> dict:
-    """Exchange form: {"dim_in", "dim_out", "kraus": [factor...]}."""
-    return {
-        "dim_in": phi.dim_in,
-        "dim_out": phi.dim_out,
-        "kraus": [_rect_to_json(w) for w in phi.kraus],
-    }
-
-
-def map_from_json(obj: dict) -> PositiveLinearMap:
-    kraus = tuple(_rect_from_json(k) for k in obj["kraus"])
-    return PositiveLinearMap(kraus=kraus, dim_in=int(obj["dim_in"]), dim_out=int(obj["dim_out"]))

@@ -38,6 +38,7 @@ from .hermitian import (
     DEFAULT_REL_TOL,
     Array,
     apply_scalar_function,
+    eig_hermitian,
     hermitize,
     identity,
     loewner_leq,
@@ -51,7 +52,6 @@ from .posmaps import (
     f_connection,
     sharp,
     sqrt_invsqrt,
-    tsallis_entropy,
 )
 
 MIN_EXPONENT_SUM = 1e-3
@@ -189,8 +189,8 @@ def check_theorem_1_1(pair: CertifiedPair, p: float,
         raise ParameterError(f"order-preserving bound needs p >= 1, got p={p}")
     w = pair.window
     k = kantorovich_K(w, p)  # refuses the degenerate p = 1
-    a_pow = matrix_power(pair.A, p)
-    b_pow = matrix_power(pair.B, p)
+    a_pow = matrix_power(pair.spec_A, p)
+    b_pow = matrix_power(pair.spec_B, p)
     cap = (w.M / w.m) ** (p - 1.0)
     links = _chain(("A^p", a_pow), ("K B^p", k * b_pow), ("(M/m)^(p-1) B^p", cap * b_pow),
                    rel_tol)
@@ -220,9 +220,9 @@ def check_theorem_2_1(pair: CertifiedPair, f, g, alpha: float, case: str = "i",
         raise ValueError(f"case must be 'i' or 'ii', got {case!r}")
     w = pair.window
     beta = beta_generic(f, g, alpha, w).value
-    f_b = apply_scalar_function(pair.B, f)
-    mid = superlog_bound(pair.B, w, float(f(w.m)), float(f(w.M)))
-    rhs = alpha * apply_scalar_function(pair.A, g) + beta * identity(pair.dim)
+    f_b = apply_scalar_function(pair.spec_B, f)
+    mid = superlog_bound(pair.spec_B, w, float(f(w.m)), float(f(w.M)))
+    rhs = alpha * apply_scalar_function(pair.spec_A, g) + beta * identity(pair.dim)
     links = _chain(("f(B)", f_b), ("G_f(B)", mid), ("alpha g(A) + beta", rhs), rel_tol)
     return _finish("theorem_2_1", pair.dim, pair.seed,
                    {"m": w.m, "M": w.M, "alpha": alpha, "beta": beta, "case": case}, links)
@@ -242,9 +242,9 @@ def check_corollary_2_2(pair: CertifiedPair, p: float, q: float, alpha: float,
         beta = beta_power_closed(w, p, q, alpha)
     except DegenerateExponentError:
         beta = beta_generic(power_fun(p), power_fun(q), alpha, w).value
-    b_pow = matrix_power(pair.B, p)
-    mid = superlog_bound(pair.B, w, w.m ** p, w.M ** p)
-    rhs = alpha * matrix_power(pair.A, q) + beta * identity(pair.dim)
+    b_pow = matrix_power(pair.spec_B, p)
+    mid = superlog_bound(pair.spec_B, w, w.m ** p, w.M ** p)
+    rhs = alpha * matrix_power(pair.spec_A, q) + beta * identity(pair.dim)
     links = _chain(("B^p", b_pow), ("G_{t^p}(B)", mid), ("alpha A^q + beta", rhs), rel_tol)
     return _finish("corollary_2_2", pair.dim, pair.seed,
                    {"m": w.m, "M": w.M, "p": p, "q": q, "alpha": alpha, "beta": beta}, links)
@@ -266,9 +266,9 @@ def check_corollary_2_3(pair: CertifiedPair, p: float, q: float,
     notes = []
     if q < -1.0 - 1e-12 or q > 0.0:
         notes.append(f"q={q} outside the [-1, 0] regime; result is a fuzz observation")
-    b_pow = matrix_power(pair.B, p)
-    mid = superlog_bound(pair.B, w, w.m ** p, w.M ** p)
-    rhs = k2 * matrix_power(pair.A, q)
+    b_pow = matrix_power(pair.spec_B, p)
+    mid = superlog_bound(pair.spec_B, w, w.m ** p, w.M ** p)
+    rhs = k2 * matrix_power(pair.spec_A, q)
     links = _chain(("B^p", b_pow), ("G_{t^p}(B)", mid), ("K2 A^q", rhs), rel_tol)
     return _finish("corollary_2_3", pair.dim, pair.seed,
                    {"m": w.m, "M": w.M, "p": p, "q": q, "K2": k2}, links, notes)
@@ -286,9 +286,9 @@ def check_corollary_2_4(pair: CertifiedPair, p: float, q: float,
         c2 = kantorovich_C2(w, p, q)
     except DegenerateExponentError:
         c2 = beta_generic(power_fun(p), power_fun(q), 1.0, w).value
-    b_pow = matrix_power(pair.B, p)
-    mid = superlog_bound(pair.B, w, w.m ** p, w.M ** p)
-    rhs = c2 * identity(pair.dim) + matrix_power(pair.A, q)
+    b_pow = matrix_power(pair.spec_B, p)
+    mid = superlog_bound(pair.spec_B, w, w.m ** p, w.M ** p)
+    rhs = c2 * identity(pair.dim) + matrix_power(pair.spec_A, q)
     links = _chain(("B^p", b_pow), ("G_{t^p}(B)", mid), ("C2 + A^q", rhs), rel_tol)
     return _finish("corollary_2_4", pair.dim, pair.seed,
                    {"m": w.m, "M": w.M, "p": p, "q": q, "C2": c2}, links)
@@ -306,8 +306,8 @@ def _chaotic_exponents(p: float, r: float) -> tuple[float, float]:
 
 def furuta_term(pair: CertifiedPair, p: float, r: float, exponent: float) -> Array:
     """(B^(r/2) A^p B^(r/2))^exponent, the two-sided product of the chaotic order."""
-    half = matrix_power(pair.B, r / 2.0)
-    inner = hermitize(half @ matrix_power(pair.A, p) @ half)
+    half = matrix_power(pair.spec_B, r / 2.0)
+    inner = hermitize(half @ matrix_power(pair.spec_A, p) @ half)
     return matrix_power(inner, exponent)
 
 
@@ -318,7 +318,7 @@ def check_lemma_3_1_forward(pair: CertifiedPair, p: float, r: float,
     p, r = _chaotic_exponents(p, r)
     rhs = furuta_term(pair, p, r, r / (p + r))
     links = [
-        _link("B^r <= (B^(r/2) A^p B^(r/2))^(r/(p+r))", matrix_power(pair.B, r), rhs, rel_tol),
+        _link("B^r <= (B^(r/2) A^p B^(r/2))^(r/(p+r))", matrix_power(pair.spec_B, r), rhs, rel_tol),
     ]
     return _finish("lemma_3_1", pair.dim, pair.seed,
                    {"m": pair.window.m, "M": pair.window.M, "p": p, "r": r}, links)
@@ -333,7 +333,7 @@ def lemma_3_1_exponent_slacks(pair: CertifiedPair, p: float, r: float,
     """
     _require_certificate(pair, CERT_CHAOTIC, "lemma_3_1_exponent_slacks")
     p, r = _chaotic_exponents(p, r)
-    b_r = matrix_power(pair.B, r)
+    b_r = matrix_power(pair.spec_B, r)
     out = {}
     for name, expo in (("r_over_p_plus_r", r / (p + r)), ("p_over_p_plus_r", p / (p + r))):
         verdict = loewner_leq(b_r, furuta_term(pair, p, r, expo), rel_tol)
@@ -356,7 +356,7 @@ def _chaotic_middle(pair: CertifiedPair, p: float, r: float) -> Array:
     def fun(t):
         return t ** (-r) * np.exp(((w.M - t) * log_m + (t - w.m) * log_upper) / w.width)
 
-    return apply_scalar_function(pair.B, fun)
+    return apply_scalar_function(pair.spec_B, fun)
 
 
 def check_corollary_3_2(pair: CertifiedPair, p: float, r: float,
@@ -369,9 +369,9 @@ def check_corollary_3_2(pair: CertifiedPair, p: float, r: float,
         notes.append(f"r={r} outside the [-1, 0] regime; result is a fuzz observation")
     w = pair.window
     k = kantorovich_K(w, p + r)
-    b_pow = matrix_power(pair.B, p)
+    b_pow = matrix_power(pair.spec_B, p)
     mid = _chaotic_middle(pair, p, r)
-    rhs = k * matrix_power(pair.A, p)
+    rhs = k * matrix_power(pair.spec_A, p)
     links = _chain(("B^p", b_pow), ("B^(-r) G_{t^(p+r)}(B)", mid), ("K A^p", rhs), rel_tol)
     return _finish("corollary_3_2", pair.dim, pair.seed,
                    {"m": w.m, "M": w.M, "p": p, "r": r, "K": k}, links, notes)
@@ -394,9 +394,9 @@ def check_corollary_3_3(pair: CertifiedPair, p: float, r: float,
         notes.append(f"r={r} outside the [-1, 0] regime; result is a fuzz observation")
     w = pair.window
     c = kantorovich_C(w, p + r)
-    b_pow = matrix_power(pair.B, p)
+    b_pow = matrix_power(pair.spec_B, p)
     mid = _chaotic_middle(pair, p, r)
-    rhs = c * matrix_power(pair.B, -r) + matrix_power(pair.A, p)
+    rhs = c * matrix_power(pair.spec_B, -r) + matrix_power(pair.spec_A, p)
     links = _chain(("B^p", b_pow), ("B^(-r) G_{t^(p+r)}(B)", mid), ("C B^(-r) + A^p", rhs),
                    rel_tol)
     return _finish("corollary_3_3", pair.dim, pair.seed,
@@ -416,7 +416,7 @@ def corollary_3_3_unweighted_slack(pair: CertifiedPair, p: float, r: float,
     w = pair.window
     c = kantorovich_C(w, p + r)
     mid = _chaotic_middle(pair, p, r)
-    rhs = c * identity(pair.dim) + matrix_power(pair.A, p)
+    rhs = c * identity(pair.dim) + matrix_power(pair.spec_A, p)
     verdict = loewner_leq(mid, rhs, rel_tol)
     return {"min_slack": verdict.min_slack, "holds": verdict.holds}
 
@@ -434,9 +434,9 @@ def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,
     lhs = np.zeros((dim_out, dim_out), dtype=complex)
     mid = np.zeros((dim_out, dim_out), dtype=complex)
     agg = np.zeros((dim_out, dim_out), dtype=complex)
-    for weight, phi, op in family.items:
-        lhs += weight * apply_map(phi, apply_scalar_function(op, f))
-        mid += weight * apply_map(phi, superlog_bound(op, w, fm, fM))
+    for (weight, phi, op), spec in zip(family.items, family.spectra):
+        lhs += weight * apply_map(phi, apply_scalar_function(spec, f))
+        mid += weight * apply_map(phi, superlog_bound(spec, w, fm, fM))
         agg += weight * apply_map(phi, op)
     lhs, mid, agg = hermitize(lhs), hermitize(mid), hermitize(agg)
     rhs = alpha * apply_scalar_function(agg, g) + beta * identity(dim_out)
@@ -450,9 +450,9 @@ def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,
 
 def _relative_interpolant(pair: CertifiedPair, fm: float, fM: float,
                           hypothesis_tol: float = 1e-8):
-    """T = A^(-1/2) B A^(-1/2), A^(1/2), and A^(1/2) G(T) A^(1/2)."""
-    rt, irt = sqrt_invsqrt(pair.A)
-    t = hermitize(irt @ pair.B @ irt)
+    """The decomposition of T = A^(-1/2) B A^(-1/2), A^(1/2), and A^(1/2) G(T) A^(1/2)."""
+    rt, irt = sqrt_invsqrt(pair.spec_A)
+    t = eig_hermitian(hermitize(irt @ pair.B @ irt))
     g_t = superlog_bound(t, pair.window, fm, fM, hypothesis_tol)
     return t, rt, hermitize(rt @ g_t @ rt)
 
@@ -561,10 +561,12 @@ def check_theorem_4_5(pair: CertifiedPair, phi: PositiveLinearMap, p: float,
     t, rt, interp = _relative_interpolant(pair, w.m ** p, w.M ** p)
     phi_a = apply_map(phi, pair.A)
     phi_b = apply_map(phi, pair.B)
-    lhs = apply_map(phi, tsallis_entropy(pair.A, pair.B, p))
+    # T_p(X|Y) = (X #_p Y - X)/p from means built once; A #_p B = A^(1/2) T^p A^(1/2)
+    mean_in = hermitize(rt @ apply_scalar_function(t, power_fun(p)) @ rt)
+    lhs = apply_map(phi, hermitize((mean_in - pair.A) / p))
     mid = hermitize((apply_map(phi, interp) - phi_a) / p)
-    entropy_out = tsallis_entropy(phi_a, phi_b, p)
     mean_term = sharp(phi_a, phi_b, p)
+    entropy_out = hermitize((mean_term - phi_a) / p)
     ratio_floor = hermitize(entropy_out - ((1.0 - k) / p) * mean_term)
     diff_floor = hermitize(entropy_out + (c / p) * phi_a)
     links = [

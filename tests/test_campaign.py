@@ -52,6 +52,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="samples_per_cell"):
             validate_config(CampaignConfig(samples_per_cell=0))
 
+    def test_fuzz_samples_and_dim_bounds(self):
+        with pytest.raises(ConfigError, match="fuzz_samples must be >= 1, got -5"):
+            validate_config(CampaignConfig(fuzz_samples=-5))
+        with pytest.raises(ConfigError, match=r"dim 65 outside \[1, 64\]"):
+            validate_config(CampaignConfig(dims=[65]))
+
+    def test_integer_too_large_for_a_float(self):
+        with pytest.raises(ConfigError, match="windows must be a list of finite"):
+            validate_config(CampaignConfig(windows=[(1, 10 ** 400)]))
+
     def test_load_config_round_trip(self, tmp_path):
         cfg = CampaignConfig(suites=["corollary_2_3"], samples_per_cell=3)
         path = tmp_path / "cfg.json"
@@ -287,14 +297,33 @@ class TestCli:
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
+    # the non-finite cases run one small suite, so that a wrongly accepted
+    # config fails fast instead of running the full default campaign
     @pytest.mark.parametrize("body", ['{"dims": ["x"]}', '{"samples_per_cell": "4"}',
                                       '{"windows": [[1.0]]}', '{"windows": [1.0]}',
-                                      '{"q_grid": -0.5}'])
+                                      '{"q_grid": -0.5}'] + [
+        '{"suites": ["corollary_2_2"], "samples_per_cell": 1, ' + field + "}"
+        for field in ('"rel_tol": NaN', '"p_grid": [NaN]', '"alpha_grid": [NaN]',
+                      '"windows": [[1.0, Infinity]]')])
     def test_wrongly_typed_config_field(self, tmp_path, capsys, body):
         bad = tmp_path / "bad.json"
         bad.write_text(body)
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_infinite_tolerance_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--suite", "corollary_2_3", "--samples", "2", "--tol", "inf",
+                "--out", str(out)]
+        assert cli_main(argv) == 2
+        assert "rel_tol must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hunt_rejects_negative_samples(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["hunt", "--samples", "-5", "--out", str(out)]) == 2
+        assert "fuzz_samples must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "hunt"])
     def test_sweep_and_hunt_validate_config(self, tmp_path, capsys, command):

@@ -7,6 +7,7 @@ import pytest
 from kantcheck.errors import GenerationError, HypothesisError
 from kantcheck.generators import (
     CERT_CHAOTIC,
+    CERT_DOMINATED,
     WINDOW_ON_A,
     CertifiedPair,
     gen_chaotic_pair,
@@ -19,6 +20,7 @@ from kantcheck.generators import (
     pair_to_json,
     read_corpus,
     write_corpus,
+    _certified,
 )
 from kantcheck.hermitian import (
     SpectralWindow,
@@ -99,6 +101,16 @@ class TestDominatedPairs:
         assert int(np.sum(slacks < 1e-3)) >= 1
         assert int(np.sum(slacks > 0.3 * W12.width)) >= 1
 
+    def test_certificate_failure_lists_every_fact(self):
+        a = np.diag([-0.5, 1.0]).astype(complex)
+        b = np.diag([1.5, 1.2]).astype(complex)
+        pair = CertifiedPair(A=a, B=b, window=W12, certificate=CERT_DOMINATED, seed=4)
+        with pytest.raises(GenerationError) as info:
+            _certified(pair, order=loewner_leq(a, b).holds,
+                       window=spectrum_in_window(pair.spec_B, W12, 0.0))
+        assert str(info.value) == ("dominated certificate failed for seed 4: "
+                                   "order=True window=True positive=False")
+
     def test_determinism_in_exchange_format(self):
         one = json.dumps(pair_to_json(gen_dominated_pair(4, W12, seed=2024)))
         two = json.dumps(pair_to_json(gen_dominated_pair(4, W12, seed=2024)))
@@ -170,6 +182,12 @@ class TestWeightedFamilies:
         assert len(family.items) == 3
         assert sum(w for w, _, _ in family.items) == pytest.approx(1.0, abs=1e-12)
         family.validate()
+
+    def test_spectra_cached_per_operator(self):
+        family = gen_weighted_family(3, 4, 3, W12, 123)
+        assert family.spectra is family.spectra
+        for (_, _, op), dec in zip(family.items, family.spectra):
+            assert np.array_equal(dec.eigenvalues, eig_hermitian(op).eigenvalues)
 
     def test_bad_weights_rejected(self):
         family = gen_weighted_family(2, 3, 2, W12, 5)

@@ -22,6 +22,7 @@ from kantcheck.hermitian import (
     spectrum_in_window,
     superlog_bound,
 )
+from kantcheck.posmaps import sqrt_invsqrt
 
 W12 = SpectralWindow(1.0, 2.0)
 
@@ -131,6 +132,41 @@ class TestFunctionalCalculus:
         lhs = apply_scalar_function(u @ a @ u.conj().T, f)
         rhs = u @ apply_scalar_function(a, f) @ u.conj().T
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+SPECTRAL_FUNCTIONS = {
+    "apply_scalar_function": lambda b: apply_scalar_function(b, np.sqrt),
+    "matrix_power": lambda b: matrix_power(b, -0.75),
+    "matrix_log": matrix_log,
+    "matrix_exp": matrix_exp,
+    "superlog_bound": lambda b: superlog_bound(b, SpectralWindow(1.0, 2.0), 1.0, 0.5),
+    "sqrt": lambda b: sqrt_invsqrt(b)[0],
+    "invsqrt": lambda b: sqrt_invsqrt(b)[1],
+}
+
+
+class TestDecompositionInput:
+    """A spectral function given an operand's decomposition returns the same
+    bits as given the operand, so a cached spectrum changes no report."""
+
+    @pytest.mark.parametrize("name", sorted(SPECTRAL_FUNCTIONS))
+    def test_same_array_as_from_the_matrix(self, name):
+        pair = gen_dominated_pair(4, SpectralWindow(1.0, 2.0), seed=3)
+        fn = SPECTRAL_FUNCTIONS[name]
+        assert np.array_equal(fn(pair.spec_B), fn(pair.B))
+
+    def test_window_test_on_a_decomposition(self):
+        pair = gen_dominated_pair(4, SpectralWindow(1.0, 2.0), seed=3)
+        for window in (SpectralWindow(1.0, 2.0), SpectralWindow(1.0, 1.01)):
+            assert (spectrum_in_window(pair.spec_B, window)
+                    == spectrum_in_window(pair.B, window))
+
+    def test_spectra_are_cached_and_exact(self):
+        pair = gen_dominated_pair(3, SpectralWindow(1.0, 2.0), seed=8)
+        assert pair.spec_A is pair.spec_A
+        fresh = eig_hermitian(pair.A)
+        assert np.array_equal(pair.spec_A.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(pair.spec_A.eigenvectors, fresh.eigenvectors)
 
 
 class TestLoewnerOrder:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kantcheck import verifiers
-from kantcheck.campaign import ALL_SUITES, SUITES
+from kantcheck import generators, hermitian, posmaps, verifiers
+from kantcheck.campaign import ALL_SUITES, SUITES, CampaignConfig, enumerate_cells
 from kantcheck.constants import alpha_ratio, kantorovich_C, kantorovich_K, power_fun
 from kantcheck.errors import (
     DegenerateExponentError,
@@ -442,6 +442,45 @@ class TestTheorem45:
         phi = gen_positive_linear_map(2, 2, 1, 14)
         report = check_theorem_4_5(pair, phi, -1.0)
         assert report.overall
+
+
+class TestDecomposeOnce:
+    def test_corollary_2_3_runs_no_eigh(self, monkeypatch):
+        pair = gen_dominated_pair(4, W12, seed=5)
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        assert check_corollary_2_3(pair, -1.0, -0.5).overall
+        assert calls == []
+
+    @pytest.mark.parametrize("suite_name", ALL_SUITES)
+    def test_check_never_redecomposes_an_operand(self, monkeypatch, suite_name):
+        cfg = CampaignConfig(suites=[suite_name], dims=[3], windows=[(1.0, 2.0)],
+                             p_grid=[-1.0], q_grid=[-0.5], r_grid=[-0.5], alpha_grid=[1.0],
+                             p_grid_theorem_1_1=[2.0])
+        suite = SUITES[suite_name]
+        params = dict(enumerate_cells(cfg)[0].params)
+        w = SpectralWindow(*params.pop("window"))
+        args = tuple(params.values()) if suite.cell_args is None else suite.cell_args(w, **params)
+        instance = suite.generate(3, w, 11)
+        owner = instance[0]
+        # touch the cached spectra so that they exist before the check runs
+        if isinstance(owner, CertifiedPair):
+            operands = [owner.A, owner.B]
+            owner.spec_A, owner.spec_B
+        else:
+            operands = [op for _, _, op in owner.items]
+            owner.spectra
+        real = hermitian.eig_hermitian
+
+        def guarded(a):
+            assert isinstance(a, np.ndarray)
+            assert not any(np.array_equal(a, op) for op in operands)
+            return real(a)
+
+        for module in (hermitian, generators, posmaps, verifiers):
+            monkeypatch.setattr(module, "eig_hermitian", guarded)
+        assert getattr(verifiers, suite.check)(*instance, *args).overall
 
 
 class TestReportMachinery:
