@@ -55,11 +55,12 @@ DEGENERATE_GAP = 0.05
 class Suite:
     """How the campaign runs one catalogued chain.
 
-    A sample calls ``check(*generate(dim, window, seed), *cell_args, rel_tol)``.
-    ``axes`` lists (parameter, source) pairs in loop order; a source names a
-    config grid field or is a tuple of literal values.  ``cell_args(window,
-    **params)`` computes once per cell the arguments after the instance; by
-    default they are the parameter values in axis order.  ``deviation(window,
+    A sample calls ``check(*generate(dim, window, seed), **cell_args,
+    rel_tol=rel_tol)``.  ``axes`` lists (parameter, source) pairs in loop
+    order; a source names a config grid field or is a tuple of literal
+    values.  ``cell_args(window, **params)`` computes once per cell the
+    keyword arguments after the instance, oracle constants included; by
+    default they are the parameters themselves.  ``deviation(window,
     **params)`` is the cell's closed-form-vs-oracle distance, if any.
     ``check`` names a ``verifiers`` function and is looked up at call time,
     so a rebinding of that name (as a tracer makes) is honoured; the other
@@ -103,10 +104,18 @@ def _weighted_family(dim, w, seed):
     return (gen_weighted_family(3, dim, _out_dim(dim), w, seed),)
 
 
-def _tight_alpha(w, p, q):
-    """t^p, t^q and alpha = max chord(t^p)/t^q, the calibration at which beta is ~0."""
+def _tight_gap(w, p, q) -> dict:
+    """f = t^p, g = t^q, alpha = max chord(t^p)/t^q (the calibration at which
+    beta is ~0) and the oracle beta = max{chord(t^p) - alpha t^q}."""
     f, g = power_fun(p), power_fun(q)
-    return f, g, alpha_ratio(f, g, w).value
+    alpha = alpha_ratio(f, g, w).value
+    return {"f": f, "g": g, "alpha": alpha, "beta": beta_generic(f, g, alpha, w).value}
+
+
+def _self_gap(w, p) -> dict:
+    """f = t^p, alpha = K(m,M,p) and the oracle beta = max{chord(t^p) - alpha t^p}."""
+    f, alpha = power_fun(p), kantorovich_K(w, p)
+    return {"f": f, "alpha": alpha, "beta": beta_generic(f, f, alpha, w).value}
 
 
 def _ratio_deviation(w, p, q) -> float:
@@ -128,7 +137,7 @@ SUITES = {
     "theorem_1_1": Suite((("p", "p_grid_theorem_1_1"),), _dominated_on_a, "check_theorem_1_1",
                          deviation=lambda w, p: _ratio_deviation(w, p, p)),
     "theorem_2_1": Suite(_PQ, _dominated_on_b, "check_theorem_2_1",
-                         cell_args=lambda w, p, q: (*_tight_alpha(w, p, q), "i")),
+                         cell_args=lambda w, p, q: {**_tight_gap(w, p, q), "case": "i"}),
     "corollary_2_2": Suite(_PQ + (("alpha", "alpha_grid"),), _dominated_on_b,
                            "check_corollary_2_2", deviation=_gap_deviation),
     "corollary_2_3": Suite(_PQ, _dominated_on_b, "check_corollary_2_3",
@@ -140,12 +149,11 @@ SUITES = {
                            deviation=lambda w, p, r: _ratio_deviation(w, p + r, p + r)),
     "corollary_3_3": Suite(_PR, _chaotic, "check_corollary_3_3",
                            deviation=lambda w, p, r: _gap_deviation(w, p + r, p + r, 1.0)),
-    "theorem_4_1": Suite(_PQ, _weighted_family, "check_theorem_4_1", cell_args=_tight_alpha),
-    "theorem_4_2": Suite(_P, _relative_with_map, "check_theorem_4_2",
-                         cell_args=lambda w, p: (power_fun(p), kantorovich_K(w, p)),
+    "theorem_4_1": Suite(_PQ, _weighted_family, "check_theorem_4_1", cell_args=_tight_gap),
+    "theorem_4_2": Suite(_P, _relative_with_map, "check_theorem_4_2", cell_args=_self_gap,
                          deviation=lambda w, p: _gap_deviation(w, p, p, kantorovich_K(w, p))),
     "corollary_4_3": Suite(_P, _relative_with_map, "check_corollary_4_3",
-                           cell_args=lambda w, p: (p, kantorovich_K(w, p)),
+                           cell_args=lambda w, p: {"p": p, "alpha": kantorovich_K(w, p)},
                            deviation=lambda w, p: _gap_deviation(w, p, p, kantorovich_K(w, p))),
     "corollary_4_4": Suite(
         _P + (("mode", ("ratio", "difference")),), _relative_with_map, "check_corollary_4_4",
@@ -335,10 +343,10 @@ def run_cell(cfg: CampaignConfig, cell: Cell) -> tuple[list, float | None]:
     suite = SUITES[cell.suite]
     params = dict(cell.params)
     w = SpectralWindow(*params.pop("window"))
-    args = tuple(params.values()) if suite.cell_args is None else suite.cell_args(w, **params)
+    args = params if suite.cell_args is None else suite.cell_args(w, **params)
     deviation = None if suite.deviation is None else suite.deviation(w, **params)
     check = getattr(verifiers, suite.check)
-    reports = [check(*suite.generate(_dim_for(cfg, j), w, seed), *args, cfg.rel_tol)
+    reports = [check(*suite.generate(_dim_for(cfg, j), w, seed), **args, rel_tol=cfg.rel_tol)
                for j, seed in enumerate(_cell_seeds(cfg, cell))]
     return reports, deviation
 

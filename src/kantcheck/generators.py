@@ -25,7 +25,8 @@ from .hermitian import (
     SpectralWindow,
     eig_hermitian,
     hermitize,
-    loewner_leq,
+    loewner_leq,  # noqa: F401  (still importable from this module, as before)
+    loewner_verdicts,
     matrix_exp,
     matrix_log,
     matrix_power,
@@ -103,6 +104,12 @@ def gen_hermitian_in_window(dim: int, window: SpectralWindow, rng) -> Array:
     pushed an eigenvalue outside, the targets are nudged inward by a few
     ulps and the matrix is rebuilt.
     """
+    return _in_window(dim, window, rng)[0]
+
+
+def _in_window(dim: int, window: SpectralWindow, rng) -> tuple[Array, SpectralDecomposition]:
+    """``gen_hermitian_in_window`` and the decomposition its window test made,
+    which is ``eig_hermitian`` of the returned matrix."""
     if not 1 <= dim <= DIM_CAP:
         raise ValueError(f"dim {dim} outside supported range [1, {DIM_CAP}]")
     rng = _rng(rng)
@@ -116,11 +123,19 @@ def gen_hermitian_in_window(dim: int, window: SpectralWindow, rng) -> Array:
     target = np.sort(lam)
     for _ in range(6):
         a = hermitize((q * target) @ q.conj().T)
-        if spectrum_in_window(a, window, 0.0):
-            return a
+        dec = eig_hermitian(a)
+        if spectrum_in_window(dec, window, 0.0):
+            return a, dec
         target = np.clip(target, window.m + margin, window.M - margin)
         margin *= 8.0
     raise GenerationError(f"could not place a spectrum inside [{window.m}, {window.M}]")
+
+
+def _with_spectra(obj, **spectra):
+    """``obj`` with decompositions its generator already made stored as the
+    values of its cached spectra properties, which are then not recomputed."""
+    vars(obj).update(spectra)
+    return obj
 
 
 def _random_psd(dim: int, rng, spectral_norm: float, iso_floor: float = 0.0) -> Array:
@@ -152,13 +167,13 @@ def gen_dominated_pair(dim: int, window: SpectralWindow, seed: int,
     """
     w = window.require_positive()
     rng = _rng(seed)
-    anchor = gen_hermitian_in_window(dim, w, rng)
+    anchor, spec = _in_window(dim, w, rng)
     draw = rng.random()
     scale = float(draw if rho is None else rho)
     floor = rng.random()
     if window_side == WINDOW_ON_B:
         b = anchor
-        lam_min = float(eig_hermitian(b).eigenvalues[0])
+        lam_min = float(spec.eigenvalues[0])
         margin = POSITIVITY_MARGIN_FACTOR * w.m
         p = _random_psd(dim, rng, scale * max(lam_min - margin, 0.0), iso_floor=floor)
         a = hermitize(b - p)
@@ -168,11 +183,11 @@ def gen_dominated_pair(dim: int, window: SpectralWindow, seed: int,
         b = hermitize(a + p)
     else:
         raise ValueError(f"window_side must be 'A' or 'B', got {window_side!r}")
-    pair = CertifiedPair(A=a, B=b, window=w, certificate=CERT_DOMINATED,
-                         seed=int(seed), window_side=window_side)
-    bounded = pair.spec_B if window_side == WINDOW_ON_B else pair.spec_A
-    return _certified(pair, order=loewner_leq(a, b).holds,
-                      window=spectrum_in_window(bounded, w, 0.0))
+    pair = _with_spectra(CertifiedPair(A=a, B=b, window=w, certificate=CERT_DOMINATED,
+                                       seed=int(seed), window_side=window_side),
+                         **{f"spec_{window_side}": spec})
+    (order,) = loewner_verdicts([(a, b)])
+    return _certified(pair, order=order.holds, window=spectrum_in_window(spec, w, 0.0))
 
 
 def _certified(pair: CertifiedPair, **facts) -> CertifiedPair:
@@ -195,13 +210,13 @@ def gen_chaotic_pair(dim: int, window: SpectralWindow, seed: int,
     w = window.require_positive()
     rng = _rng(seed)
     log_window = SpectralWindow(math.log(w.m), math.log(w.M))
-    k = gen_hermitian_in_window(dim, log_window, rng)
+    k, spec_k = _in_window(dim, log_window, rng)
     q = _random_psd(dim, rng, rng.random() * max_log_perturbation)
     a = matrix_exp(hermitize(k - q))
-    b = matrix_exp(k)
+    b = matrix_exp(spec_k)
     pair = CertifiedPair(A=a, B=b, window=w, certificate=CERT_CHAOTIC, seed=int(seed))
-    return _certified(pair,
-                      log_order=loewner_leq(matrix_log(pair.spec_A), matrix_log(pair.spec_B)).holds,
+    (log_order,) = loewner_verdicts([(matrix_log(pair.spec_A), matrix_log(pair.spec_B))])
+    return _certified(pair, log_order=log_order.holds,
                       window=spectrum_in_window(pair.spec_B, w, 1e-10 * max(1.0, abs(w.M))))
 
 
@@ -210,13 +225,14 @@ def gen_relative_pair(dim: int, window: SpectralWindow, seed: int,
     """Pair with m A <= B <= M A via congruence: B = A^(1/2) C A^(1/2), Sp(C) in [m, M]."""
     w = window.require_positive()
     rng = _rng(seed)
-    a = gen_hermitian_in_window(dim, SpectralWindow(*base_window), rng)
+    a, spec_a = _in_window(dim, SpectralWindow(*base_window), rng)
     c = gen_hermitian_in_window(dim, w, rng)
-    root = matrix_power(a, 0.5)
+    root = matrix_power(spec_a, 0.5)
     b = hermitize(root @ c @ root)
-    pair = CertifiedPair(A=a, B=b, window=w, certificate=CERT_RELATIVE, seed=int(seed))
-    return _certified(pair, lower=loewner_leq(w.m * a, b).holds,
-                      upper=loewner_leq(b, w.M * a).holds)
+    pair = _with_spectra(CertifiedPair(A=a, B=b, window=w, certificate=CERT_RELATIVE,
+                                       seed=int(seed)), spec_A=spec_a)
+    lower, upper = loewner_verdicts([(w.m * a, b), (b, w.M * a)])
+    return _certified(pair, lower=lower.holds, upper=upper.holds)
 
 
 def gen_positive_linear_map(dim_in: int, dim_out: int, n_kraus: int, seed_or_rng) -> PositiveLinearMap:
@@ -227,19 +243,15 @@ def gen_positive_linear_map(dim_in: int, dim_out: int, n_kraus: int, seed_or_rng
         raise ValueError(f"need n_kraus*dim_in >= dim_out for normalization, "
                          f"got {n_kraus}*{dim_in} < {dim_out}")
     rng = _rng(seed_or_rng)
-    factors = None
     for _ in range(2):
         vs = [_complex_gaussian(rng, dim_in, dim_out) for _ in range(n_kraus)]
-        s = hermitize(sum(v.conj().T @ v for v in vs))
-        lam = np.linalg.eigvalsh(s)
+        s_spec = eig_hermitian(hermitize(sum(v.conj().T @ v for v in vs)))
+        lam = s_spec.eigenvalues
         if lam[0] > 1e-10 * lam[-1]:
-            factors = vs
-            break
-    if factors is None:
-        raise GenerationError("normalization matrix stayed singular after a retry")
-    inv_root = matrix_power(s, -0.5)
-    kraus = tuple(v @ inv_root for v in factors)
-    return PositiveLinearMap(kraus=kraus, dim_in=dim_in, dim_out=dim_out)
+            inv_root = matrix_power(s_spec, -0.5)
+            kraus = tuple(v @ inv_root for v in vs)
+            return PositiveLinearMap(kraus=kraus, dim_in=dim_in, dim_out=dim_out)
+    raise GenerationError("normalization matrix stayed singular after a retry")
 
 
 def gen_weighted_family(n_items: int, dim_in: int, dim_out: int,
@@ -255,12 +267,15 @@ def gen_weighted_family(n_items: int, dim_in: int, dim_out: int,
     raw = 0.1 + rng.random(n_items)
     weights = raw / raw.sum()
     items = []
+    spectra = []
     for i in range(n_items):
         n_kraus = int(rng.integers(1, max_kraus + 1))
         phi = gen_positive_linear_map(dim_in, dim_out, n_kraus, rng)
-        op = gen_hermitian_in_window(dim_in, window, rng)
+        op, spec = _in_window(dim_in, window, rng)
         items.append((float(weights[i]), phi, op))
-    return WeightedFamily(items=tuple(items), window=window, seed=seed).validate()
+        spectra.append(spec)
+    family = WeightedFamily(items=tuple(items), window=window, seed=seed)
+    return _with_spectra(family, spectra=tuple(spectra)).validate()
 
 
 def pair_to_json(pair: CertifiedPair) -> dict:

@@ -5,7 +5,9 @@ functional calculus goes through a full eigendecomposition, and every
 result is re-symmetrized so that roundoff never leaks a non-Hermitian
 part into later order checks.  The spectral functions also take a
 SpectralDecomposition, so an operand is decomposed (and its Hermiticity
-checked) once for every function applied to it.
+checked) once for every function applied to it.  ``loewner_leq`` checks
+its arguments; ``loewner_verdicts``, which it calls, tests a list of
+internal intermediates with one stacked eigensolve and checks nothing.
 """
 
 from __future__ import annotations
@@ -203,10 +205,24 @@ def loewner_leq(a, b, rel_tol: float = DEFAULT_REL_TOL) -> LoewnerVerdict:
     y = require_hermitian(b, "B")
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    diff = hermitize(y - x)
-    slack = float(np.linalg.eigvalsh(diff)[0])
-    tol = rel_tol * (1.0 + frobenius(diff))
-    return LoewnerVerdict(holds=slack >= -tol, min_slack=slack, tolerance_used=tol)
+    return loewner_verdicts([(x, y)], rel_tol)[0]
+
+
+def loewner_verdicts(pairs, rel_tol: float = DEFAULT_REL_TOL) -> list:
+    """``loewner_leq`` for each (lhs, rhs) pair, with one stacked eigvalsh.
+
+    The arguments are not validated: they must be complex Hermitian arrays
+    of one shape, as the package's own intermediates are by construction.
+    The tolerance is computed per difference, as ``loewner_leq`` does.
+    """
+    diffs = np.stack([rhs - lhs for lhs, rhs in pairs])
+    diffs = (diffs + diffs.conj().transpose(0, 2, 1)) / 2.0
+    verdicts = []
+    for diff, slack in zip(diffs, np.linalg.eigvalsh(diffs)[:, 0]):
+        slack = float(slack)
+        tol = rel_tol * (1.0 + frobenius(diff))
+        verdicts.append(LoewnerVerdict(holds=slack >= -tol, min_slack=slack, tolerance_used=tol))
+    return verdicts
 
 
 def spectrum_in_window(a, window: SpectralWindow, tol: float = 0.0) -> bool:

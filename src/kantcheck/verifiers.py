@@ -1,9 +1,11 @@
 """Inequality-chain checks, one per statement in the chain catalog.
 
-Each check builds every operator appearing in its chain, tests each "<="
-with ``loewner_leq`` at the configured tolerance, and returns a
-ChainReport.  Links whose slack sits inside the tolerance band are marked
-tight rather than failed: the constants are designed to be attained.
+Each check builds every operator appearing in its chain, tests its "<="
+links together with ``loewner_verdicts`` (one stacked eigensolve, no
+re-validation of the check's own intermediates) at the configured
+tolerance, and returns a ChainReport.  Links whose slack sits inside the
+tolerance band are marked tight rather than failed: the constants are
+designed to be attained.
 Every multi-link chain also carries an end-to-end audit link comparing
 the first and last operators directly, which catches tolerance
 accumulation across the middle terms.
@@ -41,7 +43,8 @@ from .hermitian import (
     eig_hermitian,
     hermitize,
     identity,
-    loewner_leq,
+    loewner_leq,  # noqa: F401  (still importable from this module, as before)
+    loewner_verdicts,
     matrix_power,
     superlog_bound,
 )
@@ -134,15 +137,13 @@ class ChainReport:
         }
 
 
-def _link(label: str, lhs: Array, rhs: Array, rel_tol: float) -> Link:
-    verdict = loewner_leq(lhs, rhs, rel_tol)
-    return Link(
-        label=label,
-        min_slack=verdict.min_slack,
-        tolerance=verdict.tolerance_used,
-        holds=verdict.holds,
-        tight=abs(verdict.min_slack) < verdict.tolerance_used,
-    )
+def _links(rel_tol: float, *tests) -> list:
+    """One Link per (label, lhs, rhs) test of lhs <= rhs, all tested in one
+    stacked eigensolve; the matrices are the check's own intermediates."""
+    verdicts = loewner_verdicts([(lhs, rhs) for _, lhs, rhs in tests], rel_tol)
+    return [Link(label=label, min_slack=v.min_slack, tolerance=v.tolerance_used, holds=v.holds,
+                 tight=abs(v.min_slack) < v.tolerance_used)
+            for (label, _, _), v in zip(tests, verdicts)]
 
 
 def _chain(lower: tuple, mid: tuple, upper: tuple, rel_tol: float) -> list:
@@ -152,11 +153,10 @@ def _chain(lower: tuple, mid: tuple, upper: tuple, rel_tol: float) -> list:
     the printed names.
     """
     (lo, lo_op), (mi, mid_op), (up, up_op) = lower, mid, upper
-    return [
-        _link(f"{lo} <= {mi}", lo_op, mid_op, rel_tol),
-        _link(f"{mi} <= {up}", mid_op, up_op, rel_tol),
-        _link(f"{lo} <= {up} [audit]", lo_op, up_op, rel_tol),
-    ]
+    return _links(rel_tol,
+                  (f"{lo} <= {mi}", lo_op, mid_op),
+                  (f"{mi} <= {up}", mid_op, up_op),
+                  (f"{lo} <= {up} [audit]", lo_op, up_op))
 
 
 def _finish(theorem_id: str, dim: int, seed: int, params: dict, links: list,
@@ -199,12 +199,14 @@ def check_theorem_1_1(pair: CertifiedPair, p: float,
 
 
 def check_theorem_2_1(pair: CertifiedPair, f, g, alpha: float, case: str = "i",
-                      rel_tol: float = DEFAULT_REL_TOL) -> ChainReport:
+                      rel_tol: float = DEFAULT_REL_TOL, *,
+                      beta: float | None = None) -> ChainReport:
     """f(B) <= G_f(B) <= alpha g(A) + beta for a log-convex f on the window.
 
     Case "i" expects g decreasing convex with alpha > 0, case "ii" expects
     g increasing concave with alpha < 0; only the sign of alpha can be
-    validated for black-box g.
+    validated for black-box g.  beta is the oracle gap of f against alpha g
+    on the window; omitted, it is computed here.
     """
     _require_certificate(pair, CERT_DOMINATED, "check_theorem_2_1")
     if pair.window_side != WINDOW_ON_B:
@@ -219,7 +221,8 @@ def check_theorem_2_1(pair: CertifiedPair, f, g, alpha: float, case: str = "i",
     else:
         raise ValueError(f"case must be 'i' or 'ii', got {case!r}")
     w = pair.window
-    beta = beta_generic(f, g, alpha, w).value
+    if beta is None:
+        beta = beta_generic(f, g, alpha, w).value
     f_b = apply_scalar_function(pair.spec_B, f)
     mid = superlog_bound(pair.spec_B, w, float(f(w.m)), float(f(w.M)))
     rhs = alpha * apply_scalar_function(pair.spec_A, g) + beta * identity(pair.dim)
@@ -317,9 +320,8 @@ def check_lemma_3_1_forward(pair: CertifiedPair, p: float, r: float,
     _require_certificate(pair, CERT_CHAOTIC, "check_lemma_3_1_forward")
     p, r = _chaotic_exponents(p, r)
     rhs = furuta_term(pair, p, r, r / (p + r))
-    links = [
-        _link("B^r <= (B^(r/2) A^p B^(r/2))^(r/(p+r))", matrix_power(pair.spec_B, r), rhs, rel_tol),
-    ]
+    links = _links(rel_tol,
+                   ("B^r <= (B^(r/2) A^p B^(r/2))^(r/(p+r))", matrix_power(pair.spec_B, r), rhs))
     return _finish("lemma_3_1", pair.dim, pair.seed,
                    {"m": pair.window.m, "M": pair.window.M, "p": p, "r": r}, links)
 
@@ -334,11 +336,11 @@ def lemma_3_1_exponent_slacks(pair: CertifiedPair, p: float, r: float,
     _require_certificate(pair, CERT_CHAOTIC, "lemma_3_1_exponent_slacks")
     p, r = _chaotic_exponents(p, r)
     b_r = matrix_power(pair.spec_B, r)
-    out = {}
-    for name, expo in (("r_over_p_plus_r", r / (p + r)), ("p_over_p_plus_r", p / (p + r))):
-        verdict = loewner_leq(b_r, furuta_term(pair, p, r, expo), rel_tol)
-        out[name] = {"min_slack": verdict.min_slack, "holds": verdict.holds}
-    return out
+    names = ("r_over_p_plus_r", "p_over_p_plus_r")
+    verdicts = loewner_verdicts([(b_r, furuta_term(pair, p, r, expo))
+                                 for expo in (r / (p + r), p / (p + r))], rel_tol)
+    return {name: {"min_slack": v.min_slack, "holds": v.holds}
+            for name, v in zip(names, verdicts)}
 
 
 def _chaotic_middle(pair: CertifiedPair, p: float, r: float) -> Array:
@@ -417,18 +419,23 @@ def corollary_3_3_unweighted_slack(pair: CertifiedPair, p: float, r: float,
     c = kantorovich_C(w, p + r)
     mid = _chaotic_middle(pair, p, r)
     rhs = c * identity(pair.dim) + matrix_power(pair.spec_A, p)
-    verdict = loewner_leq(mid, rhs, rel_tol)
+    (verdict,) = loewner_verdicts([(mid, rhs)], rel_tol)
     return {"min_slack": verdict.min_slack, "holds": verdict.holds}
 
 
 def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,
-                      rel_tol: float = DEFAULT_REL_TOL) -> ChainReport:
+                      rel_tol: float = DEFAULT_REL_TOL, *,
+                      beta: float | None = None) -> ChainReport:
     """Weighted-map chain: sum w_i Phi_i(f(A_i)) <= sum w_i Phi_i(G_f(A_i))
-    <= alpha g(sum w_i Phi_i(A_i)) + beta for log-convex f, continuous g."""
+    <= alpha g(sum w_i Phi_i(A_i)) + beta for log-convex f, continuous g.
+
+    beta is the oracle gap of f against alpha g on the window; omitted, it
+    is computed here."""
     family.validate()
     w = family.window
     alpha = float(alpha)
-    beta = beta_generic(f, g, alpha, w).value
+    if beta is None:
+        beta = beta_generic(f, g, alpha, w).value
     fm, fM = float(f(w.m)), float(f(w.M))
     dim_out = family.items[0][1].dim_out
     lhs = np.zeros((dim_out, dim_out), dtype=complex)
@@ -466,17 +473,19 @@ def _relative_terms(pair: CertifiedPair, phi: PositiveLinearMap, f) -> tuple:
 
 
 def check_theorem_4_2(pair: CertifiedPair, phi: PositiveLinearMap, f, alpha: float,
-                      rel_tol: float = DEFAULT_REL_TOL) -> ChainReport:
+                      rel_tol: float = DEFAULT_REL_TOL, *,
+                      beta: float | None = None) -> ChainReport:
     """Phi(A sigma_f B) <= Phi(A^(1/2) G_f(T) A^(1/2)) <= beta Phi(A) + alpha Phi(A) sigma_f Phi(B).
 
     T = A^(-1/2) B A^(-1/2) has spectrum in [m, M] by the relative
     certificate; beta is the oracle gap of f against itself at the given
-    alpha.
+    alpha; omitted, it is computed here.
     """
     _require_certificate(pair, CERT_RELATIVE, "check_theorem_4_2")
     alpha = float(alpha)
     w = pair.window
-    beta = beta_generic(f, f, alpha, w).value
+    if beta is None:
+        beta = beta_generic(f, f, alpha, w).value
     lhs, mid, phi_a, phi_b = _relative_terms(pair, phi, f)
     rhs = beta * phi_a + alpha * f_connection(phi_a, phi_b, f)
     links = _chain(("Phi(A sigma_f B)", lhs), ("Phi(A^(1/2) G_f(T) A^(1/2))", mid),
@@ -527,8 +536,7 @@ def check_corollary_4_4(pair: CertifiedPair, phi: PositiveLinearMap, p: float,
     params = {"m": w.m, "M": w.M, "p": p, "mode": mode, "dim_out": phi.dim_out}
     links = []
     if -1.0 <= p < 0.0:
-        links.append(_link("Phi(A) #_p Phi(B) <= Phi(A #_p B) [baseline]",
-                           mean_term, lhs, rel_tol))
+        links = _links(rel_tol, ("Phi(A) #_p Phi(B) <= Phi(A #_p B) [baseline]", mean_term, lhs))
     if mode == "ratio":
         k = kantorovich_K(w, p)
         params["K"] = k
@@ -569,14 +577,15 @@ def check_theorem_4_5(pair: CertifiedPair, phi: PositiveLinearMap, p: float,
     entropy_out = hermitize((mean_term - phi_a) / p)
     ratio_floor = hermitize(entropy_out - ((1.0 - k) / p) * mean_term)
     diff_floor = hermitize(entropy_out + (c / p) * phi_a)
-    links = [
-        _link("Phi(T_p(A|B)) >= (Phi(G-term) - Phi(A))/p", mid, lhs, rel_tol),
-        _link("(Phi(G-term) - Phi(A))/p >= T_p(Phi(A)|Phi(B)) - ((1-K)/p) mean", ratio_floor, mid, rel_tol),
-        _link("Phi(T_p(A|B)) >= T_p(Phi(A)|Phi(B)) - ((1-K)/p) mean [audit]", ratio_floor, lhs, rel_tol),
-        _link("(Phi(G-term) - Phi(A))/p >= T_p(Phi(A)|Phi(B)) + (C/p) Phi(A)", diff_floor, mid, rel_tol),
-        _link("Phi(T_p(A|B)) >= T_p(Phi(A)|Phi(B)) + (C/p) Phi(A) [audit]", diff_floor, lhs, rel_tol),
-        _link("Phi(T_p(A|B)) <= T_p(Phi(A)|Phi(B)) [baseline]", lhs, entropy_out, rel_tol),
-    ]
+    links = _links(
+        rel_tol,
+        ("Phi(T_p(A|B)) >= (Phi(G-term) - Phi(A))/p", mid, lhs),
+        ("(Phi(G-term) - Phi(A))/p >= T_p(Phi(A)|Phi(B)) - ((1-K)/p) mean", ratio_floor, mid),
+        ("Phi(T_p(A|B)) >= T_p(Phi(A)|Phi(B)) - ((1-K)/p) mean [audit]", ratio_floor, lhs),
+        ("(Phi(G-term) - Phi(A))/p >= T_p(Phi(A)|Phi(B)) + (C/p) Phi(A)", diff_floor, mid),
+        ("Phi(T_p(A|B)) >= T_p(Phi(A)|Phi(B)) + (C/p) Phi(A) [audit]", diff_floor, lhs),
+        ("Phi(T_p(A|B)) <= T_p(Phi(A)|Phi(B)) [baseline]", lhs, entropy_out),
+    )
     return _finish("theorem_4_5", pair.dim, pair.seed,
                    {"m": w.m, "M": w.M, "p": p, "K": k, "C": c,
                     "dim_out": phi.dim_out}, links)

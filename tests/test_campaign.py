@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from kantcheck import campaign, constants, verifiers
 from kantcheck.campaign import (
     ALL_SUITES,
     CampaignConfig,
@@ -13,6 +14,7 @@ from kantcheck.campaign import (
     enumerate_cells,
     load_config,
     run_campaign,
+    run_cell,
     summarize_report_file,
     validate_config,
 )
@@ -153,6 +155,22 @@ class TestRunCampaign:
         stats = {"x": SuiteStats(suite="x", checks=3, passed=2, failed=1)}
         summary = CampaignSummary(suites=stats, config_hash="", output_dir="", wall_seconds=0.0)
         assert summary.exit_code == 1
+
+    @pytest.mark.parametrize("suite", ["theorem_2_1", "theorem_4_1"])
+    def test_gap_oracle_runs_once_per_cell(self, monkeypatch, suite):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return constants.beta_generic(*args, **kwargs)
+
+        for module in (campaign, verifiers):
+            monkeypatch.setattr(module, "beta_generic", counted)
+        cfg = CampaignConfig(suites=[suite], dims=[2, 3], windows=[(1.0, 2.0)],
+                             p_grid=[-1.0], q_grid=[-0.5], samples_per_cell=4)
+        reports, _ = run_cell(cfg, enumerate_cells(cfg)[0])
+        assert len(reports) == 4 and all(report.overall for report in reports)
+        assert len(calls) == 1
 
     def test_theorem_4_1_line_regenerates_from_its_seed(self, tmp_path):
         cfg = CampaignConfig(suites=["theorem_4_1"], dims=[2, 3], windows=[(1.0, 2.0)],

@@ -163,6 +163,18 @@ class TestKrausMaps:
         assert phi.normalization_defect() < 1e-10
         assert np.max(np.abs(apply_map(phi, np.eye(4)) - np.eye(3))) < 1e-10
 
+    def test_conditioning_test_reuses_the_decomposition(self, monkeypatch):
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        calls = {"eigh": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            return lambda a: calls.__setitem__(name, calls[name] + 1) or fn(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+        gen_positive_linear_map(3, 2, 2, 7)
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+
     def test_single_square_factor_is_unitary(self):
         phi = gen_positive_linear_map(3, 3, 1, 5)
         w = phi.kraus[0]
@@ -189,6 +201,13 @@ class TestWeightedFamilies:
         for (_, _, op), dec in zip(family.items, family.spectra):
             assert np.array_equal(dec.eigenvalues, eig_hermitian(op).eigenvalues)
 
+    def test_spectra_are_the_window_test_decompositions(self):
+        family = gen_weighted_family(3, 4, 3, W12, 123)
+        for (_, _, op), dec in zip(family.items, family.spectra):
+            fresh = eig_hermitian(op)
+            assert np.array_equal(dec.eigenvalues, fresh.eigenvalues)
+            assert np.array_equal(dec.eigenvectors, fresh.eigenvectors)
+
     def test_bad_weights_rejected(self):
         family = gen_weighted_family(2, 3, 2, W12, 5)
         broken = WeightedFamily(
@@ -208,6 +227,22 @@ class TestWeightedFamilies:
         )
         with pytest.raises(HypothesisError):
             broken.validate()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_dominated_pair(4, W12, 3),
+    lambda: gen_dominated_pair(4, W12, 3, window_side=WINDOW_ON_A),
+    lambda: gen_chaotic_pair(4, W12, 3),
+    lambda: gen_relative_pair(4, W12, 3),
+], ids=["dominated_on_B", "dominated_on_A", "chaotic", "relative"])
+def test_pair_spectra_equal_a_fresh_decomposition(make):
+    """A generator hands its window test's decomposition to the pair; it is
+    bit for bit what eig_hermitian makes of the matrix handed out."""
+    pair = make()
+    for matrix, dec in ((pair.A, pair.spec_A), (pair.B, pair.spec_B)):
+        fresh = eig_hermitian(matrix)
+        assert np.array_equal(dec.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(dec.eigenvectors, fresh.eigenvectors)
 
 
 class TestCorpusIO:

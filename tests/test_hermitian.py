@@ -14,6 +14,7 @@ from kantcheck.hermitian import (
     eig_hermitian,
     frobenius,
     loewner_leq,
+    loewner_verdicts,
     matrix_exp,
     matrix_from_json,
     matrix_log,
@@ -186,6 +187,23 @@ class TestLoewnerOrder:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             loewner_leq(diag(1, 2), diag(1, 2, 3))
+
+    def test_non_hermitian_argument_rejected(self):
+        skew = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
+        with pytest.raises(HermiticityError):
+            loewner_leq(skew, diag(3, 3))
+        with pytest.raises(HermiticityError):
+            loewner_leq(diag(0, 0), skew)
+
+    @pytest.mark.parametrize("dim", [2, 6, 64])
+    def test_stacked_verdicts_equal_separate_calls(self, dim):
+        for seed in range(4):
+            pair = gen_dominated_pair(dim, W12, seed)
+            lo = matrix_power(pair.spec_B, -1.0)
+            mid = superlog_bound(pair.spec_B, W12, 1.0, 0.5)
+            up = 1.125 * matrix_power(pair.spec_A, -1.0)
+            tests = [(lo, mid), (mid, up), (lo, up), (up, lo)]
+            assert loewner_verdicts(tests) == [loewner_leq(a, b) for a, b in tests]
 
     def test_tolerance_policy_is_relative(self):
         a, b = diag(0, 0), diag(1e4, 1e4)

@@ -453,15 +453,21 @@ class TestDecomposeOnce:
         assert check_corollary_2_3(pair, -1.0, -0.5).overall
         assert calls == []
 
-    @pytest.mark.parametrize("suite_name", ALL_SUITES)
-    def test_check_never_redecomposes_an_operand(self, monkeypatch, suite_name):
+    @staticmethod
+    def _cell(suite_name):
+        """The suite, window and check keyword arguments of a one-cell grid."""
         cfg = CampaignConfig(suites=[suite_name], dims=[3], windows=[(1.0, 2.0)],
                              p_grid=[-1.0], q_grid=[-0.5], r_grid=[-0.5], alpha_grid=[1.0],
                              p_grid_theorem_1_1=[2.0])
         suite = SUITES[suite_name]
         params = dict(enumerate_cells(cfg)[0].params)
         w = SpectralWindow(*params.pop("window"))
-        args = tuple(params.values()) if suite.cell_args is None else suite.cell_args(w, **params)
+        args = params if suite.cell_args is None else suite.cell_args(w, **params)
+        return suite, w, args
+
+    @pytest.mark.parametrize("suite_name", ALL_SUITES)
+    def test_check_never_redecomposes_an_operand(self, monkeypatch, suite_name):
+        suite, w, args = self._cell(suite_name)
         instance = suite.generate(3, w, 11)
         owner = instance[0]
         # touch the cached spectra so that they exist before the check runs
@@ -480,7 +486,29 @@ class TestDecomposeOnce:
 
         for module in (hermitian, generators, posmaps, verifiers):
             monkeypatch.setattr(module, "eig_hermitian", guarded)
-        assert getattr(verifiers, suite.check)(*instance, *args).overall
+        assert getattr(verifiers, suite.check)(*instance, **args).overall
+
+    @pytest.mark.parametrize("suite_name", ALL_SUITES)
+    def test_sample_decomposes_no_array_twice(self, monkeypatch, suite_name):
+        """Generating an instance and checking it hands np.linalg.eigh each
+        array (shape and bytes) once: the generator's window test included."""
+        suite, w, args = self._cell(suite_name)
+        eigh = np.linalg.eigh
+        seen = []
+
+        def hashed(a):
+            arr = np.asarray(a)
+            key = (arr.shape, arr.dtype.str, arr.tobytes())
+            assert key not in seen, f"eigh repeated on a {arr.shape} array"
+            seen.append(key)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", hashed)
+        for seed in (11, 12, 13):
+            seen.clear()
+            instance = suite.generate(3, w, seed)
+            assert getattr(verifiers, suite.check)(*instance, **args).overall
+        assert seen
 
 
 class TestReportMachinery:
