@@ -61,7 +61,8 @@ class Suite:
     values.  ``cell_args(window, **params)`` computes once per cell the
     keyword arguments after the instance, oracle constants included; by
     default they are the parameters themselves.  ``deviation(window,
-    **params)`` is the cell's closed-form-vs-oracle distance, if any.
+    **params, **cell_args)`` is the cell's closed-form-vs-oracle distance,
+    if any; it reuses the oracle constants the cell arguments hold.
     ``check`` names a ``verifiers`` function and is looked up at call time,
     so a rebinding of that name (as a tracer makes) is honoured; the other
     callables resolve module globals at call time for the same reason.
@@ -151,10 +152,11 @@ SUITES = {
                            deviation=lambda w, p, r: _gap_deviation(w, p + r, p + r, 1.0)),
     "theorem_4_1": Suite(_PQ, _weighted_family, "check_theorem_4_1", cell_args=_tight_gap),
     "theorem_4_2": Suite(_P, _relative_with_map, "check_theorem_4_2", cell_args=_self_gap,
-                         deviation=lambda w, p: _gap_deviation(w, p, p, kantorovich_K(w, p))),
+                         deviation=lambda w, p, f, alpha, beta:
+                         abs(beta_power_closed(w, p, p, alpha) - beta)),
     "corollary_4_3": Suite(_P, _relative_with_map, "check_corollary_4_3",
                            cell_args=lambda w, p: {"p": p, "alpha": kantorovich_K(w, p)},
-                           deviation=lambda w, p: _gap_deviation(w, p, p, kantorovich_K(w, p))),
+                           deviation=lambda w, p, alpha: _gap_deviation(w, p, p, alpha)),
     "corollary_4_4": Suite(
         _P + (("mode", ("ratio", "difference")),), _relative_with_map, "check_corollary_4_4",
         deviation=lambda w, p, mode: (_ratio_deviation(w, p, p) if mode == "ratio"
@@ -344,7 +346,7 @@ def run_cell(cfg: CampaignConfig, cell: Cell) -> tuple[list, float | None]:
     params = dict(cell.params)
     w = SpectralWindow(*params.pop("window"))
     args = params if suite.cell_args is None else suite.cell_args(w, **params)
-    deviation = None if suite.deviation is None else suite.deviation(w, **params)
+    deviation = None if suite.deviation is None else suite.deviation(w, **{**params, **args})
     check = getattr(verifiers, suite.check)
     reports = [check(*suite.generate(_dim_for(cfg, j), w, seed), **args, rel_tol=cfg.rel_tol)
                for j, seed in enumerate(_cell_seeds(cfg, cell))]

@@ -93,20 +93,20 @@ def _golden_max(h, a: float, b: float, iters: int) -> tuple[float, float]:
     return (c, hc) if hc >= hd else (d, hd)
 
 
-def grid_max_1d(h, window: SpectralWindow, resolution: int = GRID_RESOLUTION,
-                refinement_iters: int = GOLDEN_ITERS) -> ExtremumResult:
+def grid_max_1d(h, window: SpectralWindow) -> ExtremumResult:
     """Maximize a scalar function over [m, M].
 
-    Dense grid scan at the given resolution, then golden-section refinement
-    around the best cell.  Accurate to ~1e-9 in value for C^2 objectives.
+    Dense scan of GRID_RESOLUTION cells, then GOLDEN_ITERS golden-section
+    steps around the best cell.  Accurate to ~1e-9 in value for C^2
+    objectives.
     """
     m, M = window.m, window.M
-    ts = np.linspace(m, M, resolution + 1)
+    ts = np.linspace(m, M, GRID_RESOLUTION + 1)
     ys = eval_scalar(h, ts)
     i = int(np.argmax(ys))
     lo = float(ts[i - 1]) if i > 0 else m
-    hi = float(ts[i + 1]) if i < resolution else M
-    t_ref, y_ref = _golden_max(h, lo, hi, refinement_iters)
+    hi = float(ts[i + 1]) if i < GRID_RESOLUTION else M
+    t_ref, y_ref = _golden_max(h, lo, hi, GOLDEN_ITERS)
     candidates = [
         (y_ref, t_ref),
         (float(ys[i]), float(ts[i])),
@@ -124,8 +124,7 @@ def grid_max_1d(h, window: SpectralWindow, resolution: int = GRID_RESOLUTION,
     return ExtremumResult(t_star=float(t_star), value=float(value), branch=branch)
 
 
-def beta_generic(f, g, alpha: float, window: SpectralWindow,
-                 resolution: int = GRID_RESOLUTION) -> ExtremumResult:
+def beta_generic(f, g, alpha: float, window: SpectralWindow) -> ExtremumResult:
     """Oracle gap: max over [m, M] of chord_of_f(t) - alpha * g(t)."""
     if not (float(f(window.m)) > 0.0 and float(f(window.M)) > 0.0):
         raise DomainError("f must be positive at the window endpoints")
@@ -135,11 +134,10 @@ def beta_generic(f, g, alpha: float, window: SpectralWindow,
     def h(t):
         return chord.at(t) - alpha * g(t)
 
-    return grid_max_1d(h, window, resolution=resolution)
+    return grid_max_1d(h, window)
 
 
-def alpha_ratio(f, g, window: SpectralWindow,
-                resolution: int = GRID_RESOLUTION) -> ExtremumResult:
+def alpha_ratio(f, g, window: SpectralWindow) -> ExtremumResult:
     """Oracle ratio: max over [m, M] of chord_of_f(t) / g(t); needs g > 0."""
     chord = chord_coefficients(f, window)
     probe = eval_scalar(g, np.linspace(window.m, window.M, 2001))
@@ -149,7 +147,7 @@ def alpha_ratio(f, g, window: SpectralWindow,
     def h(t):
         return chord.at(t) / g(t)
 
-    return grid_max_1d(h, window, resolution=resolution)
+    return grid_max_1d(h, window)
 
 
 def _require_nondegenerate(e: float, name: str) -> float:

@@ -45,6 +45,8 @@ WINDOW_ON_A = "A"
 
 ENDPOINT_PROB = 0.2
 POSITIVITY_MARGIN_FACTOR = 1e-6
+RELATIVE_BASE_WINDOW = SpectralWindow(0.5, 2.0)
+MAX_KRAUS = 3
 
 
 @dataclass(frozen=True)
@@ -220,12 +222,13 @@ def gen_chaotic_pair(dim: int, window: SpectralWindow, seed: int,
                       window=spectrum_in_window(pair.spec_B, w, 1e-10 * max(1.0, abs(w.M))))
 
 
-def gen_relative_pair(dim: int, window: SpectralWindow, seed: int,
-                      base_window: tuple[float, float] = (0.5, 2.0)) -> CertifiedPair:
-    """Pair with m A <= B <= M A via congruence: B = A^(1/2) C A^(1/2), Sp(C) in [m, M]."""
+def gen_relative_pair(dim: int, window: SpectralWindow, seed: int) -> CertifiedPair:
+    """Pair with m A <= B <= M A via congruence: B = A^(1/2) C A^(1/2), Sp(C) in [m, M].
+
+    A is drawn with spectrum in RELATIVE_BASE_WINDOW."""
     w = window.require_positive()
     rng = _rng(seed)
-    a, spec_a = _in_window(dim, SpectralWindow(*base_window), rng)
+    a, spec_a = _in_window(dim, RELATIVE_BASE_WINDOW, rng)
     c = gen_hermitian_in_window(dim, w, rng)
     root = matrix_power(spec_a, 0.5)
     b = hermitize(root @ c @ root)
@@ -255,9 +258,9 @@ def gen_positive_linear_map(dim_in: int, dim_out: int, n_kraus: int, seed_or_rng
 
 
 def gen_weighted_family(n_items: int, dim_in: int, dim_out: int,
-                        window: SpectralWindow, seed_or_rng,
-                        max_kraus: int = 3) -> WeightedFamily:
-    """Random weighted family (w_i, Phi_i, A_i) with Sp(A_i) inside the window.
+                        window: SpectralWindow, seed_or_rng) -> WeightedFamily:
+    """Random weighted family (w_i, Phi_i, A_i) with Sp(A_i) inside the window;
+    each map has 1 to MAX_KRAUS Kraus operators.
 
     An integer seed is recorded on the family; a family drawn from a
     Generator records seed 0.
@@ -269,7 +272,7 @@ def gen_weighted_family(n_items: int, dim_in: int, dim_out: int,
     items = []
     spectra = []
     for i in range(n_items):
-        n_kraus = int(rng.integers(1, max_kraus + 1))
+        n_kraus = int(rng.integers(1, MAX_KRAUS + 1))
         phi = gen_positive_linear_map(dim_in, dim_out, n_kraus, rng)
         op, spec = _in_window(dim_in, window, rng)
         items.append((float(weights[i]), phi, op))

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from .campaign import CampaignConfig, validate_config
-from .constants import alpha_ratio, grid_max_1d, kantorovich_K
+from .campaign import CampaignConfig, _dim_for, validate_config
+from .constants import alpha_ratio, beta_generic, grid_max_1d, kantorovich_K, power_fun
 from .generators import (
     CERT_CHAOTIC,
     CERT_DOMINATED,
@@ -54,17 +55,10 @@ class HuntModeResult:
     notes: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "samples": self.samples,
-            "violations": self.violations,
-            "max_violation": self.max_violation,
-            "witness": self.witness,
-            "notes": self.notes,
-        }
+        return self.__dict__.copy()
 
 
-def _observe(result: HuntModeResult, failing: list, pair: CertifiedPair, params: dict) -> None:
+def _observe(result: HuntModeResult, pair: CertifiedPair, failing: list, params: dict) -> None:
     """Fold one fuzz sample into the mode result, keeping the worst witness.
 
     failing lists (label, min_slack) for each link of the sample that did
@@ -77,147 +71,132 @@ def _observe(result: HuntModeResult, failing: list, pair: CertifiedPair, params:
     worst = min(slack for _, slack in failing)
     if worst < result.max_violation:
         result.max_violation = worst
-        result.witness = {
-            "pair": pair_to_json(pair),
-            "params": params,
-            "failing_links": [label for label, _ in failing],
-            "min_slack": worst,
-        }
+        result.witness = {"pair": pair_to_json(pair), "params": params,
+                          "failing_links": [label for label, _ in failing], "min_slack": worst}
 
 
 def _failing_links(report) -> list:
     return [(lk.label, lk.min_slack) for lk in report.links if not lk.holds]
 
 
-def _cycle(cfg: CampaignConfig, j: int) -> tuple[int, SpectralWindow]:
-    dim = int(cfg.dims[j % len(cfg.dims)])
-    window = cfg.windows[j % len(cfg.windows)]
-    return dim, SpectralWindow(*window)
+def _sample(cfg: CampaignConfig, j: int) -> tuple[int, SpectralWindow, int]:
+    """Sample j's dimension, window and seed: the configured dims and windows in turn."""
+    return _dim_for(cfg, j), SpectralWindow(*cfg.windows[j % len(cfg.windows)]), cfg.base_seed + j
 
 
-def _hunt_q_beyond_regime(cfg: CampaignConfig, samples: int, q: float = -2.0,
-                          p: float = -1.0) -> HuntModeResult:
-    result = HuntModeResult(mode="corollary_2_3_q_beyond_regime", samples=0,
-                            violations=0, max_violation=0.0)
-    result.notes.append(f"regime relaxed to q={q}; violations are sharpness "
-                        "witnesses, absence of violations is also a valid outcome")
+def _sample_loop(cfg: CampaignConfig, mode: str, notes: list, samples: int, draw,
+                 *fixed) -> HuntModeResult:
+    """The mode result of the fixed (pair, failing links, params) observations,
+    then of samples 0..samples-1, each observed as draw(dim, window, seed)."""
+    result = HuntModeResult(mode=mode, samples=0, violations=0, max_violation=0.0, notes=notes)
+    for observation in fixed:
+        _observe(result, *observation)
     for j in range(samples):
-        dim, w = _cycle(cfg, j)
-        seed = cfg.base_seed + j
-        pair = gen_dominated_pair(dim, w, seed)
-        report = check_corollary_2_3(pair, p, q, cfg.rel_tol)
-        _observe(result, _failing_links(report), pair, {"p": p, "q": q, "m": w.m, "M": w.M})
+        _observe(result, *draw(*_sample(cfg, j)))
     return result
 
 
-def _hunt_r_beyond_regime(cfg: CampaignConfig, samples: int, r: float = -2.0,
-                          p: float = -1.0) -> HuntModeResult:
-    result = HuntModeResult(mode="corollary_3_2_r_beyond_regime", samples=0,
-                            violations=0, max_violation=0.0)
-    result.notes.append(f"regime relaxed to r={r}")
-    for j in range(samples):
-        dim, w = _cycle(cfg, j)
-        seed = cfg.base_seed + j
-        pair = gen_chaotic_pair(dim, w, seed)
-        report = check_corollary_3_2(pair, p, r, cfg.rel_tol)
-        _observe(result, _failing_links(report), pair, {"p": p, "r": r, "m": w.m, "M": w.M})
-    return result
+def _checked_draw(cfg: CampaignConfig, generate, check, args):
+    """A draw that runs check(pair, **args(window)) on generate(dim, window,
+    seed) and records the arguments with the window."""
+    def draw(dim, w, seed):
+        pair = generate(dim, w, seed)
+        params = args(w)
+        report = check(pair, **params, rel_tol=cfg.rel_tol)
+        return pair, _failing_links(report), {**params, "m": w.m, "M": w.M}
+
+    return draw
+
+
+def _hunt_q_beyond_regime(cfg: CampaignConfig, samples: int) -> HuntModeResult:
+    p, q = -1.0, -2.0
+    return _sample_loop(cfg, "corollary_2_3_q_beyond_regime",
+                        [f"regime relaxed to q={q}; violations are sharpness witnesses, "
+                         "absence of violations is also a valid outcome"], samples,
+                        _checked_draw(cfg, gen_dominated_pair, check_corollary_2_3,
+                                      lambda w: {"p": p, "q": q}))
+
+
+def _hunt_r_beyond_regime(cfg: CampaignConfig, samples: int) -> HuntModeResult:
+    p, r = -1.0, -2.0
+    return _sample_loop(cfg, "corollary_3_2_r_beyond_regime", [f"regime relaxed to r={r}"],
+                        samples, _checked_draw(cfg, gen_chaotic_pair, check_corollary_3_2,
+                                               lambda w: {"p": p, "r": r}))
 
 
 def _hunt_non_log_convex(cfg: CampaignConfig, samples: int) -> HuntModeResult:
-    result = HuntModeResult(mode="theorem_2_1_non_log_convex_f", samples=0,
-                            violations=0, max_violation=0.0)
-    result.notes.append("f(t) = sqrt(t) is log-concave; the interpolant link "
-                        "is expected to flip in the interior")
-    for j in range(samples):
-        dim, w = _cycle(cfg, j)
-        seed = cfg.base_seed + j
-        pair = gen_dominated_pair(dim, w, seed)
-        f = np.sqrt
-        g = lambda t: t ** -1.0
+    f, g = np.sqrt, power_fun(-1.0)
+
+    @cache
+    def gap_constants(w):
+        """alpha = max chord(f)/g and theorem_2_1's beta, once per window."""
         alpha = alpha_ratio(f, g, w).value
-        report = check_theorem_2_1(pair, f, g, alpha, "i", cfg.rel_tol)
-        _observe(result, _failing_links(report), pair,
-                 {"f": "sqrt", "g": "t^-1", "alpha": alpha, "m": w.m, "M": w.M})
-    return result
+        return alpha, beta_generic(f, g, alpha, w).value
+
+    def draw(dim, w, seed):
+        pair = gen_dominated_pair(dim, w, seed)
+        alpha, beta = gap_constants(w)
+        report = check_theorem_2_1(pair, f, g, alpha, "i", cfg.rel_tol, beta=beta)
+        return (pair, _failing_links(report),
+                {"f": "sqrt", "g": "t^-1", "alpha": alpha, "m": w.m, "M": w.M})
+
+    return _sample_loop(cfg, "theorem_2_1_non_log_convex_f",
+                        ["f(t) = sqrt(t) is log-concave; the interpolant link "
+                         "is expected to flip in the interior"], samples, draw)
+
+
+def _undominated_pair(dim: int, w: SpectralWindow, seed: int) -> CertifiedPair:
+    """B in the window and A drawn independently with spectrum in [m, 2M]."""
+    rng = np.random.default_rng(seed)
+    b = gen_hermitian_in_window(dim, w, rng)
+    a = gen_hermitian_in_window(dim, SpectralWindow(w.m, 2.0 * w.M), rng)
+    return CertifiedPair(A=a, B=b, window=w, certificate=CERT_DOMINATED, seed=seed)
 
 
 def _hunt_missing_domination(cfg: CampaignConfig, samples: int) -> HuntModeResult:
     """Drop A <= B: draw A independently with spectrum reaching above M."""
-    result = HuntModeResult(mode="corollary_2_2_without_domination", samples=0,
-                            violations=0, max_violation=0.0)
-    result.notes.append("A is drawn independently of B with spectrum in [m, 2M]; "
-                        "the dominated certificate is deliberately not satisfied")
-    p = q = -1.0
-    for j in range(samples):
-        dim, w = _cycle(cfg, j)
-        seed = cfg.base_seed + j
-        rng = np.random.default_rng(seed)
-        b = gen_hermitian_in_window(dim, w, rng)
-        a = gen_hermitian_in_window(dim, SpectralWindow(w.m, 2.0 * w.M), rng)
-        pair = CertifiedPair(A=a, B=b, window=w, certificate=CERT_DOMINATED, seed=seed)
-        alpha = kantorovich_K(w, -1.0)
-        report = check_corollary_2_2(pair, p, q, alpha, cfg.rel_tol)
-        _observe(result, _failing_links(report), pair,
-                 {"p": p, "q": q, "alpha": alpha, "m": w.m, "M": w.M})
-    return result
+    ratio = cache(lambda w: kantorovich_K(w, -1.0))
+    return _sample_loop(cfg, "corollary_2_2_without_domination",
+                        ["A is drawn independently of B with spectrum in [m, 2M]; "
+                         "the dominated certificate is deliberately not satisfied"], samples,
+                        _checked_draw(cfg, _undominated_pair, check_corollary_2_2,
+                                      lambda w: {"p": -1.0, "q": -1.0, "alpha": ratio(w)}))
 
 
 def _hunt_squared_order_control(cfg: CampaignConfig) -> HuntModeResult:
     """Replay the fixed 2x2 witness that squaring breaks the order."""
-    result = HuntModeResult(mode="squared_order_negative_control", samples=1,
-                            violations=0, max_violation=0.0)
     a = np.array(SQUARED_ORDER_WITNESS_A, dtype=complex)
     b = np.array(SQUARED_ORDER_WITNESS_B, dtype=complex)
     base = loewner_leq(a, b, cfg.rel_tol)
     squared = loewner_leq(matrix_power(a, 2.0), matrix_power(b, 2.0), cfg.rel_tol)
-    result.notes.append(f"A0 <= B0: holds={base.holds} min_slack={base.min_slack!r}")
-    result.notes.append(f"A0^2 <= B0^2: holds={squared.holds} min_slack={squared.min_slack!r}")
-    if base.holds and not squared.holds:
-        result.violations = 1
-        result.max_violation = squared.min_slack
-        pair = CertifiedPair(A=a, B=b, window=SpectralWindow(0.0, 3.0),
-                             certificate=CERT_DOMINATED, seed=0)
-        result.witness = {
-            "pair": pair_to_json(pair),
-            "params": {"power": 2.0},
-            "failing_links": ["A^2 <= B^2"],
-            "min_slack": squared.min_slack,
-        }
-    return result
+    pair = CertifiedPair(A=a, B=b, window=SpectralWindow(0.0, 3.0),
+                         certificate=CERT_DOMINATED, seed=0)
+    failing = [("A^2 <= B^2", squared.min_slack)] if base.holds and not squared.holds else []
+    return _sample_loop(cfg, "squared_order_negative_control",
+                        [f"A0 <= B0: holds={base.holds} min_slack={base.min_slack!r}",
+                         f"A0^2 <= B0^2: holds={squared.holds} min_slack={squared.min_slack!r}"],
+                        0, None, (pair, failing, {"power": 2.0}))
 
 
 def _hunt_lemma_exponent_variants(cfg: CampaignConfig, samples: int) -> HuntModeResult:
     """Compare the outer exponents r/(p+r) and p/(p+r) on a chaotic corpus."""
-    result = HuntModeResult(mode="lemma_3_1_exponent_variants", samples=0,
-                            violations=0, max_violation=0.0)
     grids = [(-1.0, -0.5), (-0.5, -0.25)]
-    corpus = [gen_chaotic_pair(*_cycle(cfg, j), cfg.base_seed + j) for j in range(samples)]
+    corpus = [gen_chaotic_pair(*_sample(cfg, j)) for j in range(samples)]
     # the A = B, p != r instance separates the exponents immediately
-    dim, w = _cycle(cfg, 0)
-    base = gen_chaotic_pair(dim, w, cfg.base_seed)
-    corpus.append(CertifiedPair(A=base.B, B=base.B, window=w, certificate=CERT_CHAOTIC,
-                                seed=base.seed))
-    stats = {"r_over_p_plus_r": {"holds": 0, "worst": 0.0},
-             "p_over_p_plus_r": {"holds": 0, "worst": 0.0}}
-    total = 0
-    for pair in corpus:
-        for p, r in grids:
-            slacks = lemma_3_1_exponent_slacks(pair, p, r, cfg.rel_tol)
-            total += 1
-            for name, info in slacks.items():
-                stats[name]["holds"] += int(info["holds"])
-                stats[name]["worst"] = min(stats[name]["worst"], info["min_slack"])
-    result.samples = total
-    result.violations = total - stats["p_over_p_plus_r"]["holds"]
-    result.max_violation = stats["p_over_p_plus_r"]["worst"]
-    result.notes.append(
-        f"exponent r/(p+r): held {stats['r_over_p_plus_r']['holds']}/{total}, "
-        f"worst slack {stats['r_over_p_plus_r']['worst']!r}")
-    result.notes.append(
-        f"exponent p/(p+r): held {stats['p_over_p_plus_r']['holds']}/{total}, "
-        f"worst slack {stats['p_over_p_plus_r']['worst']!r}")
-    return result
+    first = corpus[0]
+    corpus.append(CertifiedPair(A=first.B, B=first.B, window=first.window,
+                                certificate=CERT_CHAOTIC, seed=first.seed))
+    tallies = [lemma_3_1_exponent_slacks(pair, p, r, cfg.rel_tol)
+               for pair in corpus for p, r in grids]
+    total = len(tallies)
+    exponents = {"r_over_p_plus_r": "r/(p+r)", "p_over_p_plus_r": "p/(p+r)"}
+    held = {name: sum(t[name]["holds"] for t in tallies) for name in exponents}
+    worst = {name: min(0.0, *(t[name]["min_slack"] for t in tallies)) for name in exponents}
+    return HuntModeResult(
+        mode="lemma_3_1_exponent_variants", samples=total,
+        violations=total - held["p_over_p_plus_r"], max_violation=worst["p_over_p_plus_r"],
+        notes=[f"exponent {exponent}: held {held[name]}/{total}, worst slack {worst[name]!r}"
+               for name, exponent in exponents.items()])
 
 
 def _hunt_unweighted_difference_constant(cfg: CampaignConfig, samples: int) -> HuntModeResult:
@@ -227,32 +206,29 @@ def _hunt_unweighted_difference_constant(cfg: CampaignConfig, samples: int) -> H
     the weight to C(m,M,p+r) I is refuted by commuting instances on
     windows with m > 1, and this mode records such witnesses.
     """
-    result = HuntModeResult(mode="corollary_3_3_unweighted_constant", samples=0,
-                            violations=0, max_violation=0.0)
-    result.notes.append("final bound relaxed to C(m,M,p+r) I + A^p; the "
-                        "conformance chain uses C(m,M,p+r) B^(-r) + A^p")
     p, r = -0.25, -1.0
-    windows = [w for w in cfg.windows if w[0] > 1.0] or cfg.windows
+    cfg = replace(cfg, windows=[w for w in cfg.windows if w[0] > 1.0] or cfg.windows)
+
+    def observed(pair):
+        slack = corollary_3_3_unweighted_slack(pair, p, r, cfg.rel_tol)
+        failing = [] if slack["holds"] else [(UNWEIGHTED_LINK, slack["min_slack"])]
+        return pair, failing, {"p": p, "r": r, "m": pair.window.m, "M": pair.window.M}
+
     # deterministic commuting witness: A = B loaded on the maximizer of the
     # weighted gap t^(-r) (G_{p+r}(t) - t^(p+r)) over the first window
-    w0 = SpectralWindow(*windows[0])
+    w0 = SpectralWindow(*cfg.windows[0])
     s = p + r
     lnm, lnM = math.log(w0.m) * s, math.log(w0.M) * s
     weighted_gap = lambda t: t ** (-r) * (
         np.exp(((w0.M - t) * lnm + (t - w0.m) * lnM) / w0.width) - t ** s)
     t_star = grid_max_1d(weighted_gap, w0).t_star
     mat = np.diag(np.asarray([t_star, w0.m], dtype=complex))
-    pairs = [CertifiedPair(A=mat, B=mat, window=w0, certificate=CERT_CHAOTIC, seed=-1)]
-    for j in range(samples):
-        dim = int(cfg.dims[j % len(cfg.dims)])
-        w = SpectralWindow(*windows[j % len(windows)])
-        pairs.append(gen_chaotic_pair(dim, w, cfg.base_seed + j))
-    for pair in pairs:
-        slack = corollary_3_3_unweighted_slack(pair, p, r, cfg.rel_tol)
-        failing = [] if slack["holds"] else [(UNWEIGHTED_LINK, slack["min_slack"])]
-        _observe(result, failing, pair,
-                 {"p": p, "r": r, "m": pair.window.m, "M": pair.window.M})
-    return result
+    commuting = CertifiedPair(A=mat, B=mat, window=w0, certificate=CERT_CHAOTIC, seed=-1)
+    return _sample_loop(cfg, "corollary_3_3_unweighted_constant",
+                        ["final bound relaxed to C(m,M,p+r) I + A^p; the "
+                         "conformance chain uses C(m,M,p+r) B^(-r) + A^p"], samples,
+                        lambda dim, w, seed: observed(gen_chaotic_pair(dim, w, seed)),
+                        observed(commuting))
 
 
 def hunt_sharpness(cfg: CampaignConfig, out_dir=None) -> dict:
@@ -268,15 +244,11 @@ def hunt_sharpness(cfg: CampaignConfig, out_dir=None) -> dict:
         _hunt_lemma_exponent_variants(cfg, max(25, side_samples // 4)),
         _hunt_unweighted_difference_constant(cfg, side_samples),
     ]
-    report = {
-        "config_hash": cfg.config_hash(),
-        "base_seed": cfg.base_seed,
-        "modes": {m.mode: m.to_json_dict() for m in modes},
-    }
+    report = {"config_hash": cfg.config_hash(), "base_seed": cfg.base_seed,
+              "modes": {m.mode: m.to_json_dict() for m in modes}}
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "hunt_report.json", "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
+        (out / "hunt_report.json").write_text(json.dumps(report, indent=2) + "\n",
+                                              encoding="utf-8")
     return report

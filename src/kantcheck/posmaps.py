@@ -24,6 +24,7 @@ from .hermitian import (
 NORMALIZATION_TOL = 1e-10
 CONDITION_FLOOR = 1e-10
 WEIGHT_SUM_TOL = 1e-12
+SPECTRUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ class WeightedFamily:
         use and kept: the items are never modified after construction."""
         return tuple(eig_hermitian(op) for _, _, op in self.items)
 
-    def validate(self, spectrum_tol: float = 1e-9) -> "WeightedFamily":
+    def validate(self) -> "WeightedFamily":
         if not self.items:
             raise HypothesisError("weighted family is empty")
         total = 0.0
@@ -142,7 +143,7 @@ class WeightedFamily:
             if dec.dim != dim_in:
                 raise HypothesisError("operator dimension does not match the maps")
             lam = dec.eigenvalues
-            tol = spectrum_tol * max(1.0, abs(self.window.M))
+            tol = SPECTRUM_TOL * max(1.0, abs(self.window.M))
             if lam[0] < self.window.m - tol or lam[-1] > self.window.M + tol:
                 raise HypothesisError(
                     f"operator spectrum [{float(lam[0]):.6g}, {float(lam[-1]):.6g}] outside "

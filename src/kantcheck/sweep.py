@@ -27,6 +27,8 @@ from .hermitian import SpectralWindow
 CSV_COLUMNS = ["m", "M", "p", "q", "constant_name", "closed_form", "oracle", "abs_diff"]
 
 _PALETTE = ["#1f6fb2", "#c44e52", "#55a868", "#8172b2", "#ccb974", "#64b5cd"]
+CHART_POINTS = 40
+CHART_WIDTH, CHART_HEIGHT = 640, 420
 
 
 @dataclass
@@ -37,8 +39,8 @@ class SweepResult:
     svg_paths: list
 
 
-def _chart_series(window: SpectralWindow, p_grid, n_points: int = 40):
-    qs = np.linspace(-1.0, -0.05, n_points)
+def _chart_series(window: SpectralWindow, p_grid):
+    qs = np.linspace(-1.0, -0.05, CHART_POINTS)
     series = []
     for p in p_grid:
         ys = [kantorovich_K2(window, p, float(q)) for q in qs]
@@ -46,9 +48,9 @@ def _chart_series(window: SpectralWindow, p_grid, n_points: int = 40):
     return series
 
 
-def svg_line_chart(path, title: str, x_label: str, y_label: str, series,
-                   width: int = 640, height: int = 420) -> None:
+def svg_line_chart(path, title: str, x_label: str, y_label: str, series) -> None:
     """Minimal SVG line chart: axes, ticks, one polyline per series."""
+    width, height = CHART_WIDTH, CHART_HEIGHT
     left, right, top, bottom = 64, 150, 40, 48
     plot_w = width - left - right
     plot_h = height - top - bottom
@@ -120,24 +122,21 @@ def sweep_constants(windows, p_grid, q_grid, out_dir) -> SweepResult:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     max_diff = 0.0
-    cache_k: dict = {}
-    cache_c: dict = {}
     for window in windows:
         w = SpectralWindow(*window)
         for p in p_grid:
             p = float(p)
-            if (window, p) not in cache_k:
-                cache_k[(window, p)] = alpha_ratio(power_fun(p), power_fun(p), w).value
-                cache_c[(window, p)] = beta_generic(power_fun(p), power_fun(p), 1.0, w).value
+            oracle_k = alpha_ratio(power_fun(p), power_fun(p), w).value
+            oracle_c = beta_generic(power_fun(p), power_fun(p), 1.0, w).value
             for q in q_grid:
                 q = float(q)
                 values = [
-                    ("K", kantorovich_K(w, p), cache_k[(window, p)]),
+                    ("K", kantorovich_K(w, p), oracle_k),
                     ("K2", kantorovich_K2(w, p, q),
                      alpha_ratio(power_fun(p), power_fun(q), w).value),
                     ("C2", kantorovich_C2(w, p, q),
                      beta_generic(power_fun(p), power_fun(q), 1.0, w).value),
-                    ("C", kantorovich_C(w, p), cache_c[(window, p)]),
+                    ("C", kantorovich_C(w, p), oracle_c),
                 ]
                 for name, closed, oracle in values:
                     diff = abs(closed - oracle)

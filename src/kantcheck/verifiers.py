@@ -39,6 +39,7 @@ from .generators import (
 from .hermitian import (
     DEFAULT_REL_TOL,
     Array,
+    SpectralDecomposition,
     apply_scalar_function,
     eig_hermitian,
     hermitize,
@@ -98,13 +99,7 @@ class Link:
     tight: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "min_slack": self.min_slack,
-            "tolerance": self.tolerance,
-            "holds": self.holds,
-            "tight": self.tight,
-        }
+        return self.__dict__.copy()
 
 
 @dataclass
@@ -126,15 +121,7 @@ class ChainReport:
         raise KeyError(f"no link matching {label_fragment!r} in {self.theorem_id}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "dim": self.dim,
-            "seed": self.seed,
-            "params": self.params,
-            "links": [lk.to_json_dict() for lk in self.links],
-            "overall": self.overall,
-            "notes": self.notes,
-        }
+        return {**self.__dict__, "links": [lk.to_json_dict() for lk in self.links]}
 
 
 def _links(rel_tol: float, *tests) -> list:
@@ -307,11 +294,10 @@ def _chaotic_exponents(p: float, r: float) -> tuple[float, float]:
     return p, r
 
 
-def furuta_term(pair: CertifiedPair, p: float, r: float, exponent: float) -> Array:
-    """(B^(r/2) A^p B^(r/2))^exponent, the two-sided product of the chaotic order."""
+def furuta_term(pair: CertifiedPair, p: float, r: float) -> SpectralDecomposition:
+    """The decomposition of B^(r/2) A^p B^(r/2), the two-sided product of the chaotic order."""
     half = matrix_power(pair.spec_B, r / 2.0)
-    inner = hermitize(half @ matrix_power(pair.spec_A, p) @ half)
-    return matrix_power(inner, exponent)
+    return eig_hermitian(hermitize(half @ matrix_power(pair.spec_A, p) @ half))
 
 
 def check_lemma_3_1_forward(pair: CertifiedPair, p: float, r: float,
@@ -319,7 +305,7 @@ def check_lemma_3_1_forward(pair: CertifiedPair, p: float, r: float,
     """B^r <= (B^(r/2) A^p B^(r/2))^(r/(p+r)) under the chaotic order, p, r <= 0."""
     _require_certificate(pair, CERT_CHAOTIC, "check_lemma_3_1_forward")
     p, r = _chaotic_exponents(p, r)
-    rhs = furuta_term(pair, p, r, r / (p + r))
+    rhs = matrix_power(furuta_term(pair, p, r), r / (p + r))
     links = _links(rel_tol,
                    ("B^r <= (B^(r/2) A^p B^(r/2))^(r/(p+r))", matrix_power(pair.spec_B, r), rhs))
     return _finish("lemma_3_1", pair.dim, pair.seed,
@@ -336,8 +322,9 @@ def lemma_3_1_exponent_slacks(pair: CertifiedPair, p: float, r: float,
     _require_certificate(pair, CERT_CHAOTIC, "lemma_3_1_exponent_slacks")
     p, r = _chaotic_exponents(p, r)
     b_r = matrix_power(pair.spec_B, r)
+    term = furuta_term(pair, p, r)
     names = ("r_over_p_plus_r", "p_over_p_plus_r")
-    verdicts = loewner_verdicts([(b_r, furuta_term(pair, p, r, expo))
+    verdicts = loewner_verdicts([(b_r, matrix_power(term, expo))
                                  for expo in (r / (p + r), p / (p + r))], rel_tol)
     return {name: {"min_slack": v.min_slack, "holds": v.holds}
             for name, v in zip(names, verdicts)}
@@ -455,12 +442,11 @@ def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,
                     "n": len(family.items), "dim_out": dim_out}, links)
 
 
-def _relative_interpolant(pair: CertifiedPair, fm: float, fM: float,
-                          hypothesis_tol: float = 1e-8):
+def _relative_interpolant(pair: CertifiedPair, fm: float, fM: float):
     """The decomposition of T = A^(-1/2) B A^(-1/2), A^(1/2), and A^(1/2) G(T) A^(1/2)."""
     rt, irt = sqrt_invsqrt(pair.spec_A)
     t = eig_hermitian(hermitize(irt @ pair.B @ irt))
-    g_t = superlog_bound(t, pair.window, fm, fM, hypothesis_tol)
+    g_t = superlog_bound(t, pair.window, fm, fM, 1e-8)
     return t, rt, hermitize(rt @ g_t @ rt)
 
 

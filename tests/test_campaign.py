@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from kantcheck import campaign, constants, verifiers
+from kantcheck import campaign, constants, hunt, verifiers
 from kantcheck.campaign import (
     ALL_SUITES,
     CampaignConfig,
@@ -156,7 +156,7 @@ class TestRunCampaign:
         summary = CampaignSummary(suites=stats, config_hash="", output_dir="", wall_seconds=0.0)
         assert summary.exit_code == 1
 
-    @pytest.mark.parametrize("suite", ["theorem_2_1", "theorem_4_1"])
+    @pytest.mark.parametrize("suite", ["theorem_2_1", "theorem_4_1", "theorem_4_2"])
     def test_gap_oracle_runs_once_per_cell(self, monkeypatch, suite):
         calls = []
 
@@ -256,6 +256,21 @@ class TestHunt:
         report, _ = hunt_report
         mode = report["modes"]["theorem_2_1_non_log_convex_f"]
         assert mode["violations"] > 0
+
+    def test_non_log_convex_constants_scanned_once_per_window(self, monkeypatch):
+        scans = []
+        real = constants.grid_max_1d
+
+        def counted(*args, **kwargs):
+            scans.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(constants, "grid_max_1d", counted)
+        cfg = CampaignConfig()
+        mode = hunt._hunt_non_log_convex(cfg, 6)
+        assert mode.samples == 6
+        # alpha and beta for each of the three windows
+        assert len(cfg.windows) == 3 and len(scans) == 6
 
     def test_squared_order_control(self, hunt_report):
         report, _ = hunt_report

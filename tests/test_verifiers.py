@@ -453,6 +453,16 @@ class TestDecomposeOnce:
         assert check_corollary_2_3(pair, -1.0, -0.5).overall
         assert calls == []
 
+    def test_exponent_slacks_decompose_the_two_sided_product_once(self, monkeypatch):
+        pair = gen_chaotic_pair(4, W12, seed=5)
+        pair.spec_A, pair.spec_B
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        slacks = lemma_3_1_exponent_slacks(pair, -1.0, -0.5)
+        assert slacks["r_over_p_plus_r"]["holds"]
+        assert len(calls) == 1
+
     @staticmethod
     def _cell(suite_name):
         """The suite, window and check keyword arguments of a one-cell grid."""
