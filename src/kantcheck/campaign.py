@@ -9,10 +9,22 @@ and its hash so any report can be reproduced byte-for-byte from its own
 header.  Work items are pure functions of (seed, cell), so the loop can
 be fanned out; this runner executes them serially and merges in
 enumeration order.
+
+An instance depends only on (dim, window, seed), so consecutive cells
+that share a suite and a window form a ``Block`` whose samples are
+generated together: grouped by dim, in stacks of at most
+``STACK_ELEMENTS`` matrix entries, each drawn when a cell first needs
+one of its members and checked before the dim's next stack is drawn.
+Stacking removes numpy's per-call overhead, which dominates at d <= 6;
+the budget keeps a d = 64 stack at one member, where stacking gains
+nothing and would only hold more matrices in memory.  Cells still run
+one ``run_cell`` each, in enumeration order.  The oracle scans behind
+the cells' constants are made once per run (``OracleScans``).
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import hashlib
 import io
@@ -38,10 +50,10 @@ from .constants import (
 from .errors import ConfigError
 from .generators import (
     WINDOW_ON_A,
-    gen_chaotic_pair,
-    gen_dominated_pair,
+    gen_chaotic_pairs,
+    gen_dominated_pairs,
     gen_positive_linear_map,
-    gen_relative_pair,
+    gen_relative_pairs,
     gen_weighted_family,
 )
 from .hermitian import DIM_CAP, SpectralWindow
@@ -49,23 +61,53 @@ from .verifiers import CHAIN_CATALOG
 
 MAP_SEED_OFFSET = 1 << 32
 DEGENERATE_GAP = 0.05
+# Matrix entries (members x dim^2) in one generation stack.
+STACK_ELEMENTS = 4096
+
+
+class OracleScans:
+    """The oracle scans of one campaign run, each distinct input scanned once.
+
+    ``ratio`` is max chord(t^p)/t^q and ``gap`` is max{chord(t^p) - alpha t^q}
+    over a window (``alpha_ratio`` and ``beta_generic``).  Cells of several
+    suites need the same values; theorem_2_1 and theorem_4_1 need all of
+    theirs.  A run keeps one instance, so the memo lives as long as the run.
+    """
+
+    def __init__(self):
+        self._values = {}
+
+    def _scan(self, key, scan) -> float:
+        if key not in self._values:
+            self._values[key] = scan().value
+        return self._values[key]
+
+    def ratio(self, w, p, q) -> float:
+        return self._scan(("ratio", w, p, q),
+                          lambda: alpha_ratio(power_fun(p), power_fun(q), w))
+
+    def gap(self, w, p, q, alpha) -> float:
+        return self._scan(("gap", w, p, q, alpha),
+                          lambda: beta_generic(power_fun(p), power_fun(q), alpha, w))
 
 
 @dataclass(frozen=True)
 class Suite:
     """How the campaign runs one catalogued chain.
 
-    A sample calls ``check(*generate(dim, window, seed), **cell_args,
+    ``generate(dim, window, seeds)`` returns one instance, a tuple of check
+    arguments, per seed; a sample calls ``check(*instance, **cell_args,
     rel_tol=rel_tol)``.  ``axes`` lists (parameter, source) pairs in loop
     order; a source names a config grid field or is a tuple of literal
-    values.  ``cell_args(window, **params)`` computes once per cell the
-    keyword arguments after the instance, oracle constants included; by
-    default they are the parameters themselves.  ``deviation(window,
-    **params, **cell_args)`` is the cell's closed-form-vs-oracle distance,
-    if any; it reuses the oracle constants the cell arguments hold.
-    ``check`` names a ``verifiers`` function and is looked up at call time,
-    so a rebinding of that name (as a tracer makes) is honoured; the other
-    callables resolve module globals at call time for the same reason.
+    values.  ``cell_args(scans, window, **params)`` computes once per cell
+    the keyword arguments after the instance, oracle constants included;
+    by default they are the parameters themselves.  ``deviation(scans,
+    window, **params, **cell_args)`` is the cell's closed-form-vs-oracle
+    distance, if any.  Both take oracle values from the run's
+    ``OracleScans``.  ``check`` names a ``verifiers`` function and is
+    looked up at call time, so a rebinding of that name (as a tracer
+    makes) is honoured; the other callables resolve module globals at call
+    time for the same reason.
     """
 
     axes: tuple
@@ -83,51 +125,50 @@ def _kraus_count(seed: int) -> int:
     return 1 + seed % 3
 
 
-def _dominated_on_b(dim, w, seed):
-    return (gen_dominated_pair(dim, w, seed),)
+def _dominated_on_b(dim, w, seeds):
+    return [(pair,) for pair in gen_dominated_pairs(dim, w, seeds)]
 
 
-def _dominated_on_a(dim, w, seed):
-    return (gen_dominated_pair(dim, w, seed, window_side=WINDOW_ON_A),)
+def _dominated_on_a(dim, w, seeds):
+    return [(pair,) for pair in gen_dominated_pairs(dim, w, seeds, window_side=WINDOW_ON_A)]
 
 
-def _chaotic(dim, w, seed):
-    return (gen_chaotic_pair(dim, w, seed),)
+def _chaotic(dim, w, seeds):
+    return [(pair,) for pair in gen_chaotic_pairs(dim, w, seeds)]
 
 
-def _relative_with_map(dim, w, seed):
-    pair = gen_relative_pair(dim, w, seed)
-    phi = gen_positive_linear_map(dim, _out_dim(dim), _kraus_count(seed), seed + MAP_SEED_OFFSET)
-    return pair, phi
+def _relative_with_map(dim, w, seeds):
+    return [(pair, gen_positive_linear_map(dim, _out_dim(dim), _kraus_count(seed),
+                                           seed + MAP_SEED_OFFSET))
+            for pair, seed in zip(gen_relative_pairs(dim, w, seeds), seeds)]
 
 
-def _weighted_family(dim, w, seed):
-    return (gen_weighted_family(3, dim, _out_dim(dim), w, seed),)
+def _weighted_family(dim, w, seeds):
+    return [(gen_weighted_family(3, dim, _out_dim(dim), w, seed),) for seed in seeds]
 
 
-def _tight_gap(w, p, q) -> dict:
+def _tight_gap(scans, w, p, q) -> dict:
     """f = t^p, g = t^q, alpha = max chord(t^p)/t^q (the calibration at which
     beta is ~0) and the oracle beta = max{chord(t^p) - alpha t^q}."""
-    f, g = power_fun(p), power_fun(q)
-    alpha = alpha_ratio(f, g, w).value
-    return {"f": f, "g": g, "alpha": alpha, "beta": beta_generic(f, g, alpha, w).value}
+    alpha = scans.ratio(w, p, q)
+    return {"f": power_fun(p), "g": power_fun(q), "alpha": alpha,
+            "beta": scans.gap(w, p, q, alpha)}
 
 
-def _self_gap(w, p) -> dict:
+def _self_gap(scans, w, p) -> dict:
     """f = t^p, alpha = K(m,M,p) and the oracle beta = max{chord(t^p) - alpha t^p}."""
-    f, alpha = power_fun(p), kantorovich_K(w, p)
-    return {"f": f, "alpha": alpha, "beta": beta_generic(f, f, alpha, w).value}
+    alpha = kantorovich_K(w, p)
+    return {"f": power_fun(p), "alpha": alpha, "beta": scans.gap(w, p, p, alpha)}
 
 
-def _ratio_deviation(w, p, q) -> float:
+def _ratio_deviation(scans, w, p, q) -> float:
     """|K2(m,M,p,q) - max chord(t^p)/t^q| against the oracle."""
-    return abs(kantorovich_K2(w, p, q) - alpha_ratio(power_fun(p), power_fun(q), w).value)
+    return abs(kantorovich_K2(w, p, q) - scans.ratio(w, p, q))
 
 
-def _gap_deviation(w, p, q, alpha) -> float:
+def _gap_deviation(scans, w, p, q, alpha) -> float:
     """|beta(p,q,alpha) - max{chord(t^p) - alpha t^q}| against the oracle."""
-    return abs(beta_power_closed(w, p, q, alpha)
-               - beta_generic(power_fun(p), power_fun(q), alpha, w).value)
+    return abs(beta_power_closed(w, p, q, alpha) - scans.gap(w, p, q, alpha))
 
 
 _P = (("p", "p_grid"),)
@@ -136,35 +177,35 @@ _PR = _P + (("r", "r_grid"),)
 
 SUITES = {
     "theorem_1_1": Suite((("p", "p_grid_theorem_1_1"),), _dominated_on_a, "check_theorem_1_1",
-                         deviation=lambda w, p: _ratio_deviation(w, p, p)),
+                         deviation=lambda s, w, p: _ratio_deviation(s, w, p, p)),
     "theorem_2_1": Suite(_PQ, _dominated_on_b, "check_theorem_2_1",
-                         cell_args=lambda w, p, q: {**_tight_gap(w, p, q), "case": "i"}),
+                         cell_args=lambda s, w, p, q: {**_tight_gap(s, w, p, q), "case": "i"}),
     "corollary_2_2": Suite(_PQ + (("alpha", "alpha_grid"),), _dominated_on_b,
                            "check_corollary_2_2", deviation=_gap_deviation),
     "corollary_2_3": Suite(_PQ, _dominated_on_b, "check_corollary_2_3",
                            deviation=_ratio_deviation),
     "corollary_2_4": Suite(_PQ, _dominated_on_b, "check_corollary_2_4",
-                           deviation=lambda w, p, q: _gap_deviation(w, p, q, 1.0)),
+                           deviation=lambda s, w, p, q: _gap_deviation(s, w, p, q, 1.0)),
     "lemma_3_1": Suite(_PR, _chaotic, "check_lemma_3_1_forward"),
     "corollary_3_2": Suite(_PR, _chaotic, "check_corollary_3_2",
-                           deviation=lambda w, p, r: _ratio_deviation(w, p + r, p + r)),
+                           deviation=lambda s, w, p, r: _ratio_deviation(s, w, p + r, p + r)),
     "corollary_3_3": Suite(_PR, _chaotic, "check_corollary_3_3",
-                           deviation=lambda w, p, r: _gap_deviation(w, p + r, p + r, 1.0)),
+                           deviation=lambda s, w, p, r: _gap_deviation(s, w, p + r, p + r, 1.0)),
     "theorem_4_1": Suite(_PQ, _weighted_family, "check_theorem_4_1", cell_args=_tight_gap),
     "theorem_4_2": Suite(_P, _relative_with_map, "check_theorem_4_2", cell_args=_self_gap,
-                         deviation=lambda w, p, f, alpha, beta:
+                         deviation=lambda s, w, p, f, alpha, beta:
                          abs(beta_power_closed(w, p, p, alpha) - beta)),
     "corollary_4_3": Suite(_P, _relative_with_map, "check_corollary_4_3",
-                           cell_args=lambda w, p: {"p": p, "alpha": kantorovich_K(w, p)},
-                           deviation=lambda w, p, alpha: _gap_deviation(w, p, p, alpha)),
+                           cell_args=lambda s, w, p: {"p": p, "alpha": kantorovich_K(w, p)},
+                           deviation=lambda s, w, p, alpha: _gap_deviation(s, w, p, p, alpha)),
     "corollary_4_4": Suite(
         _P + (("mode", ("ratio", "difference")),), _relative_with_map, "check_corollary_4_4",
-        deviation=lambda w, p, mode: (_ratio_deviation(w, p, p) if mode == "ratio"
-                                      else _gap_deviation(w, p, p, 1.0))),
+        deviation=lambda s, w, p, mode: (_ratio_deviation(s, w, p, p) if mode == "ratio"
+                                         else _gap_deviation(s, w, p, p, 1.0))),
     # regime -1 <= p < 0
     "theorem_4_5": Suite((("p", "q_grid"),), _relative_with_map, "check_theorem_4_5",
-                         deviation=lambda w, p: max(_ratio_deviation(w, p, p),
-                                                    _gap_deviation(w, p, p, 1.0))),
+                         deviation=lambda s, w, p: max(_ratio_deviation(s, w, p, p),
+                                                       _gap_deviation(s, w, p, p, 1.0))),
 }
 
 ALL_SUITES = list(SUITES)
@@ -336,19 +377,54 @@ def _dim_for(cfg: CampaignConfig, j: int) -> int:
     return int(cfg.dims[j % len(cfg.dims)])
 
 
-def run_cell(cfg: CampaignConfig, cell: Cell) -> tuple[list, float | None]:
+class Block:
+    """Consecutive cells that share a suite and a window, whose samples are
+    generated together, plus the run's oracle scans.
+
+    An instance depends only on (dim, window, seed).  When a cell first
+    needs one, ``instance`` draws the next stack of that dim's samples, in
+    block order: at most ``STACK_ELEMENTS`` matrix entries, so each stack
+    is checked before the dim's next is drawn.
+    """
+
+    def __init__(self, cfg: CampaignConfig, cells: list, scans: OracleScans):
+        self.suite = SUITES[cells[0].suite]
+        self.window = SpectralWindow(*cells[0].params["window"])
+        self.scans = scans
+        self._queued: dict = {}
+        for cell in cells:
+            for j, seed in enumerate(_cell_seeds(cfg, cell)):
+                self._queued.setdefault(_dim_for(cfg, j), collections.deque()).append(seed)
+        self._drawn: dict = {}
+
+    def instance(self, dim: int, seed: int) -> tuple:
+        """The check arguments of the sample ``seed``; a block hands each out once."""
+        if seed not in self._drawn:
+            queue = self._queued[dim]
+            size = min(len(queue), max(1, STACK_ELEMENTS // (dim * dim)))
+            seeds = [queue.popleft() for _ in range(size)]
+            self._drawn.update(zip(seeds, self.suite.generate(dim, self.window, seeds)))
+        return self._drawn.pop(seed)
+
+
+def run_cell(cfg: CampaignConfig, cell: Cell,
+             block: Block | None = None) -> tuple[list, float | None]:
     """Run every sample of one parameter cell.
 
-    Returns the chain reports plus the absolute closed-form-vs-oracle
-    deviation of the cell's constant, when the suite has one.
+    ``block`` is the cell's block in a campaign run, which supplies its
+    instances and the run's oracle scans; alone, the cell is a block of
+    its own.  Returns the chain reports plus the absolute
+    closed-form-vs-oracle deviation of the cell's constant, when the
+    suite has one.
     """
-    suite = SUITES[cell.suite]
-    params = dict(cell.params)
-    w = SpectralWindow(*params.pop("window"))
-    args = params if suite.cell_args is None else suite.cell_args(w, **params)
-    deviation = None if suite.deviation is None else suite.deviation(w, **{**params, **args})
+    block = Block(cfg, [cell], OracleScans()) if block is None else block
+    suite, w = block.suite, block.window
+    params = {name: value for name, value in cell.params.items() if name != "window"}
+    args = params if suite.cell_args is None else suite.cell_args(block.scans, w, **params)
+    deviation = (None if suite.deviation is None
+                 else suite.deviation(block.scans, w, **{**params, **args}))
     check = getattr(verifiers, suite.check)
-    reports = [check(*suite.generate(_dim_for(cfg, j), w, seed), **args, rel_tol=cfg.rel_tol)
+    reports = [check(*block.instance(_dim_for(cfg, j), seed), **args, rel_tol=cfg.rel_tol)
                for j, seed in enumerate(_cell_seeds(cfg, cell))]
     return reports, deviation
 
@@ -450,12 +526,16 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
                 "config": cfg.semantic_dict(),
             }
             handle.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for cell in cells:
-            reports, deviation = run_cell(cfg, cell)
-            stats[cell.suite].absorb(reports, deviation)
-            handle = handles[cell.suite]
-            for report in reports:
-                handle.write(json.dumps(report.to_json_dict(), separators=(",", ":")) + "\n")
+        scans = OracleScans()
+        for _, run in itertools.groupby(cells, key=lambda c: (c.suite, c.params["window"])):
+            run = list(run)
+            block = Block(cfg, run, scans)
+            for cell in run:
+                reports, deviation = run_cell(cfg, cell, block)
+                stats[cell.suite].absorb(reports, deviation)
+                handle = handles[cell.suite]
+                for report in reports:
+                    handle.write(json.dumps(report.to_json_dict(), separators=(",", ":")) + "\n")
     finally:
         for handle in handles.values():
             handle.close()

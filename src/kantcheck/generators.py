@@ -6,6 +6,11 @@ module can be trusted by the chain verifiers.  All randomness flows from
 an integer seed through numpy's PCG64 generator, so identical
 (seed, dim, window) inputs reproduce identical artifacts byte-for-byte
 in the exchange format.
+
+Each pair family has one body that takes a list of seeds: every seed
+draws from its own generator, and the QR factorizations, eigensolves
+and products then run once over the stack of members.  The
+single-seed generators are that body on a stack of one.
 """
 
 from __future__ import annotations
@@ -89,12 +94,17 @@ def _complex_gaussian(rng, rows: int, cols: int) -> Array:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2.0)
 
 
+def _haar(gaussians: Array) -> Array:
+    """Haar-ish random unitaries from the QR factorizations of complex
+    Gaussians (one matrix or a stack), each column's phase fixed by R's diagonal."""
+    q, r = np.linalg.qr(gaussians)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(dim: int, rng) -> Array:
     """Haar-ish random unitary from the QR factorization of a complex Gaussian."""
-    rng = _rng(rng)
-    q, r = np.linalg.qr(_complex_gaussian(rng, dim, dim))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar(_complex_gaussian(_rng(rng), dim, dim))
 
 
 def gen_hermitian_in_window(dim: int, window: SpectralWindow, rng) -> Array:
@@ -112,23 +122,50 @@ def gen_hermitian_in_window(dim: int, window: SpectralWindow, rng) -> Array:
 def _in_window(dim: int, window: SpectralWindow, rng) -> tuple[Array, SpectralDecomposition]:
     """``gen_hermitian_in_window`` and the decomposition its window test made,
     which is ``eig_hermitian`` of the returned matrix."""
+    a, dec = _place_in_window([_window_draws(dim, window, _rng(rng))], window)
+    return a[0], dec.members()[0]
+
+
+def _window_draws(dim: int, window: SpectralWindow, rng) -> tuple[Array, Array]:
+    """One window placement's draws from ``rng``, in order: the target
+    spectrum and the complex Gaussian of its unitary."""
     if not 1 <= dim <= DIM_CAP:
         raise ValueError(f"dim {dim} outside supported range [1, {DIM_CAP}]")
-    rng = _rng(rng)
     u = rng.random(dim)
     interior = window.m + window.width * rng.random(dim)
     lam = np.where(u < ENDPOINT_PROB, window.m,
                    np.where(u < 2 * ENDPOINT_PROB, window.M, interior))
-    q = haar_unitary(dim, rng)
+    return lam, _complex_gaussian(rng, dim, dim)
+
+
+def _place_in_window(draws: list, window: SpectralWindow) -> tuple[Array, SpectralDecomposition]:
+    """The stack of window placements of a list of ``_window_draws``, and
+    the stacked decomposition their window test made.
+
+    A member whose test fails (roundoff pushed an eigenvalue outside) has
+    its targets nudged inward and is rebuilt; the others are not.
+    """
+    lams, gaussians = (np.stack(part) for part in zip(*draws))
+    q = _haar(gaussians)
+    target = np.sort(lams, axis=-1)
+    placed = np.empty_like(q)
+    vals = np.empty_like(target)
+    vecs = np.empty_like(q)
     scale = max(abs(window.m), abs(window.M), 1.0)
     margin = 8.0 * np.finfo(float).eps * scale
-    target = np.sort(lam)
+    todo = np.arange(len(q))
     for _ in range(6):
-        a = hermitize((q * target) @ q.conj().T)
+        u = q[todo]
+        a = hermitize((u * target[todo][:, None, :]) @ u.conj().swapaxes(-1, -2))
         dec = eig_hermitian(a)
-        if spectrum_in_window(dec, window, 0.0):
-            return a, dec
-        target = np.clip(target, window.m + margin, window.M - margin)
+        inside = spectrum_in_window(dec, window, 0.0)
+        done = todo[inside]
+        placed[done] = a[inside]
+        vals[done], vecs[done] = dec.eigenvalues[inside], dec.eigenvectors[inside]
+        todo = todo[~inside]
+        if not todo.size:
+            return placed, SpectralDecomposition(vals, vecs)
+        target[todo] = np.clip(target[todo], window.m + margin, window.M - margin)
         margin *= 8.0
     raise GenerationError(f"could not place a spectrum inside [{window.m}, {window.M}]")
 
@@ -140,56 +177,37 @@ def _with_spectra(obj, **spectra):
     return obj
 
 
-def _random_psd(dim: int, rng, spectral_norm: float, iso_floor: float = 0.0) -> Array:
-    """PSD matrix of the requested spectral norm: normalized G*G from a
-    complex Gaussian G, optionally blended with an isotropic floor.
+def _random_psd(gaussians: Array, spectral_norm: Array, iso_floor: Array) -> Array:
+    """PSD matrices of the requested spectral norms, one per member of a
+    stack of complex Gaussians G: normalized G*G blended with an isotropic
+    floor, or zero where the norm is not positive.
 
     A pure Wishart G*G has its smallest eigenvalue pinned near zero by the
     condition number; the floor lifts it to iso_floor * spectral_norm so
     perturbation slacks can reach any fraction of the norm across seeds.
     """
-    g = _complex_gaussian(rng, dim, dim)
-    p = hermitize(g.conj().T @ g)
-    top = float(np.linalg.eigvalsh(p)[-1])
-    if spectral_norm <= 0.0 or top == 0.0:
-        return np.zeros((dim, dim), dtype=complex)
-    blended = iso_floor * np.eye(dim) + (1.0 - iso_floor) * (p / top)
-    return blended * spectral_norm
+    p = hermitize(gaussians.conj().swapaxes(-1, -2) @ gaussians)
+    top = np.linalg.eigvalsh(p)[:, -1]
+    zero = (spectral_norm <= 0.0) | (top == 0.0)
+    per_member = (slice(None), None, None)
+    unit = p / np.where(zero, 1.0, top)[per_member]
+    blended = iso_floor[per_member] * np.eye(p.shape[-1]) + (1.0 - iso_floor)[per_member] * unit
+    return np.where(zero[per_member], 0.0, blended * spectral_norm[per_member])
 
 
-def gen_dominated_pair(dim: int, window: SpectralWindow, seed: int,
-                       rho: float | None = None,
-                       window_side: str = WINDOW_ON_B) -> CertifiedPair:
-    """Pair with A <= B and strictly positive A.
-
-    window_side "B" bounds m <= B <= M and subtracts a PSD perturbation of
-    norm rho*(lambda_min(B) - eps) to get A; window_side "A" bounds A and
-    adds a PSD perturbation of norm rho*(M - m) to get B.  rho defaults to
-    a uniform draw in (0, 1); passing rho=0 yields A = B.
-    """
-    w = window.require_positive()
-    rng = _rng(seed)
-    anchor, spec = _in_window(dim, w, rng)
-    draw = rng.random()
-    scale = float(draw if rho is None else rho)
-    floor = rng.random()
-    if window_side == WINDOW_ON_B:
-        b = anchor
-        lam_min = float(spec.eigenvalues[0])
-        margin = POSITIVITY_MARGIN_FACTOR * w.m
-        p = _random_psd(dim, rng, scale * max(lam_min - margin, 0.0), iso_floor=floor)
-        a = hermitize(b - p)
-    elif window_side == WINDOW_ON_A:
-        a = anchor
-        p = _random_psd(dim, rng, scale * w.width, iso_floor=floor)
-        b = hermitize(a + p)
-    else:
-        raise ValueError(f"window_side must be 'A' or 'B', got {window_side!r}")
-    pair = _with_spectra(CertifiedPair(A=a, B=b, window=w, certificate=CERT_DOMINATED,
-                                       seed=int(seed), window_side=window_side),
-                         **{f"spec_{window_side}": spec})
-    (order,) = loewner_verdicts([(a, b)])
-    return _certified(pair, order=order.holds, window=spectrum_in_window(spec, w, 0.0))
+def _certified_pairs(a: Array, b: Array, window: SpectralWindow, certificate: str, seeds,
+                     facts: dict, window_side: str = WINDOW_ON_B, **spectra) -> list:
+    """One pair per member of the stacks ``a`` and ``b``, handed its members
+    of the stacked decompositions ``spectra`` and certified by its member of
+    each fact; the first failing member, in seed order, raises."""
+    members = {name: dec.members() for name, dec in spectra.items()}
+    pairs = []
+    for i, seed in enumerate(seeds):
+        pair = _with_spectra(CertifiedPair(A=a[i], B=b[i], window=window, certificate=certificate,
+                                           seed=int(seed), window_side=window_side),
+                             **{name: decs[i] for name, decs in members.items()})
+        pairs.append(_certified(pair, **{name: bool(holds[i]) for name, holds in facts.items()}))
+    return pairs
 
 
 def _certified(pair: CertifiedPair, **facts) -> CertifiedPair:
@@ -202,6 +220,53 @@ def _certified(pair: CertifiedPair, **facts) -> CertifiedPair:
     return pair
 
 
+def gen_dominated_pair(dim: int, window: SpectralWindow, seed: int,
+                       rho: float | None = None,
+                       window_side: str = WINDOW_ON_B) -> CertifiedPair:
+    """Pair with A <= B and strictly positive A.
+
+    window_side "B" bounds m <= B <= M and subtracts a PSD perturbation of
+    norm rho*(lambda_min(B) - eps) to get A; window_side "A" bounds A and
+    adds a PSD perturbation of norm rho*(M - m) to get B.  rho defaults to
+    a uniform draw in (0, 1); passing rho=0 yields A = B.
+    """
+    return gen_dominated_pairs(dim, window, [seed], rho, window_side)[0]
+
+
+def gen_dominated_pairs(dim: int, window: SpectralWindow, seeds,
+                        rho: float | None = None,
+                        window_side: str = WINDOW_ON_B) -> list:
+    """``gen_dominated_pair`` of each seed, with each step stacked over the seeds.
+
+    Each seed draws from its own generator in the order a lone pair does,
+    so every pair is bit for bit the one ``gen_dominated_pair`` makes.
+    """
+    w = window.require_positive()
+    if window_side not in (WINDOW_ON_A, WINDOW_ON_B):
+        raise ValueError(f"window_side must be 'A' or 'B', got {window_side!r}")
+    if not seeds:
+        return []
+    rngs = [_rng(seed) for seed in seeds]
+    anchor, spec = _place_in_window([_window_draws(dim, w, rng) for rng in rngs], w)
+    draw, floor, gaussians = map(np.array, zip(*[
+        (rng.random(), rng.random(), _complex_gaussian(rng, dim, dim)) for rng in rngs]))
+    scale = draw if rho is None else np.full(len(rngs), float(rho))
+    if window_side == WINDOW_ON_B:
+        b = anchor
+        margin = POSITIVITY_MARGIN_FACTOR * w.m
+        lam_min = spec.eigenvalues[:, 0]
+        a = hermitize(b - _random_psd(gaussians, scale * np.maximum(lam_min - margin, 0.0), floor))
+        spectra = {"spec_A": eig_hermitian(a), "spec_B": spec}
+    else:
+        a = anchor
+        b = hermitize(a + _random_psd(gaussians, scale * w.width, floor))
+        spectra = {"spec_A": spec}
+    orders = [verdict.holds for verdict in loewner_verdicts(zip(a, b))]
+    return _certified_pairs(a, b, w, CERT_DOMINATED, seeds,
+                            {"order": orders, "window": spectrum_in_window(spec, w, 0.0)},
+                            window_side, **spectra)
+
+
 def gen_chaotic_pair(dim: int, window: SpectralWindow, seed: int,
                      max_log_perturbation: float = 2.0) -> CertifiedPair:
     """Pair with log A <= log B and m <= B <= M; A <= B may genuinely fail.
@@ -209,33 +274,59 @@ def gen_chaotic_pair(dim: int, window: SpectralWindow, seed: int,
     B = exp(K) for K drawn in the log-window, A = exp(K - Q) for a random
     PSD Q of spectral norm up to max_log_perturbation.
     """
+    return gen_chaotic_pairs(dim, window, [seed], max_log_perturbation)[0]
+
+
+def gen_chaotic_pairs(dim: int, window: SpectralWindow, seeds,
+                      max_log_perturbation: float = 2.0) -> list:
+    """``gen_chaotic_pair`` of each seed, with each step stacked over the
+    seeds; every pair is bit for bit the one a lone call makes."""
     w = window.require_positive()
-    rng = _rng(seed)
+    if not seeds:
+        return []
+    rngs = [_rng(seed) for seed in seeds]
     log_window = SpectralWindow(math.log(w.m), math.log(w.M))
-    k, spec_k = _in_window(dim, log_window, rng)
-    q = _random_psd(dim, rng, rng.random() * max_log_perturbation)
-    a = matrix_exp(hermitize(k - q))
+    k, spec_k = _place_in_window([_window_draws(dim, log_window, rng) for rng in rngs], log_window)
+    norm, gaussians = map(np.array, zip(*[
+        (rng.random() * max_log_perturbation, _complex_gaussian(rng, dim, dim)) for rng in rngs]))
+    q = _random_psd(gaussians, norm, np.zeros(len(rngs)))
+    a = matrix_exp(eig_hermitian(hermitize(k - q)))
     b = matrix_exp(spec_k)
-    pair = CertifiedPair(A=a, B=b, window=w, certificate=CERT_CHAOTIC, seed=int(seed))
-    (log_order,) = loewner_verdicts([(matrix_log(pair.spec_A), matrix_log(pair.spec_B))])
-    return _certified(pair, log_order=log_order.holds,
-                      window=spectrum_in_window(pair.spec_B, w, 1e-10 * max(1.0, abs(w.M))))
+    spec_a, spec_b = eig_hermitian(a), eig_hermitian(b)
+    log_orders = loewner_verdicts(zip(matrix_log(spec_a), matrix_log(spec_b)))
+    return _certified_pairs(
+        a, b, w, CERT_CHAOTIC, seeds,
+        {"log_order": [verdict.holds for verdict in log_orders],
+         "window": spectrum_in_window(spec_b, w, 1e-10 * max(1.0, abs(w.M)))},
+        spec_A=spec_a, spec_B=spec_b)
 
 
 def gen_relative_pair(dim: int, window: SpectralWindow, seed: int) -> CertifiedPair:
     """Pair with m A <= B <= M A via congruence: B = A^(1/2) C A^(1/2), Sp(C) in [m, M].
 
     A is drawn with spectrum in RELATIVE_BASE_WINDOW."""
+    return gen_relative_pairs(dim, window, [seed])[0]
+
+
+def gen_relative_pairs(dim: int, window: SpectralWindow, seeds) -> list:
+    """``gen_relative_pair`` of each seed, with each step stacked over the
+    seeds; every pair is bit for bit the one a lone call makes."""
     w = window.require_positive()
-    rng = _rng(seed)
-    a, spec_a = _in_window(dim, RELATIVE_BASE_WINDOW, rng)
-    c = gen_hermitian_in_window(dim, w, rng)
+    if not seeds:
+        return []
+    rngs = [_rng(seed) for seed in seeds]
+    draws = [(_window_draws(dim, RELATIVE_BASE_WINDOW, rng), _window_draws(dim, w, rng))
+             for rng in rngs]
+    a, spec_a = _place_in_window([base for base, _ in draws], RELATIVE_BASE_WINDOW)
+    c, _ = _place_in_window([congruent for _, congruent in draws], w)
     root = matrix_power(spec_a, 0.5)
     b = hermitize(root @ c @ root)
-    pair = _with_spectra(CertifiedPair(A=a, B=b, window=w, certificate=CERT_RELATIVE,
-                                       seed=int(seed)), spec_A=spec_a)
-    lower, upper = loewner_verdicts([(w.m * a, b), (b, w.M * a)])
-    return _certified(pair, lower=lower.holds, upper=upper.holds)
+    bounds = loewner_verdicts([bound for a_i, b_i in zip(a, b)
+                               for bound in ((w.m * a_i, b_i), (b_i, w.M * a_i))])
+    return _certified_pairs(a, b, w, CERT_RELATIVE, seeds,
+                            {"lower": [verdict.holds for verdict in bounds[0::2]],
+                             "upper": [verdict.holds for verdict in bounds[1::2]]},
+                            spec_A=spec_a)
 
 
 def gen_positive_linear_map(dim_in: int, dim_out: int, n_kraus: int, seed_or_rng) -> PositiveLinearMap:

@@ -8,6 +8,16 @@ SpectralDecomposition, so an operand is decomposed (and its Hermiticity
 checked) once for every function applied to it.  ``loewner_leq`` checks
 its arguments; ``loewner_verdicts``, which it calls, tests a list of
 internal intermediates with one stacked eigensolve and checks nothing.
+
+``hermitize`` and ``eig_hermitian`` also take a stack of same-size
+matrices, shape (k, n, n), and act on each member; ``eig_hermitian``
+checks every member as ``require_hermitian`` checks one matrix.  The
+decomposition's ``rebuild``, ``matrix_power``, ``matrix_log``,
+``matrix_exp`` and ``spectrum_in_window`` act on each member of the
+stacked decomposition it returns.  numpy's stacked eigensolvers and
+products give each member the bits a call on that member alone gives.
+Every other entry point, and any of these given an array, takes one
+matrix.
 """
 
 from __future__ import annotations
@@ -33,8 +43,8 @@ def frobenius(a: Array) -> float:
 
 
 def hermitize(a: Array) -> Array:
-    """Average away the non-Hermitian roundoff part of ``a``."""
-    return (a + a.conj().T) / 2.0
+    """Average away the non-Hermitian roundoff part of ``a`` (or of each member of a stack)."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def identity(dim: int) -> Array:
@@ -51,13 +61,21 @@ def require_hermitian(a, name: str = "matrix") -> Array:
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    n = arr.shape[0]
+    _check_members(arr[None], name)
+    return arr
+
+
+def _check_members(stack: Array, name: str) -> None:
+    """``require_hermitian``'s dimension and symmetry tests on each member
+    of a stack of square matrices, shape (k, n, n)."""
+    n = stack.shape[-1]
     if not 1 <= n <= DIM_CAP:
         raise ValueError(f"{name} dimension {n} outside supported range [1, {DIM_CAP}]")
-    dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if dev > HERMITICITY_RTOL * frobenius(arr):
-        raise HermiticityError(f"{name} deviates from Hermitian symmetry by {dev:.3e}")
-    return arr
+    devs = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    # a zero deviation passes at any norm, so only the others need theirs
+    for i in np.flatnonzero(devs > 0.0):
+        if devs[i] > HERMITICITY_RTOL * frobenius(stack[i]):
+            raise HermiticityError(f"{name} deviates from Hermitian symmetry by {devs[i]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -87,24 +105,38 @@ class SpectralWindow:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues in ascending order with a unitary eigenbasis (columns)."""
+    """Eigenvalues in ascending order with a unitary eigenbasis (columns).
+
+    A stacked decomposition holds (k, n) eigenvalues and (k, n, n)
+    eigenvectors, one member per row.
+    """
 
     eigenvalues: Array
     eigenvectors: Array
 
     @property
     def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
+        return int(self.eigenvalues.shape[-1])
 
     def rebuild(self, values: Array) -> Array:
         """Assemble U diag(values) U* from new diagonal values."""
         u = self.eigenvectors
-        return hermitize((u * values) @ u.conj().T)
+        return hermitize((u * np.asarray(values)[..., None, :]) @ u.conj().swapaxes(-1, -2))
+
+    def members(self) -> list:
+        """The decomposition of each member of a stacked decomposition."""
+        return [SpectralDecomposition(vals, vecs)
+                for vals, vecs in zip(self.eigenvalues, self.eigenvectors)]
 
 
 def eig_hermitian(a) -> SpectralDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    arr = require_hermitian(a)
+    """Full eigendecomposition of a Hermitian matrix, or of each member of a
+    stack (k, n, n), eigenvalues ascending."""
+    arr = np.asarray(a, dtype=complex)
+    if arr.ndim == 3 and arr.shape[1] == arr.shape[2]:
+        _check_members(arr, "matrix")
+    else:
+        arr = require_hermitian(arr)
     try:
         vals, vecs = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
@@ -113,8 +145,13 @@ def eig_hermitian(a) -> SpectralDecomposition:
 
 
 def decompose(a) -> SpectralDecomposition:
-    """``a`` if it is already a SpectralDecomposition, else ``eig_hermitian(a)``."""
-    return a if isinstance(a, SpectralDecomposition) else eig_hermitian(a)
+    """``a`` if it is already a SpectralDecomposition, else ``eig_hermitian``
+    of the one matrix ``a``."""
+    if isinstance(a, SpectralDecomposition):
+        return a
+    if np.ndim(a) != 2:
+        raise ValueError(f"matrix must be square, got shape {np.shape(a)}")
+    return eig_hermitian(a)
 
 
 def _eval_pointwise(f, xs: Array) -> Array:
@@ -161,7 +198,7 @@ def apply_scalar_function(a, f) -> Array:
 
 
 def _require_positive_spectrum(dec: SpectralDecomposition, what: str) -> None:
-    low = float(dec.eigenvalues[0])
+    low = float(np.min(dec.eigenvalues[..., 0]))
     if low <= 0.0:
         raise DomainError(f"{what} needs a strictly positive spectrum; smallest eigenvalue is {low:.6e}")
 
@@ -225,10 +262,12 @@ def loewner_verdicts(pairs, rel_tol: float = DEFAULT_REL_TOL) -> list:
     return verdicts
 
 
-def spectrum_in_window(a, window: SpectralWindow, tol: float = 0.0) -> bool:
-    """True iff every eigenvalue lies in [m - tol, M + tol]."""
+def spectrum_in_window(a, window: SpectralWindow, tol: float = 0.0):
+    """True iff every eigenvalue lies in [m - tol, M + tol]; for a stack, a
+    boolean array with one verdict per member."""
     vals = decompose(a).eigenvalues
-    return bool(vals[0] >= window.m - tol and vals[-1] <= window.M + tol)
+    holds = (vals[..., 0] >= window.m - tol) & (vals[..., -1] <= window.M + tol)
+    return bool(holds) if holds.ndim == 0 else holds
 
 
 def superlog_bound(b, window: SpectralWindow, fm: float, fM: float,

@@ -3,13 +3,16 @@ import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kantcheck import campaign, constants, hunt, verifiers
 from kantcheck.campaign import (
     ALL_SUITES,
+    Block,
     CampaignConfig,
     CampaignSummary,
+    OracleScans,
     SuiteStats,
     enumerate_cells,
     load_config,
@@ -171,6 +174,66 @@ class TestRunCampaign:
         reports, _ = run_cell(cfg, enumerate_cells(cfg)[0])
         assert len(reports) == 4 and all(report.overall for report in reports)
         assert len(calls) == 1
+
+    def test_tight_gap_oracles_scan_once_per_window_p_q(self, monkeypatch, tmp_path):
+        """theorem_2_1 and theorem_4_1 share each cell's alpha and beta; a run
+        scans them once, and a second run scans them again."""
+        calls = []
+        for name in ("alpha_ratio", "beta_generic"):
+            real = getattr(constants, name)
+
+            def counted(f, g, *args, name=name, real=real):
+                calls.append((name, args[-1], float(f(2.0)), float(g(2.0))))
+                return real(f, g, *args)
+
+            monkeypatch.setattr(campaign, name, counted)
+        cfg = CampaignConfig(suites=["theorem_2_1", "theorem_4_1"], dims=[2],
+                             windows=[(1.0, 2.0), (0.5, 4.0)], p_grid=[-1.0, -2.0],
+                             q_grid=[-0.5, -1.0], samples_per_cell=1,
+                             output_dir=str(tmp_path / "gap"))
+        assert run_campaign(cfg).total_failures == 0
+        per_kind = len(cfg.windows) * len(cfg.p_grid) * len(cfg.q_grid)
+        assert len(calls) == len(set(calls)) == 2 * per_kind
+        run_campaign(cfg)
+        assert len(calls) == 4 * per_kind
+
+    @pytest.mark.parametrize("suite", ["theorem_1_1", "corollary_2_3", "lemma_3_1",
+                                       "corollary_4_3"])
+    def test_generation_stacks_stay_within_the_element_budget(self, monkeypatch, suite):
+        eigh = np.linalg.eigh
+        shapes = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or eigh(a))
+        grid = dict(suites=[suite], windows=[(1.0, 2.0)], q_grid=[-0.5], r_grid=[-0.5],
+                    p_grid_theorem_1_1=[2.0, 3.0])
+        cfg = CampaignConfig(dims=[64], p_grid=[-1.0], samples_per_cell=2, **grid)
+        reports, _ = run_cell(cfg, enumerate_cells(cfg)[0])
+        assert len(reports) == 2 and all(report.overall for report in reports)
+        assert shapes and all(len(shape) == 2 or shape[0] == 1 for shape in shapes)
+        shapes.clear()
+        cfg = CampaignConfig(dims=[2], p_grid=[-1.0, -0.5], samples_per_cell=3, **grid)
+        cells = enumerate_cells(cfg)
+        block = Block(cfg, cells, OracleScans())
+        assert [len(run_cell(cfg, cell, block)[0]) for cell in cells] == [3, 3]
+        # one window test for all six samples of the block's two cells
+        assert max(shape[0] for shape in shapes if len(shape) == 3) == 6
+
+    def test_each_cell_runs_in_its_own_run_cell_call(self, monkeypatch, tmp_path):
+        """Blocks share generation, but every cell is still one ``run_cell``
+        call taking the cell as its second argument, in enumeration order."""
+        seen = []
+        real = campaign.run_cell
+
+        def counted(cfg, cell, *rest):
+            seen.append(cell.global_index)
+            return real(cfg, cell, *rest)
+
+        monkeypatch.setattr(campaign, "run_cell", counted)
+        cfg = CampaignConfig(suites=["corollary_2_3", "lemma_3_1"], dims=[2, 3],
+                             windows=[(1.0, 2.0), (0.5, 4.0)], p_grid=[-1.0, -0.5],
+                             q_grid=[-0.5], r_grid=[-0.5], samples_per_cell=2,
+                             output_dir=str(tmp_path / "cells"))
+        assert run_campaign(cfg).total_failures == 0
+        assert seen == list(range(len(enumerate_cells(cfg))))
 
     def test_theorem_4_1_line_regenerates_from_its_seed(self, tmp_path):
         cfg = CampaignConfig(suites=["theorem_4_1"], dims=[2, 3], windows=[(1.0, 2.0)],

@@ -4,17 +4,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kantcheck import generators
 from kantcheck.errors import GenerationError, HypothesisError
 from kantcheck.generators import (
     CERT_CHAOTIC,
     CERT_DOMINATED,
+    CERT_RELATIVE,
     WINDOW_ON_A,
     CertifiedPair,
     gen_chaotic_pair,
+    gen_chaotic_pairs,
     gen_dominated_pair,
+    gen_dominated_pairs,
     gen_hermitian_in_window,
     gen_positive_linear_map,
     gen_relative_pair,
+    gen_relative_pairs,
     gen_weighted_family,
     pair_from_json,
     pair_to_json,
@@ -243,6 +248,92 @@ def test_pair_spectra_equal_a_fresh_decomposition(make):
         fresh = eig_hermitian(matrix)
         assert np.array_equal(dec.eigenvalues, fresh.eigenvalues)
         assert np.array_equal(dec.eigenvectors, fresh.eigenvectors)
+
+
+STACKED_FAMILIES = {
+    "dominated_on_B": (lambda dim, w, seeds: gen_dominated_pairs(dim, w, seeds),
+                       lambda dim, w, seed: gen_dominated_pair(dim, w, seed)),
+    "dominated_on_A": (lambda dim, w, seeds: gen_dominated_pairs(dim, w, seeds,
+                                                                 window_side=WINDOW_ON_A),
+                       lambda dim, w, seed: gen_dominated_pair(dim, w, seed,
+                                                               window_side=WINDOW_ON_A)),
+    "chaotic": (gen_chaotic_pairs, gen_chaotic_pair),
+    "relative": (gen_relative_pairs, gen_relative_pair),
+}
+
+
+class TestStackedGenerators:
+    @pytest.mark.parametrize("window", [(1.0, 2.0), (0.5, 4.0), (0.05, 20.0)],
+                             ids=["1-2", "0.5-4", "0.05-20"])
+    @pytest.mark.parametrize("dim", [2, 3, 6, 16, 64])
+    @pytest.mark.parametrize("family", list(STACKED_FAMILIES))
+    def test_stack_equals_each_stack_of_one(self, monkeypatch, family, dim, window):
+        """Every member of a stack is bit for bit the pair its seed makes
+        alone, re-placed window tests included."""
+        stacked, single = STACKED_FAMILIES[family]
+        w = SpectralWindow(*window)
+        seeds = list(range(40, 40 + (12 if dim <= 16 else 3)))
+        real = generators.spectrum_in_window
+        verdicts = []
+        monkeypatch.setattr(generators, "spectrum_in_window",
+                            lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+        pairs = stacked(dim, w, seeds)
+        monkeypatch.undo()
+        # some member failed a window test and was placed again
+        assert not all(np.all(verdict) for verdict in verdicts)
+        assert [pair.seed for pair in pairs] == seeds
+        for seed, pair in zip(seeds, pairs):
+            alone = single(dim, w, seed)
+            for got, want in ((pair.A, alone.A), (pair.B, alone.B),
+                              (pair.spec_A.eigenvalues, alone.spec_A.eigenvalues),
+                              (pair.spec_A.eigenvectors, alone.spec_A.eigenvectors),
+                              (pair.spec_B.eigenvalues, alone.spec_B.eigenvalues),
+                              (pair.spec_B.eigenvectors, alone.spec_B.eigenvectors)):
+                assert np.array_equal(got, want), seed
+
+    def test_retry_replaces_only_the_failing_members(self, monkeypatch):
+        real = generators.eig_hermitian
+        sizes = []
+        monkeypatch.setattr(generators, "eig_hermitian",
+                            lambda a: sizes.append(len(a)) or real(a))
+        gen_dominated_pairs(3, W12, list(range(20)))
+        # the window test of the whole stack, then its failing members only,
+        # then the certificate's decomposition of A
+        assert sizes[0] == sizes[-1] == 20
+        assert all(0 < size < 20 for size in sizes[1:-1]) and len(sizes) > 2
+
+    def test_failing_member_raises_its_own_certificate_error(self):
+        w = SpectralWindow(1.0, 2.0)
+        # rho > 1 can push A's spectrum below zero: seeds 0-3 pass, seed 4 fails
+        with pytest.raises(GenerationError) as alone:
+            gen_dominated_pair(3, w, 4, rho=1.05)
+        assert "for seed 4:" in str(alone.value)
+        assert len(gen_dominated_pairs(3, w, [0, 1, 2, 3], rho=1.05)) == 4
+        with pytest.raises(GenerationError) as stacked:
+            gen_dominated_pairs(3, w, [0, 1, 2, 3, 4, 8], rho=1.05)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_stacks_reproduce_pairs_recorded_one_seed_at_a_time(self):
+        """The corpus was written by the per-seed generators that preceded the
+        stacked bodies; stacks of its seeds rebuild each pair bit for bit."""
+        recorded = read_corpus(DATA_DIR / "unstacked_pairs.jsonl")
+        families = {(CERT_DOMINATED, "B"): "dominated_on_B",
+                    (CERT_DOMINATED, "A"): "dominated_on_A",
+                    (CERT_CHAOTIC, "B"): "chaotic", (CERT_RELATIVE, "B"): "relative"}
+        groups = {}
+        for pair in recorded:
+            key = (families[pair.certificate, pair.window_side], pair.dim, pair.window)
+            groups.setdefault(key, []).append(pair)
+        assert len(groups) == 8
+        for (family, dim, window), pairs in groups.items():
+            stacked, _ = STACKED_FAMILIES[family]
+            for pair, again in zip(pairs, stacked(dim, window, [p.seed for p in pairs])):
+                assert np.array_equal(pair.A, again.A) and np.array_equal(pair.B, again.B)
+
+    def test_empty_stack(self):
+        assert gen_dominated_pairs(3, W12, []) == []
+        assert gen_chaotic_pairs(3, W12, []) == []
+        assert gen_relative_pairs(3, W12, []) == []
 
 
 class TestCorpusIO:

@@ -20,6 +20,7 @@ from kantcheck.hermitian import (
     matrix_log,
     matrix_power,
     matrix_to_json,
+    require_hermitian,
     spectrum_in_window,
     superlog_bound,
 )
@@ -83,6 +84,35 @@ class TestEig:
             eig_hermitian(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             eig_hermitian(np.eye(65))
+        with pytest.raises(ValueError):
+            eig_hermitian(np.zeros((2, 2, 2, 2)))
+        with pytest.raises(ValueError):
+            loewner_leq(np.stack([diag(1, 2)] * 2), np.stack([diag(2, 3)] * 2))
+
+    def test_one_matrix_entry_points_reject_a_stack(self):
+        stack = np.stack([diag(1, 2), diag(1.5, 2)])
+        for call in (lambda: require_hermitian(stack), lambda: matrix_power(stack, 2.0),
+                     lambda: apply_scalar_function(stack, np.sqrt),
+                     lambda: spectrum_in_window(stack, W12),
+                     lambda: superlog_bound(stack, W12, 1.0, 2.0),
+                     lambda: matrix_to_json(stack)):
+            with pytest.raises(ValueError, match="must be square"):
+                call()
+
+    def test_stack_checks_and_decomposes_each_member(self):
+        rng = np.random.default_rng(8)
+        stack = np.stack([gen_hermitian_in_window(4, W12, rng) for _ in range(3)])
+        dec = eig_hermitian(stack)
+        for member, alone in zip(stack, dec.members()):
+            fresh = eig_hermitian(member)
+            assert np.array_equal(alone.eigenvalues, fresh.eigenvalues)
+            assert np.array_equal(alone.eigenvectors, fresh.eigenvectors)
+        assert np.array_equal(dec.rebuild(dec.eigenvalues ** 2),
+                              np.stack([matrix_power(m, 2.0) for m in dec.members()]))
+        assert list(spectrum_in_window(dec, W12)) == [True, True, True]
+        stack[1, 0, 3] += 1e-6
+        with pytest.raises(HermiticityError):
+            eig_hermitian(stack)
 
 
 class TestFunctionalCalculus:

@@ -50,6 +50,19 @@ class TestApplyMap:
         with pytest.raises(ValueError):
             apply_map(phi, np.eye(4))
 
+    def test_stack_of_operands_is_rejected(self):
+        phi = gen_positive_linear_map(2, 2, 1, 4)
+        a = diag(1, 2)
+        stack = np.stack([a, diag(2, 3)])
+        with pytest.raises(ValueError, match="must be square"):
+            apply_map(phi, stack)
+        with pytest.raises(ValueError, match="must be square"):
+            sharp(a, stack, -1.0)
+        with pytest.raises(ValueError, match="must be square"):
+            sharp(stack, a, -1.0)
+        with pytest.raises(ValueError, match="must be square"):
+            f_connection(a, stack, np.sqrt)
+
     def test_normalization_is_enforced(self):
         with pytest.raises(ValueError):
             PositiveLinearMap(kraus=(2.0 * np.eye(2),), dim_in=2, dim_out=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kantcheck import generators, hermitian, posmaps, verifiers
-from kantcheck.campaign import ALL_SUITES, SUITES, CampaignConfig, enumerate_cells
+from kantcheck.campaign import ALL_SUITES, SUITES, CampaignConfig, OracleScans, enumerate_cells
 from kantcheck.constants import alpha_ratio, kantorovich_C, kantorovich_K, power_fun
 from kantcheck.errors import (
     DegenerateExponentError,
@@ -472,13 +472,13 @@ class TestDecomposeOnce:
         suite = SUITES[suite_name]
         params = dict(enumerate_cells(cfg)[0].params)
         w = SpectralWindow(*params.pop("window"))
-        args = params if suite.cell_args is None else suite.cell_args(w, **params)
+        args = params if suite.cell_args is None else suite.cell_args(OracleScans(), w, **params)
         return suite, w, args
 
     @pytest.mark.parametrize("suite_name", ALL_SUITES)
     def test_check_never_redecomposes_an_operand(self, monkeypatch, suite_name):
         suite, w, args = self._cell(suite_name)
-        instance = suite.generate(3, w, 11)
+        (instance,) = suite.generate(3, w, [11])
         owner = instance[0]
         # touch the cached spectra so that they exist before the check runs
         if isinstance(owner, CertifiedPair):
@@ -516,7 +516,7 @@ class TestDecomposeOnce:
         monkeypatch.setattr(np.linalg, "eigh", hashed)
         for seed in (11, 12, 13):
             seen.clear()
-            instance = suite.generate(3, w, seed)
+            (instance,) = suite.generate(3, w, [seed])
             assert getattr(verifiers, suite.check)(*instance, **args).overall
         assert seen
 
