@@ -12,9 +12,10 @@ enumeration order.
 
 An instance depends only on (dim, window, seed), so consecutive cells
 that share a suite and a window form a ``Block`` whose samples are
-generated together: grouped by dim, in stacks of at most
-``STACK_ELEMENTS`` matrix entries, each drawn when a cell first needs
-one of its members and checked before the dim's next stack is drawn.
+generated together: one stream per dim yields that dim's samples in
+block order, drawn in stacks of at most ``STACK_ELEMENTS`` matrix
+entries when a cell first needs one, each checked before the dim's next
+stack is drawn.
 Stacking removes numpy's per-call overhead, which dominates at d <= 6;
 the budget keeps a d = 64 stack at one member, where stacking gains
 nothing and would only hold more matrices in memory.  Cells still run
@@ -381,30 +382,30 @@ class Block:
     """Consecutive cells that share a suite and a window, whose samples are
     generated together, plus the run's oracle scans.
 
-    An instance depends only on (dim, window, seed).  When a cell first
-    needs one, ``instance`` draws the next stack of that dim's samples, in
-    block order: at most ``STACK_ELEMENTS`` matrix entries, so each stack
-    is checked before the dim's next is drawn.
+    An instance depends only on (dim, window, seed).  ``streams[dim]``
+    yields that dim's check arguments in block order, drawing a stack of at
+    most ``STACK_ELEMENTS`` matrix entries when a cell first needs one, so
+    each stack is checked before the dim's next is drawn.
     """
 
     def __init__(self, cfg: CampaignConfig, cells: list, scans: OracleScans):
         self.suite = SUITES[cells[0].suite]
         self.window = SpectralWindow(*cells[0].params["window"])
         self.scans = scans
-        self._queued: dict = {}
+        seeds = collections.defaultdict(list)
         for cell in cells:
             for j, seed in enumerate(_cell_seeds(cfg, cell)):
-                self._queued.setdefault(_dim_for(cfg, j), collections.deque()).append(seed)
-        self._drawn: dict = {}
+                seeds[_dim_for(cfg, j)].append(seed)
+        self.streams = {dim: _stream(self.suite.generate, dim, self.window, dim_seeds)
+                        for dim, dim_seeds in seeds.items()}
 
-    def instance(self, dim: int, seed: int) -> tuple:
-        """The check arguments of the sample ``seed``; a block hands each out once."""
-        if seed not in self._drawn:
-            queue = self._queued[dim]
-            size = min(len(queue), max(1, STACK_ELEMENTS // (dim * dim)))
-            seeds = [queue.popleft() for _ in range(size)]
-            self._drawn.update(zip(seeds, self.suite.generate(dim, self.window, seeds)))
-        return self._drawn.pop(seed)
+
+def _stream(generate: Callable, dim: int, window: SpectralWindow, seeds: list):
+    # takes no Block, so a block and its streams form no reference cycle and
+    # are freed as soon as the run moves on to the next block
+    size = max(1, STACK_ELEMENTS // (dim * dim))
+    for start in range(0, len(seeds), size):
+        yield from generate(dim, window, seeds[start:start + size])
 
 
 def run_cell(cfg: CampaignConfig, cell: Cell,
@@ -424,8 +425,8 @@ def run_cell(cfg: CampaignConfig, cell: Cell,
     deviation = (None if suite.deviation is None
                  else suite.deviation(block.scans, w, **{**params, **args}))
     check = getattr(verifiers, suite.check)
-    reports = [check(*block.instance(_dim_for(cfg, j), seed), **args, rel_tol=cfg.rel_tol)
-               for j, seed in enumerate(_cell_seeds(cfg, cell))]
+    reports = [check(*next(block.streams[_dim_for(cfg, j)]), **args, rel_tol=cfg.rel_tol)
+               for j in range(cfg.samples_per_cell)]
     return reports, deviation
 
 

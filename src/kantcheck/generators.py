@@ -10,7 +10,9 @@ in the exchange format.
 Each pair family has one body that takes a list of seeds: every seed
 draws from its own generator, and the QR factorizations, eigensolves
 and products then run once over the stack of members.  The
-single-seed generators are that body on a stack of one.
+single-seed generators are that body on a stack of one.  A weighted
+family draws each item's map and window draws in turn, then places all
+its operands in the window as one stack.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GenerationError
+from .errors import GenerationError, HypothesisError
 from .hermitian import (
     DIM_CAP,
     Array,
@@ -116,14 +118,7 @@ def gen_hermitian_in_window(dim: int, window: SpectralWindow, rng) -> Array:
     pushed an eigenvalue outside, the targets are nudged inward by a few
     ulps and the matrix is rebuilt.
     """
-    return _in_window(dim, window, rng)[0]
-
-
-def _in_window(dim: int, window: SpectralWindow, rng) -> tuple[Array, SpectralDecomposition]:
-    """``gen_hermitian_in_window`` and the decomposition its window test made,
-    which is ``eig_hermitian`` of the returned matrix."""
-    a, dec = _place_in_window([_window_draws(dim, window, _rng(rng))], window)
-    return a[0], dec.members()[0]
+    return _place_in_window([_window_draws(dim, window, _rng(rng))], window)[0][0]
 
 
 def _window_draws(dim: int, window: SpectralWindow, rng) -> tuple[Array, Array]:
@@ -353,23 +348,25 @@ def gen_weighted_family(n_items: int, dim_in: int, dim_out: int,
     """Random weighted family (w_i, Phi_i, A_i) with Sp(A_i) inside the window;
     each map has 1 to MAX_KRAUS Kraus operators.
 
-    An integer seed is recorded on the family; a family drawn from a
-    Generator records seed 0.
+    Each item draws its map, then its operand's window draws; the operands
+    are then placed in the window as one stack.  An integer seed is recorded
+    on the family; a family drawn from a Generator records seed 0.
     """
     seed = int(seed_or_rng) if isinstance(seed_or_rng, (int, np.integer)) else 0
     rng = _rng(seed_or_rng)
     raw = 0.1 + rng.random(n_items)
     weights = raw / raw.sum()
-    items = []
-    spectra = []
-    for i in range(n_items):
+    if not n_items:
+        raise HypothesisError("weighted family is empty")
+    maps, draws = [], []
+    for _ in range(n_items):
         n_kraus = int(rng.integers(1, MAX_KRAUS + 1))
-        phi = gen_positive_linear_map(dim_in, dim_out, n_kraus, rng)
-        op, spec = _in_window(dim_in, window, rng)
-        items.append((float(weights[i]), phi, op))
-        spectra.append(spec)
-    family = WeightedFamily(items=tuple(items), window=window, seed=seed)
-    return _with_spectra(family, spectra=tuple(spectra)).validate()
+        maps.append(gen_positive_linear_map(dim_in, dim_out, n_kraus, rng))
+        draws.append(_window_draws(dim_in, window, rng))
+    ops, spec = _place_in_window(draws, window)
+    family = WeightedFamily(items=tuple(zip(map(float, weights), maps, ops)), window=window,
+                            seed=seed)
+    return _with_spectra(family, spectra=tuple(spec.members())).validate()
 
 
 def pair_to_json(pair: CertifiedPair) -> dict:

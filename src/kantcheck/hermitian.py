@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,7 +34,6 @@ HERMITICITY_RTOL = 1e-12
 DEFAULT_REL_TOL = 1e-8
 
 Array = np.ndarray
-ScalarFunction = Callable[[float], float]
 
 
 def frobenius(a: Array) -> float:
@@ -252,8 +250,7 @@ def loewner_verdicts(pairs, rel_tol: float = DEFAULT_REL_TOL) -> list:
     of one shape, as the package's own intermediates are by construction.
     The tolerance is computed per difference, as ``loewner_leq`` does.
     """
-    diffs = np.stack([rhs - lhs for lhs, rhs in pairs])
-    diffs = (diffs + diffs.conj().transpose(0, 2, 1)) / 2.0
+    diffs = hermitize(np.stack([rhs - lhs for lhs, rhs in pairs]))
     verdicts = []
     for diff, slack in zip(diffs, np.linalg.eigvalsh(diffs)[:, 0]):
         slack = float(slack)

@@ -40,6 +40,7 @@ from .hermitian import (
     DEFAULT_REL_TOL,
     Array,
     SpectralDecomposition,
+    SpectralWindow,
     apply_scalar_function,
     eig_hermitian,
     hermitize,
@@ -146,17 +147,24 @@ def _chain(lower: tuple, mid: tuple, upper: tuple, rel_tol: float) -> list:
                   (f"{lo} <= {up} [audit]", lo_op, up_op))
 
 
-def _finish(theorem_id: str, dim: int, seed: int, params: dict, links: list,
-            notes: list | None = None) -> ChainReport:
+def _finish(theorem_id: str, dim: int, seed: int, window: SpectralWindow, params: dict,
+            links: list, notes: list | None = None) -> ChainReport:
+    """The report of one check; its params start with the window's m and M."""
     return ChainReport(
         theorem_id=theorem_id,
         dim=dim,
         seed=seed,
-        params=params,
+        params={"m": window.m, "M": window.M, **params},
         links=links,
         overall=all(lk.holds for lk in links),
         notes=notes or [],
     )
+
+
+def _fuzz_notes(name: str, value: float, outside: bool) -> list:
+    """The report note of an exponent run outside its [-1, 0] regime (fuzz mode)."""
+    note = f"{name}={value} outside the [-1, 0] regime; result is a fuzz observation"
+    return [note] if outside else []
 
 
 def _require_certificate(pair: CertifiedPair, certificate: str, check: str) -> None:
@@ -181,8 +189,7 @@ def check_theorem_1_1(pair: CertifiedPair, p: float,
     cap = (w.M / w.m) ** (p - 1.0)
     links = _chain(("A^p", a_pow), ("K B^p", k * b_pow), ("(M/m)^(p-1) B^p", cap * b_pow),
                    rel_tol)
-    return _finish("theorem_1_1", pair.dim, pair.seed,
-                   {"m": w.m, "M": w.M, "p": p, "K": k}, links)
+    return _finish("theorem_1_1", pair.dim, pair.seed, w, {"p": p, "K": k}, links)
 
 
 def check_theorem_2_1(pair: CertifiedPair, f, g, alpha: float, case: str = "i",
@@ -214,8 +221,16 @@ def check_theorem_2_1(pair: CertifiedPair, f, g, alpha: float, case: str = "i",
     mid = superlog_bound(pair.spec_B, w, float(f(w.m)), float(f(w.M)))
     rhs = alpha * apply_scalar_function(pair.spec_A, g) + beta * identity(pair.dim)
     links = _chain(("f(B)", f_b), ("G_f(B)", mid), ("alpha g(A) + beta", rhs), rel_tol)
-    return _finish("theorem_2_1", pair.dim, pair.seed,
-                   {"m": w.m, "M": w.M, "alpha": alpha, "beta": beta, "case": case}, links)
+    return _finish("theorem_2_1", pair.dim, pair.seed, w,
+                   {"alpha": alpha, "beta": beta, "case": case}, links)
+
+
+def _power_chain(pair: CertifiedPair, p: float, upper: tuple, rel_tol: float) -> list:
+    """The links of B^p <= G_{t^p}(B) <= upper, the chain corollaries 2.2-2.4 share;
+    ``upper`` is the (printed name, matrix) term that sets each one apart."""
+    w = pair.window
+    mid = superlog_bound(pair.spec_B, w, w.m ** p, w.M ** p)
+    return _chain(("B^p", matrix_power(pair.spec_B, p)), ("G_{t^p}(B)", mid), upper, rel_tol)
 
 
 def check_corollary_2_2(pair: CertifiedPair, p: float, q: float, alpha: float,
@@ -232,12 +247,10 @@ def check_corollary_2_2(pair: CertifiedPair, p: float, q: float, alpha: float,
         beta = beta_power_closed(w, p, q, alpha)
     except DegenerateExponentError:
         beta = beta_generic(power_fun(p), power_fun(q), alpha, w).value
-    b_pow = matrix_power(pair.spec_B, p)
-    mid = superlog_bound(pair.spec_B, w, w.m ** p, w.M ** p)
     rhs = alpha * matrix_power(pair.spec_A, q) + beta * identity(pair.dim)
-    links = _chain(("B^p", b_pow), ("G_{t^p}(B)", mid), ("alpha A^q + beta", rhs), rel_tol)
-    return _finish("corollary_2_2", pair.dim, pair.seed,
-                   {"m": w.m, "M": w.M, "p": p, "q": q, "alpha": alpha, "beta": beta}, links)
+    links = _power_chain(pair, p, ("alpha A^q + beta", rhs), rel_tol)
+    return _finish("corollary_2_2", pair.dim, pair.seed, w,
+                   {"p": p, "q": q, "alpha": alpha, "beta": beta}, links)
 
 
 def check_corollary_2_3(pair: CertifiedPair, p: float, q: float,
@@ -253,15 +266,9 @@ def check_corollary_2_3(pair: CertifiedPair, p: float, q: float,
         raise ParameterError(f"needs p <= 0, got p={p}")
     w = pair.window
     k2 = kantorovich_K2(w, p, q)
-    notes = []
-    if q < -1.0 - 1e-12 or q > 0.0:
-        notes.append(f"q={q} outside the [-1, 0] regime; result is a fuzz observation")
-    b_pow = matrix_power(pair.spec_B, p)
-    mid = superlog_bound(pair.spec_B, w, w.m ** p, w.M ** p)
-    rhs = k2 * matrix_power(pair.spec_A, q)
-    links = _chain(("B^p", b_pow), ("G_{t^p}(B)", mid), ("K2 A^q", rhs), rel_tol)
-    return _finish("corollary_2_3", pair.dim, pair.seed,
-                   {"m": w.m, "M": w.M, "p": p, "q": q, "K2": k2}, links, notes)
+    links = _power_chain(pair, p, ("K2 A^q", k2 * matrix_power(pair.spec_A, q)), rel_tol)
+    return _finish("corollary_2_3", pair.dim, pair.seed, w, {"p": p, "q": q, "K2": k2}, links,
+                   _fuzz_notes("q", q, q < -1.0 - 1e-12 or q > 0.0))
 
 
 def check_corollary_2_4(pair: CertifiedPair, p: float, q: float,
@@ -276,12 +283,9 @@ def check_corollary_2_4(pair: CertifiedPair, p: float, q: float,
         c2 = kantorovich_C2(w, p, q)
     except DegenerateExponentError:
         c2 = beta_generic(power_fun(p), power_fun(q), 1.0, w).value
-    b_pow = matrix_power(pair.spec_B, p)
-    mid = superlog_bound(pair.spec_B, w, w.m ** p, w.M ** p)
     rhs = c2 * identity(pair.dim) + matrix_power(pair.spec_A, q)
-    links = _chain(("B^p", b_pow), ("G_{t^p}(B)", mid), ("C2 + A^q", rhs), rel_tol)
-    return _finish("corollary_2_4", pair.dim, pair.seed,
-                   {"m": w.m, "M": w.M, "p": p, "q": q, "C2": c2}, links)
+    links = _power_chain(pair, p, ("C2 + A^q", rhs), rel_tol)
+    return _finish("corollary_2_4", pair.dim, pair.seed, w, {"p": p, "q": q, "C2": c2}, links)
 
 
 def _chaotic_exponents(p: float, r: float) -> tuple[float, float]:
@@ -308,8 +312,7 @@ def check_lemma_3_1_forward(pair: CertifiedPair, p: float, r: float,
     rhs = matrix_power(furuta_term(pair, p, r), r / (p + r))
     links = _links(rel_tol,
                    ("B^r <= (B^(r/2) A^p B^(r/2))^(r/(p+r))", matrix_power(pair.spec_B, r), rhs))
-    return _finish("lemma_3_1", pair.dim, pair.seed,
-                   {"m": pair.window.m, "M": pair.window.M, "p": p, "r": r}, links)
+    return _finish("lemma_3_1", pair.dim, pair.seed, pair.window, {"p": p, "r": r}, links)
 
 
 def lemma_3_1_exponent_slacks(pair: CertifiedPair, p: float, r: float,
@@ -348,22 +351,24 @@ def _chaotic_middle(pair: CertifiedPair, p: float, r: float) -> Array:
     return apply_scalar_function(pair.spec_B, fun)
 
 
+def _chaotic_chain(pair: CertifiedPair, p: float, r: float, upper: tuple,
+                   rel_tol: float) -> list:
+    """The links of B^p <= B^(-r) G_{t^(p+r)}(B) <= upper, the chain corollaries
+    3.2 and 3.3 share; ``upper`` is the (printed name, matrix) term that sets each apart."""
+    return _chain(("B^p", matrix_power(pair.spec_B, p)),
+                  ("B^(-r) G_{t^(p+r)}(B)", _chaotic_middle(pair, p, r)), upper, rel_tol)
+
+
 def check_corollary_3_2(pair: CertifiedPair, p: float, r: float,
                         rel_tol: float = DEFAULT_REL_TOL) -> ChainReport:
     """B^p <= B^(-r) G_{t^(p+r)}(B) <= K(m,M,p+r) A^p under the chaotic order."""
     _require_certificate(pair, CERT_CHAOTIC, "check_corollary_3_2")
     p, r = _chaotic_exponents(p, r)
-    notes = []
-    if r < -1.0 - 1e-12:
-        notes.append(f"r={r} outside the [-1, 0] regime; result is a fuzz observation")
     w = pair.window
     k = kantorovich_K(w, p + r)
-    b_pow = matrix_power(pair.spec_B, p)
-    mid = _chaotic_middle(pair, p, r)
-    rhs = k * matrix_power(pair.spec_A, p)
-    links = _chain(("B^p", b_pow), ("B^(-r) G_{t^(p+r)}(B)", mid), ("K A^p", rhs), rel_tol)
-    return _finish("corollary_3_2", pair.dim, pair.seed,
-                   {"m": w.m, "M": w.M, "p": p, "r": r, "K": k}, links, notes)
+    links = _chaotic_chain(pair, p, r, ("K A^p", k * matrix_power(pair.spec_A, p)), rel_tol)
+    return _finish("corollary_3_2", pair.dim, pair.seed, w, {"p": p, "r": r, "K": k}, links,
+                   _fuzz_notes("r", r, r < -1.0 - 1e-12))
 
 
 def check_corollary_3_3(pair: CertifiedPair, p: float, r: float,
@@ -378,18 +383,12 @@ def check_corollary_3_3(pair: CertifiedPair, p: float, r: float,
     """
     _require_certificate(pair, CERT_CHAOTIC, "check_corollary_3_3")
     p, r = _chaotic_exponents(p, r)
-    notes = []
-    if r < -1.0 - 1e-12:
-        notes.append(f"r={r} outside the [-1, 0] regime; result is a fuzz observation")
     w = pair.window
     c = kantorovich_C(w, p + r)
-    b_pow = matrix_power(pair.spec_B, p)
-    mid = _chaotic_middle(pair, p, r)
     rhs = c * matrix_power(pair.spec_B, -r) + matrix_power(pair.spec_A, p)
-    links = _chain(("B^p", b_pow), ("B^(-r) G_{t^(p+r)}(B)", mid), ("C B^(-r) + A^p", rhs),
-                   rel_tol)
-    return _finish("corollary_3_3", pair.dim, pair.seed,
-                   {"m": w.m, "M": w.M, "p": p, "r": r, "C": c}, links, notes)
+    links = _chaotic_chain(pair, p, r, ("C B^(-r) + A^p", rhs), rel_tol)
+    return _finish("corollary_3_3", pair.dim, pair.seed, w, {"p": p, "r": r, "C": c}, links,
+                   _fuzz_notes("r", r, r < -1.0 - 1e-12))
 
 
 def corollary_3_3_unweighted_slack(pair: CertifiedPair, p: float, r: float,
@@ -437,9 +436,9 @@ def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,
     links = _chain(("sum w_i Phi_i(f(A_i))", lhs), ("sum w_i Phi_i(G_f(A_i))", mid),
                    ("alpha g(agg) + beta", rhs), rel_tol)
     dim_in = family.items[0][1].dim_in
-    return _finish("theorem_4_1", dim_in, family.seed,
-                   {"m": w.m, "M": w.M, "alpha": alpha, "beta": beta,
-                    "n": len(family.items), "dim_out": dim_out}, links)
+    return _finish("theorem_4_1", dim_in, family.seed, w,
+                   {"alpha": alpha, "beta": beta, "n": len(family.items), "dim_out": dim_out},
+                   links)
 
 
 def _relative_interpolant(pair: CertifiedPair, fm: float, fM: float):
@@ -476,9 +475,8 @@ def check_theorem_4_2(pair: CertifiedPair, phi: PositiveLinearMap, f, alpha: flo
     rhs = beta * phi_a + alpha * f_connection(phi_a, phi_b, f)
     links = _chain(("Phi(A sigma_f B)", lhs), ("Phi(A^(1/2) G_f(T) A^(1/2))", mid),
                    ("beta Phi(A) + alpha Phi(A) sigma_f Phi(B)", rhs), rel_tol)
-    return _finish("theorem_4_2", pair.dim, pair.seed,
-                   {"m": w.m, "M": w.M, "alpha": alpha, "beta": beta,
-                    "dim_out": phi.dim_out}, links)
+    return _finish("theorem_4_2", pair.dim, pair.seed, w,
+                   {"alpha": alpha, "beta": beta, "dim_out": phi.dim_out}, links)
 
 
 def check_corollary_4_3(pair: CertifiedPair, phi: PositiveLinearMap, p: float, alpha: float,
@@ -495,9 +493,8 @@ def check_corollary_4_3(pair: CertifiedPair, phi: PositiveLinearMap, p: float, a
     rhs = beta * phi_a + alpha * sharp(phi_a, phi_b, p)
     links = _chain(("Phi(A #_p B)", lhs), ("Phi(A^(1/2) G_{t^p}(T) A^(1/2))", mid),
                    ("beta Phi(A) + alpha Phi(A) #_p Phi(B)", rhs), rel_tol)
-    return _finish("corollary_4_3", pair.dim, pair.seed,
-                   {"m": w.m, "M": w.M, "p": p, "alpha": alpha, "beta": beta,
-                    "dim_out": phi.dim_out}, links)
+    return _finish("corollary_4_3", pair.dim, pair.seed, w,
+                   {"p": p, "alpha": alpha, "beta": beta, "dim_out": phi.dim_out}, links)
 
 
 def check_corollary_4_4(pair: CertifiedPair, phi: PositiveLinearMap, p: float,
@@ -519,7 +516,7 @@ def check_corollary_4_4(pair: CertifiedPair, phi: PositiveLinearMap, p: float,
     w = pair.window
     lhs, mid, phi_a, phi_b = _relative_terms(pair, phi, power_fun(p))
     mean_term = sharp(phi_a, phi_b, p)
-    params = {"m": w.m, "M": w.M, "p": p, "mode": mode, "dim_out": phi.dim_out}
+    params = {"p": p, "mode": mode, "dim_out": phi.dim_out}
     links = []
     if -1.0 <= p < 0.0:
         links = _links(rel_tol, ("Phi(A) #_p Phi(B) <= Phi(A #_p B) [baseline]", mean_term, lhs))
@@ -533,7 +530,7 @@ def check_corollary_4_4(pair: CertifiedPair, phi: PositiveLinearMap, p: float,
         upper = ("C Phi(A) + Phi(A) #_p Phi(B)", c * phi_a + mean_term)
     links += _chain(("Phi(A #_p B)", lhs), ("Phi(A^(1/2) G_{t^p}(T) A^(1/2))", mid), upper,
                     rel_tol)
-    return _finish("corollary_4_4", pair.dim, pair.seed, params, links)
+    return _finish("corollary_4_4", pair.dim, pair.seed, w, params, links)
 
 
 def check_theorem_4_5(pair: CertifiedPair, phi: PositiveLinearMap, p: float,
@@ -572,6 +569,5 @@ def check_theorem_4_5(pair: CertifiedPair, phi: PositiveLinearMap, p: float,
         ("Phi(T_p(A|B)) >= T_p(Phi(A)|Phi(B)) + (C/p) Phi(A) [audit]", diff_floor, lhs),
         ("Phi(T_p(A|B)) <= T_p(Phi(A)|Phi(B)) [baseline]", lhs, entropy_out),
     )
-    return _finish("theorem_4_5", pair.dim, pair.seed,
-                   {"m": w.m, "M": w.M, "p": p, "K": k, "C": c,
-                    "dim_out": phi.dim_out}, links)
+    return _finish("theorem_4_5", pair.dim, pair.seed, w,
+                   {"p": p, "K": k, "C": c, "dim_out": phi.dim_out}, links)

@@ -1,5 +1,8 @@
 import csv
+import gc
+import hashlib
 import json
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -138,6 +141,18 @@ class TestRunCampaign:
         run_campaign(second)
         assert read_bytes_tree(small_config.output_dir) == read_bytes_tree(second.output_dir)
 
+    def test_reports_match_recorded_digests(self, small_config):
+        """Every file the small config writes is byte-identical to the run
+        recorded in ``tests/data/small_config_digests.txt`` (``sha256sum``
+        format), so a refactor that changes report bytes fails here."""
+        run_campaign(small_config)
+        recorded = (Path(__file__).parent / "data" / "small_config_digests.txt").read_text()
+        expected = {path: digest for digest, path in
+                    (line.split("  ") for line in recorded.splitlines())}
+        written = {path.replace("\\", "/"): hashlib.sha256(data).hexdigest()
+                   for path, data in read_bytes_tree(small_config.output_dir).items()}
+        assert written == expected
+
     def test_replay_from_report_header(self, small_config, tmp_path):
         run_campaign(small_config)
         header_line = (Path(small_config.output_dir) / "reports" /
@@ -216,6 +231,22 @@ class TestRunCampaign:
         assert [len(run_cell(cfg, cell, block)[0]) for cell in cells] == [3, 3]
         # one window test for all six samples of the block's two cells
         assert max(shape[0] for shape in shapes if len(shape) == 3) == 6
+
+    def test_a_checked_block_is_freed_without_the_cycle_collector(self):
+        """A block's streams hold no reference back to the block, so a run
+        frees each block's instances as soon as it moves on to the next."""
+        cfg = CampaignConfig(suites=["corollary_2_3"], dims=[2, 3], windows=[(1.0, 2.0)],
+                             p_grid=[-1.0], q_grid=[-0.5], samples_per_cell=2)
+        (cell,) = enumerate_cells(cfg)
+        gc.disable()
+        try:
+            block = Block(cfg, [cell], OracleScans())
+            assert len(run_cell(cfg, cell, block)[0]) == 2
+            freed = weakref.ref(block)
+            del block
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_each_cell_runs_in_its_own_run_cell_call(self, monkeypatch, tmp_path):
         """Blocks share generation, but every cell is still one ``run_cell``

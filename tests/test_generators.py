@@ -213,6 +213,27 @@ class TestWeightedFamilies:
             assert np.array_equal(dec.eigenvalues, fresh.eigenvalues)
             assert np.array_equal(dec.eigenvectors, fresh.eigenvectors)
 
+    @pytest.mark.parametrize("dim", [3, 16])
+    def test_operands_placed_in_one_call(self, monkeypatch, dim):
+        """The window test decomposes all three operands as one stack, and a
+        retry only the failing ones, again as one stack; the normalization
+        eigh of each map stays one matrix."""
+        eigh = np.linalg.eigh
+        shapes = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or eigh(a))
+        for seed in range(4):
+            shapes.clear()
+            gen_weighted_family(3, dim, dim - 1, SpectralWindow(0.5, 4.0), seed)
+            stacks = [shape for shape in shapes if len(shape) == 3]
+            assert stacks[0] == (3, dim, dim)
+            assert all(shape[1:] == (dim, dim) for shape in stacks)
+            assert all(later[0] <= earlier[0] for earlier, later in zip(stacks, stacks[1:]))
+            assert [shape for shape in shapes if len(shape) == 2] == [(dim - 1, dim - 1)] * 3
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(HypothesisError, match="empty"):
+            gen_weighted_family(0, 3, 2, W12, 1)
+
     def test_bad_weights_rejected(self):
         family = gen_weighted_family(2, 3, 2, W12, 5)
         broken = WeightedFamily(
