@@ -13,6 +13,10 @@ and products then run once over the stack of members.  The
 single-seed generators are that body on a stack of one.  A weighted
 family draws each item's map and window draws in turn, then places all
 its operands in the window as one stack.
+
+A window placement targets the endpoints m and M but nudges its targets
+inside by a margin that grows with the dimension, so that each operand's
+zero-tolerance window test passes on the first eigensolve.
 """
 
 from __future__ import annotations
@@ -112,11 +116,13 @@ def haar_unitary(dim: int, rng) -> Array:
 def gen_hermitian_in_window(dim: int, window: SpectralWindow, rng) -> Array:
     """Random Hermitian matrix whose spectrum lies inside [m, M].
 
-    Eigenvalues are drawn uniformly with probability 0.2 each of hitting
-    m and M exactly, then conjugated by a random unitary.  The result is
-    re-verified to pass the window check with zero tolerance; if roundoff
-    pushed an eigenvalue outside, the targets are nudged inward by a few
-    ulps and the matrix is rebuilt.
+    Eigenvalues are drawn uniformly, with probability 0.2 each of targeting
+    m or M, then conjugated by a random unitary.  All targets are first
+    nudged inside the window by 8 * dim * eps * max(|m|, |M|, 1), so an
+    endpoint-targeted eigenvalue lands that close to m or M, not on it.  The
+    result is re-verified to pass the window check with zero tolerance; if
+    roundoff still pushed an eigenvalue outside, the targets are nudged
+    further inward and the matrix is rebuilt.
     """
     return _place_in_window([_window_draws(dim, window, _rng(rng))], window)[0][0]
 
@@ -137,17 +143,20 @@ def _place_in_window(draws: list, window: SpectralWindow) -> tuple[Array, Spectr
     """The stack of window placements of a list of ``_window_draws``, and
     the stacked decomposition their window test made.
 
-    A member whose test fails (roundoff pushed an eigenvalue outside) has
-    its targets nudged inward and is rebuilt; the others are not.
+    The targets start nudged inside the window by 8 * dim * eps times the
+    window's scale, which covers the roundoff of the rebuild and of its
+    eigensolve (both grow with the dimension), so the zero-tolerance
+    window test passes on the first try.  A member whose test still fails
+    has its targets nudged further inward and is rebuilt; the others are not.
     """
     lams, gaussians = (np.stack(part) for part in zip(*draws))
     q = _haar(gaussians)
-    target = np.sort(lams, axis=-1)
+    scale = max(abs(window.m), abs(window.M), 1.0)
+    margin = 8.0 * np.finfo(float).eps * scale * q.shape[-1]
+    target = np.clip(np.sort(lams, axis=-1), window.m + margin, window.M - margin)
     placed = np.empty_like(q)
     vals = np.empty_like(target)
     vecs = np.empty_like(q)
-    scale = max(abs(window.m), abs(window.M), 1.0)
-    margin = 8.0 * np.finfo(float).eps * scale
     todo = np.arange(len(q))
     for _ in range(6):
         u = q[todo]
@@ -160,8 +169,8 @@ def _place_in_window(draws: list, window: SpectralWindow) -> tuple[Array, Spectr
         todo = todo[~inside]
         if not todo.size:
             return placed, SpectralDecomposition(vals, vecs)
-        target[todo] = np.clip(target[todo], window.m + margin, window.M - margin)
         margin *= 8.0
+        target[todo] = np.clip(target[todo], window.m + margin, window.M - margin)
     raise GenerationError(f"could not place a spectrum inside [{window.m}, {window.M}]")
 
 

@@ -41,8 +41,12 @@ def frobenius(a: Array) -> float:
 
 
 def hermitize(a: Array) -> Array:
-    """Average away the non-Hermitian roundoff part of ``a`` (or of each member of a stack)."""
-    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+    """Average away the non-Hermitian roundoff part of ``a`` (or of each member
+    of a stack), a float or complex array.  The sum is halved in place: the
+    same division, without a second temporary."""
+    h = a + a.conj().swapaxes(-1, -2)
+    h /= 2.0
+    return h
 
 
 def identity(dim: int) -> Array:

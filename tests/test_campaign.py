@@ -144,7 +144,9 @@ class TestRunCampaign:
     def test_reports_match_recorded_digests(self, small_config):
         """Every file the small config writes is byte-identical to the run
         recorded in ``tests/data/small_config_digests.txt`` (``sha256sum``
-        format), so a refactor that changes report bytes fails here."""
+        format), so a refactor that changes report bytes fails here.  The
+        record was last rewritten when window placements started nudging
+        their endpoint targets inside the window."""
         run_campaign(small_config)
         recorded = (Path(__file__).parent / "data" / "small_config_digests.txt").read_text()
         expected = {path: digest for digest, path in

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -38,6 +39,40 @@ from kantcheck.posmaps import WeightedFamily, apply_map
 
 W12 = SpectralWindow(1.0, 2.0)
 DATA_DIR = Path(__file__).parent / "data"
+WIDE_WINDOWS = [(1.0, 2.0), (0.5, 4.0), (0.05, 20.0), (0.01, 1.0), (10.0, 1000.0)]
+
+
+def window_id(window):
+    return f"{window[0]:g}-{window[1]:g}"
+
+
+def reject_first_window_tests(monkeypatch, chosen):
+    """Make the first window test of every ``_place_in_window`` call fail the
+    members that ``chosen`` marks (it maps the stacked eigenvalues to one
+    bool per member), so they are placed again; later window tests, retries
+    and certificates alike, are the real ones.  Returns the list of masks
+    applied, one per placement."""
+    place, test = generators._place_in_window, generators.spectrum_in_window
+    masks = []
+    first = False
+
+    def placing(*args):
+        nonlocal first
+        first = True
+        return place(*args)
+
+    def testing(dec, window, tol):
+        nonlocal first
+        verdicts = test(dec, window, tol)
+        if first:
+            first = False
+            masks.append(chosen(dec.eigenvalues))
+            verdicts = verdicts & ~masks[-1]
+        return verdicts
+
+    monkeypatch.setattr(generators, "_place_in_window", placing)
+    monkeypatch.setattr(generators, "spectrum_in_window", testing)
+    return masks
 
 # frozen witness: at dim 3 on [1, 2] this seed yields log A <= log B while
 # A <= B fails, separating the chaotic order from domination
@@ -70,8 +105,26 @@ class TestWindowGenerator:
             vals = eig_hermitian(gen_hermitian_in_window(4, W12, rng)).eigenvalues
             hit_m += int(np.min(np.abs(vals - W12.m)) < 1e-10)
             hit_upper += int(np.min(np.abs(vals - W12.M)) < 1e-10)
-        # each eigenvalue lands on an endpoint with probability 0.2
+        # each eigenvalue is aimed at an endpoint with probability 0.2, and
+        # lands a few ulps inside it
         assert hit_m > 30 and hit_upper > 30
+
+    @pytest.mark.parametrize("window", WIDE_WINDOWS, ids=window_id)
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_endpoint_targets_land_next_to_the_endpoints(self, dim, window):
+        """The eigenvalues aimed at m or M are nudged inside the window, but
+        stay within 1e-12 of the window's scale from their endpoint."""
+        w = SpectralWindow(*window)
+        tol = 1e-12 * max(abs(w.m), abs(w.M), 1.0)
+        aimed = 0
+        for seed in range(8 if dim < 64 else 3):
+            target, _ = generators._window_draws(dim, w, np.random.default_rng(seed))
+            at_m, at_upper = int(np.sum(target == w.m)), int(np.sum(target == w.M))
+            vals = eig_hermitian(gen_hermitian_in_window(dim, w, seed)).eigenvalues
+            assert np.all(np.abs(vals[:at_m] - w.m) <= tol), seed
+            assert np.all(np.abs(vals[dim - at_upper:] - w.M) <= tol), seed
+            aimed += at_m + at_upper
+        assert aimed > 0
 
 
 class TestDominatedPairs:
@@ -140,6 +193,9 @@ class TestChaoticPairs:
         assert not loewner_leq(pair.A, pair.B).holds
 
     def test_witness_corpus_reproduces(self):
+        """The corpus holds ``gen_chaotic_pair``'s pairs of seeds 12, 20 and
+        32 at dim 3 on [1, 2], written with endpoint targets nudged inside
+        the window; each is rebuilt bit for bit and fails A <= B."""
         recorded = read_corpus(DATA_DIR / "chaotic_witnesses.jsonl")
         assert recorded
         for pair in recorded:
@@ -294,14 +350,13 @@ class TestStackedGenerators:
         stacked, single = STACKED_FAMILIES[family]
         w = SpectralWindow(*window)
         seeds = list(range(40, 40 + (12 if dim <= 16 else 3)))
-        real = generators.spectrum_in_window
-        verdicts = []
-        monkeypatch.setattr(generators, "spectrum_in_window",
-                            lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+        # a member is failed by its content, so it is failed in the stack and
+        # alone; the stack and its stacks of one then re-place the same members
+        masks = reject_first_window_tests(monkeypatch, lambda vals: np.array(
+            [hashlib.sha256(v.tobytes()).digest()[0] % 4 != 0 for v in vals]))
         pairs = stacked(dim, w, seeds)
-        monkeypatch.undo()
         # some member failed a window test and was placed again
-        assert not all(np.all(verdict) for verdict in verdicts)
+        assert any(np.any(mask) for mask in masks)
         assert [pair.seed for pair in pairs] == seeds
         for seed, pair in zip(seeds, pairs):
             alone = single(dim, w, seed)
@@ -313,15 +368,49 @@ class TestStackedGenerators:
                 assert np.array_equal(got, want), seed
 
     def test_retry_replaces_only_the_failing_members(self, monkeypatch):
+        seeds = list(range(20))
+        untouched = gen_dominated_pairs(3, W12, seeds)
+        # these seeds aim an eigenvalue at an endpoint, so a retry, whose
+        # larger margin moves that target, changes their B
+        failing = np.isin(np.arange(20), [3, 6, 11])
+        reject_first_window_tests(monkeypatch, lambda vals: failing)
         real = generators.eig_hermitian
         sizes = []
         monkeypatch.setattr(generators, "eig_hermitian",
                             lambda a: sizes.append(len(a)) or real(a))
-        gen_dominated_pairs(3, W12, list(range(20)))
-        # the window test of the whole stack, then its failing members only,
-        # then the certificate's decomposition of A
-        assert sizes[0] == sizes[-1] == 20
-        assert all(0 < size < 20 for size in sizes[1:-1]) and len(sizes) > 2
+        pairs = gen_dominated_pairs(3, W12, seeds)
+        # the window test of the whole stack, then of its failing members
+        # only, then the certificate's decomposition of A
+        assert sizes == [20, 3, 20]
+        for fails, pair, before in zip(failing, pairs, untouched):
+            assert np.array_equal(pair.B, before.B) != fails
+            assert spectrum_in_window(pair.spec_B, W12, 0.0)
+
+    @pytest.mark.parametrize("window", WIDE_WINDOWS, ids=window_id)
+    @pytest.mark.parametrize("dim", [2, 6, 16, 64])
+    @pytest.mark.parametrize("family", [*STACKED_FAMILIES, "weighted"])
+    def test_each_placement_decomposes_once(self, monkeypatch, family, dim, window):
+        """Endpoint targets start inside the window, so every window test
+        passes on the placement's first eigensolve, at d = 64 too."""
+        real_eig, real_place = generators.eig_hermitian, generators._place_in_window
+        eigs, per_placement = [], []
+
+        def placing(*args):
+            before = len(eigs)
+            placed = real_place(*args)
+            per_placement.append(len(eigs) - before)
+            return placed
+
+        monkeypatch.setattr(generators, "eig_hermitian", lambda a: eigs.append(a) or real_eig(a))
+        monkeypatch.setattr(generators, "_place_in_window", placing)
+        w = SpectralWindow(*window)
+        seeds = list(range(8 if dim < 64 else 3))
+        if family == "weighted":
+            for seed in seeds:
+                gen_weighted_family(3, dim, dim - 1 or 1, w, seed)
+        else:
+            STACKED_FAMILIES[family][0](dim, w, seeds)
+        assert per_placement and all(count == 1 for count in per_placement)
 
     def test_failing_member_raises_its_own_certificate_error(self):
         w = SpectralWindow(1.0, 2.0)
@@ -335,8 +424,9 @@ class TestStackedGenerators:
         assert str(stacked.value) == str(alone.value)
 
     def test_stacks_reproduce_pairs_recorded_one_seed_at_a_time(self):
-        """The corpus was written by the per-seed generators that preceded the
-        stacked bodies; stacks of its seeds rebuild each pair bit for bit."""
+        """The corpus was written one seed at a time, by the single-seed
+        generators (stacks of one) with endpoint targets nudged inside the
+        window; stacks of its seeds rebuild each pair bit for bit."""
         recorded = read_corpus(DATA_DIR / "unstacked_pairs.jsonl")
         families = {(CERT_DOMINATED, "B"): "dominated_on_B",
                     (CERT_DOMINATED, "A"): "dominated_on_A",
