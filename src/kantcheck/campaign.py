@@ -306,6 +306,25 @@ def _check_field_types(cfg: CampaignConfig) -> None:
     require(isinstance(cfg.output_dir, (str, os.PathLike)), "output_dir", "a path")
 
 
+def _check_powers_fit(cfg: CampaignConfig) -> None:
+    """Reject an exponent e whose m**e or M**e overflows a float for some window.
+
+    The constants and oracles raise ``m**e`` and ``M**e`` to every
+    configured exponent: p, q, p + r, and theorem 1.1's p.
+    """
+    exponents = ([("p", p) for p in cfg.p_grid] + [("q", q) for q in cfg.q_grid]
+                 + [("p + r", float(p) + float(r)) for p in cfg.p_grid for r in cfg.r_grid]
+                 + [("theorem_1_1 p", p) for p in cfg.p_grid_theorem_1_1])
+    for window in cfg.windows:
+        for name, e in exponents:
+            for t in window:
+                try:
+                    float(t) ** float(e)
+                except OverflowError:
+                    raise ConfigError(f"window ({window[0]}, {window[1]}): {name}={e} overflows "
+                                      f"{t}**{e}") from None
+
+
 def validate_config(cfg: CampaignConfig) -> None:
     """Reject wrongly typed fields, and grids that leave a suite's supported regime."""
     _check_field_types(cfg)
@@ -341,6 +360,7 @@ def validate_config(cfg: CampaignConfig) -> None:
     for p in cfg.p_grid_theorem_1_1:
         if p < 1.0 + DEGENERATE_GAP:
             raise ConfigError(f"p_grid_theorem_1_1 cell p={p} violates p >= {1.0 + DEGENERATE_GAP}")
+    _check_powers_fit(cfg)
     if cfg.rel_tol <= 0.0:
         raise ConfigError(f"rel_tol must be positive, got {cfg.rel_tol}")
 

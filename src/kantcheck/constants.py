@@ -1,22 +1,30 @@
 """Kantorovich-type scalar constants and their maximization oracle.
 
 Every closed-form constant in this module is defined by a univariate
-maximum over a spectral window.  ``grid_max_1d`` (dense scan plus
-golden-section refinement) is the brute-force route each closed form is
-validated against; the two routes must agree to 1e-6 relative on the
-supported exponent grids.
+maximum over a spectral window.  The brute-force route each closed form is
+validated against scans the objective on ``oracle_grid`` (GRID_RESOLUTION
+cells), then refines around the best grid point by golden section; the
+two routes must agree to 1e-6 relative on the supported exponent grids.
+``grid_max_1d`` scans any objective.  ``alpha_ratio`` and ``beta_generic``
+scan chord(f) / g and chord(f) - alpha * g through one body that builds
+the objective from g's values on the grid.  A ``GridFunction`` keeps those
+values, and g's positivity probe, so a sweep that scans many chords
+against one g over a window evaluates g on the grid once; every
+objective value is still checked for being real and finite, and every
+golden-section point is evaluated afresh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateExponentError, DomainError, ParameterError
-from .hermitian import SpectralWindow, eval_scalar
+from .hermitian import SpectralWindow, _finite, _real_values, eval_scalar
 
 GRID_RESOLUTION = 20_000
 GOLDEN_ITERS = 60
@@ -93,16 +101,18 @@ def _golden_max(h, a: float, b: float, iters: int) -> tuple[float, float]:
     return (c, hc) if hc >= hd else (d, hd)
 
 
-def grid_max_1d(h, window: SpectralWindow) -> ExtremumResult:
-    """Maximize a scalar function over [m, M].
+def oracle_grid(window: SpectralWindow) -> np.ndarray:
+    """The oracle's dense scan points: GRID_RESOLUTION equal cells over [m, M]."""
+    return np.linspace(window.m, window.M, GRID_RESOLUTION + 1)
 
-    Dense scan of GRID_RESOLUTION cells, then GOLDEN_ITERS golden-section
-    steps around the best cell.  Accurate to ~1e-9 in value for C^2
-    objectives.
+
+def _refine(h, window: SpectralWindow, ts: np.ndarray, ys: np.ndarray) -> ExtremumResult:
+    """The maximum of h over [m, M] from its checked values ys on the grid ts.
+
+    GOLDEN_ITERS golden-section steps around the best grid point; the
+    result is the best of that, the grid point and both endpoints.
     """
     m, M = window.m, window.M
-    ts = np.linspace(m, M, GRID_RESOLUTION + 1)
-    ys = eval_scalar(h, ts)
     i = int(np.argmax(ys))
     lo = float(ts[i - 1]) if i > 0 else m
     hi = float(ts[i + 1]) if i < GRID_RESOLUTION else M
@@ -124,30 +134,104 @@ def grid_max_1d(h, window: SpectralWindow) -> ExtremumResult:
     return ExtremumResult(t_star=float(t_star), value=float(value), branch=branch)
 
 
+def grid_max_1d(h, window: SpectralWindow) -> ExtremumResult:
+    """Maximize a scalar function over [m, M].
+
+    Dense scan of GRID_RESOLUTION cells, then GOLDEN_ITERS golden-section
+    steps around the best cell.  Accurate to ~1e-9 in value for C^2
+    objectives.
+    """
+    ts = oracle_grid(window)
+    return _refine(h, window, ts, eval_scalar(h, ts))
+
+
+class GridFunction:
+    """A scalar function together with its values on a window's oracle grid.
+
+    The grid values, and whether the function is positive on the window,
+    are computed on first use and kept.  ``alpha_ratio`` and
+    ``beta_generic`` take one as g, so many chords scanned against one g
+    over one window evaluate g on the grid, and probe its sign, once.
+    """
+
+    def __init__(self, fn, window: SpectralWindow, grid: np.ndarray):
+        self.fn = fn
+        self.window = window
+        self.grid = grid
+
+    def __call__(self, t):
+        return self.fn(t)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """fn on the grid, checked for being real; each scan checks the
+        finiteness of the objective built from them."""
+        return _real_values(self.fn, self.grid)
+
+    @cached_property
+    def positive(self) -> bool:
+        """fn > 0 at 2001 evenly spaced points of the window."""
+        probe = eval_scalar(self.fn, np.linspace(self.window.m, self.window.M, 2001))
+        return float(np.min(probe)) > 0.0
+
+    @cached_property
+    def scratch(self) -> np.ndarray:
+        """A grid-sized buffer a scan may overwrite.  A fresh temporary per
+        scan, alive beside the scan's objective, makes glibc's malloc give
+        the top of its heap back and fault it in again on every scan."""
+        return np.empty_like(self.grid)
+
+
+def _on_grid(g, window: SpectralWindow) -> GridFunction:
+    if isinstance(g, GridFunction) and g.window == window:
+        return g
+    return GridFunction(g, window, oracle_grid(window))
+
+
+def _chord_max(chord: ChordCoefficients, g: GridFunction, h, finish) -> ExtremumResult:
+    """Maximize h over g's window, where h(t) combines chord(t) with g(t).
+
+    ``finish(c, y)`` makes the same combination in place, of the chord's
+    values c on the grid with g's values y there; golden-section points
+    are evaluated through h.
+    """
+    with np.errstate(all="ignore"):
+        dense = np.multiply(g.grid, chord.slope)
+        dense += chord.intercept
+        finish(dense, g.values)
+    return _refine(h, g.window, g.grid, _finite(g.grid, dense))
+
+
 def beta_generic(f, g, alpha: float, window: SpectralWindow) -> ExtremumResult:
     """Oracle gap: max over [m, M] of chord_of_f(t) - alpha * g(t)."""
     if not (float(f(window.m)) > 0.0 and float(f(window.M)) > 0.0):
         raise DomainError("f must be positive at the window endpoints")
     chord = chord_coefficients(f, window)
     alpha = float(alpha)
+    g = _on_grid(g, window)
+    fn = g.fn
 
     def h(t):
-        return chord.at(t) - alpha * g(t)
+        return chord.at(t) - alpha * fn(t)
 
-    return grid_max_1d(h, window)
+    def finish(c, y):
+        c -= np.multiply(y, alpha, out=g.scratch)
+
+    return _chord_max(chord, g, h, finish)
 
 
 def alpha_ratio(f, g, window: SpectralWindow) -> ExtremumResult:
     """Oracle ratio: max over [m, M] of chord_of_f(t) / g(t); needs g > 0."""
     chord = chord_coefficients(f, window)
-    probe = eval_scalar(g, np.linspace(window.m, window.M, 2001))
-    if float(np.min(probe)) <= 0.0:
+    g = _on_grid(g, window)
+    if not g.positive:
         raise DomainError("g must be positive on the window")
+    fn = g.fn
 
     def h(t):
-        return chord.at(t) / g(t)
+        return chord.at(t) / fn(t)
 
-    return grid_max_1d(h, window)
+    return _chord_max(chord, g, h, lambda c, y: np.divide(c, y, out=c))
 
 
 def _require_nondegenerate(e: float, name: str) -> float:

@@ -166,13 +166,11 @@ def _eval_pointwise(f, xs: Array) -> Array:
     return out
 
 
-def eval_scalar(f, xs: Array) -> Array:
-    """Evaluate a real scalar function on a 1-d array of points.
+def _real_values(f, xs: Array) -> Array:
+    """f on a 1-d float array as a float array, vectorized or else per point.
 
-    Tries a vectorized call first and falls back to per-point evaluation.
-    Non-finite or non-real results raise DomainError.
+    DomainError if a value is non-real; finiteness is left to the caller.
     """
-    xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
         try:
             ys = np.asarray(f(xs))
@@ -186,11 +184,25 @@ def eval_scalar(f, xs: Array) -> Array:
         if float(np.max(np.abs(ys.imag))) > 0.0:
             raise DomainError("scalar function returned complex values")
         ys = ys.real
-    ys = np.asarray(ys, dtype=float)
+    return np.asarray(ys, dtype=float)
+
+
+def _finite(xs: Array, ys: Array) -> Array:
+    """ys; DomainError naming the first point of xs where a value is non-finite."""
     if not np.all(np.isfinite(ys)):
         bad = float(xs[np.flatnonzero(~np.isfinite(ys))[0]])
         raise DomainError(f"scalar function non-finite at t={bad!r}")
     return ys
+
+
+def eval_scalar(f, xs: Array) -> Array:
+    """Evaluate a real scalar function on a 1-d array of points.
+
+    Tries a vectorized call first and falls back to per-point evaluation.
+    Non-finite or non-real results raise DomainError.
+    """
+    xs = np.asarray(xs, dtype=float)
+    return _finite(xs, _real_values(f, xs))
 
 
 def apply_scalar_function(a, f) -> Array:

@@ -25,8 +25,8 @@ from kantcheck.campaign import (
     validate_config,
 )
 from kantcheck.cli import main as cli_main
-from kantcheck.constants import kantorovich_K2, power_fun
-from kantcheck.errors import ConfigError
+from kantcheck.constants import alpha_ratio, beta_generic, kantorovich_K2, power_fun
+from kantcheck.errors import ConfigError, DomainError
 from kantcheck.generators import gen_weighted_family
 from kantcheck.hermitian import SpectralWindow
 from kantcheck.hunt import hunt_sharpness
@@ -69,6 +69,16 @@ class TestConfig:
     def test_integer_too_large_for_a_float(self):
         with pytest.raises(ConfigError, match="windows must be a list of finite"):
             validate_config(CampaignConfig(windows=[(1, 10 ** 400)]))
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"windows": [(0.001, 1.0)], "p_grid": [-400.0]}, r"window \(0.001, 1.0\): p=-400.0 "),
+        ({"windows": [(1e-310, 1.0)], "p_grid": [-0.5], "q_grid": [-1.0]}, r"window \(1e-310, 1.0\): q=-1.0 "),
+        ({"windows": [(0.01, 1.0)], "p_grid": [-153.9], "r_grid": [-1.0]}, r"p \+ r=-154.9 "),
+        ({"windows": [(1.0, 10.0)], "p_grid_theorem_1_1": [400.0]}, r"theorem_1_1 p=400.0 "),
+    ])
+    def test_overflowing_power_names_window_and_exponent(self, fields, named):
+        with pytest.raises(ConfigError, match=named + "overflows"):
+            validate_config(CampaignConfig(**fields))
 
     def test_load_config_round_trip(self, tmp_path):
         cfg = CampaignConfig(suites=["corollary_2_3"], samples_per_cell=3)
@@ -307,6 +317,42 @@ class TestSweep:
         assert set(rows[0]) == {"m", "M", "p", "q", "constant_name",
                                 "closed_form", "oracle", "abs_diff"}
 
+    def test_oracle_column_equals_the_public_oracles(self, tmp_path):
+        # -1.0 is in both grids: numpy's array ** -1.0 takes a reciprocal
+        # path whose last bit can differ from other ways of raising a power.
+        windows = [(1.0, 2.0), (0.5, 4.0), (0.05, 20.0)]
+        result = sweep_constants(windows, [-2.0, -1.0, -0.3], [-1.0, -0.6, -0.05], tmp_path)
+        for row in result.rows:
+            w = SpectralWindow(row["m"], row["M"])
+            name, p = row["constant_name"], row["p"]
+            g = power_fun(p if name in ("K", "C") else row["q"])
+            if name in ("K", "K2"):
+                expected = alpha_ratio(power_fun(p), g, w).value
+            else:
+                expected = beta_generic(power_fun(p), g, 1.0, w).value
+            assert row["oracle"] == expected, row
+
+    def test_each_power_is_evaluated_on_the_grid_once_per_window(self, tmp_path, monkeypatch):
+        dense = []
+
+        def counted_power(e):
+            f = power_fun(e)
+
+            def g(t):
+                if np.size(t) == constants.GRID_RESOLUTION + 1:
+                    dense.append(e)
+                return f(t)
+            return g
+
+        monkeypatch.setattr("kantcheck.sweep.power_fun", counted_power)
+        windows, p_grid, q_grid = [(1.0, 2.0), (0.5, 4.0)], [-2.0, -1.0, -0.5], [-1.0, -0.25]
+        sweep_constants(windows, p_grid, q_grid, tmp_path)
+        assert len(dense) == len(windows) * (len(p_grid) + len(q_grid))
+
+    def test_grid_values_are_still_checked(self, tmp_path):
+        with pytest.raises(DomainError, match=r"^scalar function non-finite at t=0\.001$"):
+            sweep_constants([(1e-3, 1.0)], [-0.5], [-400.0], tmp_path)
+
     def test_ratio_constant_stays_above_one(self, tmp_path):
         # K2(1,2,-1,q) >= 1 across the admissible q range
         w = SpectralWindow(1.0, 2.0)
@@ -354,14 +400,16 @@ class TestHunt:
         assert mode["violations"] > 0
 
     def test_non_log_convex_constants_scanned_once_per_window(self, monkeypatch):
+        # every oracle scan, whichever route built its grid values, ends in
+        # one refinement
         scans = []
-        real = constants.grid_max_1d
+        real = constants._refine
 
         def counted(*args, **kwargs):
             scans.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(constants, "grid_max_1d", counted)
+        monkeypatch.setattr(constants, "_refine", counted)
         cfg = CampaignConfig()
         mode = hunt._hunt_non_log_convex(cfg, 6)
         assert mode.samples == 6
@@ -461,6 +509,15 @@ class TestCli:
         assert cli_main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["sweep"], ["run", "--suite", "corollary_2_3"]])
+    def test_overflowing_power_is_a_config_error(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"windows": [[0.001, 1.0]], "p_grid": [-400.0]}')
+        out = tmp_path / "out"
+        assert cli_main([*argv, "--config", str(bad), "--out", str(out)]) == 2
+        assert "config error: window (0.001, 1.0): p=-400.0 overflows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_show_rejects_unreadable_reports(self, tmp_path, capsys):
         (tmp_path / "empty.csv").write_text("")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kantcheck.constants import (
+    GridFunction,
     alpha_ratio,
     beta_generic,
     beta_power_closed,
@@ -16,6 +17,7 @@ from kantcheck.constants import (
     kantorovich_C2,
     kantorovich_K,
     kantorovich_K2,
+    oracle_grid,
     power_fun,
 )
 from kantcheck.errors import DegenerateExponentError, DomainError, ParameterError
@@ -227,6 +229,14 @@ class TestAlphaRatio:
     def test_vanishing_g(self):
         with pytest.raises(DomainError):
             alpha_ratio(power_fun(-1.0), lambda t: t - 1.5, W12)
+
+    def test_grid_function_serves_only_its_own_window(self):
+        w = SpectralWindow(0.5, 4.0)
+        f, g = power_fun(-1.0), power_fun(-0.5)
+        on_w12 = GridFunction(g, W12, oracle_grid(W12))
+        assert alpha_ratio(f, on_w12, w) == alpha_ratio(f, g, w)
+        assert beta_generic(f, on_w12, 2.0, w) == beta_generic(f, g, 2.0, w)
+        assert alpha_ratio(f, on_w12, W12) == alpha_ratio(f, g, W12)
 
 
 class TestModuleInvariants:
