@@ -2,8 +2,8 @@
 
 Every closed-form constant in this module is defined by a univariate
 maximum over a spectral window.  The brute-force route each closed form is
-validated against scans the objective on ``oracle_grid`` (GRID_RESOLUTION
-cells), then refines around the best grid point by golden section; the
+validated against scans the objective on GRID_RESOLUTION equal cells of
+the window, then refines around the best grid point by golden section; the
 two routes must agree to 1e-6 relative on the supported exponent grids.
 ``grid_max_1d`` scans any objective.  ``alpha_ratio`` and ``beta_generic``
 scan chord(f) / g and chord(f) - alpha * g through one body that builds
@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateExponentError, DomainError, ParameterError
-from .hermitian import SpectralWindow, _finite, _real_values, eval_scalar
+from .hermitian import SpectralWindow, eval_scalar, real_values
 
 GRID_RESOLUTION = 20_000
 GOLDEN_ITERS = 60
@@ -101,7 +101,7 @@ def _golden_max(h, a: float, b: float, iters: int) -> tuple[float, float]:
     return (c, hc) if hc >= hd else (d, hd)
 
 
-def oracle_grid(window: SpectralWindow) -> np.ndarray:
+def _oracle_grid(window: SpectralWindow) -> np.ndarray:
     """The oracle's dense scan points: GRID_RESOLUTION equal cells over [m, M]."""
     return np.linspace(window.m, window.M, GRID_RESOLUTION + 1)
 
@@ -141,7 +141,7 @@ def grid_max_1d(h, window: SpectralWindow) -> ExtremumResult:
     steps around the best cell.  Accurate to ~1e-9 in value for C^2
     objectives.
     """
-    ts = oracle_grid(window)
+    ts = _oracle_grid(window)
     return _refine(h, window, ts, eval_scalar(h, ts))
 
 
@@ -154,19 +154,23 @@ class GridFunction:
     over one window evaluate g on the grid, and probe its sign, once.
     """
 
-    def __init__(self, fn, window: SpectralWindow, grid: np.ndarray):
+    def __init__(self, fn, window: SpectralWindow):
         self.fn = fn
         self.window = window
-        self.grid = grid
 
     def __call__(self, t):
         return self.fn(t)
 
     @cached_property
+    def grid(self) -> np.ndarray:
+        """The window's oracle scan points."""
+        return _oracle_grid(self.window)
+
+    @cached_property
     def values(self) -> np.ndarray:
         """fn on the grid, checked for being real; each scan checks the
         finiteness of the objective built from them."""
-        return _real_values(self.fn, self.grid)
+        return real_values(self.fn, self.grid)
 
     @cached_property
     def positive(self) -> bool:
@@ -179,27 +183,31 @@ class GridFunction:
         """A grid-sized buffer a scan may overwrite.  A fresh temporary per
         scan, alive beside the scan's objective, makes glibc's malloc give
         the top of its heap back and fault it in again on every scan."""
-        return np.empty_like(self.grid)
+        return np.empty(GRID_RESOLUTION + 1)
 
 
 def _on_grid(g, window: SpectralWindow) -> GridFunction:
     if isinstance(g, GridFunction) and g.window == window:
         return g
-    return GridFunction(g, window, oracle_grid(window))
+    return GridFunction(g, window)
 
 
 def _chord_max(chord: ChordCoefficients, g: GridFunction, h, finish) -> ExtremumResult:
     """Maximize h over g's window, where h(t) combines chord(t) with g(t).
 
-    ``finish(c, y)`` makes the same combination in place, of the chord's
-    values c on the grid with g's values y there; golden-section points
-    are evaluated through h.
+    On the grid, ``finish(c, y)`` makes the same combination in place, of
+    the chord's values c with g's values y; golden-section points are
+    evaluated through h.
     """
-    with np.errstate(all="ignore"):
-        dense = np.multiply(g.grid, chord.slope)
-        dense += chord.intercept
-        finish(dense, g.values)
-    return _refine(h, g.window, g.grid, _finite(g.grid, dense))
+    y = g.values
+
+    def on_grid(ts):
+        c = np.multiply(ts, chord.slope)
+        c += chord.intercept
+        finish(c, y)
+        return c
+
+    return _refine(h, g.window, g.grid, eval_scalar(on_grid, g.grid))
 
 
 def beta_generic(f, g, alpha: float, window: SpectralWindow) -> ExtremumResult:

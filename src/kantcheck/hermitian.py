@@ -166,10 +166,11 @@ def _eval_pointwise(f, xs: Array) -> Array:
     return out
 
 
-def _real_values(f, xs: Array) -> Array:
-    """f on a 1-d float array as a float array, vectorized or else per point.
+def real_values(f, xs: Array) -> Array:
+    """Evaluate a real scalar function on a 1-d float array, non-finite values kept.
 
-    DomainError if a value is non-real; finiteness is left to the caller.
+    Tries a vectorized call first and falls back to per-point evaluation.
+    Non-real results raise DomainError.
     """
     with np.errstate(all="ignore"):
         try:
@@ -187,14 +188,6 @@ def _real_values(f, xs: Array) -> Array:
     return np.asarray(ys, dtype=float)
 
 
-def _finite(xs: Array, ys: Array) -> Array:
-    """ys; DomainError naming the first point of xs where a value is non-finite."""
-    if not np.all(np.isfinite(ys)):
-        bad = float(xs[np.flatnonzero(~np.isfinite(ys))[0]])
-        raise DomainError(f"scalar function non-finite at t={bad!r}")
-    return ys
-
-
 def eval_scalar(f, xs: Array) -> Array:
     """Evaluate a real scalar function on a 1-d array of points.
 
@@ -202,7 +195,11 @@ def eval_scalar(f, xs: Array) -> Array:
     Non-finite or non-real results raise DomainError.
     """
     xs = np.asarray(xs, dtype=float)
-    return _finite(xs, _real_values(f, xs))
+    ys = real_values(f, xs)
+    if not np.all(np.isfinite(ys)):
+        bad = float(xs[np.flatnonzero(~np.isfinite(ys))[0]])
+        raise DomainError(f"scalar function non-finite at t={bad!r}")
+    return ys
 
 
 def apply_scalar_function(a, f) -> Array:

@@ -23,7 +23,6 @@ from .constants import (
     kantorovich_C2,
     kantorovich_K,
     kantorovich_K2,
-    oracle_grid,
     power_fun,
 )
 from .hermitian import SpectralWindow
@@ -124,19 +123,18 @@ def _window_oracles(w: SpectralWindow, p_grid, q_grid):
     """Oracle values (ratio, gap) over one window: per p, of chord(t^p)
     against t^p (K and C); per q and then p, against t^q (K2 and C2).
 
-    The grid is built once, and each power is evaluated on it once; the
-    q-major order keeps only a few grid-sized arrays alive at a time.
+    Each power is evaluated on the window's oracle grid once; the q-major
+    order keeps only a few grid-sized arrays alive at a time.
     """
-    grid = oracle_grid(w)
     powers = [power_fun(p) for p in p_grid]
 
     def scans(f, g):
         return alpha_ratio(f, g, w).value, beta_generic(f, g, 1.0, w).value
 
-    by_p = [scans(f, GridFunction(f, w, grid)) for f in powers]
+    by_p = [scans(f, GridFunction(f, w)) for f in powers]
     by_q = []
     for q in q_grid:
-        g = GridFunction(power_fun(q), w, grid)
+        g = GridFunction(power_fun(q), w)
         by_q.append([scans(f, g) for f in powers])
     return by_p, by_q
 

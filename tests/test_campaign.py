@@ -25,7 +25,14 @@ from kantcheck.campaign import (
     validate_config,
 )
 from kantcheck.cli import main as cli_main
-from kantcheck.constants import alpha_ratio, beta_generic, kantorovich_K2, power_fun
+from kantcheck.constants import (
+    alpha_ratio,
+    beta_generic,
+    chord_coefficients,
+    grid_max_1d,
+    kantorovich_K2,
+    power_fun,
+)
 from kantcheck.errors import ConfigError, DomainError
 from kantcheck.generators import gen_weighted_family
 from kantcheck.hermitian import SpectralWindow
@@ -320,17 +327,22 @@ class TestSweep:
     def test_oracle_column_equals_the_public_oracles(self, tmp_path):
         # -1.0 is in both grids: numpy's array ** -1.0 takes a reciprocal
         # path whose last bit can differ from other ways of raising a power.
+        # Each value must also equal grid_max_1d on the objective written
+        # out, which evaluates chord and g afresh on the grid.
         windows = [(1.0, 2.0), (0.5, 4.0), (0.05, 20.0)]
         result = sweep_constants(windows, [-2.0, -1.0, -0.3], [-1.0, -0.6, -0.05], tmp_path)
         for row in result.rows:
             w = SpectralWindow(row["m"], row["M"])
-            name, p = row["constant_name"], row["p"]
-            g = power_fun(p if name in ("K", "C") else row["q"])
+            name, f = row["constant_name"], power_fun(row["p"])
+            g = power_fun(row["p"] if name in ("K", "C") else row["q"])
+            chord = chord_coefficients(f, w)
             if name in ("K", "K2"):
-                expected = alpha_ratio(power_fun(p), g, w).value
+                public = alpha_ratio(f, g, w).value
+                generic = grid_max_1d(lambda t: chord.at(t) / g(t), w).value
             else:
-                expected = beta_generic(power_fun(p), g, 1.0, w).value
-            assert row["oracle"] == expected, row
+                public = beta_generic(f, g, 1.0, w).value
+                generic = grid_max_1d(lambda t: chord.at(t) - 1.0 * g(t), w).value
+            assert row["oracle"] == public == generic, row
 
     def test_each_power_is_evaluated_on_the_grid_once_per_window(self, tmp_path, monkeypatch):
         dense = []
@@ -510,13 +522,23 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv", [["sweep"], ["run", "--suite", "corollary_2_3"]])
-    def test_overflowing_power_is_a_config_error(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, cfg, named", [
+        (["sweep"], {"windows": [[0.001, 1.0]], "p_grid": [-400.0]}, "window (0.001, 1.0): p=-400.0"),
+        (["run", "--suite", "corollary_2_3"], {"windows": [[0.001, 1.0]], "p_grid": [-400.0]},
+         "window (0.001, 1.0): p=-400.0"),
+        # validate_config checks the whole config, whatever the command or
+        # its suites use, as it does for every other field
+        (["sweep"], {"windows": [[1.0, 10.0]], "p_grid_theorem_1_1": [400.0]}, "theorem_1_1 p=400.0"),
+        (["run", "--suite", "theorem_1_1"], {"windows": [[1e-310, 1.0]], "p_grid": [-0.5], "q_grid": [-1.0]},
+         "q=-1.0"),
+    ])
+    def test_overflowing_power_is_a_config_error(self, tmp_path, capsys, argv, cfg, named):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"windows": [[0.001, 1.0]], "p_grid": [-400.0]}')
+        bad.write_text(json.dumps(cfg))
         out = tmp_path / "out"
         assert cli_main([*argv, "--config", str(bad), "--out", str(out)]) == 2
-        assert "config error: window (0.001, 1.0): p=-400.0 overflows" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: window (") and f"{named} overflows" in err
         assert not out.exists()
 
     def test_show_rejects_unreadable_reports(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kantcheck import constants
 from kantcheck.constants import (
     GridFunction,
     alpha_ratio,
@@ -17,11 +18,10 @@ from kantcheck.constants import (
     kantorovich_C2,
     kantorovich_K,
     kantorovich_K2,
-    oracle_grid,
     power_fun,
 )
 from kantcheck.errors import DegenerateExponentError, DomainError, ParameterError
-from kantcheck.hermitian import SpectralWindow
+from kantcheck.hermitian import SpectralWindow, eval_scalar
 
 W12 = SpectralWindow(1.0, 2.0)
 WINDOWS = [SpectralWindow(1.0, 2.0), SpectralWindow(0.5, 4.0), SpectralWindow(2.0, 3.0)]
@@ -233,10 +233,35 @@ class TestAlphaRatio:
     def test_grid_function_serves_only_its_own_window(self):
         w = SpectralWindow(0.5, 4.0)
         f, g = power_fun(-1.0), power_fun(-0.5)
-        on_w12 = GridFunction(g, W12, oracle_grid(W12))
+        on_w12 = GridFunction(g, W12)
         assert alpha_ratio(f, on_w12, w) == alpha_ratio(f, g, w)
         assert beta_generic(f, on_w12, 2.0, w) == beta_generic(f, g, 2.0, w)
         assert alpha_ratio(f, on_w12, W12) == alpha_ratio(f, g, W12)
+
+    @pytest.mark.parametrize("w", [W12, SpectralWindow(0.05, 20.0)])
+    def test_grid_values_are_the_objective_on_the_grid(self, monkeypatch, w):
+        # the scans build chord(f) / g and chord(f) - alpha * g on the grid
+        # in place, from g's kept values; those must be, bit for bit, the
+        # values of the objective h that the golden-section steps evaluate
+        seen = []
+        real = constants._refine
+
+        def spy(h, window, ts, ys):
+            seen.append((h, ts, ys))
+            return real(h, window, ts, ys)
+
+        monkeypatch.setattr(constants, "_refine", spy)
+        f = power_fun(-2.0)
+        for e in (-1.0, -0.6):
+            for g in (power_fun(e), GridFunction(power_fun(e), w)):
+                alpha_ratio(f, g, w)
+                for alpha in (1.0, 2.5, -0.5):
+                    beta_generic(f, g, alpha, w)
+        assert len(seen) == 16
+        grid = np.linspace(w.m, w.M, constants.GRID_RESOLUTION + 1)
+        for h, ts, ys in seen:
+            assert np.array_equal(ts, grid)
+            assert np.array_equal(ys, eval_scalar(h, grid))
 
 
 class TestModuleInvariants:
