@@ -195,7 +195,7 @@ SUITES = {
     "theorem_4_1": Suite(_PQ, _weighted_family, "check_theorem_4_1", cell_args=_tight_gap),
     "theorem_4_2": Suite(_P, _relative_with_map, "check_theorem_4_2", cell_args=_self_gap,
                          deviation=lambda s, w, p, f, alpha, beta:
-                         abs(beta_power_closed(w, p, p, alpha) - beta)),
+                         _gap_deviation(s, w, p, p, alpha)),
     "corollary_4_3": Suite(_P, _relative_with_map, "check_corollary_4_3",
                            cell_args=lambda s, w, p: {"p": p, "alpha": kantorovich_K(w, p)},
                            deviation=lambda s, w, p, alpha: _gap_deviation(s, w, p, p, alpha)),
@@ -307,7 +307,8 @@ def _check_field_types(cfg: CampaignConfig) -> None:
 
 
 def _check_powers_fit(cfg: CampaignConfig) -> None:
-    """Reject an exponent e whose m**e or M**e overflows a float for some window.
+    """Reject an exponent e whose m**e or M**e overflows a float, or
+    underflows to 0.0, for some window.
 
     The constants and oracles raise ``m**e`` and ``M**e`` to every
     configured exponent: p, q, p + r, and theorem 1.1's p.
@@ -319,10 +320,13 @@ def _check_powers_fit(cfg: CampaignConfig) -> None:
         for name, e in exponents:
             for t in window:
                 try:
-                    float(t) ** float(e)
+                    underflows = float(t) ** float(e) == 0.0
                 except OverflowError:
                     raise ConfigError(f"window ({window[0]}, {window[1]}): {name}={e} overflows "
                                       f"{t}**{e}") from None
+                if underflows:
+                    raise ConfigError(f"window ({window[0]}, {window[1]}): {name}={e} underflows "
+                                      f"{t}**{e} to 0.0")
 
 
 def validate_config(cfg: CampaignConfig) -> None:

@@ -286,24 +286,6 @@ def kantorovich_K2(window: SpectralWindow, p: float, q: float) -> float:
     return float(max(m ** (p - q), M ** (p - q)))
 
 
-def k2_touch_point_forms(window: SpectralWindow, p: float, q: float) -> tuple[float, float]:
-    """The interior maximizer of chord(t^p)/t^q in two equivalent arrangements.
-
-    Both are kept so tests can confirm numerically that they never disagree;
-    p = 0 has no touch point and is refused.
-    """
-    w = window.require_positive()
-    p = _require_nondegenerate(p, "p")
-    q = _require_nondegenerate(q, "q")
-    m, M = w.m, w.M
-    num = m * M ** p - M * m ** p
-    dpow = M ** p - m ** p
-    direct = q * num / ((q - 1.0) * dpow)
-    chord = chord_coefficients(power_fun(p), w)
-    via_chord = q * chord.intercept / ((1.0 - q) * chord.slope)
-    return float(direct), float(via_chord)
-
-
 def kantorovich_C2(window: SpectralWindow, p: float, q: float) -> float:
     """Two-exponent difference constant C(m, M, p, q) = max{chord(t^p) - t^q}.
 

@@ -16,7 +16,9 @@ its operands in the window as one stack.
 
 A window placement targets the endpoints m and M but nudges its targets
 inside by a margin that grows with the dimension, so that each operand's
-zero-tolerance window test passes on the first eigensolve.
+zero-tolerance window test passes on the first eigensolve.  Should one
+still fail, its targets move further in and the whole stack is placed
+again.
 """
 
 from __future__ import annotations
@@ -146,31 +148,23 @@ def _place_in_window(draws: list, window: SpectralWindow) -> tuple[Array, Spectr
     The targets start nudged inside the window by 8 * dim * eps times the
     window's scale, which covers the roundoff of the rebuild and of its
     eigensolve (both grow with the dimension), so the zero-tolerance
-    window test passes on the first try.  A member whose test still fails
-    has its targets nudged further inward and is rebuilt; the others are not.
+    window test passes on the first try.  Should a member's test still
+    fail, its targets are nudged further inward and the whole stack is
+    rebuilt and tested again; a member that passed is rebuilt bit for bit.
     """
     lams, gaussians = (np.stack(part) for part in zip(*draws))
     q = _haar(gaussians)
     scale = max(abs(window.m), abs(window.M), 1.0)
     margin = 8.0 * np.finfo(float).eps * scale * q.shape[-1]
     target = np.clip(np.sort(lams, axis=-1), window.m + margin, window.M - margin)
-    placed = np.empty_like(q)
-    vals = np.empty_like(target)
-    vecs = np.empty_like(q)
-    todo = np.arange(len(q))
     for _ in range(6):
-        u = q[todo]
-        a = hermitize((u * target[todo][:, None, :]) @ u.conj().swapaxes(-1, -2))
+        a = hermitize((q * target[:, None, :]) @ q.conj().swapaxes(-1, -2))
         dec = eig_hermitian(a)
-        inside = spectrum_in_window(dec, window, 0.0)
-        done = todo[inside]
-        placed[done] = a[inside]
-        vals[done], vecs[done] = dec.eigenvalues[inside], dec.eigenvectors[inside]
-        todo = todo[~inside]
-        if not todo.size:
-            return placed, SpectralDecomposition(vals, vecs)
+        outside = ~spectrum_in_window(dec, window, 0.0)
+        if not outside.any():
+            return a, dec
         margin *= 8.0
-        target[todo] = np.clip(target[todo], window.m + margin, window.M - margin)
+        target[outside] = np.clip(target[outside], window.m + margin, window.M - margin)
     raise GenerationError(f"could not place a spectrum inside [{window.m}, {window.M}]")
 
 

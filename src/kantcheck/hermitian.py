@@ -18,6 +18,9 @@ stacked decomposition it returns.  numpy's stacked eigensolvers and
 products give each member the bits a call on that member alone gives.
 Every other entry point, and any of these given an array, takes one
 matrix.
+
+``geometric_interpolant`` is the one scalar form of the chains'
+interpolant G; ``superlog_bound`` applies it to a matrix.
 """
 
 from __future__ import annotations
@@ -280,14 +283,23 @@ def spectrum_in_window(a, window: SpectralWindow, tol: float = 0.0):
     return bool(holds) if holds.ndim == 0 else holds
 
 
+def geometric_interpolant(window: SpectralWindow, log_fm: float, log_fM: float):
+    """The geometric endpoint interpolant G of the endpoint logarithms
+    log_fm and log_fM: t -> exp(((M - t) log_fm + (t - m) log_fM) / (M - m)),
+    on a float or an array.  G(m) = exp(log_fm), G(M) = exp(log_fM), and
+    log G is affine between them."""
+    m, M, width = window.m, window.M, window.width
+    return lambda t: np.exp(((M - t) * log_fm + (t - m) * log_fM) / width)
+
+
 def superlog_bound(b, window: SpectralWindow, fm: float, fM: float,
                    hypothesis_tol: float = 1e-9) -> Array:
     """Geometric endpoint interpolant applied spectrally to B.
 
     Computes G(B) for G(t) = fm^((M-t)/(M-m)) * fM^((t-m)/(M-m)), the
     operator separating f(B) from its chord bound whenever f is log-convex
-    with endpoint values fm, fM.  Both affine exponent terms commute with B,
-    so G is evaluated as a single scalar function of B.
+    with endpoint values fm, fM.  G is ``geometric_interpolant`` of
+    log fm and log fM.
     """
     fm = float(fm)
     fM = float(fM)
@@ -299,8 +311,7 @@ def superlog_bound(b, window: SpectralWindow, fm: float, fM: float,
         raise HypothesisError(
             f"spectrum [{float(lam[0]):.6g}, {float(lam[-1]):.6g}] not inside "
             f"window [{window.m}, {window.M}]")
-    log_vals = ((window.M - lam) * math.log(fm) + (lam - window.m) * math.log(fM)) / window.width
-    return dec.rebuild(np.exp(log_vals))
+    return dec.rebuild(geometric_interpolant(window, math.log(fm), math.log(fM))(lam))
 
 
 def matrix_to_json(a) -> dict:

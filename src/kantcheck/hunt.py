@@ -27,7 +27,7 @@ from .generators import (
     gen_hermitian_in_window,
     pair_to_json,
 )
-from .hermitian import SpectralWindow, loewner_leq, matrix_power
+from .hermitian import SpectralWindow, geometric_interpolant, loewner_leq, matrix_power
 from .verifiers import (
     check_corollary_2_2,
     check_corollary_2_3,
@@ -218,10 +218,8 @@ def _hunt_unweighted_difference_constant(cfg: CampaignConfig, samples: int) -> H
     # weighted gap t^(-r) (G_{p+r}(t) - t^(p+r)) over the first window
     w0 = SpectralWindow(*cfg.windows[0])
     s = p + r
-    lnm, lnM = math.log(w0.m) * s, math.log(w0.M) * s
-    weighted_gap = lambda t: t ** (-r) * (
-        np.exp(((w0.M - t) * lnm + (t - w0.m) * lnM) / w0.width) - t ** s)
-    t_star = grid_max_1d(weighted_gap, w0).t_star
+    g = geometric_interpolant(w0, s * math.log(w0.m), s * math.log(w0.M))
+    t_star = grid_max_1d(lambda t: t ** (-r) * (g(t) - t ** s), w0).t_star
     mat = np.diag(np.asarray([t_star, w0.m], dtype=complex))
     commuting = CertifiedPair(A=mat, B=mat, window=w0, certificate=CERT_CHAOTIC, seed=-1)
     return _sample_loop(cfg, "corollary_3_3_unweighted_constant",

@@ -43,6 +43,7 @@ from .hermitian import (
     SpectralWindow,
     apply_scalar_function,
     eig_hermitian,
+    geometric_interpolant,
     hermitize,
     identity,
     loewner_leq,  # noqa: F401  (still importable from this module, as before)
@@ -340,15 +341,9 @@ def _chaotic_middle(pair: CertifiedPair, p: float, r: float) -> Array:
     computed as t -> t^(-r) G_{t^(p+r)}(t) on the spectrum; this avoids
     commutator noise from multiplying two separately rounded matrices.
     """
-    w = pair.window
-    s = p + r
-    log_m = math.log(w.m) * s
-    log_upper = math.log(w.M) * s
-
-    def fun(t):
-        return t ** (-r) * np.exp(((w.M - t) * log_m + (t - w.m) * log_upper) / w.width)
-
-    return apply_scalar_function(pair.spec_B, fun)
+    w, s = pair.window, p + r
+    g = geometric_interpolant(w, s * math.log(w.m), s * math.log(w.M))
+    return apply_scalar_function(pair.spec_B, lambda t: t ** (-r) * g(t))
 
 
 def _chaotic_chain(pair: CertifiedPair, p: float, r: float, upper: tuple,

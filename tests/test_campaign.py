@@ -87,6 +87,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=named + "overflows"):
             validate_config(CampaignConfig(**fields))
 
+    def test_underflowing_power_names_window_and_exponent(self):
+        # a positive exponent underflows on a tiny m
+        with pytest.raises(ConfigError, match=r"window \(1e-200, 1.0\): theorem_1_1 p=2.0 "
+                                              r"underflows 1e-200\*\*2.0 to 0.0"):
+            validate_config(CampaignConfig(windows=[(1e-200, 1.0)], p_grid=[-0.5],
+                                           p_grid_theorem_1_1=[2.0]))
+
     def test_load_config_round_trip(self, tmp_path):
         cfg = CampaignConfig(suites=["corollary_2_3"], samples_per_cell=3)
         path = tmp_path / "cfg.json"
@@ -541,6 +548,17 @@ class TestCli:
         assert err.startswith("config error: window (") and f"{named} overflows" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["sweep"],
+                                      ["run", "--suite", "corollary_2_3", "--samples", "1"]])
+    def test_underflowing_power_is_a_config_error(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"windows": [[1000.0, 10000.0]], "p_grid": [-200.0]}))
+        out = tmp_path / "out"
+        assert cli_main([*argv, "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: window (1000.0, 10000.0): p=-200.0 underflows")
+        assert not out.exists()
+
     def test_show_rejects_unreadable_reports(self, tmp_path, capsys):
         (tmp_path / "empty.csv").write_text("")
         (tmp_path / "empty.jsonl").write_text("")
@@ -558,6 +576,35 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sweep" / "constants.csv").exists()
         assert "max |closed_form - oracle|" in capsys.readouterr().out
+
+    def test_sweep_and_hunt_match_recorded_digests(self, tmp_path, capsys):
+        """Every file ``sweep`` and ``hunt --seed 1`` write for a small
+        config is byte-identical to the run recorded in
+        ``tests/data/sweep_hunt_digests.txt``.  Window (2, 3) has m > 1, so
+        hunt's unweighted-constant mode runs on it.  The record was made
+        from a checkout's ``src`` with
+
+            cd "$(mktemp -d)" && echo '{"dims": [2, 3], "windows": [[1.0, 2.0], [2.0, 3.0]],
+              "p_grid": [-1.0, -0.5], "q_grid": [-1.0, -0.5], "r_grid": [-0.5],
+              "fuzz_samples": 40}' > cfg.json
+            PYTHONPATH=<checkout>/src python3 -m kantcheck.cli sweep --config cfg.json --out out/sweep
+            PYTHONPATH=<checkout>/src python3 -m kantcheck.cli hunt --config cfg.json --seed 1 --out out/hunt
+            cd out && find . -type f | sort | sed 's|^\\./||' | xargs sha256sum
+        """
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dims": [2, 3], "windows": [[1.0, 2.0], [2.0, 3.0]], "p_grid": [-1.0, -0.5],
+            "q_grid": [-1.0, -0.5], "r_grid": [-0.5], "fuzz_samples": 40}))
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out / "sweep")]) == 0
+        assert cli_main(["hunt", "--config", str(cfg_path), "--seed", "1",
+                         "--out", str(out / "hunt")]) == 0
+        recorded = (Path(__file__).parent / "data" / "sweep_hunt_digests.txt").read_text()
+        expected = {path: digest for digest, path in
+                    (line.split("  ") for line in recorded.splitlines())}
+        written = {path.replace("\\", "/"): hashlib.sha256(data).hexdigest()
+                   for path, data in read_bytes_tree(out).items()}
+        assert written == expected
 
     def test_hunt_subcommand(self, tmp_path, capsys):
         code = cli_main(["hunt", "--samples", "60", "--out", str(tmp_path / "hunt")])

@@ -13,7 +13,6 @@ from kantcheck.constants import (
     beta_power_closed,
     chord_coefficients,
     grid_max_1d,
-    k2_touch_point_forms,
     kantorovich_C,
     kantorovich_C2,
     kantorovich_K,
@@ -177,14 +176,6 @@ class TestKantorovichK2:
         interior = num / ((q - 1.0) * w.width) * ((q - 1.0) / q * dpow / num) ** q
         endpoint = max(m ** (p - q), M ** (p - q))
         assert abs(interior - endpoint) < 1e-8
-
-    def test_touch_point_forms_agree(self):
-        # two printed arrangements of the interior maximizer must coincide
-        for w in WINDOWS:
-            for p in np.linspace(-3.0, -0.1, 7):
-                for q in np.linspace(-1.0, -0.1, 5):
-                    direct, via_chord = k2_touch_point_forms(w, float(p), float(q))
-                    assert rel_close(direct, via_chord, 1e-9), (w, p, q)
 
 
 class TestDifferenceConstants:

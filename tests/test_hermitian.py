@@ -13,6 +13,7 @@ from kantcheck.hermitian import (
     apply_scalar_function,
     eig_hermitian,
     frobenius,
+    geometric_interpolant,
     loewner_leq,
     loewner_verdicts,
     matrix_exp,
@@ -310,6 +311,21 @@ class TestSuperlogBound:
                      + (W12.M * W12.m ** p - W12.m * W12.M ** p)) / W12.width
             assert float(np.min(geo - ts ** p)) >= -1e-12
             assert float(np.min(chord - geo)) >= -1e-12
+
+    @pytest.mark.parametrize("window", [(1.0, 2.0), (0.05, 20.0), (10.0, 1000.0)])
+    def test_geometric_interpolant_is_the_abstracts_formula(self, window):
+        # G(t) = (m^p)^((M-t)/(M-m)) * (M^p)^((t-m)/(M-m)), written out with
+        # powers instead of logarithms, on arrays and on single floats
+        w = SpectralWindow(*window)
+        m, M = w.m, w.M
+        ts = np.linspace(m, M, 101)
+        for p in (-3.0, -2.0, -1.0, -0.5, -0.1, 0.0):
+            g = geometric_interpolant(w, math.log(m ** p), math.log(M ** p))
+            expected = (m ** p) ** ((M - ts) / (M - m)) * (M ** p) ** ((ts - m) / (M - m))
+            assert np.allclose(g(ts), expected, rtol=1e-12, atol=0.0), p
+            for t in (m, float(ts[37]), 0.5 * (m + M), M):
+                expected = (m ** p) ** ((M - t) / (M - m)) * (M ** p) ** ((t - m) / (M - m))
+                assert math.isclose(g(t), expected, rel_tol=1e-12), (p, t)
 
 
 class TestExchangeFormat:
