@@ -9,9 +9,9 @@ checked) once for every function applied to it.  ``loewner_leq`` checks
 its arguments; ``loewner_verdicts``, which it calls, tests a list of
 internal intermediates with one stacked eigensolve and checks nothing.
 
-``hermitize`` and ``eig_hermitian`` also take a stack of same-size
-matrices, shape (k, n, n), and act on each member; ``eig_hermitian``
-checks every member as ``require_hermitian`` checks one matrix.  The
+``hermitian`` validates a matrix, or each member of a stack (k, n, n) of
+same-size matrices; ``require_hermitian`` takes one matrix.  ``hermitize``,
+``eig_hermitian`` and ``posmaps.apply_map`` act on each member of a stack.  The
 decomposition's ``rebuild``, ``matrix_power``, ``matrix_log``,
 ``matrix_exp`` and ``spectrum_in_window`` act on each member of the
 stacked decomposition it returns.  numpy's stacked eigensolvers and
@@ -56,31 +56,33 @@ def identity(dim: int) -> Array:
     return np.eye(dim, dtype=complex)
 
 
-def require_hermitian(a, name: str = "matrix") -> Array:
-    """Validate and return ``a`` as a square complex Hermitian array.
-
-    The allowed deviation from conjugate symmetry is ``1e-12`` times the
-    Frobenius norm.  Shape problems raise ValueError, symmetry problems
-    raise HermiticityError.
-    """
+def hermitian(a, name: str = "matrix") -> Array:
+    """Validate and return ``a``, a complex Hermitian matrix or a stack (k, n, n)
+    of them: each member may deviate from conjugate symmetry by ``1e-12`` times
+    its Frobenius norm.  Shape problems and NaN or infinite entries raise
+    ValueError, symmetry problems raise HermiticityError."""
     arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    _check_members(arr[None], name)
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"{name} must be square, or a stack of them, got shape {arr.shape}")
+    n = arr.shape[-1]
+    if not 1 <= n <= DIM_CAP:
+        raise ValueError(f"{name} dimension {n} outside supported range [1, {DIM_CAP}]")
+    stack = arr.reshape(-1, n, n)
+    devs = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    # only a nonzero deviation needs its norm; a NaN or inf entry makes it NaN or inf
+    for i in np.flatnonzero(devs != 0.0):
+        if not np.isfinite(devs[i]):
+            raise ValueError(f"{name} has NaN or infinite entries")
+        if devs[i] > HERMITICITY_RTOL * frobenius(stack[i]):
+            raise HermiticityError(f"{name} deviates from Hermitian symmetry by {devs[i]:.3e}")
     return arr
 
 
-def _check_members(stack: Array, name: str) -> None:
-    """``require_hermitian``'s dimension and symmetry tests on each member
-    of a stack of square matrices, shape (k, n, n)."""
-    n = stack.shape[-1]
-    if not 1 <= n <= DIM_CAP:
-        raise ValueError(f"{name} dimension {n} outside supported range [1, {DIM_CAP}]")
-    devs = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    # a zero deviation passes at any norm, so only the others need theirs
-    for i in np.flatnonzero(devs > 0.0):
-        if devs[i] > HERMITICITY_RTOL * frobenius(stack[i]):
-            raise HermiticityError(f"{name} deviates from Hermitian symmetry by {devs[i]:.3e}")
+def require_hermitian(a, name: str = "matrix") -> Array:
+    """``hermitian`` for one matrix: a stack raises ValueError."""
+    if np.ndim(a) != 2:
+        raise ValueError(f"{name} must be square, got shape {np.shape(a)}")
+    return hermitian(a, name)
 
 
 @dataclass(frozen=True)
@@ -137,13 +139,8 @@ class SpectralDecomposition:
 def eig_hermitian(a) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix, or of each member of a
     stack (k, n, n), eigenvalues ascending."""
-    arr = np.asarray(a, dtype=complex)
-    if arr.ndim == 3 and arr.shape[1] == arr.shape[2]:
-        _check_members(arr, "matrix")
-    else:
-        arr = require_hermitian(arr)
     try:
-        vals, vecs = np.linalg.eigh(arr)
+        vals, vecs = np.linalg.eigh(hermitian(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     return SpectralDecomposition(vals, vecs)

@@ -17,6 +17,7 @@ from .hermitian import (
     apply_scalar_function,
     decompose,
     eig_hermitian,
+    hermitian,
     hermitize,
     require_hermitian,
 )
@@ -57,11 +58,13 @@ class PositiveLinearMap:
 
 
 def apply_map(phi: PositiveLinearMap, x) -> Array:
-    """Evaluate Phi(X) = sum_i W_i* X W_i; preserves Hermiticity and positivity."""
-    arr = require_hermitian(x, "X")
-    if arr.shape[0] != phi.dim_in:
-        raise ValueError(f"dimension mismatch: X is {arr.shape[0]}, map expects {phi.dim_in}")
-    acc = np.zeros((phi.dim_out, phi.dim_out), dtype=complex)
+    """Evaluate Phi(X) = sum_i W_i* X W_i, or Phi of each member of a stack (k, n, n),
+    validated once; preserves Hermiticity and positivity.  The Kraus terms are added
+    in order, so each member gets the bits a call on it alone gives."""
+    arr = hermitian(x, "X")
+    if arr.shape[-1] != phi.dim_in:
+        raise ValueError(f"dimension mismatch: X is {arr.shape[-1]}, map expects {phi.dim_in}")
+    acc = np.zeros(arr.shape[:-2] + (phi.dim_out, phi.dim_out), dtype=complex)
     for w in phi.kraus:
         acc += w.conj().T @ arr @ w
     return hermitize(acc)

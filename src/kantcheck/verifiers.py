@@ -419,14 +419,11 @@ def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,
         beta = beta_generic(f, g, alpha, w).value
     fm, fM = float(f(w.m)), float(f(w.M))
     dim_out = family.items[0][1].dim_out
-    lhs = np.zeros((dim_out, dim_out), dtype=complex)
-    mid = np.zeros((dim_out, dim_out), dtype=complex)
-    agg = np.zeros((dim_out, dim_out), dtype=complex)
+    acc = np.zeros((3, dim_out, dim_out), dtype=complex)
     for (weight, phi, op), spec in zip(family.items, family.spectra):
-        lhs += weight * apply_map(phi, apply_scalar_function(spec, f))
-        mid += weight * apply_map(phi, superlog_bound(spec, w, fm, fM))
-        agg += weight * apply_map(phi, op)
-    lhs, mid, agg = hermitize(lhs), hermitize(mid), hermitize(agg)
+        terms = np.stack([apply_scalar_function(spec, f), superlog_bound(spec, w, fm, fM), op])
+        acc += weight * apply_map(phi, terms)
+    lhs, mid, agg = hermitize(acc)
     rhs = alpha * apply_scalar_function(agg, g) + beta * identity(dim_out)
     links = _chain(("sum w_i Phi_i(f(A_i))", lhs), ("sum w_i Phi_i(G_f(A_i))", mid),
                    ("alpha g(agg) + beta", rhs), rel_tol)
@@ -436,20 +433,21 @@ def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,
                    links)
 
 
-def _relative_interpolant(pair: CertifiedPair, fm: float, fM: float):
-    """The decomposition of T = A^(-1/2) B A^(-1/2), A^(1/2), and A^(1/2) G(T) A^(1/2)."""
+def _relative_means(pair: CertifiedPair, f) -> tuple:
+    """A sigma_f B and A^(1/2) G_f(T) A^(1/2), both through the one
+    decomposition of T = A^(-1/2) B A^(-1/2)."""
+    w = pair.window
     rt, irt = sqrt_invsqrt(pair.spec_A)
     t = eig_hermitian(hermitize(irt @ pair.B @ irt))
-    g_t = superlog_bound(t, pair.window, fm, fM, 1e-8)
-    return t, rt, hermitize(rt @ g_t @ rt)
+    g_t = superlog_bound(t, w, float(f(w.m)), float(f(w.M)), 1e-8)
+    return hermitize(rt @ apply_scalar_function(t, f) @ rt), hermitize(rt @ g_t @ rt)
 
 
 def _relative_terms(pair: CertifiedPair, phi: PositiveLinearMap, f) -> tuple:
-    """Phi(A sigma_f B), Phi(A^(1/2) G_f(T) A^(1/2)), Phi(A) and Phi(B)."""
-    w = pair.window
-    t, rt, interp = _relative_interpolant(pair, float(f(w.m)), float(f(w.M)))
-    lhs = apply_map(phi, hermitize(rt @ apply_scalar_function(t, f) @ rt))
-    return lhs, apply_map(phi, interp), apply_map(phi, pair.A), apply_map(phi, pair.B)
+    """Phi(A sigma_f B), Phi(A^(1/2) G_f(T) A^(1/2)), Phi(A) and Phi(A) sigma_f Phi(B) for
+    theorem 4.2 and corollaries 4.3 and 4.4; the four operators are mapped in one call."""
+    lhs, mid, phi_a, phi_b = apply_map(phi, np.stack([*_relative_means(pair, f), pair.A, pair.B]))
+    return lhs, mid, phi_a, f_connection(phi_a, phi_b, f)
 
 
 def check_theorem_4_2(pair: CertifiedPair, phi: PositiveLinearMap, f, alpha: float,
@@ -466,8 +464,8 @@ def check_theorem_4_2(pair: CertifiedPair, phi: PositiveLinearMap, f, alpha: flo
     w = pair.window
     if beta is None:
         beta = beta_generic(f, f, alpha, w).value
-    lhs, mid, phi_a, phi_b = _relative_terms(pair, phi, f)
-    rhs = beta * phi_a + alpha * f_connection(phi_a, phi_b, f)
+    lhs, mid, phi_a, mean_term = _relative_terms(pair, phi, f)
+    rhs = beta * phi_a + alpha * mean_term
     links = _chain(("Phi(A sigma_f B)", lhs), ("Phi(A^(1/2) G_f(T) A^(1/2))", mid),
                    ("beta Phi(A) + alpha Phi(A) sigma_f Phi(B)", rhs), rel_tol)
     return _finish("theorem_4_2", pair.dim, pair.seed, w,
@@ -484,8 +482,8 @@ def check_corollary_4_3(pair: CertifiedPair, phi: PositiveLinearMap, p: float, a
         raise ParameterError(f"needs p <= 0, got p={p}")
     w = pair.window
     beta = beta_power_closed(w, p, p, alpha)
-    lhs, mid, phi_a, phi_b = _relative_terms(pair, phi, power_fun(p))
-    rhs = beta * phi_a + alpha * sharp(phi_a, phi_b, p)
+    lhs, mid, phi_a, mean_term = _relative_terms(pair, phi, power_fun(p))
+    rhs = beta * phi_a + alpha * mean_term
     links = _chain(("Phi(A #_p B)", lhs), ("Phi(A^(1/2) G_{t^p}(T) A^(1/2))", mid),
                    ("beta Phi(A) + alpha Phi(A) #_p Phi(B)", rhs), rel_tol)
     return _finish("corollary_4_3", pair.dim, pair.seed, w,
@@ -509,8 +507,7 @@ def check_corollary_4_4(pair: CertifiedPair, phi: PositiveLinearMap, p: float,
     if mode not in ("ratio", "difference"):
         raise ValueError(f"mode must be 'ratio' or 'difference', got {mode!r}")
     w = pair.window
-    lhs, mid, phi_a, phi_b = _relative_terms(pair, phi, power_fun(p))
-    mean_term = sharp(phi_a, phi_b, p)
+    lhs, mid, phi_a, mean_term = _relative_terms(pair, phi, power_fun(p))
     params = {"p": p, "mode": mode, "dim_out": phi.dim_out}
     links = []
     if -1.0 <= p < 0.0:
@@ -544,13 +541,11 @@ def check_theorem_4_5(pair: CertifiedPair, phi: PositiveLinearMap, p: float,
     w = pair.window
     k = kantorovich_K(w, p)
     c = kantorovich_C(w, p)
-    t, rt, interp = _relative_interpolant(pair, w.m ** p, w.M ** p)
-    phi_a = apply_map(phi, pair.A)
-    phi_b = apply_map(phi, pair.B)
-    # T_p(X|Y) = (X #_p Y - X)/p from means built once; A #_p B = A^(1/2) T^p A^(1/2)
-    mean_in = hermitize(rt @ apply_scalar_function(t, power_fun(p)) @ rt)
-    lhs = apply_map(phi, hermitize((mean_in - pair.A) / p))
-    mid = hermitize((apply_map(phi, interp) - phi_a) / p)
+    mean_in, interp = _relative_means(pair, power_fun(p))
+    # T_p(X|Y) = (X #_p Y - X)/p from means built once
+    entropy_in = hermitize((mean_in - pair.A) / p)
+    lhs, phi_interp, phi_a, phi_b = apply_map(phi, np.stack([entropy_in, interp, pair.A, pair.B]))
+    mid = hermitize((phi_interp - phi_a) / p)
     mean_term = sharp(phi_a, phi_b, p)
     entropy_out = hermitize((mean_term - phi_a) / p)
     ratio_floor = hermitize(entropy_out - ((1.0 - k) / p) * mean_term)

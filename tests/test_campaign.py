@@ -179,6 +179,31 @@ class TestRunCampaign:
                    for path, data in read_bytes_tree(small_config.output_dir).items()}
         assert written == expected
 
+    def test_phi_reports_at_large_dim_match_recorded_digests(self, tmp_path):
+        """The five Phi suites write at d = 16 and 64 exactly the files
+        recorded in ``tests/data/phi_large_dim_digests.txt``, so stacked map
+        products are pinned where BLAS blocks them.  The record was made from
+        a checkout's ``src`` with
+
+            cd "$(mktemp -d)" && PYTHONPATH=<checkout>/src OPENBLAS_NUM_THREADS=1 python3 -c '
+            from kantcheck.campaign import CampaignConfig, run_campaign
+            run_campaign(CampaignConfig(suites=["theorem_4_1", "theorem_4_2", "corollary_4_3",
+                "corollary_4_4", "theorem_4_5"], dims=[16, 64], windows=[(1.0, 2.0), (0.5, 4.0)],
+                p_grid=[-1.0], q_grid=[-0.5], samples_per_cell=2, output_dir="out"))'
+            cd out && find . -type f | sort | sed 's|^\\./||' | xargs sha256sum
+        """
+        cfg = CampaignConfig(suites=["theorem_4_1", "theorem_4_2", "corollary_4_3",
+                                     "corollary_4_4", "theorem_4_5"],
+                             dims=[16, 64], windows=[(1.0, 2.0), (0.5, 4.0)], p_grid=[-1.0],
+                             q_grid=[-0.5], samples_per_cell=2, output_dir=str(tmp_path / "out"))
+        assert run_campaign(cfg).total_checks == 24
+        recorded = (Path(__file__).parent / "data" / "phi_large_dim_digests.txt").read_text()
+        expected = {path: digest for digest, path in
+                    (line.split("  ") for line in recorded.splitlines())}
+        written = {path.replace("\\", "/"): hashlib.sha256(data).hexdigest()
+                   for path, data in read_bytes_tree(cfg.output_dir).items()}
+        assert written == expected
+
     def test_replay_from_report_header(self, small_config, tmp_path):
         run_campaign(small_config)
         header_line = (Path(small_config.output_dir) / "reports" /

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -342,3 +343,45 @@ class TestExchangeFormat:
         broken = {"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
         with pytest.raises(HermiticityError):
             matrix_from_json(broken)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+class TestNonFiniteEntries:
+    """A NaN or infinite entry is malformed input, never a failed inequality."""
+
+    CASES = [pytest.param(bad, entry, id=f"{name}-{where}")
+             for bad, name in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"))
+             for entry, where in (((0, 0), "diagonal"), ((0, 1), "off_diagonal"))]
+
+    @staticmethod
+    def _matrix(bad, entry):
+        a = np.diag([1.0, 2.0]).astype(complex)
+        a[entry] = bad
+        return a
+
+    @pytest.mark.parametrize("bad, entry", CASES)
+    def test_require_hermitian(self, bad, entry):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            require_hermitian(self._matrix(bad, entry), "A")
+
+    @pytest.mark.parametrize("bad, entry", CASES)
+    def test_matrix_from_json(self, bad, entry):
+        re = [[1.0, 0.0], [0.0, 2.0]]
+        re[entry[0]][entry[1]] = bad
+        # Python's json reads the NaN and Infinity tokens as floats
+        line = json.dumps({"dim": 2, "re": re, "im": [[0.0, 0.0], [0.0, 0.0]]})
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            matrix_from_json(json.loads(line))
+
+    @pytest.mark.parametrize("bad, entry", CASES)
+    def test_loewner_leq(self, bad, entry):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            loewner_leq(self._matrix(bad, entry), np.eye(2))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            loewner_leq(np.eye(2), self._matrix(bad, entry))
+
+    @pytest.mark.parametrize("bad, entry", CASES)
+    def test_eig_hermitian_stack_with_one_bad_member(self, bad, entry):
+        stack = np.stack([diag(1, 2), self._matrix(bad, entry), diag(2, 3)])
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            eig_hermitian(stack)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kantcheck.errors import DomainError, ParameterError
+from kantcheck.errors import DomainError, HermiticityError, ParameterError
 from kantcheck.generators import (
     gen_hermitian_in_window,
     gen_positive_linear_map,
@@ -50,18 +50,48 @@ class TestApplyMap:
         with pytest.raises(ValueError):
             apply_map(phi, np.eye(4))
 
-    def test_stack_of_operands_is_rejected(self):
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6, 16, 64])
+    def test_stack_maps_each_member_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        window = SpectralWindow(0.5, 4.0)
+        for n_kraus in (1, 2, 3):
+            phi = gen_positive_linear_map(dim, max(1, dim - 1), n_kraus, rng)
+            for size in (1, 3, 4):
+                stack = np.stack([gen_hermitian_in_window(dim, window, rng) for _ in range(size)])
+                mapped = apply_map(phi, stack)
+                assert mapped.shape == (size, phi.dim_out, phi.dim_out)
+                for i in range(size):
+                    assert np.array_equal(mapped[i], apply_map(phi, stack[i]))
+
+    def test_stack_is_validated_as_a_whole(self):
         phi = gen_positive_linear_map(2, 2, 1, 4)
+        stack = np.stack([diag(1, 2), diag(2, 3), diag(1, 3)])
+        stack[1, 0, 1] = 1e-3
+        with pytest.raises(HermiticityError):
+            apply_map(phi, stack)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply_map(phi, np.stack([np.eye(3)] * 2))
+
+    def test_stack_of_operands_is_rejected(self):
         a = diag(1, 2)
         stack = np.stack([a, diag(2, 3)])
-        with pytest.raises(ValueError, match="must be square"):
-            apply_map(phi, stack)
         with pytest.raises(ValueError, match="must be square"):
             sharp(a, stack, -1.0)
         with pytest.raises(ValueError, match="must be square"):
             sharp(stack, a, -1.0)
         with pytest.raises(ValueError, match="must be square"):
             f_connection(a, stack, np.sqrt)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_non_finite_entries_are_rejected(self, bad, entry):
+        phi = gen_positive_linear_map(2, 2, 1, 4)
+        stack = np.stack([diag(1, 2), diag(2, 3)])
+        stack[1][entry] = bad
+        for x in (stack[1], stack):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                apply_map(phi, x)
 
     def test_normalization_is_enforced(self):
         with pytest.raises(ValueError):

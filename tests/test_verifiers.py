@@ -444,6 +444,44 @@ class TestTheorem45:
         assert report.overall
 
 
+class TestMapOnce:
+    """Each Phi check maps all of an item's or a pair's operators in one call."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        real = verifiers.apply_map
+
+        def counting(phi, x):
+            calls.append(np.shape(x))
+            return real(phi, x)
+
+        monkeypatch.setattr(verifiers, "apply_map", counting)
+        return calls
+
+    def test_theorem_4_1_maps_each_item_once(self, monkeypatch):
+        family = gen_weighted_family(3, 4, 3, W12, 5)
+        calls = self._counted(monkeypatch)
+        alpha = alpha_ratio(power_fun(-1.0), power_fun(-1.0), W12).value
+        assert check_theorem_4_1(family, power_fun(-1.0), power_fun(-1.0), alpha).overall
+        assert calls == [(3, 4, 4)] * 3
+
+    @pytest.mark.parametrize("check", [
+        lambda pair, phi: check_theorem_4_2(pair, phi, power_fun(-1.0), kantorovich_K(W12, -1.0)),
+        lambda pair, phi: check_corollary_4_3(pair, phi, -1.0, kantorovich_K(W12, -1.0)),
+        lambda pair, phi: check_corollary_4_4(pair, phi, -1.0, "ratio"),
+        lambda pair, phi: check_corollary_4_4(pair, phi, -1.0, "difference"),
+        lambda pair, phi: check_theorem_4_5(pair, phi, -0.5),
+    ], ids=["theorem_4_2", "corollary_4_3", "corollary_4_4_ratio",
+            "corollary_4_4_difference", "theorem_4_5"])
+    def test_relative_checks_map_once(self, monkeypatch, check):
+        pair = gen_relative_pair(3, W12, seed=4)
+        phi = gen_positive_linear_map(3, 2, 2, 6)
+        calls = self._counted(monkeypatch)
+        assert check(pair, phi).overall
+        assert calls == [(4, 3, 3)]
+
+
 class TestDecomposeOnce:
     def test_corollary_2_3_runs_no_eigh(self, monkeypatch):
         pair = gen_dominated_pair(4, W12, seed=5)
