@@ -599,19 +599,17 @@ def _format_csv(rows: list) -> str:
 
 def _format_report(lines: list) -> str:
     header = json.loads(lines[0])
-    checks = passed = 0
-    worst = float("inf")
-    for raw in lines[1:]:
-        record = json.loads(raw)
-        checks += 1
-        passed += int(record["overall"])
-        worst = min(worst, min(l["min_slack"] for l in record["links"]))
+    stats = SuiteStats(suite=header["suite"])
+    records = [json.loads(raw) for raw in lines[1:]]
+    for rec in records:
+        rec["links"] = [verifiers.Link(**lk) for lk in rec["links"]]
+    stats.absorb([verifiers.ChainReport(**rec) for rec in records], None)
     out = [
-        f"suite:        {header['suite']}",
+        f"suite:        {stats.suite}",
         f"statement:    {header['statement']}",
         f"config_hash:  {header['config_hash']}   base_seed: {header['base_seed']}",
-        f"checks:       {checks}   passed: {passed}   failed: {checks - passed}",
+        f"checks:       {stats.checks}   passed: {stats.passed}   failed: {stats.failed}",
     ]
-    if checks:
-        out.append(f"worst_slack:  {worst:.6e}")
+    if stats.checks:
+        out.append(f"worst_slack:  {stats.worst_slack:.6e}")
     return "\n".join(out)

@@ -335,15 +335,14 @@ def gen_positive_linear_map(dim_in: int, dim_out: int, n_kraus: int, seed_or_rng
         raise ValueError(f"need n_kraus*dim_in >= dim_out for normalization, "
                          f"got {n_kraus}*{dim_in} < {dim_out}")
     rng = _rng(seed_or_rng)
-    for _ in range(2):
-        vs = [_complex_gaussian(rng, dim_in, dim_out) for _ in range(n_kraus)]
-        s_spec = eig_hermitian(hermitize(sum(v.conj().T @ v for v in vs)))
-        lam = s_spec.eigenvalues
-        if lam[0] > 1e-10 * lam[-1]:
-            inv_root = matrix_power(s_spec, -0.5)
-            kraus = tuple(v @ inv_root for v in vs)
-            return PositiveLinearMap(kraus=kraus, dim_in=dim_in, dim_out=dim_out)
-    raise GenerationError("normalization matrix stayed singular after a retry")
+    vs = [_complex_gaussian(rng, dim_in, dim_out) for _ in range(n_kraus)]
+    s_spec = eig_hermitian(hermitize(sum(v.conj().T @ v for v in vs)))
+    lam = s_spec.eigenvalues
+    if not lam[0] > 1e-10 * lam[-1]:
+        raise GenerationError("normalization matrix S = sum V_i* V_i is singular")
+    inv_root = matrix_power(s_spec, -0.5)
+    return PositiveLinearMap(kraus=tuple(v @ inv_root for v in vs), dim_in=dim_in,
+                             dim_out=dim_out)
 
 
 def gen_weighted_family(n_items: int, dim_in: int, dim_out: int,

@@ -68,7 +68,8 @@ def hermitian(a, name: str = "matrix") -> Array:
     if not 1 <= n <= DIM_CAP:
         raise ValueError(f"{name} dimension {n} outside supported range [1, {DIM_CAP}]")
     stack = arr.reshape(-1, n, n)
-    devs = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported below
+        devs = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))
     # only a nonzero deviation needs its norm; a NaN or inf entry makes it NaN or inf
     for i in np.flatnonzero(devs != 0.0):
         if not np.isfinite(devs[i]):

@@ -135,14 +135,15 @@ def _links(rel_tol: float, *tests) -> list:
             for (label, _, _), v in zip(tests, verdicts)]
 
 
-def _chain(lower: tuple, mid: tuple, upper: tuple, rel_tol: float) -> list:
-    """Links lower <= mid and mid <= upper, then the audit lower <= upper.
+def _chain(lower: tuple, mid: tuple, upper: tuple, rel_tol: float, *before) -> list:
+    """Links lower <= mid and mid <= upper, then the audit lower <= upper,
+    after the (label, lhs, rhs) tests ``before``, all in one eigensolve.
 
     Each term is a (printed name, matrix) pair; the labels are built from
     the printed names.
     """
     (lo, lo_op), (mi, mid_op), (up, up_op) = lower, mid, upper
-    return _links(rel_tol,
+    return _links(rel_tol, *before,
                   (f"{lo} <= {mi}", lo_op, mid_op),
                   (f"{mi} <= {up}", mid_op, up_op),
                   (f"{lo} <= {up} [audit]", lo_op, up_op))
@@ -193,6 +194,18 @@ def check_theorem_1_1(pair: CertifiedPair, p: float,
     return _finish("theorem_1_1", pair.dim, pair.seed, w, {"p": p, "K": k}, links)
 
 
+def _interpolant_chain(pair: CertifiedPair, f, g_a: Array, alpha: float, beta: float,
+                       names: tuple, rel_tol: float) -> list:
+    """The links of f(B) <= G_f(B) <= alpha g(A) + beta I, the chain theorem 2.1
+    and corollaries 2.2-2.4 share; ``g_a`` is g(A), formed by the caller, and
+    ``names`` are the printed names of the three terms."""
+    w = pair.window
+    mid = superlog_bound(pair.spec_B, w, float(f(w.m)), float(f(w.M)))
+    lower, middle, upper = names
+    return _chain((lower, apply_scalar_function(pair.spec_B, f)), (middle, mid),
+                  (upper, alpha * g_a + beta * identity(pair.dim)), rel_tol)
+
+
 def check_theorem_2_1(pair: CertifiedPair, f, g, alpha: float, case: str = "i",
                       rel_tol: float = DEFAULT_REL_TOL, *,
                       beta: float | None = None) -> ChainReport:
@@ -218,20 +231,10 @@ def check_theorem_2_1(pair: CertifiedPair, f, g, alpha: float, case: str = "i",
     w = pair.window
     if beta is None:
         beta = beta_generic(f, g, alpha, w).value
-    f_b = apply_scalar_function(pair.spec_B, f)
-    mid = superlog_bound(pair.spec_B, w, float(f(w.m)), float(f(w.M)))
-    rhs = alpha * apply_scalar_function(pair.spec_A, g) + beta * identity(pair.dim)
-    links = _chain(("f(B)", f_b), ("G_f(B)", mid), ("alpha g(A) + beta", rhs), rel_tol)
+    links = _interpolant_chain(pair, f, apply_scalar_function(pair.spec_A, g), alpha, beta,
+                               ("f(B)", "G_f(B)", "alpha g(A) + beta"), rel_tol)
     return _finish("theorem_2_1", pair.dim, pair.seed, w,
                    {"alpha": alpha, "beta": beta, "case": case}, links)
-
-
-def _power_chain(pair: CertifiedPair, p: float, upper: tuple, rel_tol: float) -> list:
-    """The links of B^p <= G_{t^p}(B) <= upper, the chain corollaries 2.2-2.4 share;
-    ``upper`` is the (printed name, matrix) term that sets each one apart."""
-    w = pair.window
-    mid = superlog_bound(pair.spec_B, w, w.m ** p, w.M ** p)
-    return _chain(("B^p", matrix_power(pair.spec_B, p)), ("G_{t^p}(B)", mid), upper, rel_tol)
 
 
 def check_corollary_2_2(pair: CertifiedPair, p: float, q: float, alpha: float,
@@ -248,8 +251,8 @@ def check_corollary_2_2(pair: CertifiedPair, p: float, q: float, alpha: float,
         beta = beta_power_closed(w, p, q, alpha)
     except DegenerateExponentError:
         beta = beta_generic(power_fun(p), power_fun(q), alpha, w).value
-    rhs = alpha * matrix_power(pair.spec_A, q) + beta * identity(pair.dim)
-    links = _power_chain(pair, p, ("alpha A^q + beta", rhs), rel_tol)
+    links = _interpolant_chain(pair, power_fun(p), matrix_power(pair.spec_A, q), alpha, beta,
+                               ("B^p", "G_{t^p}(B)", "alpha A^q + beta"), rel_tol)
     return _finish("corollary_2_2", pair.dim, pair.seed, w,
                    {"p": p, "q": q, "alpha": alpha, "beta": beta}, links)
 
@@ -267,7 +270,8 @@ def check_corollary_2_3(pair: CertifiedPair, p: float, q: float,
         raise ParameterError(f"needs p <= 0, got p={p}")
     w = pair.window
     k2 = kantorovich_K2(w, p, q)
-    links = _power_chain(pair, p, ("K2 A^q", k2 * matrix_power(pair.spec_A, q)), rel_tol)
+    links = _interpolant_chain(pair, power_fun(p), matrix_power(pair.spec_A, q), k2, 0.0,
+                               ("B^p", "G_{t^p}(B)", "K2 A^q"), rel_tol)
     return _finish("corollary_2_3", pair.dim, pair.seed, w, {"p": p, "q": q, "K2": k2}, links,
                    _fuzz_notes("q", q, q < -1.0 - 1e-12 or q > 0.0))
 
@@ -284,8 +288,8 @@ def check_corollary_2_4(pair: CertifiedPair, p: float, q: float,
         c2 = kantorovich_C2(w, p, q)
     except DegenerateExponentError:
         c2 = beta_generic(power_fun(p), power_fun(q), 1.0, w).value
-    rhs = c2 * identity(pair.dim) + matrix_power(pair.spec_A, q)
-    links = _power_chain(pair, p, ("C2 + A^q", rhs), rel_tol)
+    links = _interpolant_chain(pair, power_fun(p), matrix_power(pair.spec_A, q), 1.0, c2,
+                               ("B^p", "G_{t^p}(B)", "C2 + A^q"), rel_tol)
     return _finish("corollary_2_4", pair.dim, pair.seed, w, {"p": p, "q": q, "C2": c2}, links)
 
 
@@ -443,11 +447,19 @@ def _relative_means(pair: CertifiedPair, f) -> tuple:
     return hermitize(rt @ apply_scalar_function(t, f) @ rt), hermitize(rt @ g_t @ rt)
 
 
-def _relative_terms(pair: CertifiedPair, phi: PositiveLinearMap, f) -> tuple:
-    """Phi(A sigma_f B), Phi(A^(1/2) G_f(T) A^(1/2)), Phi(A) and Phi(A) sigma_f Phi(B) for
-    theorem 4.2 and corollaries 4.3 and 4.4; the four operators are mapped in one call."""
+def _relative_chain(pair: CertifiedPair, phi: PositiveLinearMap, f, alpha: float, beta: float,
+                    names: tuple, rel_tol: float, *before) -> list:
+    """The links of Phi(A sigma_f B) <= Phi(A^(1/2) G_f(T) A^(1/2))
+    <= beta Phi(A) + alpha Phi(A) sigma_f Phi(B), the chain theorem 4.2 and
+    corollaries 4.3 and 4.4 share; ``names`` are the printed names of the
+    three terms.  A sigma_f B, the G-term, A and B are mapped in one call.
+    Each label in ``before`` names a forward baseline link
+    Phi(A) sigma_f Phi(B) <= Phi(A sigma_f B), tested ahead of the chain."""
     lhs, mid, phi_a, phi_b = apply_map(phi, np.stack([*_relative_means(pair, f), pair.A, pair.B]))
-    return lhs, mid, phi_a, f_connection(phi_a, phi_b, f)
+    mean_term = f_connection(phi_a, phi_b, f)
+    lower, middle, upper = names
+    return _chain((lower, lhs), (middle, mid), (upper, beta * phi_a + alpha * mean_term), rel_tol,
+                  *((label, mean_term, lhs) for label in before))
 
 
 def check_theorem_4_2(pair: CertifiedPair, phi: PositiveLinearMap, f, alpha: float,
@@ -464,10 +476,9 @@ def check_theorem_4_2(pair: CertifiedPair, phi: PositiveLinearMap, f, alpha: flo
     w = pair.window
     if beta is None:
         beta = beta_generic(f, f, alpha, w).value
-    lhs, mid, phi_a, mean_term = _relative_terms(pair, phi, f)
-    rhs = beta * phi_a + alpha * mean_term
-    links = _chain(("Phi(A sigma_f B)", lhs), ("Phi(A^(1/2) G_f(T) A^(1/2))", mid),
-                   ("beta Phi(A) + alpha Phi(A) sigma_f Phi(B)", rhs), rel_tol)
+    links = _relative_chain(pair, phi, f, alpha, beta,
+                            ("Phi(A sigma_f B)", "Phi(A^(1/2) G_f(T) A^(1/2))",
+                             "beta Phi(A) + alpha Phi(A) sigma_f Phi(B)"), rel_tol)
     return _finish("theorem_4_2", pair.dim, pair.seed, w,
                    {"alpha": alpha, "beta": beta, "dim_out": phi.dim_out}, links)
 
@@ -482,10 +493,9 @@ def check_corollary_4_3(pair: CertifiedPair, phi: PositiveLinearMap, p: float, a
         raise ParameterError(f"needs p <= 0, got p={p}")
     w = pair.window
     beta = beta_power_closed(w, p, p, alpha)
-    lhs, mid, phi_a, mean_term = _relative_terms(pair, phi, power_fun(p))
-    rhs = beta * phi_a + alpha * mean_term
-    links = _chain(("Phi(A #_p B)", lhs), ("Phi(A^(1/2) G_{t^p}(T) A^(1/2))", mid),
-                   ("beta Phi(A) + alpha Phi(A) #_p Phi(B)", rhs), rel_tol)
+    links = _relative_chain(pair, phi, power_fun(p), alpha, beta,
+                            ("Phi(A #_p B)", "Phi(A^(1/2) G_{t^p}(T) A^(1/2))",
+                             "beta Phi(A) + alpha Phi(A) #_p Phi(B)"), rel_tol)
     return _finish("corollary_4_3", pair.dim, pair.seed, w,
                    {"p": p, "alpha": alpha, "beta": beta, "dim_out": phi.dim_out}, links)
 
@@ -507,21 +517,17 @@ def check_corollary_4_4(pair: CertifiedPair, phi: PositiveLinearMap, p: float,
     if mode not in ("ratio", "difference"):
         raise ValueError(f"mode must be 'ratio' or 'difference', got {mode!r}")
     w = pair.window
-    lhs, mid, phi_a, mean_term = _relative_terms(pair, phi, power_fun(p))
     params = {"p": p, "mode": mode, "dim_out": phi.dim_out}
-    links = []
-    if -1.0 <= p < 0.0:
-        links = _links(rel_tol, ("Phi(A) #_p Phi(B) <= Phi(A #_p B) [baseline]", mean_term, lhs))
     if mode == "ratio":
-        k = kantorovich_K(w, p)
-        params["K"] = k
-        upper = ("K Phi(A) #_p Phi(B)", k * mean_term)
+        alpha, beta, upper = kantorovich_K(w, p), 0.0, "K Phi(A) #_p Phi(B)"
+        params["K"] = alpha
     else:
-        c = kantorovich_C(w, p)
-        params["C"] = c
-        upper = ("C Phi(A) + Phi(A) #_p Phi(B)", c * phi_a + mean_term)
-    links += _chain(("Phi(A #_p B)", lhs), ("Phi(A^(1/2) G_{t^p}(T) A^(1/2))", mid), upper,
-                    rel_tol)
+        alpha, beta, upper = 1.0, kantorovich_C(w, p), "C Phi(A) + Phi(A) #_p Phi(B)"
+        params["C"] = beta
+    baseline = ("Phi(A) #_p Phi(B) <= Phi(A #_p B) [baseline]",) if -1.0 <= p < 0.0 else ()
+    links = _relative_chain(pair, phi, power_fun(p), alpha, beta,
+                            ("Phi(A #_p B)", "Phi(A^(1/2) G_{t^p}(T) A^(1/2))", upper), rel_tol,
+                            *baseline)
     return _finish("corollary_4_4", pair.dim, pair.seed, w, params, links)
 
 

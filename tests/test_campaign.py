@@ -47,6 +47,17 @@ def read_bytes_tree(out_dir):
     return {str(p.relative_to(out)): p.read_bytes() for p in files}
 
 
+def assert_matches_recorded_digests(out_dir, record):
+    """Every file under ``out_dir``, and no other, has the SHA-256 digest
+    recorded for its path in ``tests/data/<record>`` (``sha256sum`` format)."""
+    recorded = (Path(__file__).parent / "data" / record).read_text()
+    expected = {path: digest for digest, path in
+                (line.split("  ") for line in recorded.splitlines())}
+    written = {path.replace("\\", "/"): hashlib.sha256(data).hexdigest()
+               for path, data in read_bytes_tree(out_dir).items()}
+    assert written == expected
+
+
 class TestConfig:
     def test_defaults_are_valid(self):
         validate_config(CampaignConfig())
@@ -172,12 +183,7 @@ class TestRunCampaign:
         record was last rewritten when window placements started nudging
         their endpoint targets inside the window."""
         run_campaign(small_config)
-        recorded = (Path(__file__).parent / "data" / "small_config_digests.txt").read_text()
-        expected = {path: digest for digest, path in
-                    (line.split("  ") for line in recorded.splitlines())}
-        written = {path.replace("\\", "/"): hashlib.sha256(data).hexdigest()
-                   for path, data in read_bytes_tree(small_config.output_dir).items()}
-        assert written == expected
+        assert_matches_recorded_digests(small_config.output_dir, "small_config_digests.txt")
 
     def test_phi_reports_at_large_dim_match_recorded_digests(self, tmp_path):
         """The five Phi suites write at d = 16 and 64 exactly the files
@@ -197,12 +203,7 @@ class TestRunCampaign:
                              dims=[16, 64], windows=[(1.0, 2.0), (0.5, 4.0)], p_grid=[-1.0],
                              q_grid=[-0.5], samples_per_cell=2, output_dir=str(tmp_path / "out"))
         assert run_campaign(cfg).total_checks == 24
-        recorded = (Path(__file__).parent / "data" / "phi_large_dim_digests.txt").read_text()
-        expected = {path: digest for digest, path in
-                    (line.split("  ") for line in recorded.splitlines())}
-        written = {path.replace("\\", "/"): hashlib.sha256(data).hexdigest()
-                   for path, data in read_bytes_tree(cfg.output_dir).items()}
-        assert written == expected
+        assert_matches_recorded_digests(cfg.output_dir, "phi_large_dim_digests.txt")
 
     def test_replay_from_report_header(self, small_config, tmp_path):
         run_campaign(small_config)
@@ -340,6 +341,21 @@ class TestRunCampaign:
         assert "theorem_id" in csv_digest and "corollary_2_3" in csv_digest
         jsonl_digest = summarize_report_file(out / "reports" / "theorem_4_5.jsonl")
         assert "theorem_4_5" in jsonl_digest and "failed: 0" in jsonl_digest
+
+    def test_show_agrees_with_summary_csv(self, small_config):
+        """Each suite's report digest has the checks, passes, failures and
+        worst slack of its summary.csv row."""
+        run_campaign(small_config)
+        out = Path(small_config.output_dir)
+        with open(out / "summary.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["theorem_id"] for row in rows] == ALL_SUITES
+        for row in rows:
+            shown = summarize_report_file(out / "reports" / f"{row['theorem_id']}.jsonl")
+            lines = dict(line.split(":", 1) for line in shown.splitlines())
+            assert lines["checks"].split() == [row["checks"], "passed:", row["pass_count"],
+                                               "failed:", row["fail_count"]]
+            assert lines["worst_slack"].strip() == f"{float(row['worst_slack']):.6e}"
 
 
 class TestSweep:
@@ -624,12 +640,7 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out / "sweep")]) == 0
         assert cli_main(["hunt", "--config", str(cfg_path), "--seed", "1",
                          "--out", str(out / "hunt")]) == 0
-        recorded = (Path(__file__).parent / "data" / "sweep_hunt_digests.txt").read_text()
-        expected = {path: digest for digest, path in
-                    (line.split("  ") for line in recorded.splitlines())}
-        written = {path.replace("\\", "/"): hashlib.sha256(data).hexdigest()
-                   for path, data in read_bytes_tree(out).items()}
-        assert written == expected
+        assert_matches_recorded_digests(out, "sweep_hunt_digests.txt")
 
     def test_hunt_subcommand(self, tmp_path, capsys):
         code = cli_main(["hunt", "--samples", "60", "--out", str(tmp_path / "hunt")])

@@ -248,6 +248,18 @@ class TestKrausMaps:
         with pytest.raises(ValueError):
             gen_positive_linear_map(2, 5, 2, 1)
 
+    def test_singular_normalization_raises_without_redraw(self, monkeypatch):
+        draws = []
+
+        def zeros(rng, rows, cols):
+            draws.append((rows, cols))
+            return np.zeros((rows, cols), dtype=complex)
+
+        monkeypatch.setattr(generators, "_complex_gaussian", zeros)
+        with pytest.raises(GenerationError, match="singular"):
+            gen_positive_linear_map(3, 2, 2, 7)
+        assert draws == [(3, 2), (3, 2)]
+
 
 class TestWeightedFamilies:
     def test_generated_family_validates(self):

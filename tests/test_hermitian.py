@@ -345,7 +345,7 @@ class TestExchangeFormat:
             matrix_from_json(broken)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteEntries:
     """A NaN or infinite entry is malformed input, never a failed inequality."""
 

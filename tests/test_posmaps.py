@@ -82,7 +82,7 @@ class TestApplyMap:
         with pytest.raises(ValueError, match="must be square"):
             f_connection(a, stack, np.sqrt)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
     def test_non_finite_entries_are_rejected(self, bad, entry):

@@ -19,12 +19,14 @@ from kantcheck.generators import (
     CertifiedPair,
     gen_chaotic_pair,
     gen_dominated_pair,
+    gen_dominated_pairs,
     gen_positive_linear_map,
     gen_relative_pair,
+    gen_relative_pairs,
     gen_weighted_family,
 )
-from kantcheck.hermitian import SpectralWindow
-from kantcheck.posmaps import PositiveLinearMap
+from kantcheck.hermitian import SpectralWindow, loewner_verdicts
+from kantcheck.posmaps import PositiveLinearMap, apply_map, tsallis_entropy
 from kantcheck.verifiers import (
     CHAIN_CATALOG,
     check_corollary_2_2,
@@ -45,6 +47,11 @@ from kantcheck.verifiers import (
 )
 
 W12 = SpectralWindow(1.0, 2.0)
+# (window, dim, seed) instances on which a corollary must be its theorem at
+# fixed constants, bit for bit
+CHAIN_GRID = [(SpectralWindow(*w), dim, seed)
+              for w in ((1.0, 2.0), (0.5, 4.0), (0.05, 20.0))
+              for dim in (2, 3, 4, 5, 6, 16) for seed in range(10)]
 
 
 def diag_pair(window, certificate, extra=0):
@@ -435,6 +442,19 @@ class TestTheorem45:
                 assert report.overall, (seed, p)
                 assert any("baseline" in lk.label for lk in report.links)
 
+    def test_baseline_is_the_public_entropy(self):
+        """The baseline link tests Phi(T_p(A|B)) <= T_p(Phi(A)|Phi(B)) with
+        exactly the operators ``tsallis_entropy`` and ``apply_map`` give."""
+        for w, dim, seed in CHAIN_GRID:
+            (pair,) = gen_relative_pairs(dim, w, [seed])
+            phi = gen_positive_linear_map(dim, max(1, dim - 1), 1 + seed % 3, seed + 11)
+            p = (-1.0, -0.5, -0.25)[seed % 3]
+            phi_a, phi_b = apply_map(phi, np.stack([pair.A, pair.B]))
+            (expected,) = loewner_verdicts([(apply_map(phi, tsallis_entropy(pair.A, pair.B, p)),
+                                             tsallis_entropy(phi_a, phi_b, p))])
+            report = check_theorem_4_5(pair, phi, p)
+            assert report.link("[baseline]").min_slack == expected.min_slack, (w, dim, seed)
+
     def test_equal_operands_reduce_to_constant_signs(self):
         a = np.diag([1.0, 1.1]).astype(complex)
         pair = CertifiedPair(A=a, B=a, window=SpectralWindow(0.5, 2.0),
@@ -442,6 +462,48 @@ class TestTheorem45:
         phi = gen_positive_linear_map(2, 2, 1, 14)
         report = check_theorem_4_5(pair, phi, -1.0)
         assert report.overall
+
+
+def _slacks(links):
+    return [lk.min_slack for lk in links]
+
+
+class TestCorollariesAreTheirTheorems:
+    """Corollaries 2.2-2.4 are theorem 2.1, and corollaries 4.3-4.4 are
+    theorem 4.2, at f = t^p and fixed constants: every chain link has the
+    same slack, bit for bit."""
+
+    def test_dominated_corollaries(self):
+        for w, dim, seed in CHAIN_GRID:
+            (pair,) = gen_dominated_pairs(dim, w, [seed])
+            p, q = (-1.0, -0.5, -2.0)[seed % 3], (-0.5, -1.0)[seed % 2]
+            f, g = power_fun(p), power_fun(q)
+            cor22 = check_corollary_2_2(pair, p, q, (0.5, 1.0, 2.0)[dim % 3])
+            cor23 = check_corollary_2_3(pair, p, q)
+            cor24 = check_corollary_2_4(pair, p, q)
+            for cor, alpha, beta in (
+                    (cor22, cor22.params["alpha"], cor22.params["beta"]),
+                    (cor23, cor23.params["K2"], 0.0),
+                    (cor24, 1.0, cor24.params["C2"])):
+                theorem = check_theorem_2_1(pair, f, g, alpha, beta=beta)
+                assert _slacks(cor.links) == _slacks(theorem.links), (cor.theorem_id, w, dim, seed)
+
+    def test_relative_corollaries(self):
+        for w, dim, seed in CHAIN_GRID:
+            (pair,) = gen_relative_pairs(dim, w, [seed])
+            phi = gen_positive_linear_map(dim, max(1, dim - 1), 1 + seed % 3, seed + 7)
+            p = (-1.0, -0.5, -2.0)[seed % 3]
+            cor43 = check_corollary_4_3(pair, phi, p, (0.5, 1.0, 2.0)[dim % 3])
+            ratio = check_corollary_4_4(pair, phi, p, "ratio")
+            difference = check_corollary_4_4(pair, phi, p, "difference")
+            for cor, alpha, beta in (
+                    (cor43, cor43.params["alpha"], cor43.params["beta"]),
+                    (ratio, ratio.params["K"], 0.0),
+                    (difference, 1.0, difference.params["C"])):
+                theorem = check_theorem_4_2(pair, phi, power_fun(p), alpha, beta=beta)
+                # corollary 4.4 tests its baseline first, then the chain
+                assert _slacks(cor.links[-3:]) == _slacks(theorem.links), (
+                    cor.theorem_id, cor.params.get("mode"), w, dim, seed)
 
 
 class TestMapOnce:
@@ -502,16 +564,41 @@ class TestDecomposeOnce:
         assert len(calls) == 1
 
     @staticmethod
-    def _cell(suite_name):
-        """The suite, window and check keyword arguments of a one-cell grid."""
+    def _cells(suite_name):
+        """The suite, window and check keyword arguments of each cell of a
+        one-window grid (corollary_4_4 has one cell per mode)."""
         cfg = CampaignConfig(suites=[suite_name], dims=[3], windows=[(1.0, 2.0)],
                              p_grid=[-1.0], q_grid=[-0.5], r_grid=[-0.5], alpha_grid=[1.0],
                              p_grid_theorem_1_1=[2.0])
         suite = SUITES[suite_name]
-        params = dict(enumerate_cells(cfg)[0].params)
-        w = SpectralWindow(*params.pop("window"))
-        args = params if suite.cell_args is None else suite.cell_args(OracleScans(), w, **params)
-        return suite, w, args
+        cells = []
+        for cell in enumerate_cells(cfg):
+            params = dict(cell.params)
+            w = SpectralWindow(*params.pop("window"))
+            args = (params if suite.cell_args is None
+                    else suite.cell_args(OracleScans(), w, **params))
+            cells.append((suite, w, args))
+        return cells
+
+    @classmethod
+    def _cell(cls, suite_name):
+        """The suite, window and check keyword arguments of the grid's first cell."""
+        return cls._cells(suite_name)[0]
+
+    @pytest.mark.parametrize("suite_name", ALL_SUITES)
+    def test_check_tests_every_link_in_one_eigvalsh(self, monkeypatch, suite_name):
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        stacks = []  # (mode, stack size of each eigvalsh call, link count) per check
+        for suite, w, args in self._cells(suite_name):
+            for seed in (11, 12):
+                (instance,) = suite.generate(3, w, [seed])
+                calls.clear()
+                report = getattr(verifiers, suite.check)(*instance, **args)
+                assert report.overall
+                stacks.append((args.get("mode"), [len(a) for a in calls], len(report.links)))
+        assert all(sizes == [links] for _, sizes, links in stacks), stacks
 
     @pytest.mark.parametrize("suite_name", ALL_SUITES)
     def test_check_never_redecomposes_an_operand(self, monkeypatch, suite_name):
