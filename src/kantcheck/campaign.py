@@ -179,8 +179,7 @@ _PR = _P + (("r", "r_grid"),)
 SUITES = {
     "theorem_1_1": Suite((("p", "p_grid_theorem_1_1"),), _dominated_on_a, "check_theorem_1_1",
                          deviation=lambda s, w, p: _ratio_deviation(s, w, p, p)),
-    "theorem_2_1": Suite(_PQ, _dominated_on_b, "check_theorem_2_1",
-                         cell_args=lambda s, w, p, q: {**_tight_gap(s, w, p, q), "case": "i"}),
+    "theorem_2_1": Suite(_PQ, _dominated_on_b, "check_theorem_2_1", cell_args=_tight_gap),
     "corollary_2_2": Suite(_PQ + (("alpha", "alpha_grid"),), _dominated_on_b,
                            "check_corollary_2_2", deviation=_gap_deviation),
     "corollary_2_3": Suite(_PQ, _dominated_on_b, "check_corollary_2_3",
@@ -243,7 +242,7 @@ class CampaignConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     @classmethod
-    def from_dict(cls, data: dict, output_dir: str | None = None) -> "CampaignConfig":
+    def from_dict(cls, data: dict) -> "CampaignConfig":
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -253,8 +252,6 @@ class CampaignConfig:
         # anything but a list of lists is left for validate_config to reject
         if isinstance(windows, list) and all(isinstance(w, list) for w in windows):
             kwargs["windows"] = [tuple(w) for w in windows]
-        if output_dir is not None:
-            kwargs["output_dir"] = output_dir
         return cls(**kwargs)
 
 
@@ -338,6 +335,8 @@ def validate_config(cfg: CampaignConfig) -> None:
     for name in ("samples_per_cell", "fuzz_samples"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    if cfg.base_seed < 0:
+        raise ConfigError(f"base_seed must be >= 0, got {cfg.base_seed}")
     if not cfg.dims:
         raise ConfigError("dims must be nonempty")
     for dim in cfg.dims:
@@ -373,7 +372,7 @@ def validate_config(cfg: CampaignConfig) -> None:
 class Cell:
     suite: str
     params: dict
-    global_index: int = 0
+    global_index: int
 
 
 def enumerate_cells(cfg: CampaignConfig) -> list:
@@ -387,9 +386,7 @@ def enumerate_cells(cfg: CampaignConfig) -> list:
             window = (float(window[0]), float(window[1]))
             for values in itertools.product(*grids):
                 params = dict(zip((name for name, _ in axes), values))
-                cells.append(Cell(suite=suite, params={"window": window, **params}))
-    for index, cell in enumerate(cells):
-        cell.global_index = index
+                cells.append(Cell(suite, {"window": window, **params}, len(cells)))
     return cells
 
 

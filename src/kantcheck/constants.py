@@ -29,12 +29,8 @@ from .hermitian import SpectralWindow, eval_scalar, real_values
 GRID_RESOLUTION = 20_000
 GOLDEN_ITERS = 60
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_BRANCH_EPS = 1e-12
+_TOUCH_EPS = 1e-12
 _DEGENERATE_EPS = 1e-12
-
-BRANCH_INTERIOR = "interior"
-BRANCH_ENDPOINT_M = "endpoint_m"
-BRANCH_ENDPOINT_MAX = "endpoint_M"
 
 
 def power_fun(p: float) -> Callable:
@@ -67,11 +63,10 @@ def chord_coefficients(f, window: SpectralWindow) -> ChordCoefficients:
 
 @dataclass(frozen=True)
 class ExtremumResult:
-    """Location, value and branch of a univariate maximum over a window."""
+    """Location and value of a univariate maximum over a window."""
 
     t_star: float
     value: float
-    branch: str
 
 
 def _eval_one(h, t: float) -> float:
@@ -124,14 +119,7 @@ def _refine(h, window: SpectralWindow, ts: np.ndarray, ys: np.ndarray) -> Extrem
         (float(ys[-1]), M),
     ]
     value, t_star = max(candidates, key=lambda c: c[0])
-    edge = 1e-9 * window.width
-    if t_star <= m + edge:
-        branch = BRANCH_ENDPOINT_M
-    elif t_star >= M - edge:
-        branch = BRANCH_ENDPOINT_MAX
-    else:
-        branch = BRANCH_INTERIOR
-    return ExtremumResult(t_star=float(t_star), value=float(value), branch=branch)
+    return ExtremumResult(t_star=float(t_star), value=float(value))
 
 
 def grid_max_1d(h, window: SpectralWindow) -> ExtremumResult:
@@ -250,7 +238,7 @@ def _require_nondegenerate(e: float, name: str) -> float:
 
 
 def _branch_slack(window: SpectralWindow) -> float:
-    return _BRANCH_EPS * max(1.0, abs(window.m), abs(window.M))
+    return _TOUCH_EPS * max(1.0, abs(window.m), abs(window.M))
 
 
 def kantorovich_K(window: SpectralWindow, p: float) -> float:

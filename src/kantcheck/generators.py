@@ -60,6 +60,7 @@ ENDPOINT_PROB = 0.2
 POSITIVITY_MARGIN_FACTOR = 1e-6
 RELATIVE_BASE_WINDOW = SpectralWindow(0.5, 2.0)
 MAX_KRAUS = 3
+MAX_LOG_PERTURBATION = 2.0
 
 
 @dataclass(frozen=True)
@@ -265,18 +266,16 @@ def gen_dominated_pairs(dim: int, window: SpectralWindow, seeds,
                             window_side, **spectra)
 
 
-def gen_chaotic_pair(dim: int, window: SpectralWindow, seed: int,
-                     max_log_perturbation: float = 2.0) -> CertifiedPair:
+def gen_chaotic_pair(dim: int, window: SpectralWindow, seed: int) -> CertifiedPair:
     """Pair with log A <= log B and m <= B <= M; A <= B may genuinely fail.
 
     B = exp(K) for K drawn in the log-window, A = exp(K - Q) for a random
-    PSD Q of spectral norm up to max_log_perturbation.
+    PSD Q of spectral norm up to MAX_LOG_PERTURBATION.
     """
-    return gen_chaotic_pairs(dim, window, [seed], max_log_perturbation)[0]
+    return gen_chaotic_pairs(dim, window, [seed])[0]
 
 
-def gen_chaotic_pairs(dim: int, window: SpectralWindow, seeds,
-                      max_log_perturbation: float = 2.0) -> list:
+def gen_chaotic_pairs(dim: int, window: SpectralWindow, seeds) -> list:
     """``gen_chaotic_pair`` of each seed, with each step stacked over the
     seeds; every pair is bit for bit the one a lone call makes."""
     w = window.require_positive()
@@ -286,7 +285,7 @@ def gen_chaotic_pairs(dim: int, window: SpectralWindow, seeds,
     log_window = SpectralWindow(math.log(w.m), math.log(w.M))
     k, spec_k = _place_in_window([_window_draws(dim, log_window, rng) for rng in rngs], log_window)
     norm, gaussians = map(np.array, zip(*[
-        (rng.random() * max_log_perturbation, _complex_gaussian(rng, dim, dim)) for rng in rngs]))
+        (rng.random() * MAX_LOG_PERTURBATION, _complex_gaussian(rng, dim, dim)) for rng in rngs]))
     q = _random_psd(gaussians, norm, np.zeros(len(rngs)))
     a = matrix_exp(eig_hermitian(hermitize(k - q)))
     b = matrix_exp(spec_k)
@@ -341,21 +340,19 @@ def gen_positive_linear_map(dim_in: int, dim_out: int, n_kraus: int, seed_or_rng
     if not lam[0] > 1e-10 * lam[-1]:
         raise GenerationError("normalization matrix S = sum V_i* V_i is singular")
     inv_root = matrix_power(s_spec, -0.5)
-    return PositiveLinearMap(kraus=tuple(v @ inv_root for v in vs), dim_in=dim_in,
-                             dim_out=dim_out)
+    return PositiveLinearMap(tuple(v @ inv_root for v in vs))
 
 
 def gen_weighted_family(n_items: int, dim_in: int, dim_out: int,
-                        window: SpectralWindow, seed_or_rng) -> WeightedFamily:
+                        window: SpectralWindow, seed: int) -> WeightedFamily:
     """Random weighted family (w_i, Phi_i, A_i) with Sp(A_i) inside the window;
     each map has 1 to MAX_KRAUS Kraus operators.
 
     Each item draws its map, then its operand's window draws; the operands
-    are then placed in the window as one stack.  An integer seed is recorded
-    on the family; a family drawn from a Generator records seed 0.
+    are then placed in the window as one stack.  The seed is recorded on the
+    family.
     """
-    seed = int(seed_or_rng) if isinstance(seed_or_rng, (int, np.integer)) else 0
-    rng = _rng(seed_or_rng)
+    rng = _rng(seed)
     raw = 0.1 + rng.random(n_items)
     weights = raw / raw.sum()
     if not n_items:
@@ -367,7 +364,7 @@ def gen_weighted_family(n_items: int, dim_in: int, dim_out: int,
         draws.append(_window_draws(dim_in, window, rng))
     ops, spec = _place_in_window(draws, window)
     family = WeightedFamily(items=tuple(zip(map(float, weights), maps, ops)), window=window,
-                            seed=seed)
+                            seed=int(seed))
     return _with_spectra(family, spectra=tuple(spec.members())).validate()
 
 

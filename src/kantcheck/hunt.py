@@ -136,7 +136,7 @@ def _hunt_non_log_convex(cfg: CampaignConfig, samples: int) -> HuntModeResult:
     def draw(dim, w, seed):
         pair = gen_dominated_pair(dim, w, seed)
         alpha, beta = gap_constants(w)
-        report = check_theorem_2_1(pair, f, g, alpha, "i", cfg.rel_tol, beta=beta)
+        report = check_theorem_2_1(pair, f, g, alpha, cfg.rel_tol, beta=beta)
         return (pair, _failing_links(report),
                 {"f": "sqrt", "g": "t^-1", "alpha": alpha, "m": w.m, "M": w.M})
 

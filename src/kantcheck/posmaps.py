@@ -5,7 +5,7 @@ negative parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,22 +32,28 @@ SPECTRUM_TOL = 1e-9
 class PositiveLinearMap:
     """Phi(X) = sum_i W_i* X W_i with sum_i W_i* W_i = I (Phi(I_in) = I_out).
 
-    Each Kraus factor W_i has shape (dim_in, dim_out); positivity of Phi is
-    automatic from the form, normalization is validated on construction.
+    The Kraus factors W_i share one shape, (dim_in, dim_out), which sets the
+    map's dimensions; positivity of Phi is automatic from the form,
+    normalization is validated on construction.
     """
 
     kraus: tuple
-    dim_in: int
-    dim_out: int
+    dim_in: int = field(init=False)
+    dim_out: int = field(init=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(w, dtype=complex) for w in self.kraus)
         if not ops:
             raise ValueError("Kraus list must be nonempty")
+        shape = ops[0].shape
+        if len(shape) != 2:
+            raise ValueError(f"Kraus factors must be 2-D, got shape {shape}")
         for w in ops:
-            if w.shape != (self.dim_in, self.dim_out):
-                raise ValueError(f"Kraus factor shape {w.shape} != ({self.dim_in}, {self.dim_out})")
+            if w.shape != shape:
+                raise ValueError(f"Kraus factor shape {w.shape} != {shape}")
         object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "dim_in", shape[0])
+        object.__setattr__(self, "dim_out", shape[1])
         defect = self.normalization_defect()
         if defect > NORMALIZATION_TOL:
             raise ValueError(f"map is not normalized: |sum W*W - I| = {defect:.3e}")

@@ -206,35 +206,30 @@ def _interpolant_chain(pair: CertifiedPair, f, g_a: Array, alpha: float, beta: f
                   (upper, alpha * g_a + beta * identity(pair.dim)), rel_tol)
 
 
-def check_theorem_2_1(pair: CertifiedPair, f, g, alpha: float, case: str = "i",
+def check_theorem_2_1(pair: CertifiedPair, f, g, alpha: float,
                       rel_tol: float = DEFAULT_REL_TOL, *,
                       beta: float | None = None) -> ChainReport:
     """f(B) <= G_f(B) <= alpha g(A) + beta for a log-convex f on the window.
 
-    Case "i" expects g decreasing convex with alpha > 0, case "ii" expects
-    g increasing concave with alpha < 0; only the sign of alpha can be
-    validated for black-box g.  beta is the oracle gap of f against alpha g
-    on the window; omitted, it is computed here.
+    The sign of alpha names the case: alpha > 0 is case (i), g decreasing
+    convex; alpha < 0 is case (ii), g increasing concave.  g itself is a
+    black box and is not checked.  beta is the oracle gap of f against
+    alpha g on the window; omitted, it is computed here.
     """
     _require_certificate(pair, CERT_DOMINATED, "check_theorem_2_1")
     if pair.window_side != WINDOW_ON_B:
         raise HypothesisError("check_theorem_2_1 needs the window certified on B")
     alpha = float(alpha)
-    if case == "i":
-        if alpha <= 0.0:
-            raise HypothesisError(f"case (i) needs alpha > 0, got alpha={alpha}")
-    elif case == "ii":
-        if alpha >= 0.0:
-            raise HypothesisError(f"case (ii) needs alpha < 0, got alpha={alpha}")
-    else:
-        raise ValueError(f"case must be 'i' or 'ii', got {case!r}")
+    if alpha == 0.0:
+        raise HypothesisError("theorem 2.1 needs alpha != 0: alpha > 0 is case (i), "
+                              "alpha < 0 case (ii)")
     w = pair.window
     if beta is None:
         beta = beta_generic(f, g, alpha, w).value
     links = _interpolant_chain(pair, f, apply_scalar_function(pair.spec_A, g), alpha, beta,
                                ("f(B)", "G_f(B)", "alpha g(A) + beta"), rel_tol)
     return _finish("theorem_2_1", pair.dim, pair.seed, w,
-                   {"alpha": alpha, "beta": beta, "case": case}, links)
+                   {"alpha": alpha, "beta": beta, "case": "ii" if alpha < 0.0 else "i"}, links)
 
 
 def check_corollary_2_2(pair: CertifiedPair, p: float, q: float, alpha: float,

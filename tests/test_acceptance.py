@@ -34,6 +34,7 @@ from kantcheck.generators import (
 from kantcheck.hermitian import SpectralWindow, loewner_leq, matrix_log, matrix_power
 from kantcheck.hunt import _hunt_missing_domination
 from kantcheck.verifiers import check_corollary_2_3
+from test_campaign import assert_matches_recorded_digests
 
 WINDOW_TUPLES = [(1.0, 2.0), (0.5, 4.0), (2.0, 3.0)]
 WINDOWS = [SpectralWindow(m, M) for m, M in WINDOW_TUPLES]
@@ -168,6 +169,16 @@ def test_criterion_6_scalar_layer():
 
 
 def test_criterion_7_campaign_determinism(default_campaign, tmp_path):
+    """A rerun of the default campaign writes the same bytes as the first
+    run, and both write exactly the files recorded in
+    ``tests/data/default_campaign_digests.txt``.  The record was made from
+    a checkout's ``src`` with
+
+        cd "$(mktemp -d)" && PYTHONPATH=<checkout>/src python3 -c '
+        from kantcheck.campaign import CampaignConfig, run_campaign
+        run_campaign(CampaignConfig(output_dir="out"))'
+        cd out && find . -type f | sort | sed 's|^\\./||' | xargs sha256sum
+    """
     cfg, _ = default_campaign
     rerun_cfg = CampaignConfig(**{**cfg.__dict__, "output_dir": str(tmp_path / "rerun")})
     started = time.perf_counter()
@@ -187,3 +198,4 @@ def test_criterion_7_campaign_determinism(default_campaign, tmp_path):
     report("criterion 7 (byte-identical default campaign, base_seed 1)", ok,
            f"{len(names)} files compared, rerun wall {elapsed:.0f}s"
            + (f", mismatches: {mismatched[:3]}" if mismatched else ""))
+    assert_matches_recorded_digests(first, "default_campaign_digests.txt")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
@@ -77,6 +78,10 @@ class TestConfig:
             validate_config(CampaignConfig(windows=[(2.0, 1.0)]))
         with pytest.raises(ConfigError, match="samples_per_cell"):
             validate_config(CampaignConfig(samples_per_cell=0))
+
+    def test_negative_base_seed(self):
+        with pytest.raises(ConfigError, match="base_seed must be >= 0, got -1"):
+            validate_config(CampaignConfig(base_seed=-1))
 
     def test_fuzz_samples_and_dim_bounds(self):
         with pytest.raises(ConfigError, match="fuzz_samples must be >= 1, got -5"):
@@ -210,8 +215,8 @@ class TestRunCampaign:
         header_line = (Path(small_config.output_dir) / "reports" /
                        "corollary_2_3.jsonl").read_text().splitlines()[0]
         header = json.loads(header_line)
-        replay_cfg = CampaignConfig.from_dict(header["config"],
-                                              output_dir=str(tmp_path / "replay"))
+        replay_cfg = dataclasses.replace(CampaignConfig.from_dict(header["config"]),
+                                         output_dir=str(tmp_path / "replay"))
         run_campaign(replay_cfg)
         assert read_bytes_tree(small_config.output_dir) == read_bytes_tree(replay_cfg.output_dir)
 
@@ -560,6 +565,14 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["hunt", "--samples", "-5", "--out", str(out)]) == 2
         assert "fuzz_samples must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["run", "--suite", "corollary_2_3", "--samples", "1"],
+                                      ["hunt", "--samples", "1"]])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert cli_main([*argv, "--seed", "-5", "--out", str(out)]) == 2
+        assert "base_seed must be >= 0, got -5" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "hunt"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from kantcheck import constants
 from kantcheck.constants import (
+    ExtremumResult,
     GridFunction,
     alpha_ratio,
     beta_generic,
@@ -65,21 +67,21 @@ class TestChord:
 class TestGridMax:
     def test_interior_parabola(self):
         res = grid_max_1d(lambda t: -((t - 1.5) ** 2), W12)
-        assert res.branch == "interior"
         assert res.t_star == pytest.approx(1.5, abs=1e-6)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_endpoint_max(self):
         res = grid_max_1d(lambda t: t, W12)
-        assert res.branch == "endpoint_M"
         assert res.t_star == 2.0 and res.value == 2.0
 
     def test_interior_stationary_point(self):
         # d/dt(-t/2 + 3/2 - 1/t) = -1/2 + 1/t^2 = 0 at t = sqrt(2)
         res = grid_max_1d(lambda t: -0.5 * t + 1.5 - 1.0 / t, W12)
-        assert res.branch == "interior"
         assert res.t_star == pytest.approx(SQRT2, abs=1e-6)
         assert res.value == pytest.approx(1.5 - SQRT2, abs=1e-12)
+
+    def test_result_holds_location_and_value(self):
+        assert [f.name for f in dataclasses.fields(ExtremumResult)] == ["t_star", "value"]
 
     def test_non_finite_objective(self):
         with pytest.raises(DomainError):

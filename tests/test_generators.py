@@ -183,8 +183,9 @@ class TestChaoticPairs:
             assert spectrum_in_window(pair.B, W12, 1e-10)
             assert eig_hermitian(pair.A).eigenvalues[0] > 0.0
 
-    def test_zero_perturbation_gives_equal_pair(self):
-        pair = gen_chaotic_pair(3, W12, seed=4, max_log_perturbation=0.0)
+    def test_zero_perturbation_gives_equal_pair(self, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_LOG_PERTURBATION", 0.0)
+        pair = gen_chaotic_pair(3, W12, seed=4)
         assert np.max(np.abs(pair.A - pair.B)) < 1e-14
 
     def test_chaotic_order_is_weaker_than_domination(self):

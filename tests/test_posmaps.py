@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ def diag(*vals):
 class TestApplyMap:
     def test_unitary_conjugation(self):
         u = haar_unitary(3, np.random.default_rng(1))
-        phi = PositiveLinearMap(kraus=(u,), dim_in=3, dim_out=3)
+        phi = PositiveLinearMap((u,))
         x = gen_hermitian_in_window(3, W12, np.random.default_rng(2))
         assert np.max(np.abs(apply_map(phi, x) - u.conj().T @ x @ u)) < 1e-12
 
@@ -38,7 +40,7 @@ class TestApplyMap:
     def test_pinching_zeroes_off_diagonal_blocks(self):
         p1 = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
         p2 = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
-        phi = PositiveLinearMap(kraus=(p1, p2), dim_in=4, dim_out=4)
+        phi = PositiveLinearMap((p1, p2))
         x = gen_hermitian_in_window(4, W12, np.random.default_rng(3))
         out = apply_map(phi, x)
         assert np.max(np.abs(out[:2, 2:])) < 1e-14
@@ -95,7 +97,23 @@ class TestApplyMap:
 
     def test_normalization_is_enforced(self):
         with pytest.raises(ValueError):
-            PositiveLinearMap(kraus=(2.0 * np.eye(2),), dim_in=2, dim_out=2)
+            PositiveLinearMap((2.0 * np.eye(2),))
+
+    def test_dimensions_come_from_the_factors(self):
+        w1 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], dtype=complex) / np.sqrt(2.0)
+        w2 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=complex) / np.sqrt(2.0)
+        phi = PositiveLinearMap((w1, w2))
+        assert (phi.dim_in, phi.dim_out) == (3, 2)
+        assert list(inspect.signature(PositiveLinearMap).parameters) == ["kraus"]
+
+    @pytest.mark.parametrize("kraus, message", [
+        ((), "nonempty"),
+        ((np.ones(2),), "2-D"),
+        ((np.eye(2), np.eye(3)), r"\(3, 3\) != \(2, 2\)"),
+    ], ids=["empty", "1-D", "mismatched"])
+    def test_malformed_factors_are_rejected(self, kraus, message):
+        with pytest.raises(ValueError, match=message):
+            PositiveLinearMap(kraus)
 
     def test_preserves_positive_cone(self):
         rng = np.random.default_rng(10)

@@ -99,36 +99,40 @@ class TestTheorem21:
     def test_calibrated_inverse_chain(self):
         pair = gen_dominated_pair(3, W12, seed=1)
         f = g = power_fun(-1.0)
-        report = check_theorem_2_1(pair, f, g, 9.0 / 8.0, "i")
+        report = check_theorem_2_1(pair, f, g, 9.0 / 8.0)
         assert report.overall
         assert abs(report.params["beta"]) < 1e-9
 
     def test_scalar_endpoint_instance(self):
         mat = W12.m * np.eye(2)
         pair = CertifiedPair(A=mat, B=mat, window=W12, certificate=CERT_DOMINATED, seed=-1)
-        report = check_theorem_2_1(pair, power_fun(-1.0), power_fun(-1.0), 9.0 / 8.0, "i")
+        report = check_theorem_2_1(pair, power_fun(-1.0), power_fun(-1.0), 9.0 / 8.0)
         assert report.overall
         assert abs(report.link("f(B) <= G_f(B)").min_slack) < 1e-12
 
     def test_case_ii_increasing_concave(self):
         for seed in range(20):
             pair = gen_dominated_pair(3, W12, seed)
-            report = check_theorem_2_1(pair, power_fun(-1.0), np.log, -0.5, "ii")
+            report = check_theorem_2_1(pair, power_fun(-1.0), np.log, -0.5)
             assert report.overall, (seed, [l.min_slack for l in report.links])
 
-    def test_case_alpha_sign_validation(self):
+    def test_case_follows_the_sign_of_alpha(self):
         pair = gen_dominated_pair(3, W12, seed=2)
-        with pytest.raises(HypothesisError):
-            check_theorem_2_1(pair, power_fun(-1.0), power_fun(-1.0), -1.0, "i")
-        with pytest.raises(HypothesisError):
-            check_theorem_2_1(pair, power_fun(-1.0), np.log, 0.5, "ii")
-        with pytest.raises(ValueError):
-            check_theorem_2_1(pair, power_fun(-1.0), np.log, 0.5, "iii")
+        f = g = power_fun(-1.0)
+        assert check_theorem_2_1(pair, f, g, 9.0 / 8.0).params["case"] == "i"
+        assert check_theorem_2_1(pair, f, np.log, -0.5).params["case"] == "ii"
+        with pytest.raises(HypothesisError, match="alpha != 0"):
+            check_theorem_2_1(pair, f, g, 0.0)
+
+    def test_needs_window_on_b(self):
+        pair = gen_dominated_pair(3, W12, seed=1, window_side=WINDOW_ON_A)
+        with pytest.raises(HypothesisError, match="needs the window certified on B"):
+            check_theorem_2_1(pair, power_fun(-1.0), power_fun(-1.0), 9.0 / 8.0)
 
     def test_rejects_wrong_certificate(self):
         pair = gen_chaotic_pair(3, W12, seed=3)
         with pytest.raises(HypothesisError):
-            check_theorem_2_1(pair, power_fun(-1.0), power_fun(-1.0), 1.0, "i")
+            check_theorem_2_1(pair, power_fun(-1.0), power_fun(-1.0), 1.0)
 
 
 class TestCorollary22:
@@ -322,7 +326,7 @@ class TestTheorem41:
         return alpha_ratio(power_fun(p), power_fun(q), W12).value
 
     def test_identity_map_single_summand(self):
-        eye = PositiveLinearMap(kraus=(np.eye(3, dtype=complex),), dim_in=3, dim_out=3)
+        eye = PositiveLinearMap((np.eye(3, dtype=complex),))
         from kantcheck.generators import gen_hermitian_in_window
         op = gen_hermitian_in_window(3, W12, np.random.default_rng(12))
         from kantcheck.posmaps import WeightedFamily
