@@ -20,7 +20,8 @@ Stacking removes numpy's per-call overhead, which dominates at d <= 6;
 the budget keeps a d = 64 stack at one member, where stacking gains
 nothing and would only hold more matrices in memory.  Cells still run
 one ``run_cell`` each, in enumeration order.  The oracle scans behind
-the cells' constants are made once per run (``OracleScans``).
+the cells' constants are made once per run (``OracleScans``), and a
+block's scans share its window's scan arena (``constants``).
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ from .generators import (
     WINDOW_ON_A,
     gen_chaotic_pairs,
     gen_dominated_pairs,
-    gen_positive_linear_map,
+    gen_positive_linear_maps,
     gen_relative_pairs,
-    gen_weighted_family,
+    gen_weighted_families,
 )
 from .hermitian import DIM_CAP, SpectralWindow
 from .verifiers import CHAIN_CATALOG
@@ -139,13 +140,13 @@ def _chaotic(dim, w, seeds):
 
 
 def _relative_with_map(dim, w, seeds):
-    return [(pair, gen_positive_linear_map(dim, _out_dim(dim), _kraus_count(seed),
-                                           seed + MAP_SEED_OFFSET))
-            for pair, seed in zip(gen_relative_pairs(dim, w, seeds), seeds)]
+    pairs = gen_relative_pairs(dim, w, seeds)
+    return list(zip(pairs, gen_positive_linear_maps(dim, _out_dim(dim), map(_kraus_count, seeds),
+                                                    [seed + MAP_SEED_OFFSET for seed in seeds])))
 
 
 def _weighted_family(dim, w, seeds):
-    return [(gen_weighted_family(3, dim, _out_dim(dim), w, seed),) for seed in seeds]
+    return [(family,) for family in gen_weighted_families(3, dim, _out_dim(dim), w, seeds)]
 
 
 def _tight_gap(scans, w, p, q) -> dict:

@@ -12,13 +12,23 @@ values, and g's positivity probe, so a sweep that scans many chords
 against one g over a window evaluates g on the grid once; every
 objective value is still checked for being real and finite, and every
 golden-section point is evaluated afresh.
+
+Every scan of a window reads one read-only grid and writes one
+grid-sized scratch buffer, the window's scan arena.  The arena of the
+last window scanned is kept, so a campaign's or a sweep's scans of one
+window allocate no grid-sized buffer but their objective, and at most
+two such arrays are kept whatever the number of windows.  Scans share
+the scratch buffer, so two must not run at once from two threads.
+Endpoint values f(m) and f(M) are evaluated through the same checked
+path as golden-section points: an undefined or non-finite endpoint
+value raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -52,10 +62,7 @@ class ChordCoefficients:
 
 def chord_coefficients(f, window: SpectralWindow) -> ChordCoefficients:
     """Chord of f over [m, M]: slope (f(M)-f(m))/(M-m), matching endpoints."""
-    fm = float(f(window.m))
-    fM = float(f(window.M))
-    if not (math.isfinite(fm) and math.isfinite(fM)):
-        raise DomainError(f"f must be finite at the window endpoints, got f(m)={fm}, f(M)={fM}")
+    fm, fM = _endpoint_values(f, window)
     slope = (fM - fm) / window.width
     intercept = (window.M * fm - window.m * fM) / window.width
     return ChordCoefficients(slope, intercept)
@@ -73,10 +80,15 @@ def _eval_one(h, t: float) -> float:
     try:
         y = float(h(float(t)))
     except (ArithmeticError, ValueError, TypeError) as exc:
-        raise DomainError(f"objective undefined at t={t!r}: {exc}") from exc
+        raise DomainError(f"function undefined at t={t!r}: {exc}") from exc
     if not math.isfinite(y):
-        raise DomainError(f"objective non-finite at t={t!r}")
+        raise DomainError(f"function non-finite at t={t!r}")
     return y
+
+
+def _endpoint_values(f, window: SpectralWindow) -> tuple[float, float]:
+    """f(m) and f(M), each a finite float, else DomainError."""
+    return _eval_one(f, window.m), _eval_one(f, window.M)
 
 
 def _golden_max(h, a: float, b: float, iters: int) -> tuple[float, float]:
@@ -96,9 +108,16 @@ def _golden_max(h, a: float, b: float, iters: int) -> tuple[float, float]:
     return (c, hc) if hc >= hd else (d, hd)
 
 
-def _oracle_grid(window: SpectralWindow) -> np.ndarray:
-    """The oracle's dense scan points: GRID_RESOLUTION equal cells over [m, M]."""
-    return np.linspace(window.m, window.M, GRID_RESOLUTION + 1)
+@lru_cache(maxsize=1)
+def _scan_arena(window: SpectralWindow) -> tuple[np.ndarray, np.ndarray]:
+    """The window's oracle grid, GRID_RESOLUTION equal cells over [m, M]
+    (read-only), and a grid-sized buffer any scan may overwrite; kept for
+    the last window scanned.  A fresh temporary per scan, alive beside
+    the scan's objective, makes glibc's malloc give the top of its heap
+    back and fault it in again on every scan."""
+    grid = np.linspace(window.m, window.M, GRID_RESOLUTION + 1)
+    grid.flags.writeable = False
+    return grid, np.empty_like(grid)
 
 
 def _refine(h, window: SpectralWindow, ts: np.ndarray, ys: np.ndarray) -> ExtremumResult:
@@ -129,7 +148,7 @@ def grid_max_1d(h, window: SpectralWindow) -> ExtremumResult:
     steps around the best cell.  Accurate to ~1e-9 in value for C^2
     objectives.
     """
-    ts = _oracle_grid(window)
+    ts, _ = _scan_arena(window)
     return _refine(h, window, ts, eval_scalar(h, ts))
 
 
@@ -140,6 +159,8 @@ class GridFunction:
     are computed on first use and kept.  ``alpha_ratio`` and
     ``beta_generic`` take one as g, so many chords scanned against one g
     over one window evaluate g on the grid, and probe its sign, once.
+    The grid and the scratch buffer are the window's scan arena, shared
+    by every scan of the window.
     """
 
     def __init__(self, fn, window: SpectralWindow):
@@ -149,10 +170,10 @@ class GridFunction:
     def __call__(self, t):
         return self.fn(t)
 
-    @cached_property
+    @property
     def grid(self) -> np.ndarray:
-        """The window's oracle scan points."""
-        return _oracle_grid(self.window)
+        """The window's oracle scan points, read-only."""
+        return _scan_arena(self.window)[0]
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -166,12 +187,11 @@ class GridFunction:
         probe = eval_scalar(self.fn, np.linspace(self.window.m, self.window.M, 2001))
         return float(np.min(probe)) > 0.0
 
-    @cached_property
+    @property
     def scratch(self) -> np.ndarray:
-        """A grid-sized buffer a scan may overwrite.  A fresh temporary per
-        scan, alive beside the scan's objective, makes glibc's malloc give
-        the top of its heap back and fault it in again on every scan."""
-        return np.empty(GRID_RESOLUTION + 1)
+        """The window's grid-sized buffer, which any scan of the window
+        may overwrite."""
+        return _scan_arena(self.window)[1]
 
 
 def _on_grid(g, window: SpectralWindow) -> GridFunction:
@@ -187,7 +207,7 @@ def _chord_max(chord: ChordCoefficients, g: GridFunction, h, finish) -> Extremum
     the chord's values c with g's values y; golden-section points are
     evaluated through h.
     """
-    y = g.values
+    y, grid = g.values, g.grid
 
     def on_grid(ts):
         c = np.multiply(ts, chord.slope)
@@ -195,12 +215,13 @@ def _chord_max(chord: ChordCoefficients, g: GridFunction, h, finish) -> Extremum
         finish(c, y)
         return c
 
-    return _refine(h, g.window, g.grid, eval_scalar(on_grid, g.grid))
+    return _refine(h, g.window, grid, eval_scalar(on_grid, grid))
 
 
 def beta_generic(f, g, alpha: float, window: SpectralWindow) -> ExtremumResult:
     """Oracle gap: max over [m, M] of chord_of_f(t) - alpha * g(t)."""
-    if not (float(f(window.m)) > 0.0 and float(f(window.M)) > 0.0):
+    fm, fM = _endpoint_values(f, window)
+    if not (fm > 0.0 and fM > 0.0):
         raise DomainError("f must be positive at the window endpoints")
     chord = chord_coefficients(f, window)
     alpha = float(alpha)

@@ -10,9 +10,10 @@ in the exchange format.
 Each pair family has one body that takes a list of seeds: every seed
 draws from its own generator, and the QR factorizations, eigensolves
 and products then run once over the stack of members.  The
-single-seed generators are that body on a stack of one.  A weighted
-family draws each item's map and window draws in turn, then places all
-its operands in the window as one stack.
+single-seed generators are that body on a stack of one.  Kraus maps
+and weighted families are drawn the same way: each seed's draws keep
+their order, then every map's normalization matrix is decomposed and
+inverted, and every family operand placed in the window, as one stack.
 
 A window placement targets the endpoints m and M but nudges its targets
 inside by a margin that grows with the dimension, so that each operand's
@@ -326,21 +327,55 @@ def gen_relative_pairs(dim: int, window: SpectralWindow, seeds) -> list:
                             spec_A=spec_a)
 
 
-def gen_positive_linear_map(dim_in: int, dim_out: int, n_kraus: int, seed_or_rng) -> PositiveLinearMap:
-    """Random normalized positive linear map: W_i = V_i S^(-1/2), S = sum V_i* V_i."""
+def _kraus_draws(dim_in: int, dim_out: int, n_kraus: int, rng) -> list:
+    """One map's draws from ``rng``: its n_kraus complex Gaussians V_i."""
     if n_kraus < 1:
         raise ValueError(f"n_kraus must be >= 1, got {n_kraus}")
     if n_kraus * dim_in < dim_out:
         raise ValueError(f"need n_kraus*dim_in >= dim_out for normalization, "
                          f"got {n_kraus}*{dim_in} < {dim_out}")
-    rng = _rng(seed_or_rng)
-    vs = [_complex_gaussian(rng, dim_in, dim_out) for _ in range(n_kraus)]
-    s_spec = eig_hermitian(hermitize(sum(v.conj().T @ v for v in vs)))
+    return [_complex_gaussian(rng, dim_in, dim_out) for _ in range(n_kraus)]
+
+
+def _normalized_maps(draws: list, seeds: list) -> list:
+    """The normalized map of each list of ``_kraus_draws``: W_i = V_i S^(-1/2),
+    S = sum V_i* V_i, with every S decomposed, tested and inverted as one
+    stack.  The first singular S, in list order, raises naming its seed."""
+    counts = np.array([len(factors) for factors in draws])
+    dim_out = draws[0][0].shape[1]
+    # column k stacks the k-th factor of each map that has one, so each S is
+    # summed in Kraus order from zero, as a sum over its factors is
+    columns = [np.stack([factors[k] for factors in draws if len(factors) > k])
+               for k in range(counts.max())]
+    s = np.zeros((len(draws), dim_out, dim_out), dtype=complex)
+    for k, vs in enumerate(columns):
+        s[counts > k] += vs.conj().swapaxes(-1, -2) @ vs
+    s_spec = eig_hermitian(hermitize(s))
     lam = s_spec.eigenvalues
-    if not lam[0] > 1e-10 * lam[-1]:
-        raise GenerationError("normalization matrix S = sum V_i* V_i is singular")
+    singular = np.flatnonzero(~(lam[:, 0] > 1e-10 * lam[:, -1]))
+    if singular.size:
+        raise GenerationError(f"normalization matrix S = sum V_i* V_i is singular "
+                              f"for seed {seeds[singular[0]]}")
     inv_root = matrix_power(s_spec, -0.5)
-    return PositiveLinearMap(tuple(v @ inv_root for v in vs))
+    # column k's rows follow the maps that have a k-th factor, in map order
+    rows = [iter(vs @ inv_root[counts > k]) for k, vs in enumerate(columns)]
+    return [PositiveLinearMap(tuple(next(rows[k]) for k in range(n))) for n in counts]
+
+
+def gen_positive_linear_map(dim_in: int, dim_out: int, n_kraus: int, seed_or_rng) -> PositiveLinearMap:
+    """Random normalized positive linear map: W_i = V_i S^(-1/2), S = sum V_i* V_i."""
+    return gen_positive_linear_maps(dim_in, dim_out, [n_kraus], [seed_or_rng])[0]
+
+
+def gen_positive_linear_maps(dim_in: int, dim_out: int, counts, seeds) -> list:
+    """``gen_positive_linear_map`` of each (Kraus count, seed), with S's
+    eigensolve and S^(-1/2) stacked over the seeds; every map is bit for bit
+    the one a lone call makes.  A singular S raises, naming its seed, and is
+    never redrawn."""
+    if not seeds:
+        return []
+    return _normalized_maps([_kraus_draws(dim_in, dim_out, n_kraus, _rng(seed))
+                             for n_kraus, seed in zip(counts, seeds, strict=True)], seeds)
 
 
 def gen_weighted_family(n_items: int, dim_in: int, dim_out: int,
@@ -348,24 +383,41 @@ def gen_weighted_family(n_items: int, dim_in: int, dim_out: int,
     """Random weighted family (w_i, Phi_i, A_i) with Sp(A_i) inside the window;
     each map has 1 to MAX_KRAUS Kraus operators.
 
-    Each item draws its map, then its operand's window draws; the operands
-    are then placed in the window as one stack.  The seed is recorded on the
+    The seed draws the weights, then each item's Kraus count, map and
+    operand's window draws; the maps are normalized, and the operands
+    placed in the window, as one stack each.  The seed is recorded on the
     family.
     """
-    rng = _rng(seed)
-    raw = 0.1 + rng.random(n_items)
-    weights = raw / raw.sum()
+    return gen_weighted_families(n_items, dim_in, dim_out, window, [seed])[0]
+
+
+def gen_weighted_families(n_items: int, dim_in: int, dim_out: int,
+                          window: SpectralWindow, seeds) -> list:
+    """``gen_weighted_family`` of each seed, with the maps' normalization and
+    the operands' placement stacked over every item of every seed; each
+    family is bit for bit the one a lone call makes."""
     if not n_items:
         raise HypothesisError("weighted family is empty")
-    maps, draws = [], []
-    for _ in range(n_items):
-        n_kraus = int(rng.integers(1, MAX_KRAUS + 1))
-        maps.append(gen_positive_linear_map(dim_in, dim_out, n_kraus, rng))
-        draws.append(_window_draws(dim_in, window, rng))
+    if not seeds:
+        return []
+    weights, kraus, draws = [], [], []
+    for seed in seeds:
+        rng = _rng(seed)
+        raw = 0.1 + rng.random(n_items)
+        weights.append(raw / raw.sum())
+        for _ in range(n_items):
+            kraus.append(_kraus_draws(dim_in, dim_out, int(rng.integers(1, MAX_KRAUS + 1)), rng))
+            draws.append(_window_draws(dim_in, window, rng))
+    maps = _normalized_maps(kraus, [seed for seed in seeds for _ in range(n_items)])
     ops, spec = _place_in_window(draws, window)
-    family = WeightedFamily(items=tuple(zip(map(float, weights), maps, ops)), window=window,
-                            seed=int(seed))
-    return _with_spectra(family, spectra=tuple(spec.members())).validate()
+    decs = spec.members()
+    families = []
+    for i, seed in enumerate(seeds):
+        items = slice(i * n_items, (i + 1) * n_items)
+        family = WeightedFamily(items=tuple(zip(map(float, weights[i]), maps[items], ops[items])),
+                                window=window, seed=int(seed))
+        families.append(_with_spectra(family, spectra=tuple(decs[items])).validate())
+    return families
 
 
 def pair_to_json(pair: CertifiedPair) -> dict:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import (
+    _endpoint_values,
     beta_generic,
     beta_power_closed,
     kantorovich_C,
@@ -200,7 +201,7 @@ def _interpolant_chain(pair: CertifiedPair, f, g_a: Array, alpha: float, beta: f
     and corollaries 2.2-2.4 share; ``g_a`` is g(A), formed by the caller, and
     ``names`` are the printed names of the three terms."""
     w = pair.window
-    mid = superlog_bound(pair.spec_B, w, float(f(w.m)), float(f(w.M)))
+    mid = superlog_bound(pair.spec_B, w, *_endpoint_values(f, w))
     lower, middle, upper = names
     return _chain((lower, apply_scalar_function(pair.spec_B, f)), (middle, mid),
                   (upper, alpha * g_a + beta * identity(pair.dim)), rel_tol)
@@ -416,7 +417,7 @@ def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,
     alpha = float(alpha)
     if beta is None:
         beta = beta_generic(f, g, alpha, w).value
-    fm, fM = float(f(w.m)), float(f(w.M))
+    fm, fM = _endpoint_values(f, w)
     dim_out = family.items[0][1].dim_out
     acc = np.zeros((3, dim_out, dim_out), dtype=complex)
     for (weight, phi, op), spec in zip(family.items, family.spectra):
@@ -438,7 +439,7 @@ def _relative_means(pair: CertifiedPair, f) -> tuple:
     w = pair.window
     rt, irt = sqrt_invsqrt(pair.spec_A)
     t = eig_hermitian(hermitize(irt @ pair.B @ irt))
-    g_t = superlog_bound(t, w, float(f(w.m)), float(f(w.M)), 1e-8)
+    g_t = superlog_bound(t, w, *_endpoint_values(f, w), 1e-8)
     return hermitize(rt @ apply_scalar_function(t, f) @ rt), hermitize(rt @ g_t @ rt)
 
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import weakref
 import xml.etree.ElementTree as ET
@@ -288,6 +289,15 @@ class TestRunCampaign:
         assert [len(run_cell(cfg, cell, block)[0]) for cell in cells] == [3, 3]
         # one window test for all six samples of the block's two cells
         assert max(shape[0] for shape in shapes if len(shape) == 3) == 6
+
+    def test_each_block_builds_at_most_one_scan_arena(self, small_config):
+        """The oracle scans of a block share its window's scan arena: a run
+        misses the arena's cache at most once per block."""
+        blocks = len(list(itertools.groupby(enumerate_cells(small_config),
+                                            key=lambda c: (c.suite, c.params["window"]))))
+        constants._scan_arena.cache_clear()
+        run_campaign(small_config)
+        assert 0 < constants._scan_arena.cache_info().misses <= blocks
 
     def test_a_checked_block_is_freed_without_the_cycle_collector(self):
         """A block's streams hold no reference back to the block, so a run

@@ -27,6 +27,8 @@ from kantcheck.hermitian import SpectralWindow, eval_scalar
 W12 = SpectralWindow(1.0, 2.0)
 WINDOWS = [SpectralWindow(1.0, 2.0), SpectralWindow(0.5, 4.0), SpectralWindow(2.0, 3.0)]
 SQRT2 = math.sqrt(2.0)
+# t^-1 is undefined at 0.0, the window's lower endpoint
+ZERO_ENDED = SpectralWindow(0.0, 2.0)
 
 
 def rel_close(a, b, tol=1e-6):
@@ -56,6 +58,12 @@ class TestChord:
         c = chord_coefficients(f, w)
         assert rel_close(c.at(w.m), f(w.m), 1e-12)
         assert rel_close(c.at(w.M), f(w.M), 1e-12)
+
+    def test_undefined_endpoint_raises_domain_error(self):
+        with pytest.raises(DomainError, match="undefined at t=0.0"):
+            chord_coefficients(power_fun(-1.0), ZERO_ENDED)
+        with pytest.raises(DomainError, match="non-finite at t=2.0"):
+            chord_coefficients(lambda t: math.inf if t == 2.0 else t, ZERO_ENDED)
 
     def test_intercept_nonnegative_for_nonpositive_exponents(self):
         # chord intercept of t^p is provably >= 0 on 0 < m < M when p <= 0
@@ -87,6 +95,10 @@ class TestGridMax:
         with pytest.raises(DomainError):
             grid_max_1d(lambda t: 1.0 / (t - 1.5), W12)
 
+    def test_undefined_endpoint_raises_domain_error(self):
+        with pytest.raises(DomainError, match="non-finite at t=0.0"):
+            grid_max_1d(power_fun(-1.0), ZERO_ENDED)
+
 
 class TestBetaGeneric:
     def test_calibrated_alpha_gives_zero(self):
@@ -108,6 +120,10 @@ class TestBetaGeneric:
     def test_requires_positive_f(self):
         with pytest.raises(DomainError):
             beta_generic(lambda t: t - 1.5, power_fun(-1.0), 1.0, W12)
+
+    def test_undefined_endpoint_raises_domain_error(self):
+        with pytest.raises(DomainError, match="undefined at t=0.0"):
+            beta_generic(power_fun(-1.0), power_fun(-0.5), 1.0, ZERO_ENDED)
 
 
 class TestBetaPowerClosed:
@@ -223,6 +239,10 @@ class TestAlphaRatio:
         with pytest.raises(DomainError):
             alpha_ratio(power_fun(-1.0), lambda t: t - 1.5, W12)
 
+    def test_undefined_endpoint_raises_domain_error(self):
+        with pytest.raises(DomainError, match="undefined at t=0.0"):
+            alpha_ratio(power_fun(-1.0), power_fun(-0.5), ZERO_ENDED)
+
     def test_grid_function_serves_only_its_own_window(self):
         w = SpectralWindow(0.5, 4.0)
         f, g = power_fun(-1.0), power_fun(-0.5)
@@ -255,6 +275,48 @@ class TestAlphaRatio:
         for h, ts, ys in seen:
             assert np.array_equal(ts, grid)
             assert np.array_equal(ys, eval_scalar(h, grid))
+
+
+class TestScanArena:
+    def test_scans_of_a_window_share_one_read_only_grid(self, monkeypatch):
+        seen = []
+        real = constants._refine
+
+        def spy(h, window, ts, ys):
+            seen.append(ts)
+            return real(h, window, ts, ys)
+
+        monkeypatch.setattr(constants, "_refine", spy)
+        w = SpectralWindow(0.5, 4.0)
+        alpha_ratio(power_fun(-1.0), power_fun(-0.5), w)
+        beta_generic(power_fun(-2.0), GridFunction(power_fun(-0.25), w), 1.5, w)
+        grid_max_1d(power_fun(-1.0), w)
+        assert seen[0] is seen[1] is seen[2] is GridFunction(power_fun(2.0), w).grid
+        assert np.array_equal(seen[0], np.linspace(w.m, w.M, constants.GRID_RESOLUTION + 1))
+        with pytest.raises(ValueError, match="read-only"):
+            seen[0][0] = 0.0
+        # the scratch buffer is the window's too
+        assert GridFunction(power_fun(-1.0), w).scratch is GridFunction(power_fun(3.0), w).scratch
+
+    @pytest.mark.parametrize("w", [W12, SpectralWindow(0.05, 20.0)])
+    def test_scratch_contents_do_not_reach_a_scan(self, w):
+        f, g = power_fun(-2.0), power_fun(-0.6)
+        scans = [lambda: alpha_ratio(f, g, w), lambda: beta_generic(f, g, 1.0, w),
+                 lambda: beta_generic(f, GridFunction(g, w), -0.5, w)]
+        clean = [scan() for scan in scans]
+        for scan, want in zip(scans, clean):
+            _, scratch = constants._scan_arena(w)
+            scratch.fill(np.nan)
+            got = scan()
+            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+            assert np.float64(got.t_star).tobytes() == np.float64(want.t_star).tobytes()
+
+    def test_arena_is_kept_for_the_last_window_only(self):
+        constants._scan_arena.cache_clear()
+        for w in (W12, W12, SpectralWindow(0.5, 4.0), W12):
+            alpha_ratio(power_fun(-1.0), power_fun(-0.5), w)
+        info = constants._scan_arena.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (3, 1, 1)
 
 
 class TestModuleInvariants:

@@ -19,8 +19,10 @@ from kantcheck.generators import (
     gen_dominated_pairs,
     gen_hermitian_in_window,
     gen_positive_linear_map,
+    gen_positive_linear_maps,
     gen_relative_pair,
     gen_relative_pairs,
+    gen_weighted_families,
     gen_weighted_family,
     pair_from_json,
     pair_to_json,
@@ -261,6 +263,45 @@ class TestKrausMaps:
             gen_positive_linear_map(3, 2, 2, 7)
         assert draws == [(3, 2), (3, 2)]
 
+    def test_singular_member_of_a_stack_names_its_seed(self, monkeypatch):
+        """Draws 3 and 4 (seed 12's only factor and seed 13's first) are
+        zero, so seeds 12 and 13 have a singular S: the first in seed order
+        raises, naming seed 12, after each draw was made once."""
+        real = generators._complex_gaussian
+        draws = []
+
+        def drawing(rng, rows, cols):
+            draws.append((rows, cols))
+            v = real(rng, rows, cols)
+            return np.zeros_like(v) if len(draws) in (4, 5) else v
+
+        monkeypatch.setattr(generators, "_complex_gaussian", drawing)
+        with pytest.raises(GenerationError, match=r"singular for seed 12$"):
+            gen_positive_linear_maps(3, 2, [1, 2, 1, 1, 2], [10, 11, 12, 13, 14])
+        assert draws == [(3, 2)] * 7
+
+    def test_singular_map_of_a_family_stack_names_its_seed(self, monkeypatch):
+        """Every Kraus draw from the second seed on is zero; the first
+        singular map is then the second family's, and no draw is repeated."""
+        real = generators._complex_gaussian
+        seeds = [20, 21, 22]
+        kraus_of_first = sum(len(phi.kraus) for _, phi, _ in gen_weighted_family(3, 3, 2, W12, 20).items)
+        clean, draws = [], []
+        monkeypatch.setattr(generators, "_complex_gaussian",
+                            lambda rng, rows, cols: clean.append((rows, cols)) or real(rng, rows, cols))
+        gen_weighted_families(3, 3, 2, W12, seeds)
+
+        def drawing(rng, rows, cols):
+            draws.append((rows, cols))
+            v = real(rng, rows, cols)
+            later = draws.count((3, 2)) > kraus_of_first
+            return np.zeros_like(v) if (rows, cols) == (3, 2) and later else v
+
+        monkeypatch.setattr(generators, "_complex_gaussian", drawing)
+        with pytest.raises(GenerationError, match=r"singular for seed 21$"):
+            gen_weighted_families(3, 3, 2, W12, seeds)
+        assert draws == clean
+
 
 class TestWeightedFamilies:
     def test_generated_family_validates(self):
@@ -284,24 +325,32 @@ class TestWeightedFamilies:
 
     @pytest.mark.parametrize("dim", [3, 16])
     def test_operands_placed_in_one_call(self, monkeypatch, dim):
-        """The window test decomposes all three operands as one stack, and a
-        retry only the failing ones, again as one stack; the normalization
-        eigh of each map stays one matrix."""
+        """A call of k seeds decomposes the normalization matrices of its 3k
+        maps as one (3k, d - 1, d - 1) stack, then the window test its 3k
+        operands as one (3k, d, d) stack, and a retry only the failing ones,
+        again as one stack."""
         eigh = np.linalg.eigh
         shapes = []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or eigh(a))
-        for seed in range(4):
+        w = SpectralWindow(0.5, 4.0)
+        for seeds in ([0], [1], [2], [3], [4, 5, 6], list(range(7, 15))):
             shapes.clear()
-            gen_weighted_family(3, dim, dim - 1, SpectralWindow(0.5, 4.0), seed)
-            stacks = [shape for shape in shapes if len(shape) == 3]
-            assert stacks[0] == (3, dim, dim)
-            assert all(shape[1:] == (dim, dim) for shape in stacks)
+            if len(seeds) == 1:
+                gen_weighted_family(3, dim, dim - 1, w, seeds[0])
+            else:
+                gen_weighted_families(3, dim, dim - 1, w, seeds)
+            normalization, *stacks = shapes
+            k = len(seeds)
+            assert normalization == (3 * k, dim - 1, dim - 1)
+            assert stacks[0] == (3 * k, dim, dim)
+            assert all(len(shape) == 3 and shape[1:] == (dim, dim) for shape in stacks)
             assert all(later[0] <= earlier[0] for earlier, later in zip(stacks, stacks[1:]))
-            assert [shape for shape in shapes if len(shape) == 2] == [(dim - 1, dim - 1)] * 3
 
     def test_empty_family_rejected(self):
         with pytest.raises(HypothesisError, match="empty"):
             gen_weighted_family(0, 3, 2, W12, 1)
+        with pytest.raises(HypothesisError, match="empty"):
+            gen_weighted_families(0, 3, 2, W12, [1, 2])
 
     def test_bad_weights_rejected(self):
         family = gen_weighted_family(2, 3, 2, W12, 5)
@@ -380,6 +429,45 @@ class TestStackedGenerators:
                               (pair.spec_B.eigenvectors, alone.spec_B.eigenvectors)):
                 assert np.array_equal(got, want), seed
 
+    @pytest.mark.parametrize("window", [(1.0, 2.0), (0.5, 4.0), (0.05, 20.0)],
+                             ids=["1-2", "0.5-4", "0.05-20"])
+    @pytest.mark.parametrize("dim", [2, 3, 6, 16, 64])
+    def test_family_stack_equals_each_stack_of_one(self, monkeypatch, dim, window):
+        """Every family of a stack is bit for bit the family its seed makes
+        alone: weights, Kraus factors, operands, spectra and seed, re-placed
+        window tests included."""
+        w = SpectralWindow(*window)
+        seeds = list(range(40, 40 + (6 if dim <= 16 else 2)))
+        masks = reject_first_window_tests(monkeypatch, lambda vals: np.array(
+            [hashlib.sha256(v.tobytes()).digest()[0] % 4 != 0 for v in vals]))
+        families = gen_weighted_families(3, dim, dim - 1, w, seeds)
+        assert any(np.any(mask) for mask in masks)
+        assert [family.seed for family in families] == seeds
+        for seed, family in zip(seeds, families):
+            alone = gen_weighted_family(3, dim, dim - 1, w, seed)
+            assert family.seed == alone.seed == seed
+            for (weight, phi, op), dec, (weight_1, phi_1, op_1), dec_1 in zip(
+                    family.items, family.spectra, alone.items, alone.spectra):
+                assert np.array_equal(weight, weight_1), seed
+                assert len(phi.kraus) == len(phi_1.kraus), seed
+                for got, want in ((op, op_1), (dec.eigenvalues, dec_1.eigenvalues),
+                                  (dec.eigenvectors, dec_1.eigenvectors),
+                                  *zip(phi.kraus, phi_1.kraus)):
+                    assert np.array_equal(got, want), seed
+
+    @pytest.mark.parametrize("dim", [2, 3, 6, 16, 64])
+    def test_map_stack_equals_each_stack_of_one(self, dim):
+        """Every map of a stack, with 1 to 3 Kraus factors, is bit for bit
+        the map its seed makes alone."""
+        seeds = list(range(60, 60 + (12 if dim <= 16 else 4)))
+        counts = [1 + seed % 3 for seed in seeds]
+        maps = gen_positive_linear_maps(dim, dim - 1 or 1, counts, seeds)
+        assert [len(phi.kraus) for phi in maps] == counts
+        for seed, n_kraus, phi in zip(seeds, counts, maps):
+            alone = gen_positive_linear_map(dim, dim - 1 or 1, n_kraus, seed)
+            for got, want in zip(phi.kraus, alone.kraus, strict=True):
+                assert np.array_equal(got, want), seed
+
     def test_retry_moves_only_the_failing_members(self, monkeypatch):
         seeds = list(range(20))
         untouched = gen_dominated_pairs(3, W12, seeds)
@@ -419,8 +507,7 @@ class TestStackedGenerators:
         w = SpectralWindow(*window)
         seeds = list(range(8 if dim < 64 else 3))
         if family == "weighted":
-            for seed in seeds:
-                gen_weighted_family(3, dim, dim - 1 or 1, w, seed)
+            gen_weighted_families(3, dim, dim - 1 or 1, w, seeds)
         else:
             STACKED_FAMILIES[family][0](dim, w, seeds)
         assert per_placement and all(count == 1 for count in per_placement)
@@ -458,6 +545,8 @@ class TestStackedGenerators:
         assert gen_dominated_pairs(3, W12, []) == []
         assert gen_chaotic_pairs(3, W12, []) == []
         assert gen_relative_pairs(3, W12, []) == []
+        assert gen_positive_linear_maps(3, 2, [], []) == []
+        assert gen_weighted_families(3, 3, 2, W12, []) == []
 
 
 class TestCorpusIO:

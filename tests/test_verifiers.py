@@ -8,6 +8,7 @@ from kantcheck.campaign import ALL_SUITES, SUITES, CampaignConfig, OracleScans, 
 from kantcheck.constants import alpha_ratio, kantorovich_C, kantorovich_K, power_fun
 from kantcheck.errors import (
     DegenerateExponentError,
+    DomainError,
     HypothesisError,
     ParameterError,
 )
@@ -356,6 +357,13 @@ class TestTheorem41:
             family = gen_weighted_family(3, 4, 3, W12, seed)
             report = check_theorem_4_1(family, power_fun(-1.0), power_fun(-1.0), alpha)
             assert report.overall
+
+    def test_undefined_endpoint_raises_domain_error(self):
+        # a family's window may start at 0, where t^-1 is undefined
+        family = gen_weighted_family(3, 3, 2, SpectralWindow(0.0, 2.0), 1)
+        for beta in (None, 0.0):
+            with pytest.raises(DomainError, match="undefined at t=0.0"):
+                check_theorem_4_1(family, power_fun(-1.0), power_fun(-0.5), 1.0, beta=beta)
 
 
 class TestTheorem42:
