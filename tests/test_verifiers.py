@@ -9,6 +9,7 @@ from kantcheck.constants import alpha_ratio, kantorovich_C, kantorovich_K, power
 from kantcheck.errors import (
     DegenerateExponentError,
     DomainError,
+    HermiticityError,
     HypothesisError,
     ParameterError,
 )
@@ -27,7 +28,7 @@ from kantcheck.generators import (
     gen_weighted_family,
 )
 from kantcheck.hermitian import SpectralWindow, loewner_verdicts
-from kantcheck.posmaps import PositiveLinearMap, apply_map, tsallis_entropy
+from kantcheck.posmaps import PositiveLinearMap, WeightedFamily, apply_map, tsallis_entropy
 from kantcheck.verifiers import (
     CHAIN_CATALOG,
     check_corollary_2_2,
@@ -554,6 +555,66 @@ class TestMapOnce:
         calls = self._counted(monkeypatch)
         assert check(pair, phi).overall
         assert calls == [(4, 3, 3)]
+
+
+RELATIVE_CHECKS = [
+    pytest.param(lambda pair, phi: check_theorem_4_2(pair, phi, power_fun(-1.0), 1.0),
+                 id="theorem_4_2"),
+    pytest.param(lambda pair, phi: check_corollary_4_3(pair, phi, -1.0, 1.0), id="corollary_4_3"),
+    pytest.param(lambda pair, phi: check_corollary_4_4(pair, phi, -1.0, "ratio"),
+                 id="corollary_4_4_ratio"),
+    pytest.param(lambda pair, phi: check_corollary_4_4(pair, phi, -1.0, "difference"),
+                 id="corollary_4_4_difference"),
+    pytest.param(lambda pair, phi: check_theorem_4_5(pair, phi, -0.5), id="theorem_4_5"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestInputValidation:
+    """A hand-built pair or family is validated where a check first reads it:
+    a skewed operand raises HermiticityError and a NaN entry ValueError,
+    never a verdict."""
+
+    @staticmethod
+    def _relative_pair_with_b(edit):
+        pair = gen_relative_pair(3, W12, seed=4)
+        b = pair.B.copy()
+        edit(b)
+        return CertifiedPair(A=pair.A, B=b, window=W12, certificate=CERT_RELATIVE, seed=4)
+
+    @staticmethod
+    def _skew(b):
+        # an anti-Hermitian part, so T = A^(-1/2) B A^(-1/2) stays in the window once hermitized
+        b[0, 1] += 1e-3
+        b[1, 0] -= 1e-3
+
+    @pytest.mark.parametrize("check", RELATIVE_CHECKS)
+    def test_relative_check_rejects_a_skewed_b(self, check):
+        pair = self._relative_pair_with_b(self._skew)
+        with pytest.raises(HermiticityError):
+            check(pair, gen_positive_linear_map(3, 2, 2, 6))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+    @pytest.mark.parametrize("check", RELATIVE_CHECKS)
+    def test_relative_check_rejects_a_nan_in_b(self, check, entry):
+        pair = self._relative_pair_with_b(lambda b: b.__setitem__(entry, math.nan))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            check(pair, gen_positive_linear_map(3, 2, 2, 6))
+
+    @pytest.mark.parametrize("edit, error", [
+        (_skew.__func__, HermiticityError),
+        (lambda op: op.__setitem__((1, 1), math.nan), ValueError),
+    ], ids=["skewed", "nan"])
+    def test_theorem_4_1_rejects_a_bad_operator(self, edit, error):
+        family = gen_weighted_family(3, 3, 2, W12, 5)
+        items = list(family.items)
+        weight, phi, op = items[1]
+        op = op.copy()
+        edit(op)
+        items[1] = (weight, phi, op)
+        bad = WeightedFamily(items=tuple(items), window=W12, seed=5)
+        with pytest.raises(error):
+            check_theorem_4_1(bad, power_fun(-1.0), power_fun(-1.0), 1.0)
 
 
 class TestDecomposeOnce:
