@@ -536,6 +536,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
 
     stats: dict = {}
     handles: dict = {}
+    # the encoder json.dumps builds for these separators, built once per run
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     try:
         for suite in cfg.suites:
             stats[suite] = SuiteStats(suite=suite)
@@ -548,7 +550,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
                 "base_seed": cfg.base_seed,
                 "config": cfg.semantic_dict(),
             }
-            handle.write(json.dumps(header, separators=(",", ":")) + "\n")
+            handle.write(encode(header) + "\n")
         scans = OracleScans()
         for _, run in itertools.groupby(cells, key=lambda c: (c.suite, c.params["window"])):
             run = list(run)
@@ -558,7 +560,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
                 stats[cell.suite].absorb(reports, deviation)
                 handle = handles[cell.suite]
                 for report in reports:
-                    handle.write(json.dumps(report.to_json_dict(), separators=(",", ":")) + "\n")
+                    handle.write(encode(report.to_json_dict()) + "\n")
     finally:
         for handle in handles.values():
             handle.close()

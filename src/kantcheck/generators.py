@@ -14,6 +14,9 @@ single-seed generators are that body on a stack of one.  Kraus maps
 and weighted families are drawn the same way: each seed's draws keep
 their order, then every map's normalization matrix is decomposed and
 inverted, and every family operand placed in the window, as one stack.
+Each Kraus factor is drawn straight into the column stack that
+normalizes it.  The generators decompose their own intermediates with
+``_eigh``, which does not re-validate them.
 
 A window placement targets the endpoints m and M but nudges its targets
 inside by a margin that grows with the dimension, so that each operand's
@@ -37,6 +40,7 @@ from .hermitian import (
     Array,
     SpectralDecomposition,
     SpectralWindow,
+    _eigh,
     eig_hermitian,
     hermitize,
     loewner_leq,  # noqa: F401  (still importable from this module, as before)
@@ -97,11 +101,25 @@ class CertifiedPair:
 
 
 def _rng(seed_or_rng) -> np.random.Generator:
-    return np.random.default_rng(seed_or_rng)
+    """``np.random.default_rng`` of a seed, built directly; a Generator is
+    passed through unchanged."""
+    if isinstance(seed_or_rng, np.random.Generator):
+        return seed_or_rng
+    return np.random.Generator(np.random.PCG64(seed_or_rng))
+
+
+def _complex_normal(parts: Array) -> Array:
+    """(re + 1j im) / sqrt(2) of standard normal parts stacked on axis -3,
+    real part first: one complex Gaussian, or one per member of a stack.
+    The sum and the quotient are formed in place, in one complex array."""
+    z = 1j * parts[..., 1, :, :]
+    z += parts[..., 0, :, :]
+    z /= math.sqrt(2.0)
+    return z
 
 
 def _complex_gaussian(rng, rows: int, cols: int) -> Array:
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2.0)
+    return _complex_normal(rng.standard_normal((2, rows, cols)))
 
 
 def _haar(gaussians: Array) -> Array:
@@ -128,19 +146,26 @@ def gen_hermitian_in_window(dim: int, window: SpectralWindow, rng) -> Array:
     roundoff still pushed an eigenvalue outside, the targets are nudged
     further inward and the matrix is rebuilt.
     """
-    return _place_in_window([_window_draws(dim, window, _rng(rng))], window)[0][0]
+    return _place_in_window([_window_draws(dim, _rng(rng))], window)[0][0]
 
 
-def _window_draws(dim: int, window: SpectralWindow, rng) -> tuple[Array, Array]:
-    """One window placement's draws from ``rng``, in order: the target
-    spectrum and the complex Gaussian of its unitary."""
+def _window_draws(dim: int, rng) -> tuple[Array, Array]:
+    """One window placement's draws from ``rng``, in order: two rows of
+    uniforms (each target's endpoint choice and interior position, see
+    ``_window_targets``) and the real and imaginary parts of the Gaussian
+    of its unitary."""
     if not 1 <= dim <= DIM_CAP:
         raise ValueError(f"dim {dim} outside supported range [1, {DIM_CAP}]")
-    u = rng.random(dim)
-    interior = window.m + window.width * rng.random(dim)
-    lam = np.where(u < ENDPOINT_PROB, window.m,
-                   np.where(u < 2 * ENDPOINT_PROB, window.M, interior))
-    return lam, _complex_gaussian(rng, dim, dim)
+    return rng.random((2, dim)), rng.standard_normal((2, dim, dim))
+
+
+def _window_targets(uniforms: Array, window: SpectralWindow) -> Array:
+    """The target spectrum of each member of a stack (k, 2, d) of uniforms:
+    m or M with probability ENDPOINT_PROB each, else uniform in the window."""
+    u, position = uniforms[:, 0], uniforms[:, 1]
+    interior = window.m + window.width * position
+    return np.where(u < ENDPOINT_PROB, window.m,
+                    np.where(u < 2 * ENDPOINT_PROB, window.M, interior))
 
 
 def _place_in_window(draws: list, window: SpectralWindow) -> tuple[Array, SpectralDecomposition]:
@@ -154,20 +179,30 @@ def _place_in_window(draws: list, window: SpectralWindow) -> tuple[Array, Spectr
     fail, its targets are nudged further inward and the whole stack is
     rebuilt and tested again; a member that passed is rebuilt bit for bit.
     """
-    lams, gaussians = (np.stack(part) for part in zip(*draws))
-    q = _haar(gaussians)
+    uniforms, parts = zip(*draws)
+    q = _haar(_complex_normal(np.stack(parts)))
     scale = max(abs(window.m), abs(window.M), 1.0)
     margin = 8.0 * np.finfo(float).eps * scale * q.shape[-1]
-    target = np.clip(np.sort(lams, axis=-1), window.m + margin, window.M - margin)
+    target = np.clip(np.sort(_window_targets(np.stack(uniforms), window), axis=-1),
+                     window.m + margin, window.M - margin)
     for _ in range(6):
         a = hermitize((q * target[:, None, :]) @ q.conj().swapaxes(-1, -2))
-        dec = eig_hermitian(a)
+        dec = _eigh(a)
         outside = ~spectrum_in_window(dec, window, 0.0)
         if not outside.any():
             return a, dec
         margin *= 8.0
         target[outside] = np.clip(target[outside], window.m + margin, window.M - margin)
     raise GenerationError(f"could not place a spectrum inside [{window.m}, {window.M}]")
+
+
+def _perturbation_draws(rngs: list, n_uniform: int, dim: int) -> tuple[Array, Array]:
+    """Each generator's perturbation draws, in order: n_uniform uniforms and
+    the real and imaginary parts of a d x d complex Gaussian.  Returns the
+    (k, n_uniform) uniforms and the (k, d, d) complex Gaussians."""
+    uniforms, parts = map(np.array, zip(*[
+        (rng.random(n_uniform), rng.standard_normal((2, dim, dim))) for rng in rngs]))
+    return uniforms, _complex_normal(parts)
 
 
 def _with_spectra(obj, **spectra):
@@ -247,16 +282,16 @@ def gen_dominated_pairs(dim: int, window: SpectralWindow, seeds,
     if not seeds:
         return []
     rngs = [_rng(seed) for seed in seeds]
-    anchor, spec = _place_in_window([_window_draws(dim, w, rng) for rng in rngs], w)
-    draw, floor, gaussians = map(np.array, zip(*[
-        (rng.random(), rng.random(), _complex_gaussian(rng, dim, dim)) for rng in rngs]))
+    anchor, spec = _place_in_window([_window_draws(dim, rng) for rng in rngs], w)
+    uniforms, gaussians = _perturbation_draws(rngs, 2, dim)
+    draw, floor = uniforms.T
     scale = draw if rho is None else np.full(len(rngs), float(rho))
     if window_side == WINDOW_ON_B:
         b = anchor
         margin = POSITIVITY_MARGIN_FACTOR * w.m
         lam_min = spec.eigenvalues[:, 0]
         a = hermitize(b - _random_psd(gaussians, scale * np.maximum(lam_min - margin, 0.0), floor))
-        spectra = {"spec_A": eig_hermitian(a), "spec_B": spec}
+        spectra = {"spec_A": _eigh(a), "spec_B": spec}
     else:
         a = anchor
         b = hermitize(a + _random_psd(gaussians, scale * w.width, floor))
@@ -284,13 +319,12 @@ def gen_chaotic_pairs(dim: int, window: SpectralWindow, seeds) -> list:
         return []
     rngs = [_rng(seed) for seed in seeds]
     log_window = SpectralWindow(math.log(w.m), math.log(w.M))
-    k, spec_k = _place_in_window([_window_draws(dim, log_window, rng) for rng in rngs], log_window)
-    norm, gaussians = map(np.array, zip(*[
-        (rng.random() * MAX_LOG_PERTURBATION, _complex_gaussian(rng, dim, dim)) for rng in rngs]))
-    q = _random_psd(gaussians, norm, np.zeros(len(rngs)))
-    a = matrix_exp(eig_hermitian(hermitize(k - q)))
+    k, spec_k = _place_in_window([_window_draws(dim, rng) for rng in rngs], log_window)
+    uniforms, gaussians = _perturbation_draws(rngs, 1, dim)
+    q = _random_psd(gaussians, uniforms[:, 0] * MAX_LOG_PERTURBATION, np.zeros(len(rngs)))
+    a = matrix_exp(_eigh(hermitize(k - q)))
     b = matrix_exp(spec_k)
-    spec_a, spec_b = eig_hermitian(a), eig_hermitian(b)
+    spec_a, spec_b = _eigh(a), _eigh(b)
     log_orders = loewner_verdicts(zip(matrix_log(spec_a), matrix_log(spec_b)))
     return _certified_pairs(
         a, b, w, CERT_CHAOTIC, seeds,
@@ -313,8 +347,7 @@ def gen_relative_pairs(dim: int, window: SpectralWindow, seeds) -> list:
     if not seeds:
         return []
     rngs = [_rng(seed) for seed in seeds]
-    draws = [(_window_draws(dim, RELATIVE_BASE_WINDOW, rng), _window_draws(dim, w, rng))
-             for rng in rngs]
+    draws = [(_window_draws(dim, rng), _window_draws(dim, rng)) for rng in rngs]
     a, spec_a = _place_in_window([base for base, _ in draws], RELATIVE_BASE_WINDOW)
     c, _ = _place_in_window([congruent for _, congruent in draws], w)
     root = matrix_power(spec_a, 0.5)
@@ -327,39 +360,55 @@ def gen_relative_pairs(dim: int, window: SpectralWindow, seeds) -> list:
                             spec_A=spec_a)
 
 
-def _kraus_draws(dim_in: int, dim_out: int, n_kraus: int, rng) -> list:
-    """One map's draws from ``rng``: its n_kraus complex Gaussians V_i."""
-    if n_kraus < 1:
-        raise ValueError(f"n_kraus must be >= 1, got {n_kraus}")
-    if n_kraus * dim_in < dim_out:
-        raise ValueError(f"need n_kraus*dim_in >= dim_out for normalization, "
-                         f"got {n_kraus}*{dim_in} < {dim_out}")
-    return [_complex_gaussian(rng, dim_in, dim_out) for _ in range(n_kraus)]
+class _KrausColumns:
+    """The Kraus draws of a stack of maps, each factor drawn straight into
+    its column: column k stacks the k-th factor of each map that has one, in
+    map order, so each S is summed in Kraus order from zero, as a sum over
+    its factors is.  Each column has a row for every map of the stack and is
+    filled from the top."""
 
+    def __init__(self, n_maps: int, dim_in: int, dim_out: int):
+        self.shape = (n_maps, dim_in, dim_out)
+        self.counts = []
+        self.columns = []
+        self.filled = []
 
-def _normalized_maps(draws: list, seeds: list) -> list:
-    """The normalized map of each list of ``_kraus_draws``: W_i = V_i S^(-1/2),
-    S = sum V_i* V_i, with every S decomposed, tested and inverted as one
-    stack.  The first singular S, in list order, raises naming its seed."""
-    counts = np.array([len(factors) for factors in draws])
-    dim_out = draws[0][0].shape[1]
-    # column k stacks the k-th factor of each map that has one, so each S is
-    # summed in Kraus order from zero, as a sum over its factors is
-    columns = [np.stack([factors[k] for factors in draws if len(factors) > k])
-               for k in range(counts.max())]
-    s = np.zeros((len(draws), dim_out, dim_out), dtype=complex)
-    for k, vs in enumerate(columns):
-        s[counts > k] += vs.conj().swapaxes(-1, -2) @ vs
-    s_spec = eig_hermitian(hermitize(s))
-    lam = s_spec.eigenvalues
-    singular = np.flatnonzero(~(lam[:, 0] > 1e-10 * lam[:, -1]))
-    if singular.size:
-        raise GenerationError(f"normalization matrix S = sum V_i* V_i is singular "
-                              f"for seed {seeds[singular[0]]}")
-    inv_root = matrix_power(s_spec, -0.5)
-    # column k's rows follow the maps that have a k-th factor, in map order
-    rows = [iter(vs @ inv_root[counts > k]) for k, vs in enumerate(columns)]
-    return [PositiveLinearMap(tuple(next(rows[k]) for k in range(n))) for n in counts]
+    def draw(self, n_kraus: int, rng) -> None:
+        """Draw the next map's n_kraus complex Gaussians V_i from ``rng``."""
+        _, dim_in, dim_out = self.shape
+        if n_kraus < 1:
+            raise ValueError(f"n_kraus must be >= 1, got {n_kraus}")
+        if n_kraus * dim_in < dim_out:
+            raise ValueError(f"need n_kraus*dim_in >= dim_out for normalization, "
+                             f"got {n_kraus}*{dim_in} < {dim_out}")
+        for k in range(n_kraus):
+            if k == len(self.columns):
+                self.columns.append(np.empty(self.shape, dtype=complex))
+                self.filled.append(0)
+            self.columns[k][self.filled[k]] = _complex_gaussian(rng, dim_in, dim_out)
+            self.filled[k] += 1
+        self.counts.append(n_kraus)
+
+    def normalized_maps(self, seeds: list) -> list:
+        """The normalized map of each draw: W_i = V_i S^(-1/2),
+        S = sum V_i* V_i, with every S decomposed, tested and inverted as one
+        stack.  The first singular S, in map order, raises naming its seed."""
+        _, _, dim_out = self.shape
+        counts = np.array(self.counts)
+        columns = [column[:filled] for column, filled in zip(self.columns, self.filled)]
+        s = np.zeros((len(counts), dim_out, dim_out), dtype=complex)
+        for k, vs in enumerate(columns):
+            s[counts > k] += vs.conj().swapaxes(-1, -2) @ vs
+        s_spec = _eigh(hermitize(s))
+        lam = s_spec.eigenvalues
+        singular = np.flatnonzero(~(lam[:, 0] > 1e-10 * lam[:, -1]))
+        if singular.size:
+            raise GenerationError(f"normalization matrix S = sum V_i* V_i is singular "
+                                  f"for seed {seeds[singular[0]]}")
+        inv_root = matrix_power(s_spec, -0.5)
+        # column k's rows follow the maps that have a k-th factor, in map order
+        rows = [iter(vs @ inv_root[counts > k]) for k, vs in enumerate(columns)]
+        return [PositiveLinearMap(tuple(next(rows[k]) for k in range(n))) for n in counts]
 
 
 def gen_positive_linear_map(dim_in: int, dim_out: int, n_kraus: int, seed_or_rng) -> PositiveLinearMap:
@@ -374,8 +423,10 @@ def gen_positive_linear_maps(dim_in: int, dim_out: int, counts, seeds) -> list:
     never redrawn."""
     if not seeds:
         return []
-    return _normalized_maps([_kraus_draws(dim_in, dim_out, n_kraus, _rng(seed))
-                             for n_kraus, seed in zip(counts, seeds, strict=True)], seeds)
+    kraus = _KrausColumns(len(seeds), dim_in, dim_out)
+    for n_kraus, seed in zip(counts, seeds, strict=True):
+        kraus.draw(n_kraus, _rng(seed))
+    return kraus.normalized_maps(seeds)
 
 
 def gen_weighted_family(n_items: int, dim_in: int, dim_out: int,
@@ -400,15 +451,16 @@ def gen_weighted_families(n_items: int, dim_in: int, dim_out: int,
         raise HypothesisError("weighted family is empty")
     if not seeds:
         return []
-    weights, kraus, draws = [], [], []
+    weights, draws = [], []
+    kraus = _KrausColumns(len(seeds) * n_items, dim_in, dim_out)
     for seed in seeds:
         rng = _rng(seed)
         raw = 0.1 + rng.random(n_items)
         weights.append(raw / raw.sum())
         for _ in range(n_items):
-            kraus.append(_kraus_draws(dim_in, dim_out, int(rng.integers(1, MAX_KRAUS + 1)), rng))
-            draws.append(_window_draws(dim_in, window, rng))
-    maps = _normalized_maps(kraus, [seed for seed in seeds for _ in range(n_items)])
+            kraus.draw(int(rng.integers(1, MAX_KRAUS + 1)), rng)
+            draws.append(_window_draws(dim_in, rng))
+    maps = kraus.normalized_maps([seed for seed in seeds for _ in range(n_items)])
     ops, spec = _place_in_window(draws, window)
     decs = spec.members()
     families = []

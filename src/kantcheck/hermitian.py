@@ -5,16 +5,26 @@ functional calculus goes through a full eigendecomposition, and every
 result is re-symmetrized so that roundoff never leaks a non-Hermitian
 part into later order checks.  The spectral functions also take a
 SpectralDecomposition, so an operand is decomposed (and its Hermiticity
-checked) once for every function applied to it.  ``loewner_leq`` checks
-its arguments; ``loewner_verdicts``, which it calls, tests a list of
-internal intermediates with one stacked eigensolve and checks nothing.
+checked) once for every function applied to it.
+
+Validation happens where a matrix enters the package: ``matrix_from_json``,
+the public functions given a matrix, a hand-built pair's or family's
+operands on first use, and the raw A and B a relative check reads.
+``eig_hermitian``, ``posmaps.apply_map`` and ``posmaps.f_connection`` (and
+through it ``posmaps.sharp``) validate their arguments and then call one
+private body each, ``_eigh``, ``_apply_map`` and ``_f_connection``, as
+``loewner_leq`` calls ``loewner_verdicts``.  The generators and the checks
+call the bodies on the package's own intermediates, which are Hermitian
+by construction, and a decomposition is never re-checked.
 
 ``hermitian`` validates a matrix, or each member of a stack (k, n, n) of
 same-size matrices; ``require_hermitian`` takes one matrix.  ``hermitize``,
 ``eig_hermitian`` and ``posmaps.apply_map`` act on each member of a stack.  The
 decomposition's ``rebuild``, ``matrix_power``, ``matrix_log``,
 ``matrix_exp`` and ``spectrum_in_window`` act on each member of the
-stacked decomposition it returns.  numpy's stacked eigensolvers and
+stacked decomposition it returns, and ``rebuild`` also takes a stack of
+value rows for one decomposition, so a check rebuilds each of its
+decompositions once.  numpy's stacked eigensolvers and
 products give each member the bits a call on that member alone gives.
 Every other entry point, and any of these given an array, takes one
 matrix.
@@ -41,6 +51,15 @@ Array = np.ndarray
 
 def frobenius(a: Array) -> float:
     return float(np.linalg.norm(a))
+
+
+def _frobenius_norms(stack: Array) -> Array:
+    """``frobenius`` of each member of a complex stack (k, n, n), bit for bit:
+    each member's squared norm is the same two BLAS dot products
+    ``np.linalg.norm`` takes, of its real and of its imaginary parts."""
+    flat = stack.reshape(len(stack), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
 
 
 def hermitize(a: Array) -> Array:
@@ -127,7 +146,9 @@ class SpectralDecomposition:
         return int(self.eigenvalues.shape[-1])
 
     def rebuild(self, values: Array) -> Array:
-        """Assemble U diag(values) U* from new diagonal values."""
+        """Assemble U diag(values) U* from new diagonal values.  Given a stack
+        of value rows (k, n), a one-member decomposition assembles one matrix
+        per row, each with the bits a rebuild of that row alone gives."""
         u = self.eigenvectors
         return hermitize((u * np.asarray(values)[..., None, :]) @ u.conj().swapaxes(-1, -2))
 
@@ -140,8 +161,14 @@ class SpectralDecomposition:
 def eig_hermitian(a) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix, or of each member of a
     stack (k, n, n), eigenvalues ascending."""
+    return _eigh(hermitian(a))
+
+
+def _eigh(a: Array) -> SpectralDecomposition:
+    """``eig_hermitian`` of the package's own complex Hermitian intermediate
+    (or stack of them), which is not validated."""
     try:
-        vals, vecs = np.linalg.eigh(hermitian(a))
+        vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     return SpectralDecomposition(vals, vecs)
@@ -215,11 +242,16 @@ def _require_positive_spectrum(dec: SpectralDecomposition, what: str) -> None:
         raise DomainError(f"{what} needs a strictly positive spectrum; smallest eigenvalue is {low:.6e}")
 
 
+def _power_values(dec: SpectralDecomposition, p: float) -> Array:
+    """The eigenvalues of ``matrix_power``, after its positivity check."""
+    _require_positive_spectrum(dec, f"matrix power p={p}")
+    return dec.eigenvalues ** float(p)
+
+
 def matrix_power(a, p: float) -> Array:
     """Spectral power A^p; the spectrum must be strictly positive."""
     dec = decompose(a)
-    _require_positive_spectrum(dec, f"matrix power p={p}")
-    return dec.rebuild(dec.eigenvalues ** float(p))
+    return dec.rebuild(_power_values(dec, p))
 
 
 def matrix_log(a) -> Array:
@@ -262,15 +294,14 @@ def loewner_verdicts(pairs, rel_tol: float = DEFAULT_REL_TOL) -> list:
 
     The arguments are not validated: they must be complex Hermitian arrays
     of one shape, as the package's own intermediates are by construction.
-    The tolerance is computed per difference, as ``loewner_leq`` does.
+    The tolerances of all differences come from one stacked norm, each
+    bit for bit the one ``loewner_leq`` computes for that difference alone.
     """
     diffs = hermitize(np.stack([rhs - lhs for lhs, rhs in pairs]))
-    verdicts = []
-    for diff, slack in zip(diffs, np.linalg.eigvalsh(diffs)[:, 0]):
-        slack = float(slack)
-        tol = rel_tol * (1.0 + frobenius(diff))
-        verdicts.append(LoewnerVerdict(holds=slack >= -tol, min_slack=slack, tolerance_used=tol))
-    return verdicts
+    slacks = np.linalg.eigvalsh(diffs)[:, 0].tolist()
+    tols = (rel_tol * (1.0 + _frobenius_norms(diffs))).tolist()
+    return [LoewnerVerdict(holds=slack >= -tol, min_slack=slack, tolerance_used=tol)
+            for slack, tol in zip(slacks, tols)]
 
 
 def spectrum_in_window(a, window: SpectralWindow, tol: float = 0.0):
@@ -299,17 +330,23 @@ def superlog_bound(b, window: SpectralWindow, fm: float, fM: float,
     with endpoint values fm, fM.  G is ``geometric_interpolant`` of
     log fm and log fM.
     """
+    dec = decompose(b)
+    return dec.rebuild(_superlog_values(dec, window, fm, fM, hypothesis_tol))
+
+
+def _superlog_values(dec: SpectralDecomposition, window: SpectralWindow, fm: float, fM: float,
+                     hypothesis_tol: float = 1e-9) -> Array:
+    """The eigenvalues of ``superlog_bound``, after its checks."""
     fm = float(fm)
     fM = float(fM)
     if not (fm > 0.0 and fM > 0.0):
         raise DomainError(f"endpoint values must be positive, got fm={fm}, fM={fM}")
-    dec = decompose(b)
     lam = dec.eigenvalues
     if lam[0] < window.m - hypothesis_tol or lam[-1] > window.M + hypothesis_tol:
         raise HypothesisError(
             f"spectrum [{float(lam[0]):.6g}, {float(lam[-1]):.6g}] not inside "
             f"window [{window.m}, {window.M}]")
-    return dec.rebuild(geometric_interpolant(window, math.log(fm), math.log(fM))(lam))
+    return geometric_interpolant(window, math.log(fm), math.log(fM))(lam)
 
 
 def matrix_to_json(a) -> dict:

@@ -14,9 +14,10 @@ from .errors import DomainError, HypothesisError, ParameterError
 from .hermitian import (
     Array,
     SpectralWindow,
-    apply_scalar_function,
+    _eigh,
     decompose,
     eig_hermitian,
+    eval_scalar,
     hermitian,
     hermitize,
     require_hermitian,
@@ -67,7 +68,12 @@ def apply_map(phi: PositiveLinearMap, x) -> Array:
     """Evaluate Phi(X) = sum_i W_i* X W_i, or Phi of each member of a stack (k, n, n),
     validated once; preserves Hermiticity and positivity.  The Kraus terms are added
     in order, so each member gets the bits a call on it alone gives."""
-    arr = hermitian(x, "X")
+    return _apply_map(phi, hermitian(x, "X"))
+
+
+def _apply_map(phi: PositiveLinearMap, arr: Array) -> Array:
+    """``apply_map`` of the package's own complex Hermitian intermediate (or
+    stack of them), which is not validated."""
     if arr.shape[-1] != phi.dim_in:
         raise ValueError(f"dimension mismatch: X is {arr.shape[-1]}, map expects {phi.dim_in}")
     acc = np.zeros(arr.shape[:-2] + (phi.dim_out, phi.dim_out), dtype=complex)
@@ -89,15 +95,21 @@ def sqrt_invsqrt(a) -> tuple[Array, Array]:
         raise DomainError(
             f"matrix too ill-conditioned to invert: spectrum [{float(lam[0]):.3e}, {float(lam[-1]):.3e}]")
     root = np.sqrt(lam)
-    return dec.rebuild(root), dec.rebuild(1.0 / root)
+    rt, irt = dec.rebuild(np.stack([root, 1.0 / root]))
+    return rt, irt
 
 
 def f_connection(a, b, f) -> Array:
     """A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) for strictly positive A."""
-    rt, irt = sqrt_invsqrt(a)
-    bb = require_hermitian(b, "B")
-    t = hermitize(irt @ bb @ irt)
-    return hermitize(rt @ apply_scalar_function(t, f) @ rt)
+    return _f_connection(sqrt_invsqrt(a), require_hermitian(b, "B"), f)
+
+
+def _f_connection(roots: tuple, b: Array, f) -> Array:
+    """``f_connection`` from ``sqrt_invsqrt(A)`` and the package's own complex
+    Hermitian intermediate B, which is not validated."""
+    rt, irt = roots
+    t = _eigh(hermitize(irt @ b @ irt))
+    return hermitize(rt @ t.rebuild(eval_scalar(f, t.eigenvalues)) @ rt)
 
 
 def sharp(a, b, v: float) -> Array:

@@ -3,7 +3,11 @@
 Each check builds every operator appearing in its chain, tests its "<="
 links together with ``loewner_verdicts`` (one stacked eigensolve, no
 re-validation of the check's own intermediates) at the configured
-tolerance, and returns a ChainReport.  Links whose slack sits inside the
+tolerance, and returns a ChainReport.  The operators a check takes from
+one decomposition are rebuilt from it in one call, one row of values
+each.  A hand-built pair or family is validated where it is first
+decomposed; a relative check also validates the raw A and B it reads, in
+one call.  Links whose slack sits inside the
 tolerance band are marked tight rather than failed: the constants are
 designed to be attained.
 Every multi-link chain also carries an end-to-end audit link comparing
@@ -42,22 +46,24 @@ from .hermitian import (
     Array,
     SpectralDecomposition,
     SpectralWindow,
+    _eigh,
+    _power_values,
+    _superlog_values,
     apply_scalar_function,
-    eig_hermitian,
+    eval_scalar,
     geometric_interpolant,
+    hermitian,
     hermitize,
     identity,
     loewner_leq,  # noqa: F401  (still importable from this module, as before)
     loewner_verdicts,
     matrix_power,
-    superlog_bound,
 )
 from .posmaps import (
     PositiveLinearMap,
     WeightedFamily,
-    apply_map,
-    f_connection,
-    sharp,
+    _apply_map,
+    _f_connection,
     sqrt_invsqrt,
 )
 
@@ -200,10 +206,11 @@ def _interpolant_chain(pair: CertifiedPair, f, g_a: Array, alpha: float, beta: f
     """The links of f(B) <= G_f(B) <= alpha g(A) + beta I, the chain theorem 2.1
     and corollaries 2.2-2.4 share; ``g_a`` is g(A), formed by the caller, and
     ``names`` are the printed names of the three terms."""
-    w = pair.window
-    mid = superlog_bound(pair.spec_B, w, *_endpoint_values(f, w))
+    w, spec = pair.window, pair.spec_B
+    g_vals = _superlog_values(spec, w, *_endpoint_values(f, w))
+    f_b, g_b = spec.rebuild(np.stack([eval_scalar(f, spec.eigenvalues), g_vals]))
     lower, middle, upper = names
-    return _chain((lower, apply_scalar_function(pair.spec_B, f)), (middle, mid),
+    return _chain((lower, f_b), (middle, g_b),
                   (upper, alpha * g_a + beta * identity(pair.dim)), rel_tol)
 
 
@@ -302,7 +309,7 @@ def _chaotic_exponents(p: float, r: float) -> tuple[float, float]:
 def furuta_term(pair: CertifiedPair, p: float, r: float) -> SpectralDecomposition:
     """The decomposition of B^(r/2) A^p B^(r/2), the two-sided product of the chaotic order."""
     half = matrix_power(pair.spec_B, r / 2.0)
-    return eig_hermitian(hermitize(half @ matrix_power(pair.spec_A, p) @ half))
+    return _eigh(hermitize(half @ matrix_power(pair.spec_A, p) @ half))
 
 
 def check_lemma_3_1_forward(pair: CertifiedPair, p: float, r: float,
@@ -328,14 +335,15 @@ def lemma_3_1_exponent_slacks(pair: CertifiedPair, p: float, r: float,
     b_r = matrix_power(pair.spec_B, r)
     term = furuta_term(pair, p, r)
     names = ("r_over_p_plus_r", "p_over_p_plus_r")
-    verdicts = loewner_verdicts([(b_r, matrix_power(term, expo))
-                                 for expo in (r / (p + r), p / (p + r))], rel_tol)
+    exponents = (r / (p + r), p / (p + r))
+    powers = term.rebuild(np.stack([_power_values(term, expo) for expo in exponents]))
+    verdicts = loewner_verdicts([(b_r, power) for power in powers], rel_tol)
     return {name: {"min_slack": v.min_slack, "holds": v.holds}
             for name, v in zip(names, verdicts)}
 
 
 def _chaotic_middle(pair: CertifiedPair, p: float, r: float) -> Array:
-    """B^(-r) G_{t^(p+r)}(B) evaluated as a single scalar function of B.
+    """The eigenvalues of B^(-r) G_{t^(p+r)}(B), a single scalar function of B.
 
     Both factors are functions of B and commute exactly, so the product is
     computed as t -> t^(-r) G_{t^(p+r)}(t) on the spectrum; this avoids
@@ -343,15 +351,20 @@ def _chaotic_middle(pair: CertifiedPair, p: float, r: float) -> Array:
     """
     w, s = pair.window, p + r
     g = geometric_interpolant(w, s * math.log(w.m), s * math.log(w.M))
-    return apply_scalar_function(pair.spec_B, lambda t: t ** (-r) * g(t))
+    return eval_scalar(lambda t: t ** (-r) * g(t), pair.spec_B.eigenvalues)
 
 
-def _chaotic_chain(pair: CertifiedPair, p: float, r: float, upper: tuple,
-                   rel_tol: float) -> list:
+def _chaotic_terms(pair: CertifiedPair, p: float, r: float, *rows) -> Array:
+    """B^p, B^(-r) G_{t^(p+r)}(B) and one more function of B per row of
+    eigenvalues in ``rows``, rebuilt from B's decomposition in one call."""
+    b_p = _power_values(pair.spec_B, p)
+    return pair.spec_B.rebuild(np.stack([b_p, _chaotic_middle(pair, p, r), *rows]))
+
+
+def _chaotic_chain(b_p: Array, mid: Array, upper: tuple, rel_tol: float) -> list:
     """The links of B^p <= B^(-r) G_{t^(p+r)}(B) <= upper, the chain corollaries
     3.2 and 3.3 share; ``upper`` is the (printed name, matrix) term that sets each apart."""
-    return _chain(("B^p", matrix_power(pair.spec_B, p)),
-                  ("B^(-r) G_{t^(p+r)}(B)", _chaotic_middle(pair, p, r)), upper, rel_tol)
+    return _chain(("B^p", b_p), ("B^(-r) G_{t^(p+r)}(B)", mid), upper, rel_tol)
 
 
 def check_corollary_3_2(pair: CertifiedPair, p: float, r: float,
@@ -361,7 +374,8 @@ def check_corollary_3_2(pair: CertifiedPair, p: float, r: float,
     p, r = _chaotic_exponents(p, r)
     w = pair.window
     k = kantorovich_K(w, p + r)
-    links = _chaotic_chain(pair, p, r, ("K A^p", k * matrix_power(pair.spec_A, p)), rel_tol)
+    a_p = matrix_power(pair.spec_A, p)
+    links = _chaotic_chain(*_chaotic_terms(pair, p, r), ("K A^p", k * a_p), rel_tol)
     return _finish("corollary_3_2", pair.dim, pair.seed, w, {"p": p, "r": r, "K": k}, links,
                    _fuzz_notes("r", r, r < -1.0 - 1e-12))
 
@@ -380,8 +394,10 @@ def check_corollary_3_3(pair: CertifiedPair, p: float, r: float,
     p, r = _chaotic_exponents(p, r)
     w = pair.window
     c = kantorovich_C(w, p + r)
-    rhs = c * matrix_power(pair.spec_B, -r) + matrix_power(pair.spec_A, p)
-    links = _chaotic_chain(pair, p, r, ("C B^(-r) + A^p", rhs), rel_tol)
+    b_neg_r = _power_values(pair.spec_B, -r)
+    a_p = matrix_power(pair.spec_A, p)
+    b_p, mid, b_neg_r = _chaotic_terms(pair, p, r, b_neg_r)
+    links = _chaotic_chain(b_p, mid, ("C B^(-r) + A^p", c * b_neg_r + a_p), rel_tol)
     return _finish("corollary_3_3", pair.dim, pair.seed, w, {"p": p, "r": r, "C": c}, links,
                    _fuzz_notes("r", r, r < -1.0 - 1e-12))
 
@@ -398,7 +414,7 @@ def corollary_3_3_unweighted_slack(pair: CertifiedPair, p: float, r: float,
     p, r = _chaotic_exponents(p, r)
     w = pair.window
     c = kantorovich_C(w, p + r)
-    mid = _chaotic_middle(pair, p, r)
+    mid = pair.spec_B.rebuild(_chaotic_middle(pair, p, r))
     rhs = c * identity(pair.dim) + matrix_power(pair.spec_A, p)
     (verdict,) = loewner_verdicts([(mid, rhs)], rel_tol)
     return {"min_slack": verdict.min_slack, "holds": verdict.holds}
@@ -421,10 +437,11 @@ def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,
     dim_out = family.items[0][1].dim_out
     acc = np.zeros((3, dim_out, dim_out), dtype=complex)
     for (weight, phi, op), spec in zip(family.items, family.spectra):
-        terms = np.stack([apply_scalar_function(spec, f), superlog_bound(spec, w, fm, fM), op])
-        acc += weight * apply_map(phi, terms)
+        f_vals = eval_scalar(f, spec.eigenvalues)
+        rows = np.stack([f_vals, _superlog_values(spec, w, fm, fM)])
+        acc += weight * _apply_map(phi, np.concatenate([spec.rebuild(rows), op[None]]))
     lhs, mid, agg = hermitize(acc)
-    rhs = alpha * apply_scalar_function(agg, g) + beta * identity(dim_out)
+    rhs = alpha * apply_scalar_function(_eigh(agg), g) + beta * identity(dim_out)
     links = _chain(("sum w_i Phi_i(f(A_i))", lhs), ("sum w_i Phi_i(G_f(A_i))", mid),
                    ("alpha g(agg) + beta", rhs), rel_tol)
     dim_in = family.items[0][1].dim_in
@@ -434,13 +451,22 @@ def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,
 
 
 def _relative_means(pair: CertifiedPair, f) -> tuple:
-    """A sigma_f B and A^(1/2) G_f(T) A^(1/2), both through the one
-    decomposition of T = A^(-1/2) B A^(-1/2)."""
+    """A and B, validated in one call, then A sigma_f B and
+    A^(1/2) G_f(T) A^(1/2), both rebuilt from the one decomposition of
+    T = A^(-1/2) B A^(-1/2)."""
+    a, b = hermitian(np.stack([pair.A, pair.B]), "pair (A, B)")
     w = pair.window
     rt, irt = sqrt_invsqrt(pair.spec_A)
-    t = eig_hermitian(hermitize(irt @ pair.B @ irt))
-    g_t = superlog_bound(t, w, *_endpoint_values(f, w), 1e-8)
-    return hermitize(rt @ apply_scalar_function(t, f) @ rt), hermitize(rt @ g_t @ rt)
+    t = _eigh(hermitize(irt @ b @ irt))
+    g_vals = _superlog_values(t, w, *_endpoint_values(f, w), 1e-8)
+    f_vals = eval_scalar(f, t.eigenvalues)
+    mean, interp = hermitize(rt @ t.rebuild(np.stack([f_vals, g_vals])) @ rt)
+    return a, b, mean, interp
+
+
+def _mapped_mean(phi_a: Array, phi_b: Array, f) -> Array:
+    """Phi(A) sigma_f Phi(B) of the mapped operands."""
+    return _f_connection(sqrt_invsqrt(_eigh(phi_a)), phi_b, f)
 
 
 def _relative_chain(pair: CertifiedPair, phi: PositiveLinearMap, f, alpha: float, beta: float,
@@ -451,8 +477,9 @@ def _relative_chain(pair: CertifiedPair, phi: PositiveLinearMap, f, alpha: float
     three terms.  A sigma_f B, the G-term, A and B are mapped in one call.
     Each label in ``before`` names a forward baseline link
     Phi(A) sigma_f Phi(B) <= Phi(A sigma_f B), tested ahead of the chain."""
-    lhs, mid, phi_a, phi_b = apply_map(phi, np.stack([*_relative_means(pair, f), pair.A, pair.B]))
-    mean_term = f_connection(phi_a, phi_b, f)
+    a, b, mean, interp = _relative_means(pair, f)
+    lhs, mid, phi_a, phi_b = _apply_map(phi, np.stack([mean, interp, a, b]))
+    mean_term = _mapped_mean(phi_a, phi_b, f)
     lower, middle, upper = names
     return _chain((lower, lhs), (middle, mid), (upper, beta * phi_a + alpha * mean_term), rel_tol,
                   *((label, mean_term, lhs) for label in before))
@@ -543,12 +570,12 @@ def check_theorem_4_5(pair: CertifiedPair, phi: PositiveLinearMap, p: float,
     w = pair.window
     k = kantorovich_K(w, p)
     c = kantorovich_C(w, p)
-    mean_in, interp = _relative_means(pair, power_fun(p))
+    a, b, mean_in, interp = _relative_means(pair, power_fun(p))
     # T_p(X|Y) = (X #_p Y - X)/p from means built once
-    entropy_in = hermitize((mean_in - pair.A) / p)
-    lhs, phi_interp, phi_a, phi_b = apply_map(phi, np.stack([entropy_in, interp, pair.A, pair.B]))
+    entropy_in = hermitize((mean_in - a) / p)
+    lhs, phi_interp, phi_a, phi_b = _apply_map(phi, np.stack([entropy_in, interp, a, b]))
     mid = hermitize((phi_interp - phi_a) / p)
-    mean_term = sharp(phi_a, phi_b, p)
+    mean_term = _mapped_mean(phi_a, phi_b, power_fun(p))
     entropy_out = hermitize((mean_term - phi_a) / p)
     ratio_floor = hermitize(entropy_out - ((1.0 - k) / p) * mean_term)
     diff_floor = hermitize(entropy_out + (c / p) * phi_a)

@@ -120,7 +120,8 @@ class TestWindowGenerator:
         tol = 1e-12 * max(abs(w.m), abs(w.M), 1.0)
         aimed = 0
         for seed in range(8 if dim < 64 else 3):
-            target, _ = generators._window_draws(dim, w, np.random.default_rng(seed))
+            uniforms, _ = generators._window_draws(dim, np.random.default_rng(seed))
+            (target,) = generators._window_targets(uniforms[None], w)
             at_m, at_upper = int(np.sum(target == w.m)), int(np.sum(target == w.M))
             vals = eig_hermitian(gen_hermitian_in_window(dim, w, seed)).eigenvalues
             assert np.all(np.abs(vals[:at_m] - w.m) <= tol), seed
@@ -475,10 +476,9 @@ class TestStackedGenerators:
         # larger margin moves that target, changes their B
         failing = np.isin(np.arange(20), [3, 6, 11])
         reject_first_window_tests(monkeypatch, lambda vals: failing)
-        real = generators.eig_hermitian
+        real = generators._eigh
         sizes = []
-        monkeypatch.setattr(generators, "eig_hermitian",
-                            lambda a: sizes.append(len(a)) or real(a))
+        monkeypatch.setattr(generators, "_eigh", lambda a: sizes.append(len(a)) or real(a))
         pairs = gen_dominated_pairs(3, W12, seeds)
         # the window test of the whole stack, then of the whole stack
         # rebuilt, then the certificate's decomposition of A
@@ -493,7 +493,7 @@ class TestStackedGenerators:
     def test_each_placement_decomposes_once(self, monkeypatch, family, dim, window):
         """Endpoint targets start inside the window, so every window test
         passes on the placement's first eigensolve, at d = 64 too."""
-        real_eig, real_place = generators.eig_hermitian, generators._place_in_window
+        real_eig, real_place = generators._eigh, generators._place_in_window
         eigs, per_placement = [], []
 
         def placing(*args):
@@ -502,7 +502,7 @@ class TestStackedGenerators:
             per_placement.append(len(eigs) - before)
             return placed
 
-        monkeypatch.setattr(generators, "eig_hermitian", lambda a: eigs.append(a) or real_eig(a))
+        monkeypatch.setattr(generators, "_eigh", lambda a: eigs.append(a) or real_eig(a))
         monkeypatch.setattr(generators, "_place_in_window", placing)
         w = SpectralWindow(*window)
         seeds = list(range(8 if dim < 64 else 3))

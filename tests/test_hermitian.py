@@ -188,6 +188,18 @@ class TestDecompositionInput:
         fn = SPECTRAL_FUNCTIONS[name]
         assert np.array_equal(fn(pair.spec_B), fn(pair.B))
 
+    @pytest.mark.parametrize("dim", range(1, 65))
+    def test_rebuild_of_value_rows_equals_each_row_alone(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        dec = eig_hermitian(gen_hermitian_in_window(dim, SpectralWindow(0.5, 4.0), rng))
+        for k in (1, 2, 3, 5):
+            rows = rng.standard_normal((k, dim)) * 10.0 ** rng.integers(-6, 7, size=(k, 1))
+            rows[rng.random(rows.shape) < 0.2] = -0.0
+            stacked = dec.rebuild(rows)
+            assert stacked.shape == (k, dim, dim)
+            for row, member in zip(rows, stacked):
+                assert member.tobytes() == dec.rebuild(row).tobytes(), k
+
     def test_window_test_on_a_decomposition(self):
         pair = gen_dominated_pair(4, SpectralWindow(1.0, 2.0), seed=3)
         for window in (SpectralWindow(1.0, 2.0), SpectralWindow(1.0, 1.01)):
@@ -236,6 +248,28 @@ class TestLoewnerOrder:
             up = 1.125 * matrix_power(pair.spec_A, -1.0)
             tests = [(lo, mid), (mid, up), (lo, up), (up, lo)]
             assert loewner_verdicts(tests) == [loewner_leq(a, b) for a, b in tests]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6, 16, 64])
+    def test_stacked_tolerances_equal_one_norm_per_link(self, dim):
+        """Each link's tolerance is rel_tol * (1 + frobenius(diff)) of its own
+        difference, bit for bit, also where entries are exactly +0.0 or -0.0."""
+        rng = np.random.default_rng(dim)
+        for trial in range(20):
+            k = 1 + trial % 7
+            scale = 10.0 ** rng.integers(-8, 9, size=(k, 1, 1))
+            x = scale * (rng.standard_normal((k, dim, dim))
+                         + 1j * rng.standard_normal((k, dim, dim)))
+            x[rng.random(x.shape) < 0.3] = 0.0
+            x[rng.random(x.shape) < 0.3] = -0.0
+            diffs = x + x.conj().swapaxes(-1, -2)
+            if trial == 0:
+                diffs[0] = -0.0
+            # hermitize leaves an exactly Hermitian rhs - 0 as it is
+            zero = np.zeros((dim, dim), dtype=complex)
+            for rel_tol in (1e-8, 3e-13):
+                verdicts = loewner_verdicts([(zero, diff) for diff in diffs], rel_tol)
+                for diff, verdict in zip(diffs, verdicts):
+                    assert verdict.tolerance_used == rel_tol * (1.0 + frobenius(diff)), (trial, k)
 
     def test_tolerance_policy_is_relative(self):
         a, b = diag(0, 0), diag(1e4, 1e4)

@@ -525,13 +525,13 @@ class TestMapOnce:
     @staticmethod
     def _counted(monkeypatch):
         calls = []
-        real = verifiers.apply_map
+        real = verifiers._apply_map
 
         def counting(phi, x):
             calls.append(np.shape(x))
             return real(phi, x)
 
-        monkeypatch.setattr(verifiers, "apply_map", counting)
+        monkeypatch.setattr(verifiers, "_apply_map", counting)
         return calls
 
     def test_theorem_4_1_maps_each_item_once(self, monkeypatch):
@@ -685,7 +685,7 @@ class TestDecomposeOnce:
         else:
             operands = [op for _, _, op in owner.items]
             owner.spectra
-        real = hermitian.eig_hermitian
+        real = hermitian._eigh
 
         def guarded(a):
             assert isinstance(a, np.ndarray)
@@ -693,7 +693,7 @@ class TestDecomposeOnce:
             return real(a)
 
         for module in (hermitian, generators, posmaps, verifiers):
-            monkeypatch.setattr(module, "eig_hermitian", guarded)
+            monkeypatch.setattr(module, "_eigh", guarded)
         assert getattr(verifiers, suite.check)(*instance, **args).overall
 
     @pytest.mark.parametrize("suite_name", ALL_SUITES)
