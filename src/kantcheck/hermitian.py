@@ -335,7 +335,7 @@ def superlog_bound(b, window: SpectralWindow, fm: float, fM: float,
 
 
 def _superlog_values(dec: SpectralDecomposition, window: SpectralWindow, fm: float, fM: float,
-                     hypothesis_tol: float = 1e-9) -> Array:
+                     hypothesis_tol: float) -> Array:
     """The eigenvalues of ``superlog_bound``, after its checks."""
     fm = float(fm)
     fM = float(fM)

@@ -128,7 +128,8 @@ def tsallis_entropy(a, b, p: float) -> Array:
     if not p < 0.0:
         raise ParameterError(f"entropy parameter must be negative, got p={p}")
     base = require_hermitian(a, "A")
-    return hermitize((sharp(base, b, p) - base) / p)
+    mean = _f_connection(sqrt_invsqrt(_eigh(base)), require_hermitian(b, "B"), lambda t: t ** p)
+    return hermitize((mean - base) / p)
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,7 @@ def _interpolant_chain(pair: CertifiedPair, f, g_a: Array, alpha: float, beta: f
     and corollaries 2.2-2.4 share; ``g_a`` is g(A), formed by the caller, and
     ``names`` are the printed names of the three terms."""
     w, spec = pair.window, pair.spec_B
-    g_vals = _superlog_values(spec, w, *_endpoint_values(f, w))
+    g_vals = _superlog_values(spec, w, *_endpoint_values(f, w), 1e-9)
     f_b, g_b = spec.rebuild(np.stack([eval_scalar(f, spec.eigenvalues), g_vals]))
     lower, middle, upper = names
     return _chain((lower, f_b), (middle, g_b),
@@ -438,7 +438,7 @@ def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,
     acc = np.zeros((3, dim_out, dim_out), dtype=complex)
     for (weight, phi, op), spec in zip(family.items, family.spectra):
         f_vals = eval_scalar(f, spec.eigenvalues)
-        rows = np.stack([f_vals, _superlog_values(spec, w, fm, fM)])
+        rows = np.stack([f_vals, _superlog_values(spec, w, fm, fM, 1e-9)])
         acc += weight * _apply_map(phi, np.concatenate([spec.rebuild(rows), op[None]]))
     lhs, mid, agg = hermitize(acc)
     rhs = alpha * apply_scalar_function(_eigh(agg), g) + beta * identity(dim_out)
