@@ -41,7 +41,7 @@ from .hermitian import (
     SpectralDecomposition,
     SpectralWindow,
     _eigh,
-    eig_hermitian,
+    hermitian,
     hermitize,
     loewner_leq,  # noqa: F401  (still importable from this module, as before)
     loewner_verdicts,
@@ -76,8 +76,8 @@ class CertifiedPair:
     named by window_side), "chaotic" (log A <= log B, window on B) or
     "relative" (m A <= B <= M A).
 
-    spec_A and spec_B decompose A and B on first use and are kept, since
-    the matrices are never modified after construction.
+    operands (A and B as one validated (2, n, n) stack), spec_A and spec_B are
+    made on first use and kept, the matrices being immutable; generators hand them over.
     """
 
     A: Array
@@ -92,12 +92,16 @@ class CertifiedPair:
         return int(self.A.shape[0])
 
     @cached_property
+    def operands(self) -> Array:
+        return hermitian(np.stack([self.A, self.B]), "pair (A, B)")
+
+    @cached_property
     def spec_A(self) -> SpectralDecomposition:
-        return eig_hermitian(self.A)
+        return _eigh(self.operands[0])
 
     @cached_property
     def spec_B(self) -> SpectralDecomposition:
-        return eig_hermitian(self.B)
+        return _eigh(self.operands[1])
 
 
 def _rng(seed_or_rng) -> np.random.Generator:
@@ -206,8 +210,8 @@ def _perturbation_draws(rngs: list, n_uniform: int, dim: int) -> tuple[Array, Ar
 
 
 def _with_spectra(obj, **spectra):
-    """``obj`` with decompositions its generator already made stored as the
-    values of its cached spectra properties, which are then not recomputed."""
+    """``obj`` with the operands and decompositions its generator already made
+    stored as its cached properties' values, neither recomputed nor validated."""
     vars(obj).update(spectra)
     return obj
 
@@ -232,13 +236,14 @@ def _random_psd(gaussians: Array, spectral_norm: Array, iso_floor: Array) -> Arr
 
 def _certified_pairs(a: Array, b: Array, window: SpectralWindow, certificate: str, seeds,
                      facts: dict, window_side: str = WINDOW_ON_B, **spectra) -> list:
-    """One pair per member of the stacks ``a`` and ``b``, handed its members
-    of the stacked decompositions ``spectra`` and certified by its member of
-    each fact; the first failing member, in seed order, raises."""
-    members = {name: dec.members() for name, dec in spectra.items()}
+    """One pair per member of the stacks ``a`` and ``b``, handed its members of
+    one stack of operands (its A and B are views of it) and of the decompositions
+    ``spectra``, certified by its member of each fact; the first to fail raises."""
+    operands = np.stack([a, b], axis=1)
+    members = dict(operands=operands, **{name: dec.members() for name, dec in spectra.items()})
     pairs = []
-    for i, seed in enumerate(seeds):
-        pair = _with_spectra(CertifiedPair(A=a[i], B=b[i], window=window, certificate=certificate,
+    for i, (seed, (a_i, b_i)) in enumerate(zip(seeds, operands)):
+        pair = _with_spectra(CertifiedPair(A=a_i, B=b_i, window=window, certificate=certificate,
                                            seed=int(seed), window_side=window_side),
                              **{name: decs[i] for name, decs in members.items()})
         pairs.append(_certified(pair, **{name: bool(holds[i]) for name, holds in facts.items()}))

@@ -8,8 +8,8 @@ SpectralDecomposition, so an operand is decomposed (and its Hermiticity
 checked) once for every function applied to it.
 
 Validation happens where a matrix enters the package: ``matrix_from_json``,
-the public functions given a matrix, a hand-built pair's or family's
-operands on first use, and the raw A and B a relative check reads.
+the public functions given a matrix, and a hand-built pair's or family's
+operands on first use (a pair's as one stack, ``CertifiedPair.operands``).
 ``eig_hermitian``, ``posmaps.apply_map`` and ``posmaps.f_connection`` (and
 through it ``posmaps.sharp``) validate their arguments and then call one
 private body each, ``_eigh``, ``_apply_map`` and ``_f_connection``, as
@@ -179,9 +179,7 @@ def decompose(a) -> SpectralDecomposition:
     of the one matrix ``a``."""
     if isinstance(a, SpectralDecomposition):
         return a
-    if np.ndim(a) != 2:
-        raise ValueError(f"matrix must be square, got shape {np.shape(a)}")
-    return eig_hermitian(a)
+    return _eigh(require_hermitian(a))
 
 
 def _eval_pointwise(f, xs: Array) -> Array:
@@ -321,8 +319,7 @@ def geometric_interpolant(window: SpectralWindow, log_fm: float, log_fM: float):
     return lambda t: np.exp(((M - t) * log_fm + (t - m) * log_fM) / width)
 
 
-def superlog_bound(b, window: SpectralWindow, fm: float, fM: float,
-                   hypothesis_tol: float = 1e-9) -> Array:
+def superlog_bound(b, window: SpectralWindow, fm: float, fM: float) -> Array:
     """Geometric endpoint interpolant applied spectrally to B.
 
     Computes G(B) for G(t) = fm^((M-t)/(M-m)) * fM^((t-m)/(M-m)), the
@@ -331,7 +328,7 @@ def superlog_bound(b, window: SpectralWindow, fm: float, fM: float,
     log fm and log fM.
     """
     dec = decompose(b)
-    return dec.rebuild(_superlog_values(dec, window, fm, fM, hypothesis_tol))
+    return dec.rebuild(_superlog_values(dec, window, fm, fM, 1e-9))
 
 
 def _superlog_values(dec: SpectralDecomposition, window: SpectralWindow, fm: float, fM: float,

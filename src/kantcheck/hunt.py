@@ -229,8 +229,8 @@ def _hunt_unweighted_difference_constant(cfg: CampaignConfig, samples: int) -> H
                         observed(commuting))
 
 
-def hunt_sharpness(cfg: CampaignConfig, out_dir=None) -> dict:
-    """Run every fuzz mode; write hunt_report.json when out_dir is given."""
+def hunt_sharpness(cfg: CampaignConfig, out_dir) -> dict:
+    """Run every fuzz mode and write hunt_report.json under out_dir."""
     validate_config(cfg)
     side_samples = max(50, cfg.fuzz_samples // 20)
     modes = [
@@ -244,9 +244,7 @@ def hunt_sharpness(cfg: CampaignConfig, out_dir=None) -> dict:
     ]
     report = {"config_hash": cfg.config_hash(), "base_seed": cfg.base_seed,
               "modes": {m.mode: m.to_json_dict() for m in modes}}
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "hunt_report.json").write_text(json.dumps(report, indent=2) + "\n",
-                                              encoding="utf-8")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "hunt_report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return report

@@ -5,11 +5,11 @@ links together with ``loewner_verdicts`` (one stacked eigensolve, no
 re-validation of the check's own intermediates) at the configured
 tolerance, and returns a ChainReport.  The operators a check takes from
 one decomposition are rebuilt from it in one call, one row of values
-each.  A hand-built pair or family is validated where it is first
-decomposed; a relative check also validates the raw A and B it reads, in
-one call.  Links whose slack sits inside the
-tolerance band are marked tight rather than failed: the constants are
-designed to be attained.
+each.  A hand-built pair is validated once, on first use of its cached
+``operands``, ``spec_A`` or ``spec_B``, and a generated pair comes with
+them; a hand-built family is validated where it is first decomposed.
+Links whose slack sits inside the tolerance band are marked tight rather
+than failed: the constants are designed to be attained.
 Every multi-link chain also carries an end-to-end audit link comparing
 the first and last operators directly, which catches tolerance
 accumulation across the middle terms.
@@ -52,7 +52,6 @@ from .hermitian import (
     apply_scalar_function,
     eval_scalar,
     geometric_interpolant,
-    hermitian,
     hermitize,
     identity,
     loewner_leq,  # noqa: F401  (still importable from this module, as before)
@@ -451,10 +450,10 @@ def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,
 
 
 def _relative_means(pair: CertifiedPair, f) -> tuple:
-    """A and B, validated in one call, then A sigma_f B and
+    """The pair's operands A and B, then A sigma_f B and
     A^(1/2) G_f(T) A^(1/2), both rebuilt from the one decomposition of
     T = A^(-1/2) B A^(-1/2)."""
-    a, b = hermitian(np.stack([pair.A, pair.B]), "pair (A, B)")
+    a, b = pair.operands
     w = pair.window
     rt, irt = sqrt_invsqrt(pair.spec_A)
     t = _eigh(hermitize(irt @ b @ irt))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -569,6 +570,35 @@ RELATIVE_CHECKS = [
 ]
 
 
+# a generated pair of each other certificate, and a check that reads its B
+OTHER_CHECKS = [
+    pytest.param(lambda: gen_dominated_pair(3, W12, seed=4),
+                 lambda pair: check_corollary_2_3(pair, -1.0, -0.5), id="corollary_2_3"),
+    pytest.param(lambda: gen_dominated_pair(3, W12, seed=4, window_side=WINDOW_ON_A),
+                 lambda pair: check_theorem_1_1(pair, 2.0), id="theorem_1_1"),
+    pytest.param(lambda: gen_chaotic_pair(3, W12, seed=4),
+                 lambda pair: check_corollary_3_2(pair, -1.0, -0.5), id="corollary_3_2"),
+]
+
+
+def count_validations(monkeypatch) -> list:
+    """The arguments of every call of the validator ``hermitian``, wrapped in
+    every ``kantcheck`` namespace that holds it."""
+    real = hermitian.hermitian
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    wrapped = {name for name, module in list(sys.modules.items())
+               if name.startswith("kantcheck") and getattr(module, "hermitian", None) is real}
+    assert "kantcheck.hermitian" in wrapped
+    for name in wrapped:
+        monkeypatch.setattr(sys.modules[name], "hermitian", counted)
+    return calls
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestInputValidation:
     """A hand-built pair or family is validated where a check first reads it:
@@ -576,11 +606,17 @@ class TestInputValidation:
     never a verdict."""
 
     @staticmethod
-    def _relative_pair_with_b(edit):
-        pair = gen_relative_pair(3, W12, seed=4)
+    def _hand_built_with_b(make, edit):
+        """The pair ``make()`` generates, built again by hand with its B edited."""
+        pair = make()
         b = pair.B.copy()
         edit(b)
-        return CertifiedPair(A=pair.A, B=b, window=W12, certificate=CERT_RELATIVE, seed=4)
+        return CertifiedPair(A=pair.A, B=b, window=pair.window, certificate=pair.certificate,
+                             seed=pair.seed, window_side=pair.window_side)
+
+    @classmethod
+    def _relative_pair_with_b(cls, edit):
+        return cls._hand_built_with_b(lambda: gen_relative_pair(3, W12, seed=4), edit)
 
     @staticmethod
     def _skew(b):
@@ -600,6 +636,35 @@ class TestInputValidation:
         pair = self._relative_pair_with_b(lambda b: b.__setitem__(entry, math.nan))
         with pytest.raises(ValueError, match="NaN or infinite"):
             check(pair, gen_positive_linear_map(3, 2, 2, 6))
+
+    @pytest.mark.parametrize("edit, error, message", [
+        (_skew.__func__, HermiticityError, "deviates from Hermitian"),
+        (lambda b: b.__setitem__((1, 1), math.nan), ValueError, "NaN or infinite"),
+    ], ids=["skewed", "nan"])
+    @pytest.mark.parametrize("make, check", OTHER_CHECKS)
+    def test_other_checks_reject_a_bad_b(self, make, check, edit, error, message):
+        pair = self._hand_built_with_b(make, edit)
+        with pytest.raises(error, match=message):
+            check(pair)
+
+    @pytest.mark.parametrize("make, checks", [
+        pytest.param(lambda: gen_relative_pair(3, W12, seed=4),
+                     (lambda pair, phi: check_theorem_4_2(pair, phi, power_fun(-1.0), 1.0),
+                      lambda pair, phi: check_corollary_4_4(pair, phi, -1.0, "ratio")),
+                     id="relative"),
+        pytest.param(lambda: gen_dominated_pair(3, W12, seed=4),
+                     (lambda pair, phi: check_corollary_2_3(pair, -1.0, -0.5),
+                      lambda pair, phi: check_corollary_2_4(pair, -1.0, -0.5)),
+                     id="dominated"),
+    ])
+    def test_hand_built_pair_is_validated_once(self, monkeypatch, make, checks):
+        """A and B, in one call, however many checks read them."""
+        pair = self._hand_built_with_b(make, lambda b: None)
+        phi = gen_positive_linear_map(3, 2, 2, 6)
+        calls = count_validations(monkeypatch)
+        for check in checks:
+            assert check(pair, phi).overall
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("edit, error", [
         (_skew.__func__, HermiticityError),
@@ -695,6 +760,17 @@ class TestDecomposeOnce:
         for module in (hermitian, generators, posmaps, verifiers):
             monkeypatch.setattr(module, "_eigh", guarded)
         assert getattr(verifiers, suite.check)(*instance, **args).overall
+
+    @pytest.mark.parametrize("suite_name", ALL_SUITES)
+    def test_sample_validates_nothing(self, monkeypatch, suite_name):
+        """Generating an instance and checking it never calls the validator:
+        a generated pair comes with its operands and spectra, a family with
+        its spectra."""
+        calls = count_validations(monkeypatch)
+        for suite, w, args in self._cells(suite_name):
+            (instance,) = suite.generate(3, w, [11])
+            assert getattr(verifiers, suite.check)(*instance, **args).overall
+        assert calls == []
 
     @pytest.mark.parametrize("suite_name", ALL_SUITES)
     def test_sample_decomposes_no_array_twice(self, monkeypatch, suite_name):
