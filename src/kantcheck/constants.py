@@ -10,8 +10,16 @@ scan chord(f) / g and chord(f) - alpha * g through one body that builds
 the objective from g's values on the grid.  A ``GridFunction`` keeps those
 values, and g's positivity probe, so a sweep that scans many chords
 against one g over a window evaluates g on the grid once; every
-objective value is still checked for being real and finite, and every
 golden-section point is evaluated afresh.
+
+Where each check lives: ``_refine`` checks the grid objective for being
+finite (its largest and its smallest value, so a -inf is caught too) and
+raises the message ``hermitian.eval_scalar`` raises; ``real_values``
+checks g's grid values, and ``grid_max_1d``'s objective, for being real.
+``_golden_max`` checks each step's value for being defined and finite
+itself, without a helper call per step.  The chord objectives there
+are closures over the chord's slope and intercept, which do the float
+operations ``ChordCoefficients.at`` does.
 
 Every scan of a window reads one read-only grid and writes one
 grid-sized scratch buffer, the window's scan arena.  The arena of the
@@ -19,9 +27,9 @@ last window scanned is kept, so a campaign's or a sweep's scans of one
 window allocate no grid-sized buffer but their objective, and at most
 two such arrays are kept whatever the number of windows.  Scans share
 the scratch buffer, so two must not run at once from two threads.
-Endpoint values f(m) and f(M) are evaluated through the same checked
-path as golden-section points: an undefined or non-finite endpoint
-value raises DomainError.
+Endpoint values f(m) and f(M) are evaluated through the same checks as
+golden-section points, once per scan: an undefined or non-finite
+endpoint value raises DomainError.
 """
 
 from __future__ import annotations
@@ -62,7 +70,11 @@ class ChordCoefficients:
 
 def chord_coefficients(f, window: SpectralWindow) -> ChordCoefficients:
     """Chord of f over [m, M]: slope (f(M)-f(m))/(M-m), matching endpoints."""
-    fm, fM = _endpoint_values(f, window)
+    return _chord(*_endpoint_values(f, window), window)
+
+
+def _chord(fm: float, fM: float, window: SpectralWindow) -> ChordCoefficients:
+    """The chord through (m, fm) and (M, fM)."""
     slope = (fM - fm) / window.width
     intercept = (window.M * fm - window.m * fM) / window.width
     return ChordCoefficients(slope, intercept)
@@ -92,19 +104,34 @@ def _endpoint_values(f, window: SpectralWindow) -> tuple[float, float]:
 
 
 def _golden_max(h, a: float, b: float, iters: int) -> tuple[float, float]:
+    """Golden-section maximum of h over [a, b] after ``iters`` steps.
+
+    Each step's value is checked here, as ``_eval_one`` checks it, rather
+    than through a call of it: the steps are most of an oracle scan's
+    Python calls.  a and b are floats, so every point is one.
+    """
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     hc = _eval_one(h, c)
     hd = _eval_one(h, d)
     for _ in range(iters):
-        if hc >= hd:
+        left = hc >= hd
+        if left:
             b, d, hd = d, c, hc
-            c = b - _INV_PHI * (b - a)
-            hc = _eval_one(h, c)
+            t = c = b - _INV_PHI * (b - a)
         else:
             a, c, hc = c, d, hd
-            d = a + _INV_PHI * (b - a)
-            hd = _eval_one(h, d)
+            t = d = a + _INV_PHI * (b - a)
+        try:
+            y = float(h(t))
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise DomainError(f"function undefined at t={t!r}: {exc}") from exc
+        if not math.isfinite(y):
+            raise DomainError(f"function non-finite at t={t!r}")
+        if left:
+            hc = y
+        else:
+            hd = y
     return (c, hc) if hc >= hd else (d, hd)
 
 
@@ -121,13 +148,18 @@ def _scan_arena(window: SpectralWindow) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _refine(h, window: SpectralWindow, ts: np.ndarray, ys: np.ndarray) -> ExtremumResult:
-    """The maximum of h over [m, M] from its checked values ys on the grid ts.
+    """The maximum of h over [m, M] from its real values ys on the grid ts.
 
+    A non-finite value in ys raises DomainError; the largest value and
+    the smallest are finite only if all are (argmax alone misses -inf).
     GOLDEN_ITERS golden-section steps around the best grid point; the
     result is the best of that, the grid point and both endpoints.
     """
     m, M = window.m, window.M
     i = int(np.argmax(ys))
+    if not (math.isfinite(ys[i]) and math.isfinite(ys.min())):
+        bad = float(ts[np.flatnonzero(~np.isfinite(ys))[0]])
+        raise DomainError(f"scalar function non-finite at t={bad!r}")
     lo = float(ts[i - 1]) if i > 0 else m
     hi = float(ts[i + 1]) if i < GRID_RESOLUTION else M
     t_ref, y_ref = _golden_max(h, lo, hi, GOLDEN_ITERS)
@@ -149,7 +181,7 @@ def grid_max_1d(h, window: SpectralWindow) -> ExtremumResult:
     objectives.
     """
     ts, _ = _scan_arena(window)
-    return _refine(h, window, ts, eval_scalar(h, ts))
+    return _refine(h, window, ts, real_values(h, ts))
 
 
 class GridFunction:
@@ -204,18 +236,15 @@ def _chord_max(chord: ChordCoefficients, g: GridFunction, h, finish) -> Extremum
     """Maximize h over g's window, where h(t) combines chord(t) with g(t).
 
     On the grid, ``finish(c, y)`` makes the same combination in place, of
-    the chord's values c with g's values y; golden-section points are
-    evaluated through h.
+    the chord's values c with g's values y, and ``_refine`` checks the
+    result for being finite; golden-section points are evaluated through h.
     """
-    y, grid = g.values, g.grid
-
-    def on_grid(ts):
-        c = np.multiply(ts, chord.slope)
+    grid = g.grid
+    with np.errstate(all="ignore"):
+        c = np.multiply(grid, chord.slope)
         c += chord.intercept
-        finish(c, y)
-        return c
-
-    return _refine(h, g.window, grid, eval_scalar(on_grid, grid))
+        finish(c, g.values)
+    return _refine(h, g.window, grid, c)
 
 
 def beta_generic(f, g, alpha: float, window: SpectralWindow) -> ExtremumResult:
@@ -223,16 +252,18 @@ def beta_generic(f, g, alpha: float, window: SpectralWindow) -> ExtremumResult:
     fm, fM = _endpoint_values(f, window)
     if not (fm > 0.0 and fM > 0.0):
         raise DomainError("f must be positive at the window endpoints")
-    chord = chord_coefficients(f, window)
+    chord = _chord(fm, fM, window)
+    slope, intercept = chord.slope, chord.intercept
     alpha = float(alpha)
     g = _on_grid(g, window)
     fn = g.fn
 
     def h(t):
-        return chord.at(t) - alpha * fn(t)
+        return slope * t + intercept - alpha * fn(t)
 
     def finish(c, y):
-        c -= np.multiply(y, alpha, out=g.scratch)
+        # y * 1.0 is y, bit for bit
+        c -= y if alpha == 1.0 else np.multiply(y, alpha, out=g.scratch)
 
     return _chord_max(chord, g, h, finish)
 
@@ -240,13 +271,14 @@ def beta_generic(f, g, alpha: float, window: SpectralWindow) -> ExtremumResult:
 def alpha_ratio(f, g, window: SpectralWindow) -> ExtremumResult:
     """Oracle ratio: max over [m, M] of chord_of_f(t) / g(t); needs g > 0."""
     chord = chord_coefficients(f, window)
+    slope, intercept = chord.slope, chord.intercept
     g = _on_grid(g, window)
     if not g.positive:
         raise DomainError("g must be positive on the window")
     fn = g.fn
 
     def h(t):
-        return chord.at(t) / fn(t)
+        return (slope * t + intercept) / fn(t)
 
     return _chord_max(chord, g, h, lambda c, y: np.divide(c, y, out=c))
 

@@ -41,6 +41,7 @@ from .hermitian import (
     SpectralDecomposition,
     SpectralWindow,
     _eigh,
+    _matrix_entries,
     hermitian,
     hermitize,
     loewner_leq,  # noqa: F401  (still importable from this module, as before)
@@ -48,7 +49,6 @@ from .hermitian import (
     matrix_exp,
     matrix_log,
     matrix_power,
-    matrix_from_json,
     matrix_to_json,
     spectrum_in_window,
 )
@@ -490,14 +490,20 @@ def pair_to_json(pair: CertifiedPair) -> dict:
 
 
 def pair_from_json(obj: dict) -> CertifiedPair:
-    return CertifiedPair(
-        A=matrix_from_json(obj["A"]),
-        B=matrix_from_json(obj["B"]),
+    """The pair of a ``pair_to_json`` record.  A and B are validated once, as
+    one stack, which the pair is handed as its ``operands`` (its A and B are
+    views of it); A and B of different shapes raise ValueError."""
+    operands = hermitian(np.stack([_matrix_entries(obj["A"]), _matrix_entries(obj["B"])]),
+                         "pair (A, B)")
+    pair = CertifiedPair(
+        A=operands[0],
+        B=operands[1],
         window=SpectralWindow(obj["window"]["m"], obj["window"]["M"]),
         certificate=obj["certificate"],
         seed=int(obj["seed"]),
         window_side=obj.get("window_side", WINDOW_ON_B),
     )
+    return _with_spectra(pair, operands=operands)
 
 
 def write_corpus(path, pairs) -> None:

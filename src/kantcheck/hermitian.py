@@ -8,8 +8,9 @@ SpectralDecomposition, so an operand is decomposed (and its Hermiticity
 checked) once for every function applied to it.
 
 Validation happens where a matrix enters the package: ``matrix_from_json``,
-the public functions given a matrix, and a hand-built pair's or family's
-operands on first use (a pair's as one stack, ``CertifiedPair.operands``).
+``generators.pair_from_json`` (A and B as one stack), the public functions
+given a matrix, and a hand-built pair's or family's operands on first use
+(a pair's as one stack, ``CertifiedPair.operands``).
 ``eig_hermitian``, ``posmaps.apply_map`` and ``posmaps.f_connection`` (and
 through it ``posmaps.sharp``) validate their arguments and then call one
 private body each, ``_eigh``, ``_apply_map`` and ``_f_connection``, as
@@ -358,9 +359,14 @@ def matrix_to_json(a) -> dict:
 
 def matrix_from_json(obj: dict) -> Array:
     """Parse the exchange form back into a validated Hermitian array."""
+    return require_hermitian(_matrix_entries(obj))
+
+
+def _matrix_entries(obj: dict) -> Array:
+    """The complex (dim, dim) array of the exchange form, not yet validated."""
     dim = int(obj["dim"])
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(f"re/im shapes {re.shape}/{im.shape} do not match dim={dim}")
-    return require_hermitian(re + 1j * im)
+    return re + 1j * im

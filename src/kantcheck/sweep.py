@@ -4,7 +4,11 @@ Emits one CSV row per (window, p, q) cell and constant, plus hand-rolled
 SVG line charts of the two-exponent ratio constant against q for each
 fixed p (no plotting dependency).  Each oracle value comes from the
 public ``alpha_ratio`` or ``beta_generic``, given g as a ``GridFunction``
-so that each power is evaluated on a window's oracle grid once.
+so that each power is evaluated on a window's oracle grid once.  K and C,
+and their oracles, depend on (window, p) only and are computed once per
+(window, p).  Every float in the CSV is its ``repr``; the records are
+made as the file is written, each repeated value (m and M per window, p,
+q, and the K and C fields per p) formatted once.
 """
 
 from __future__ import annotations
@@ -139,6 +143,36 @@ def _window_oracles(w: SpectralWindow, p_grid, q_grid):
     return by_p, by_q
 
 
+def _csv_records(rows, n_p: int, n_q: int):
+    """The CSV records of ``rows``, each float field its ``repr``.
+
+    rows run per window, per p, per q, through the constants K, K2, C2
+    and C, and K and C depend on (window, p) only.  So m and M are
+    formatted once per window, p once per p, q once per q, and the K and
+    C fields once per p, from the first q's rows.
+    """
+    def fields(row):
+        return [row["constant_name"], repr(row["closed_form"]), repr(row["oracle"]),
+                repr(row["abs_diff"])]
+
+    yield CSV_COLUMNS
+    if not rows:
+        return
+    per_p = 4 * n_q
+    q_fields = [repr(row["q"]) for row in rows[:per_p:4]]
+    for w_start in range(0, len(rows), n_p * per_p):
+        m_M = [repr(rows[w_start]["m"]), repr(rows[w_start]["M"])]
+        for start in range(w_start, w_start + n_p * per_p, per_p):
+            p_field = repr(rows[start]["p"])
+            k_fields, c_fields = fields(rows[start]), fields(rows[start + 3])
+            for j, q_field in enumerate(q_fields, start // 4):
+                head = [*m_M, p_field, q_field]
+                yield head + k_fields
+                yield head + fields(rows[4 * j + 1])
+                yield head + fields(rows[4 * j + 2])
+                yield head + c_fields
+
+
 def sweep_constants(windows, p_grid, q_grid, out_dir) -> SweepResult:
     """Evaluate K, K2, C2, C per cell against their oracles; write CSV + SVGs."""
     out = Path(out_dir)
@@ -151,14 +185,15 @@ def sweep_constants(windows, p_grid, q_grid, out_dir) -> SweepResult:
         for i, p in enumerate(p_grid):
             p = float(p)
             oracle_k, oracle_c = by_p[i]
+            closed_k, closed_c = kantorovich_K(w, p), kantorovich_C(w, p)
             for j, q in enumerate(q_grid):
                 q = float(q)
                 oracle_k2, oracle_c2 = by_q[j][i]
                 values = [
-                    ("K", kantorovich_K(w, p), oracle_k),
+                    ("K", closed_k, oracle_k),
                     ("K2", kantorovich_K2(w, p, q), oracle_k2),
                     ("C2", kantorovich_C2(w, p, q), oracle_c2),
-                    ("C", kantorovich_C(w, p), oracle_c),
+                    ("C", closed_c, oracle_c),
                 ]
                 for name, closed, oracle in values:
                     diff = abs(closed - oracle)
@@ -170,12 +205,7 @@ def sweep_constants(windows, p_grid, q_grid, out_dir) -> SweepResult:
                     })
     csv_path = out / "constants.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(row["m"]), repr(row["M"]), repr(row["p"]), repr(row["q"]),
-                             row["constant_name"], repr(row["closed_form"]),
-                             repr(row["oracle"]), repr(row["abs_diff"])])
+        csv.writer(handle).writerows(_csv_records(rows, len(p_grid), len(q_grid)))
     svg_paths = []
     for idx, window in enumerate(windows):
         w = SpectralWindow(*window)

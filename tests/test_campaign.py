@@ -428,6 +428,22 @@ class TestSweep:
         with pytest.raises(DomainError, match=r"^scalar function non-finite at t=0\.001$"):
             sweep_constants([(1e-3, 1.0)], [-0.5], [-400.0], tmp_path)
 
+    def test_csv_is_the_repr_of_every_row_field(self, tmp_path):
+        # p = -1e-9 on the narrow window takes C's endpoint branch, C = 0.0
+        windows = [(1.0, 2.0), (1.0, 1.000001)]
+        result = sweep_constants(windows, [-1e-9, -1.0, -0.3], [-1.0, -0.6], tmp_path / "sweep")
+        assert any(row["constant_name"] == "C" and row["closed_form"] == 0.0
+                   for row in result.rows)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["m", "M", "p", "q", "constant_name", "closed_form", "oracle",
+                             "abs_diff"])
+            for row in result.rows:
+                writer.writerow([row["constant_name"] if key == "constant_name" else repr(value)
+                                 for key, value in row.items()])
+        assert Path(result.csv_path).read_bytes() == expected.read_bytes()
+
     def test_ratio_constant_stays_above_one(self, tmp_path):
         # K2(1,2,-1,q) >= 1 across the admissible q range
         w = SpectralWindow(1.0, 2.0)

@@ -125,6 +125,17 @@ class TestBetaGeneric:
         with pytest.raises(DomainError, match="undefined at t=0.0"):
             beta_generic(power_fun(-1.0), power_fun(-0.5), 1.0, ZERO_ENDED)
 
+    def test_f_is_evaluated_once_at_each_endpoint(self):
+        # the positivity check's values of f(m) and f(M) also make the chord
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t ** -1.0
+
+        beta_generic(f, power_fun(-0.5), 1.0, W12)
+        assert calls == [1.0, 2.0]
+
 
 class TestBetaPowerClosed:
     def test_paper_zero_calibration(self):
@@ -317,6 +328,64 @@ class TestScanArena:
             alpha_ratio(power_fun(-1.0), power_fun(-0.5), w)
         info = constants._scan_arena.cache_info()
         assert (info.misses, info.currsize, info.maxsize) == (3, 1, 1)
+
+
+def _scalar_only(value):
+    """A power t^-0.5 on arrays that, called on one float, returns ``value``,
+    or raises ValueError if it is None."""
+    def g(t):
+        if np.ndim(t) == 0:
+            if value is None:
+                raise ValueError("scalar call")
+            return value
+        return t ** -0.5
+    return g
+
+
+class TestLeanScan:
+    """The checks an oracle scan keeps however it builds its objective."""
+
+    def test_infinite_g_at_one_grid_point_names_that_point(self):
+        # chord - alpha * inf is -inf there: the grid's argmax alone misses it
+        bad = float(GridFunction(power_fun(-0.5), W12).grid[137])
+
+        def g(t):
+            return np.where(t == bad, np.inf, t ** -0.5)
+
+        for alpha in (1.0, 2.5):
+            with pytest.raises(DomainError, match=f"^scalar function non-finite at t={bad!r}$"):
+                beta_generic(power_fun(-1.0), g, alpha, W12)
+
+    @pytest.mark.parametrize("scan", [
+        lambda g: alpha_ratio(power_fun(-1.0), g, W12),
+        lambda g: beta_generic(power_fun(-1.0), g, 1.0, W12),
+        lambda g: beta_generic(power_fun(-1.0), g, 2.5, W12),
+    ], ids=["ratio", "gap", "gap_alpha_2.5"])
+    @pytest.mark.parametrize("value, message", [
+        (None, "^function undefined at t="),
+        (math.nan, "^function non-finite at t="),
+    ], ids=["raises", "nan"])
+    def test_golden_section_points_are_checked(self, scan, value, message):
+        with pytest.raises(DomainError, match=message):
+            scan(_scalar_only(value))
+
+    def test_infinite_g_at_a_golden_section_point(self):
+        # the ratio turns g = inf into 0.0, a finite value; the gap into -inf
+        with pytest.raises(DomainError, match="^function non-finite at t="):
+            beta_generic(power_fun(-1.0), _scalar_only(math.inf), 1.0, W12)
+
+    @pytest.mark.parametrize("w", [W12, SpectralWindow(0.5, 4.0), SpectralWindow(0.05, 20.0)])
+    @pytest.mark.parametrize("e", [-1.0, -0.6])
+    def test_scans_equal_grid_max_of_the_plain_objective(self, w, e):
+        f, g = power_fun(-2.0), power_fun(e)
+        chord = chord_coefficients(f, w)
+        pairs = [(alpha_ratio(f, g, w), grid_max_1d(lambda t: chord.at(t) / g(t), w))]
+        for alpha in (1.0, 2.5, -0.5):
+            pairs.append((beta_generic(f, g, alpha, w),
+                          grid_max_1d(lambda t: chord.at(t) - alpha * g(t), w)))
+        for got, want in pairs:
+            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+            assert np.float64(got.t_star).tobytes() == np.float64(want.t_star).tobytes()
 
 
 class TestModuleInvariants:

@@ -27,6 +27,8 @@ from kantcheck.generators import (
     gen_relative_pair,
     gen_relative_pairs,
     gen_weighted_family,
+    pair_from_json,
+    pair_to_json,
 )
 from kantcheck.hermitian import SpectralWindow, loewner_verdicts
 from kantcheck.posmaps import PositiveLinearMap, WeightedFamily, apply_map, tsallis_entropy
@@ -665,6 +667,21 @@ class TestInputValidation:
         for check in checks:
             assert check(pair, phi).overall
         assert len(calls) == 1
+
+    def test_pair_read_from_json_is_validated_once(self, monkeypatch):
+        """A and B, as one stack, when the pair is read; not again when checked."""
+        record = pair_to_json(gen_dominated_pair(3, W12, 4))
+        calls = count_validations(monkeypatch)
+        pair = pair_from_json(record)
+        assert check_corollary_2_3(pair, -1.0, -0.5).overall
+        assert len(calls) == 1 and calls[0][1:] == ("pair (A, B)",)
+        assert pair.A.base is pair.operands and pair.B.base is pair.operands
+
+    def test_pair_read_from_json_needs_one_shape(self):
+        record = pair_to_json(gen_dominated_pair(3, W12, 4))
+        record["B"] = pair_to_json(gen_dominated_pair(2, W12, 4))["B"]
+        with pytest.raises(ValueError):
+            pair_from_json(record)
 
     @pytest.mark.parametrize("edit, error", [
         (_skew.__func__, HermiticityError),
