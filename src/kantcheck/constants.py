@@ -12,10 +12,14 @@ values, and g's positivity probe, so a sweep that scans many chords
 against one g over a window evaluates g on the grid once; every
 golden-section point is evaluated afresh.
 
-Where each check lives: ``_refine`` checks the grid objective for being
-finite (its largest and its smallest value, so a -inf is caught too) and
-raises the message ``hermitian.eval_scalar`` raises; ``real_values``
-checks g's grid values, and ``grid_max_1d``'s objective, for being real.
+Where each check lives: ``GridFunction.values`` checks g's grid values
+for being real and finite (``hermitian.eval_scalar``), once per
+GridFunction; a ratio scan needs it, since chord / inf is a finite 0.0.
+``_refine`` checks the grid objective for being finite (its largest and
+its smallest value, so a -inf is caught too), which catches an
+objective that overflows although g is finite, and raises the message
+``eval_scalar`` raises; ``real_values`` checks ``grid_max_1d``'s
+objective for being real.
 ``_golden_max`` checks each step's value for being defined and finite
 itself, without a helper call per step.  The chord objectives there
 are closures over the chord's slope and intercept, which do the float
@@ -209,9 +213,11 @@ class GridFunction:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """fn on the grid, checked for being real; each scan checks the
-        finiteness of the objective built from them."""
-        return real_values(self.fn, self.grid)
+        """fn on the grid, checked for being real and finite: a non-finite
+        value raises DomainError naming the first grid point that has one.
+        A ratio scan needs the check, since chord / inf is a finite 0.0
+        that the objective's own check passes."""
+        return eval_scalar(self.fn, self.grid)
 
     @cached_property
     def positive(self) -> bool:

@@ -15,8 +15,12 @@ and weighted families are drawn the same way: each seed's draws keep
 their order, then every map's normalization matrix is decomposed and
 inverted, and every family operand placed in the window, as one stack.
 Each Kraus factor is drawn straight into the column stack that
-normalizes it.  The generators decompose their own intermediates with
-``_eigh``, which does not re-validate them.
+normalizes it, and every map's normalization is certified with its
+stack, in one computation, rather than by each map when it is made.
+Likewise each pair family tests its certificate facts (its order, by
+``hermitian._holds``) for the whole stack at once.  The generators
+decompose their own intermediates with ``_eigh``, which does not
+re-validate them.
 
 A window placement targets the endpoints m and M but nudges its targets
 inside by a margin that grows with the dimension, so that each operand's
@@ -41,18 +45,23 @@ from .hermitian import (
     SpectralDecomposition,
     SpectralWindow,
     _eigh,
+    _holds,
     _matrix_entries,
     hermitian,
     hermitize,
     loewner_leq,  # noqa: F401  (still importable from this module, as before)
-    loewner_verdicts,
     matrix_exp,
     matrix_log,
     matrix_power,
     matrix_to_json,
     spectrum_in_window,
 )
-from .posmaps import PositiveLinearMap, WeightedFamily
+from .posmaps import (
+    PositiveLinearMap,
+    WeightedFamily,
+    _normalization_defects,
+    _require_normalized,
+)
 
 CERT_DOMINATED = "dominated"
 CERT_CHAOTIC = "chaotic"
@@ -184,10 +193,10 @@ def _place_in_window(draws: list, window: SpectralWindow) -> tuple[Array, Spectr
     rebuilt and tested again; a member that passed is rebuilt bit for bit.
     """
     uniforms, parts = zip(*draws)
-    q = _haar(_complex_normal(np.stack(parts)))
+    q = _haar(_complex_normal(np.array(parts)))
     scale = max(abs(window.m), abs(window.M), 1.0)
     margin = 8.0 * np.finfo(float).eps * scale * q.shape[-1]
-    target = np.clip(np.sort(_window_targets(np.stack(uniforms), window), axis=-1),
+    target = np.clip(np.sort(_window_targets(np.array(uniforms), window), axis=-1),
                      window.m + margin, window.M - margin)
     for _ in range(6):
         a = hermitize((q * target[:, None, :]) @ q.conj().swapaxes(-1, -2))
@@ -238,15 +247,21 @@ def _certified_pairs(a: Array, b: Array, window: SpectralWindow, certificate: st
                      facts: dict, window_side: str = WINDOW_ON_B, **spectra) -> list:
     """One pair per member of the stacks ``a`` and ``b``, handed its members of
     one stack of operands (its A and B are views of it) and of the decompositions
-    ``spectra``, certified by its member of each fact; the first to fail raises."""
+    ``spectra`` (spec_A among them), certified by its member of each fact.  The
+    facts, and the positivity of each A, are tested for the whole stack at once;
+    the first member to fail raises the error ``_certified`` raises for it."""
     operands = np.stack([a, b], axis=1)
-    members = dict(operands=operands, **{name: dec.members() for name, dec in spectra.items()})
-    pairs = []
-    for i, (seed, (a_i, b_i)) in enumerate(zip(seeds, operands)):
-        pair = _with_spectra(CertifiedPair(A=a_i, B=b_i, window=window, certificate=certificate,
-                                           seed=int(seed), window_side=window_side),
-                             **{name: decs[i] for name, decs in members.items()})
-        pairs.append(_certified(pair, **{name: bool(holds[i]) for name, holds in facts.items()}))
+    decs = [dec.members() for dec in spectra.values()]
+    pairs = [_with_spectra(CertifiedPair(A=ops[0], B=ops[1], window=window,
+                                         certificate=certificate, seed=int(seed),
+                                         window_side=window_side),
+                           operands=ops, **dict(zip(spectra, member_decs)))
+             for seed, ops, *member_decs in zip(seeds, operands, *decs)]
+    positive = spectra["spec_A"].eigenvalues[:, 0] > 0.0
+    failed = np.flatnonzero(~np.array([*facts.values(), positive]).all(axis=0))
+    if failed.size:
+        i = failed[0]
+        _certified(pairs[i], **{name: bool(holds[i]) for name, holds in facts.items()})
     return pairs
 
 
@@ -301,9 +316,9 @@ def gen_dominated_pairs(dim: int, window: SpectralWindow, seeds,
         a = anchor
         b = hermitize(a + _random_psd(gaussians, scale * w.width, floor))
         spectra = {"spec_A": spec}
-    orders = [verdict.holds for verdict in loewner_verdicts(zip(a, b))]
     return _certified_pairs(a, b, w, CERT_DOMINATED, seeds,
-                            {"order": orders, "window": spectrum_in_window(spec, w, 0.0)},
+                            {"order": _holds(zip(a, b)),
+                             "window": spectrum_in_window(spec, w, 0.0)},
                             window_side, **spectra)
 
 
@@ -330,10 +345,9 @@ def gen_chaotic_pairs(dim: int, window: SpectralWindow, seeds) -> list:
     a = matrix_exp(_eigh(hermitize(k - q)))
     b = matrix_exp(spec_k)
     spec_a, spec_b = _eigh(a), _eigh(b)
-    log_orders = loewner_verdicts(zip(matrix_log(spec_a), matrix_log(spec_b)))
     return _certified_pairs(
         a, b, w, CERT_CHAOTIC, seeds,
-        {"log_order": [verdict.holds for verdict in log_orders],
+        {"log_order": _holds(zip(matrix_log(spec_a), matrix_log(spec_b))),
          "window": spectrum_in_window(spec_b, w, 1e-10 * max(1.0, abs(w.M)))},
         spec_A=spec_a, spec_B=spec_b)
 
@@ -357,11 +371,10 @@ def gen_relative_pairs(dim: int, window: SpectralWindow, seeds) -> list:
     c, _ = _place_in_window([congruent for _, congruent in draws], w)
     root = matrix_power(spec_a, 0.5)
     b = hermitize(root @ c @ root)
-    bounds = loewner_verdicts([bound for a_i, b_i in zip(a, b)
-                               for bound in ((w.m * a_i, b_i), (b_i, w.M * a_i))])
+    bounds = _holds([bound for a_i, b_i in zip(a, b)
+                     for bound in ((w.m * a_i, b_i), (b_i, w.M * a_i))])
     return _certified_pairs(a, b, w, CERT_RELATIVE, seeds,
-                            {"lower": [verdict.holds for verdict in bounds[0::2]],
-                             "upper": [verdict.holds for verdict in bounds[1::2]]},
+                            {"lower": bounds[0::2], "upper": bounds[1::2]},
                             spec_A=spec_a)
 
 
@@ -397,7 +410,10 @@ class _KrausColumns:
     def normalized_maps(self, seeds: list) -> list:
         """The normalized map of each draw: W_i = V_i S^(-1/2),
         S = sum V_i* V_i, with every S decomposed, tested and inverted as one
-        stack.  The first singular S, in map order, raises naming its seed."""
+        stack.  The first singular S, in map order, raises naming its seed.
+        The normalization of every map is certified in one stacked
+        computation, bit for bit each map's own check; the first map in
+        map order that fails raises the ValueError it raises when made."""
         _, _, dim_out = self.shape
         counts = np.array(self.counts)
         columns = [column[:filled] for column, filled in zip(self.columns, self.filled)]
@@ -412,8 +428,11 @@ class _KrausColumns:
                                   f"for seed {seeds[singular[0]]}")
         inv_root = matrix_power(s_spec, -0.5)
         # column k's rows follow the maps that have a k-th factor, in map order
-        rows = [iter(vs @ inv_root[counts > k]) for k, vs in enumerate(columns)]
-        return [PositiveLinearMap(tuple(next(rows[k]) for k in range(n))) for n in counts]
+        ws = [vs @ inv_root[counts > k] for k, vs in enumerate(columns)]
+        _require_normalized(_normalization_defects(ws, counts))
+        rows = [iter(w) for w in ws]
+        return [PositiveLinearMap._certified(tuple(next(rows[k]) for k in range(n)))
+                for n in counts]
 
 
 def gen_positive_linear_map(dim_in: int, dim_out: int, n_kraus: int, seed_or_rng) -> PositiveLinearMap:

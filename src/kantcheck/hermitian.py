@@ -17,6 +17,10 @@ private body each, ``_eigh``, ``_apply_map`` and ``_f_connection``, as
 ``loewner_leq`` calls ``loewner_verdicts``.  The generators and the checks
 call the bodies on the package's own intermediates, which are Hermitian
 by construction, and a decomposition is never re-checked.
+``loewner_verdicts`` has a body too, ``_slacks``, which gives the smallest
+eigenvalues and tolerances of a list of differences as two arrays: the
+checks build their links from it (``verifiers._links``) and the generators
+their order certificates (``_holds``), with no LoewnerVerdict per link.
 
 ``hermitian`` validates a matrix, or each member of a stack (k, n, n) of
 same-size matrices; ``require_hermitian`` takes one matrix.  ``hermitize``,
@@ -29,6 +33,13 @@ decompositions once.  numpy's stacked eigensolvers and
 products give each member the bits a call on that member alone gives.
 Every other entry point, and any of these given an array, takes one
 matrix.
+
+At the dimensions of a default campaign (n <= 6) a call costs numpy's
+fixed per-call overhead more than arithmetic, so the hot paths skip the
+passes that make no value: the stacks of differences and value rows are
+built with ``np.array``, which gives the bits ``np.stack`` gives with
+less work per call, and ``real_values`` and ``eval_scalar`` use a
+float64 array as it is, without a cast.
 
 ``geometric_interpolant`` is the one scalar form of the chains'
 interpolant G; ``superlog_bound`` applies it to a matrix.
@@ -197,17 +208,22 @@ def real_values(f, xs: Array) -> Array:
     """Evaluate a real scalar function on a 1-d float array, non-finite values kept.
 
     Tries a vectorized call first and falls back to per-point evaluation.
-    Non-real results raise DomainError.
+    Non-real results raise DomainError.  A float64 array result is
+    returned as it is, without the complex test and the cast.
     """
     with np.errstate(all="ignore"):
         try:
-            ys = np.asarray(f(xs))
+            ys = f(xs)
+            if type(ys) is not np.ndarray:
+                ys = np.asarray(ys)
             if ys.shape != xs.shape:
                 raise TypeError("not vectorized")
         except DomainError:
             raise
         except Exception:
             ys = _eval_pointwise(f, xs)
+    if ys.dtype == np.float64:
+        return ys
     if np.iscomplexobj(ys):
         if float(np.max(np.abs(ys.imag))) > 0.0:
             raise DomainError("scalar function returned complex values")
@@ -219,11 +235,13 @@ def eval_scalar(f, xs: Array) -> Array:
     """Evaluate a real scalar function on a 1-d array of points.
 
     Tries a vectorized call first and falls back to per-point evaluation.
-    Non-finite or non-real results raise DomainError.
+    Non-finite or non-real results raise DomainError.  Points given as a
+    float64 array are used as they are.
     """
-    xs = np.asarray(xs, dtype=float)
+    if type(xs) is not np.ndarray or xs.dtype != np.float64:
+        xs = np.asarray(xs, dtype=float)
     ys = real_values(f, xs)
-    if not np.all(np.isfinite(ys)):
+    if not np.isfinite(ys).all():
         bad = float(xs[np.flatnonzero(~np.isfinite(ys))[0]])
         raise DomainError(f"scalar function non-finite at t={bad!r}")
     return ys
@@ -236,7 +254,8 @@ def apply_scalar_function(a, f) -> Array:
 
 
 def _require_positive_spectrum(dec: SpectralDecomposition, what: str) -> None:
-    low = float(np.min(dec.eigenvalues[..., 0]))
+    vals = dec.eigenvalues
+    low = float(vals[0] if vals.ndim == 1 else np.min(vals[..., 0]))
     if low <= 0.0:
         raise DomainError(f"{what} needs a strictly positive spectrum; smallest eigenvalue is {low:.6e}")
 
@@ -293,14 +312,30 @@ def loewner_verdicts(pairs, rel_tol: float = DEFAULT_REL_TOL) -> list:
 
     The arguments are not validated: they must be complex Hermitian arrays
     of one shape, as the package's own intermediates are by construction.
-    The tolerances of all differences come from one stacked norm, each
-    bit for bit the one ``loewner_leq`` computes for that difference alone.
     """
-    diffs = hermitize(np.stack([rhs - lhs for lhs, rhs in pairs]))
-    slacks = np.linalg.eigvalsh(diffs)[:, 0].tolist()
-    tols = (rel_tol * (1.0 + _frobenius_norms(diffs))).tolist()
+    slacks, tols = _slacks(pairs, rel_tol)
     return [LoewnerVerdict(holds=slack >= -tol, min_slack=slack, tolerance_used=tol)
-            for slack, tol in zip(slacks, tols)]
+            for slack, tol in zip(slacks.tolist(), tols.tolist())]
+
+
+def _slacks(pairs, rel_tol: float) -> tuple[Array, Array]:
+    """The smallest eigenvalue of rhs - lhs of each (lhs, rhs) pair, and the
+    tolerance rel_tol * (1 + ||rhs - lhs||_F) it is held to, as two float
+    arrays: the body of ``loewner_verdicts``, from which the checks
+    (``verifiers``) build their links and the generators their order
+    certificates directly.  The differences are stacked and solved in one
+    eigvalsh, and their norms taken in one stacked norm, each bit for bit
+    the one ``loewner_leq`` computes for that difference alone.
+    """
+    diffs = hermitize(np.array([rhs - lhs for lhs, rhs in pairs]))
+    return np.linalg.eigvalsh(diffs)[:, 0], rel_tol * (1.0 + _frobenius_norms(diffs))
+
+
+def _holds(pairs) -> Array:
+    """Whether ``loewner_verdicts`` at the default tolerance holds for each
+    (lhs, rhs) pair (min_slack >= -tolerance), as one boolean array."""
+    slacks, tols = _slacks(pairs, DEFAULT_REL_TOL)
+    return slacks >= -tols
 
 
 def spectrum_in_window(a, window: SpectralWindow, tol: float = 0.0):

@@ -1,13 +1,16 @@
 """Inequality-chain checks, one per statement in the chain catalog.
 
 Each check builds every operator appearing in its chain, tests its "<="
-links together with ``loewner_verdicts`` (one stacked eigensolve, no
-re-validation of the check's own intermediates) at the configured
-tolerance, and returns a ChainReport.  The operators a check takes from
-one decomposition are rebuilt from it in one call, one row of values
-each.  A hand-built pair is validated once, on first use of its cached
-``operands``, ``spec_A`` or ``spec_B``, and a generated pair comes with
-them; a hand-built family is validated where it is first decomposed.
+links together at the configured tolerance, in one stacked eigensolve,
+with no re-validation of the check's own intermediates, and returns a
+ChainReport.  ``_links`` builds each Link straight from
+``hermitian._slacks``, the body of ``loewner_verdicts``, with the fields
+``loewner_leq`` would give it, bit for bit, and no LoewnerVerdict.  The
+operators a check takes from one decomposition are rebuilt from it in
+one call, one row of values each.  A hand-built pair is validated once,
+on first use of its cached ``operands``, ``spec_A`` or ``spec_B``, and a
+generated pair comes with them; a hand-built family is validated where
+it is first decomposed.
 Links whose slack sits inside the tolerance band are marked tight rather
 than failed: the constants are designed to be attained.
 Every multi-link chain also carries an end-to-end audit link comparing
@@ -48,6 +51,7 @@ from .hermitian import (
     SpectralWindow,
     _eigh,
     _power_values,
+    _slacks,
     _superlog_values,
     apply_scalar_function,
     eval_scalar,
@@ -135,10 +139,10 @@ class ChainReport:
 def _links(rel_tol: float, *tests) -> list:
     """One Link per (label, lhs, rhs) test of lhs <= rhs, all tested in one
     stacked eigensolve; the matrices are the check's own intermediates."""
-    verdicts = loewner_verdicts([(lhs, rhs) for _, lhs, rhs in tests], rel_tol)
-    return [Link(label=label, min_slack=v.min_slack, tolerance=v.tolerance_used, holds=v.holds,
-                 tight=abs(v.min_slack) < v.tolerance_used)
-            for (label, _, _), v in zip(tests, verdicts)]
+    slacks, tols = _slacks([(lhs, rhs) for _, lhs, rhs in tests], rel_tol)
+    return [Link(label=label, min_slack=slack, tolerance=tol, holds=slack >= -tol,
+                 tight=abs(slack) < tol)
+            for (label, _, _), slack, tol in zip(tests, slacks.tolist(), tols.tolist())]
 
 
 def _chain(lower: tuple, mid: tuple, upper: tuple, rel_tol: float, *before) -> list:
@@ -207,7 +211,7 @@ def _interpolant_chain(pair: CertifiedPair, f, g_a: Array, alpha: float, beta: f
     ``names`` are the printed names of the three terms."""
     w, spec = pair.window, pair.spec_B
     g_vals = _superlog_values(spec, w, *_endpoint_values(f, w), 1e-9)
-    f_b, g_b = spec.rebuild(np.stack([eval_scalar(f, spec.eigenvalues), g_vals]))
+    f_b, g_b = spec.rebuild(np.array([eval_scalar(f, spec.eigenvalues), g_vals]))
     lower, middle, upper = names
     return _chain((lower, f_b), (middle, g_b),
                   (upper, alpha * g_a + beta * identity(pair.dim)), rel_tol)
@@ -335,7 +339,7 @@ def lemma_3_1_exponent_slacks(pair: CertifiedPair, p: float, r: float,
     term = furuta_term(pair, p, r)
     names = ("r_over_p_plus_r", "p_over_p_plus_r")
     exponents = (r / (p + r), p / (p + r))
-    powers = term.rebuild(np.stack([_power_values(term, expo) for expo in exponents]))
+    powers = term.rebuild(np.array([_power_values(term, expo) for expo in exponents]))
     verdicts = loewner_verdicts([(b_r, power) for power in powers], rel_tol)
     return {name: {"min_slack": v.min_slack, "holds": v.holds}
             for name, v in zip(names, verdicts)}
@@ -357,7 +361,7 @@ def _chaotic_terms(pair: CertifiedPair, p: float, r: float, *rows) -> Array:
     """B^p, B^(-r) G_{t^(p+r)}(B) and one more function of B per row of
     eigenvalues in ``rows``, rebuilt from B's decomposition in one call."""
     b_p = _power_values(pair.spec_B, p)
-    return pair.spec_B.rebuild(np.stack([b_p, _chaotic_middle(pair, p, r), *rows]))
+    return pair.spec_B.rebuild(np.array([b_p, _chaotic_middle(pair, p, r), *rows]))
 
 
 def _chaotic_chain(b_p: Array, mid: Array, upper: tuple, rel_tol: float) -> list:
@@ -437,7 +441,7 @@ def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,
     acc = np.zeros((3, dim_out, dim_out), dtype=complex)
     for (weight, phi, op), spec in zip(family.items, family.spectra):
         f_vals = eval_scalar(f, spec.eigenvalues)
-        rows = np.stack([f_vals, _superlog_values(spec, w, fm, fM, 1e-9)])
+        rows = np.array([f_vals, _superlog_values(spec, w, fm, fM, 1e-9)])
         acc += weight * _apply_map(phi, np.concatenate([spec.rebuild(rows), op[None]]))
     lhs, mid, agg = hermitize(acc)
     rhs = alpha * apply_scalar_function(_eigh(agg), g) + beta * identity(dim_out)
@@ -459,7 +463,7 @@ def _relative_means(pair: CertifiedPair, f) -> tuple:
     t = _eigh(hermitize(irt @ b @ irt))
     g_vals = _superlog_values(t, w, *_endpoint_values(f, w), 1e-8)
     f_vals = eval_scalar(f, t.eigenvalues)
-    mean, interp = hermitize(rt @ t.rebuild(np.stack([f_vals, g_vals])) @ rt)
+    mean, interp = hermitize(rt @ t.rebuild(np.array([f_vals, g_vals])) @ rt)
     return a, b, mean, interp
 
 
@@ -477,7 +481,7 @@ def _relative_chain(pair: CertifiedPair, phi: PositiveLinearMap, f, alpha: float
     Each label in ``before`` names a forward baseline link
     Phi(A) sigma_f Phi(B) <= Phi(A sigma_f B), tested ahead of the chain."""
     a, b, mean, interp = _relative_means(pair, f)
-    lhs, mid, phi_a, phi_b = _apply_map(phi, np.stack([mean, interp, a, b]))
+    lhs, mid, phi_a, phi_b = _apply_map(phi, np.array([mean, interp, a, b]))
     mean_term = _mapped_mean(phi_a, phi_b, f)
     lower, middle, upper = names
     return _chain((lower, lhs), (middle, mid), (upper, beta * phi_a + alpha * mean_term), rel_tol,
@@ -572,7 +576,7 @@ def check_theorem_4_5(pair: CertifiedPair, phi: PositiveLinearMap, p: float,
     a, b, mean_in, interp = _relative_means(pair, power_fun(p))
     # T_p(X|Y) = (X #_p Y - X)/p from means built once
     entropy_in = hermitize((mean_in - a) / p)
-    lhs, phi_interp, phi_a, phi_b = _apply_map(phi, np.stack([entropy_in, interp, a, b]))
+    lhs, phi_interp, phi_a, phi_b = _apply_map(phi, np.array([entropy_in, interp, a, b]))
     mid = hermitize((phi_interp - phi_a) / p)
     mean_term = _mapped_mean(phi_a, phi_b, power_fun(p))
     entropy_out = hermitize((mean_term - phi_a) / p)

@@ -1,0 +1,24 @@
+"""``tools/call_counts.py`` on this checkout's seed-1 small campaign."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import call_counts  # noqa: E402
+
+
+def test_seed_1_small_campaign_counts():
+    checks, calls = call_counts.counts(ROOT)
+    assert checks == 2544
+    # every operand decomposed once, every chain's links in one eigvalsh
+    assert calls["np.linalg.eigh"] == 1740
+    assert calls["np.linalg.eigvalsh"] == 2784
+    # a generated map is certified with its stack, never alone
+    assert calls["map normalization (one map)"] == 0
+    assert calls["map normalization (one stack)"] > 0
+    # links and certificates are built without a LoewnerVerdict, and the
+    # checks' stacks without np.stack
+    assert calls["LoewnerVerdict"] == 0
+    assert calls["np.stack"] < checks / 10

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -355,6 +356,39 @@ class TestLeanScan:
         for alpha in (1.0, 2.5):
             with pytest.raises(DomainError, match=f"^scalar function non-finite at t={bad!r}$"):
                 beta_generic(power_fun(-1.0), g, alpha, W12)
+
+    @pytest.mark.parametrize("scan", [
+        lambda g: alpha_ratio(power_fun(-1.0), g, W12),
+        lambda g: beta_generic(power_fun(-1.0), g, 1.0, W12),
+    ], ids=["ratio", "gap"])
+    def test_infinite_g_off_the_positivity_probe_names_its_grid_point(self, scan):
+        # chord / inf is a finite 0.0, so the ratio's objective passes its own
+        # check there; g's grid values must show the infinity.  Grid point 137
+        # of (1, 2) is none of the positivity probe's 2001 points.
+        bad = float(GridFunction(power_fun(-0.5), W12).grid[137])
+        assert bad not in np.linspace(W12.m, W12.M, 2001)
+
+        def g(t):
+            return np.where(t == bad, np.inf, t ** -0.5)
+
+        message = f"^{re.escape(f'scalar function non-finite at t={bad!r}')}$"
+        for given in (g, GridFunction(g, W12)):
+            with pytest.raises(DomainError, match=message):
+                scan(given)
+
+    def test_grid_values_are_evaluated_once_per_grid_function(self):
+        sizes = []
+
+        def g(t):
+            sizes.append(np.size(t))
+            return t ** -0.5
+
+        grid_function = GridFunction(g, W12)
+        for alpha in (0.5, 1.0, 2.5):
+            beta_generic(power_fun(-1.0), grid_function, alpha, W12)
+        alpha_ratio(power_fun(-1.0), grid_function, W12)
+        arrays = [size for size in sizes if size > 1]
+        assert arrays == [constants.GRID_RESOLUTION + 1, 2001]
 
     @pytest.mark.parametrize("scan", [
         lambda g: alpha_ratio(power_fun(-1.0), g, W12),

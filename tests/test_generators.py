@@ -1,11 +1,12 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kantcheck import generators
+from kantcheck import generators, posmaps
 from kantcheck.errors import GenerationError, HypothesisError
 from kantcheck.generators import (
     CERT_CHAOTIC,
@@ -37,7 +38,7 @@ from kantcheck.hermitian import (
     matrix_log,
     spectrum_in_window,
 )
-from kantcheck.posmaps import WeightedFamily, apply_map
+from kantcheck.posmaps import PositiveLinearMap, WeightedFamily, apply_map
 
 W12 = SpectralWindow(1.0, 2.0)
 DATA_DIR = Path(__file__).parent / "data"
@@ -302,6 +303,73 @@ class TestKrausMaps:
         with pytest.raises(GenerationError, match=r"singular for seed 21$"):
             gen_weighted_families(3, 3, 2, W12, seeds)
         assert draws == clean
+
+
+class TestStackedNormalization:
+    """Generated maps are certified normalized with their stack, in one
+    computation, and are not checked again one by one when made."""
+
+    COUNTS, SEEDS = [1, 2, 3, 1, 2], [30, 31, 32, 33, 34]
+
+    @pytest.mark.parametrize("run_entries", [4096, 6, 13])
+    def test_defects_are_each_maps_own_bit_for_bit(self, monkeypatch, run_entries):
+        # 3 x 2 factors: runs of all five maps, of one map, and of two
+        monkeypatch.setattr(posmaps, "NORMALIZATION_RUN_ENTRIES", run_entries)
+        stacked = []
+        real = posmaps._normalization_defects
+        monkeypatch.setattr(generators, "_normalization_defects",
+                            lambda ws, counts: stacked.append(real(ws, counts)) or stacked[-1])
+        maps = gen_positive_linear_maps(3, 2, self.COUNTS, self.SEEDS)
+        (defects,) = stacked
+        assert [len(phi.kraus) for phi in maps] == self.COUNTS
+        for phi, defect in zip(maps, defects):
+            assert np.float64(defect).tobytes() == np.float64(phi.normalization_defect()).tobytes()
+
+    def test_generated_maps_skip_the_per_map_check(self, monkeypatch):
+        checked = []
+        real = PositiveLinearMap.normalization_defect
+        monkeypatch.setattr(PositiveLinearMap, "normalization_defect",
+                            lambda phi: checked.append(phi) or real(phi))
+        maps = gen_positive_linear_maps(3, 2, self.COUNTS, self.SEEDS)
+        families = gen_weighted_families(3, 3, 2, W12, [5, 6])
+        assert checked == []
+        for phi in maps + [phi for family in families for _, phi, _ in family.items]:
+            assert (phi.dim_in, phi.dim_out) == (3, 2)
+            assert all(type(w) is np.ndarray and w.dtype == complex for w in phi.kraus)
+            assert phi == PositiveLinearMap(phi.kraus)
+
+    def test_unnormalized_member_raises_the_error_it_raises_alone(self, monkeypatch):
+        """Map 3's inverse root S^(-1/2) is scaled by 1.01, so its factors W_i
+        are; the stack raises the ValueError that a map made by hand from
+        those factors raises."""
+        real_power, real_gaussian = generators.matrix_power, generators._complex_gaussian
+        draws, roots = [], []
+
+        def scaled(dec, p):
+            root = real_power(dec, p)
+            root[3] *= 1.01
+            roots.append(root)
+            return root
+
+        monkeypatch.setattr(generators, "matrix_power", scaled)
+        monkeypatch.setattr(generators, "_complex_gaussian",
+                            lambda rng, rows, cols: draws.append(real_gaussian(rng, rows, cols))
+                            or draws[-1])
+        with pytest.raises(ValueError) as stacked:
+            gen_positive_linear_maps(3, 2, self.COUNTS, self.SEEDS)
+        start = sum(self.COUNTS[:3])
+        factors = tuple(v @ roots[0][3] for v in draws[start:start + self.COUNTS[3]])
+        with pytest.raises(ValueError) as alone:
+            PositiveLinearMap(factors)
+        assert str(stacked.value) == str(alone.value)
+        assert str(stacked.value).startswith("map is not normalized: |sum W*W - I| = 2.01")
+
+    def test_hand_built_unnormalized_map_still_raises(self):
+        message = "map is not normalized: |sum W*W - I| = 2.100e-01"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PositiveLinearMap((1.1 * np.eye(2),))
+        with pytest.raises(ValueError, match="not normalized"):
+            PositiveLinearMap((np.eye(3)[:, :2], np.eye(3)[:, :2]))
 
 
 class TestWeightedFamilies:

@@ -13,6 +13,7 @@ from kantcheck.hermitian import (
     SpectralWindow,
     apply_scalar_function,
     eig_hermitian,
+    eval_scalar,
     frobenius,
     geometric_interpolant,
     loewner_leq,
@@ -22,6 +23,7 @@ from kantcheck.hermitian import (
     matrix_log,
     matrix_power,
     matrix_to_json,
+    real_values,
     require_hermitian,
     spectrum_in_window,
     superlog_bound,
@@ -29,6 +31,7 @@ from kantcheck.hermitian import (
 from kantcheck.posmaps import sqrt_invsqrt
 
 W12 = SpectralWindow(1.0, 2.0)
+POINTS = np.array([1.0, 1.5, 2.0])
 
 
 def diag(*vals):
@@ -176,6 +179,65 @@ SPECTRAL_FUNCTIONS = {
     "sqrt": lambda b: sqrt_invsqrt(b)[0],
     "invsqrt": lambda b: sqrt_invsqrt(b)[1],
 }
+
+
+def _scalar_only(t):
+    if not isinstance(t, float):
+        raise TypeError("scalar only")
+    return 3.0 * t
+
+
+class TestScalarFunctionCasts:
+    """Whatever type f's values come in, ``real_values`` and ``eval_scalar``
+    give float64 values, equal to a cast of them; a float64 array result
+    is used as it is."""
+
+    @pytest.mark.parametrize("f, want", [
+        (lambda t: (t * t).astype(np.float32), (POINTS * POINTS).astype(np.float32)),
+        (lambda t: np.arange(len(t)), [0.0, 1.0, 2.0]),
+        (lambda t: [float(x) + 1.0 for x in t], POINTS + 1.0),
+        (lambda t: 2.5, [2.5, 2.5, 2.5]),
+        (lambda t: t + 0j, POINTS),
+        (lambda t: t.astype(">f8") * 2.0, POINTS * 2.0),
+        (_scalar_only, 3.0 * POINTS),
+    ], ids=["float32", "int", "list", "python_scalar", "complex_zero_imag", "big_endian",
+            "scalar_only"])
+    def test_values_are_float64(self, f, want):
+        want = np.asarray(want, dtype=float)
+        for evaluate in (real_values, eval_scalar):
+            ys = evaluate(f, POINTS)
+            assert type(ys) is np.ndarray and ys.dtype == np.float64 and ys.dtype.isnative
+            assert ys.tobytes() == want.tobytes()
+
+    def test_float64_results_and_points_are_used_as_they_are(self):
+        ys = 2.0 * POINTS
+        assert real_values(lambda t: ys, POINTS) is ys
+        seen = []
+        assert eval_scalar(lambda t: seen.append(t) or ys, POINTS) is ys
+        assert seen[0] is POINTS
+
+    @pytest.mark.parametrize("xs", [[1.0, 1.5, 2.0], (1, 2), np.array([1, 2]),
+                                    np.array([1.0, 2.0], dtype=np.float32)])
+    def test_other_points_are_cast_to_float64(self, xs):
+        seen = []
+        ys = eval_scalar(lambda t: seen.append(t) or t * t, xs)
+        assert seen[0].dtype == np.float64
+        assert ys.tobytes() == (np.asarray(xs, dtype=float) ** 2).tobytes()
+
+    def test_complex_values_raise(self):
+        for evaluate in (real_values, eval_scalar):
+            with pytest.raises(DomainError, match="^scalar function returned complex values$"):
+                evaluate(lambda t: t + 1e-300j, POINTS)
+
+    @pytest.mark.parametrize("f", [
+        lambda t: np.where(t == 1.5, np.float32(np.inf), t).astype(np.float32),
+        lambda t: [math.nan if x == 1.5 else float(x) for x in t],
+        lambda t: np.where(t == 1.5, complex(math.inf, 0.0), t + 0j),
+    ], ids=["float32", "list", "complex"])
+    def test_non_finite_values_are_kept_or_raise(self, f):
+        assert not np.isfinite(real_values(f, POINTS)[1])
+        with pytest.raises(DomainError, match=r"^scalar function non-finite at t=1\.5$"):
+            eval_scalar(f, POINTS)
 
 
 class TestDecompositionInput:

@@ -812,6 +812,56 @@ class TestDecomposeOnce:
         assert seen
 
 
+class TestLinksFromSlacks:
+    """``_links`` builds each Link from ``hermitian._slacks`` without a
+    LoewnerVerdict; every field is bit for bit what ``loewner_verdicts`` and
+    ``loewner_leq`` give for its test."""
+
+    @staticmethod
+    def _tests(rng, k, n):
+        """k random (label, lhs, rhs) tests of n x n Hermitian matrices: one
+        holds with room, one is tight (rhs = lhs), one fails, the rest random."""
+        def herm():
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            return hermitian.hermitize(x)
+
+        tests = []
+        for i in range(k):
+            lhs, x = herm(), herm()
+            gap = hermitian.hermitize(x @ x.conj().T) + 0.1 * np.eye(n)
+            rhs = [lhs + gap, lhs.copy(), lhs - gap][i] if i < 3 else herm()
+            tests.append((f"link {i}", lhs, rhs))
+        return tests
+
+    @pytest.mark.parametrize("k, n", [(3, 1), (3, 2), (4, 3), (6, 5), (9, 6), (5, 16)])
+    def test_links_equal_the_verdicts(self, k, n):
+        rng = np.random.default_rng(100 * k + n)
+        for rel_tol in (1e-8, 1e-3):
+            tests = self._tests(rng, k, n)
+            links = verifiers._links(rel_tol, *tests)
+            pairs = [(lhs, rhs) for _, lhs, rhs in tests]
+            slacks, tols = hermitian._slacks(pairs, rel_tol)
+            verdicts = loewner_verdicts(pairs, rel_tol)
+            assert [lk.label for lk in links] == [label for label, _, _ in tests]
+            for link, slack, tol, verdict, (lhs, rhs) in zip(links, slacks, tols, verdicts, pairs):
+                alone = hermitian.loewner_leq(lhs, rhs, rel_tol)
+                assert type(link.min_slack) is float and type(link.tolerance) is float
+                for got in (link.min_slack, slack, verdict.min_slack):
+                    assert np.float64(got).tobytes() == np.float64(alone.min_slack).tobytes()
+                for got in (link.tolerance, tol, verdict.tolerance_used):
+                    assert np.float64(got).tobytes() == np.float64(alone.tolerance_used).tobytes()
+                assert link.holds is verdict.holds is alone.holds
+                assert link.tight is (abs(alone.min_slack) < alone.tolerance_used)
+            assert links[0].holds and not links[0].tight
+            assert links[1].holds and links[1].tight and links[1].min_slack == 0.0
+            assert not links[2].holds and not links[2].tight
+
+    def test_links_build_no_verdict(self, monkeypatch):
+        monkeypatch.setattr(verifiers, "loewner_verdicts", None)
+        pair = gen_dominated_pair(3, W12, seed=3)
+        assert check_corollary_2_3(pair, -1.0, -0.5).overall
+
+
 class TestReportMachinery:
     def test_catalog_covers_all_checks(self):
         assert set(CHAIN_CATALOG) == {

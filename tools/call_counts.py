@@ -1,0 +1,82 @@
+"""Print how often a small campaign's fixed-cost calls run, per check.
+
+Runs the seed-1 small campaign (the default grid, dims 2, 3, 4 and 6,
+4 samples per cell, base seed 1: 2,544 checks) from a checkout's ``src``
+under cProfile, with BLAS on one thread, and prints one line per counted
+call: its total count and its count per check.  The counted calls are
+numpy's ``np.stack``, ``np.linalg.eigh`` and ``np.linalg.eigvalsh``, the
+``LoewnerVerdict`` objects built, and the Kraus-map normalization checks
+(``PositiveLinearMap.normalization_defect``, one per map checked alone,
+and ``posmaps._normalization_defects``, one per stack of maps checked
+together, where the checkout has it).  Counts do not depend on the host,
+so two checkouts compare exactly:
+
+    python3 tools/call_counts.py                  # this checkout
+    python3 tools/call_counts.py ../other-checkout
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import os
+import pstats
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIG = {"dims": [2, 3, 4, 6], "samples_per_cell": 4, "base_seed": 1}
+# (printed name, source file suffix, function name) of each counted call
+COUNTED = (
+    ("np.stack", "shape_base.py", "stack"),
+    ("np.linalg.eigh", "_linalg.py", "eigh"),
+    ("np.linalg.eigvalsh", "_linalg.py", "eigvalsh"),
+    ("LoewnerVerdict", "call_counts.py", "_loewner_verdict_init"),
+    ("map normalization (one map)", "posmaps.py", "normalization_defect"),
+    ("map normalization (one stack)", "posmaps.py", "_normalization_defects"),
+)
+
+
+def counts(checkout: Path) -> tuple[int, dict]:
+    """The number of checks of the campaign and the count of each counted call."""
+    sys.path.insert(0, str(checkout / "src"))
+    import kantcheck
+    from kantcheck import hermitian
+
+    init = hermitian.LoewnerVerdict.__init__
+
+    def _loewner_verdict_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+
+    hermitian.LoewnerVerdict.__init__ = _loewner_verdict_init
+    try:
+        with tempfile.TemporaryDirectory(prefix="kantcheck_counts_") as tmp:
+            cfg = kantcheck.CampaignConfig(**CONFIG, output_dir=tmp)
+            profile = cProfile.Profile()
+            summary = profile.runcall(kantcheck.run_campaign, cfg)
+    finally:
+        hermitian.LoewnerVerdict.__init__ = init
+    calls = dict.fromkeys((name for name, _, _ in COUNTED), 0)
+    for (path, _, func), (_, ncalls, *_rest) in pstats.Stats(profile).stats.items():
+        for name, suffix, counted in COUNTED:
+            if func == counted and path.endswith(suffix):
+                calls[name] += ncalls
+    return summary.total_checks, calls
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", nargs="?", default=Path(__file__).resolve().parent.parent,
+                        type=Path, help="checkout whose src/ runs (default: this one)")
+    args = parser.parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy is first imported
+    checks, calls = counts(args.checkout.resolve())
+    print(f"{'checks':<32}{checks:>10,}")
+    for name, n in calls.items():
+        print(f"{name:<32}{n:>10,}{n / checks:>10.3f} per check")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
