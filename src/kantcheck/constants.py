@@ -8,32 +8,47 @@ two routes must agree to 1e-6 relative on the supported exponent grids.
 ``grid_max_1d`` scans any objective.  ``alpha_ratio`` and ``beta_generic``
 scan chord(f) / g and chord(f) - alpha * g through one body that builds
 the objective from g's values on the grid.  A ``GridFunction`` keeps those
-values, and g's positivity probe, so a sweep that scans many chords
-against one g over a window evaluates g on the grid once; every
-golden-section point is evaluated afresh.
+values, and g's positivity probe, so many chords scanned against one g
+over a window evaluate g on the grid once.  A lone scan evaluates every
+golden-section point afresh, one step at a time (``_golden_max``).
+
+``chord_power_maxima`` makes the ratio and the gap (alpha = 1) of many
+chords against powers t^q over one window, as the sweep needs them: a
+grid pass finds each scan's best grid point, then one golden-section
+pass refines every scan in lockstep (``_golden_max_lockstep``), each
+lane making a lone scan's float operations in the same order, so every
+value is bit for bit the lone scan's.  If any check of the window fails,
+its scans are made again one at a time, which raise the lone error.
 
 Where each check lives: ``GridFunction.values`` checks g's grid values
 for being real and finite (``hermitian.eval_scalar``), once per
 GridFunction; a ratio scan needs it, since chord / inf is a finite 0.0.
-``_refine`` checks the grid objective for being finite (its largest and
-its smallest value, so a -inf is caught too), which catches an
-objective that overflows although g is finite, and raises the message
+``_grid_bracket`` checks the grid objective for being finite (its
+largest and its smallest value, so a -inf is caught too), which catches
+an objective that overflows although g is finite, and raises the message
 ``eval_scalar`` raises; ``real_values`` checks ``grid_max_1d``'s
-objective for being real.
-``_golden_max`` checks each step's value for being defined and finite
-itself, without a helper call per step.  The chord objectives there
-are closures over the chord's slope and intercept, which do the float
-operations ``ChordCoefficients.at`` does.
+objective for being real.  ``_golden_max`` checks each step's value for
+being defined and finite itself, without a helper call per step.  The
+chord objectives there are closures over the chord's slope and
+intercept, which do the float operations ``ChordCoefficients.at`` does;
+the ratio's objective multiplies by g(t) / g(t), 1.0 where g(t) is
+finite and NaN where it is not, so an infinite g at a golden-section
+point is caught as the gap's -inf is.  The lockstep pass checks every
+step's t^q and objective values for being finite, and the grid pass
+makes a lone scan's other checks (f positive at m and M, g positive on
+the window); a failure there sends the window to the lone scans.
 
 Every scan of a window reads one read-only grid and writes one
 grid-sized scratch buffer, the window's scan arena.  The arena of the
 last window scanned is kept, so a campaign's or a sweep's scans of one
-window allocate no grid-sized buffer but their objective, and at most
-two such arrays are kept whatever the number of windows.  Scans share
-the scratch buffer, so two must not run at once from two threads.
+window allocate no grid-sized buffer but their objective (and, in
+``chord_power_maxima``, one chord shared by a ratio and a gap), and at
+most two such arrays are kept whatever the number of windows.  Scans
+share the scratch buffer, so two must not run at once from two threads.
 Endpoint values f(m) and f(M) are evaluated through the same checks as
-golden-section points, once per scan: an undefined or non-finite
-endpoint value raises DomainError.
+golden-section points, once per scan (once per f in
+``chord_power_maxima``): an undefined or non-finite endpoint value
+raises DomainError.
 """
 
 from __future__ import annotations
@@ -154,27 +169,36 @@ def _scan_arena(window: SpectralWindow) -> tuple[np.ndarray, np.ndarray]:
 def _refine(h, window: SpectralWindow, ts: np.ndarray, ys: np.ndarray) -> ExtremumResult:
     """The maximum of h over [m, M] from its real values ys on the grid ts.
 
-    A non-finite value in ys raises DomainError; the largest value and
-    the smallest are finite only if all are (argmax alone misses -inf).
+    A non-finite value in ys raises DomainError (``_grid_bracket``).
     GOLDEN_ITERS golden-section steps around the best grid point; the
     result is the best of that, the grid point and both endpoints.
     """
-    m, M = window.m, window.M
-    i = int(np.argmax(ys))
-    if not (math.isfinite(ys[i]) and math.isfinite(ys.min())):
-        bad = float(ts[np.flatnonzero(~np.isfinite(ys))[0]])
-        raise DomainError(f"scalar function non-finite at t={bad!r}")
-    lo = float(ts[i - 1]) if i > 0 else m
-    hi = float(ts[i + 1]) if i < GRID_RESOLUTION else M
+    i, lo, hi = _grid_bracket(window, ts, ys)
     t_ref, y_ref = _golden_max(h, lo, hi, GOLDEN_ITERS)
     candidates = [
         (y_ref, t_ref),
         (float(ys[i]), float(ts[i])),
-        (float(ys[0]), m),
-        (float(ys[-1]), M),
+        (float(ys[0]), window.m),
+        (float(ys[-1]), window.M),
     ]
     value, t_star = max(candidates, key=lambda c: c[0])
     return ExtremumResult(t_star=float(t_star), value=float(value))
+
+
+def _grid_bracket(window: SpectralWindow, ts: np.ndarray, ys: np.ndarray) -> tuple[int, float, float]:
+    """The index i of the first largest of the values ys on the grid ts,
+    and the cells [lo, hi] around it, which golden section refines.
+
+    A non-finite value in ys raises DomainError; the largest value and
+    the smallest are finite only if all are (argmax alone misses -inf).
+    """
+    i = int(ys.argmax())
+    if not (math.isfinite(ys[i]) and math.isfinite(ys.min())):
+        bad = float(ts[np.flatnonzero(~np.isfinite(ys))[0]])
+        raise DomainError(f"scalar function non-finite at t={bad!r}")
+    lo = float(ts[i - 1]) if i > 0 else window.m
+    hi = float(ts[i + 1]) if i < GRID_RESOLUTION else window.M
+    return i, lo, hi
 
 
 def grid_max_1d(h, window: SpectralWindow) -> ExtremumResult:
@@ -284,9 +308,119 @@ def alpha_ratio(f, g, window: SpectralWindow) -> ExtremumResult:
     fn = g.fn
 
     def h(t):
-        return (slope * t + intercept) / fn(t)
+        # chord / inf alone is a finite 0.0; y / y is 1.0 where y is
+        # finite and NaN where it is not, so the step's check sees it
+        y = fn(t)
+        return (slope * t + intercept) / y * (y / y)
 
     return _chord_max(chord, g, h, lambda c, y: np.divide(c, y, out=c))
+
+
+def chord_power_maxima(window: SpectralWindow, fs, scans) -> list:
+    """The oracle ratio and gap of many chords against powers over one window.
+
+    Each scan of ``scans`` is (g, q, js): g is the power t -> t^q and js
+    indexes ``fs``.  For each scan in order and each j of its js, the
+    result holds ``(alpha_ratio(fs[j], g, window).value,
+    beta_generic(fs[j], g, 1.0, window).value)``, bit for bit.
+
+    A grid pass finds every scan's best grid point, and one golden-section
+    pass refines all of them in lockstep.  If any of that raises, or meets
+    a non-finite value, the scans are made again one at a time, in order,
+    so the error raised is the one the first failing lone call raises.
+    """
+    try:
+        return _maxima_in_lockstep(window, fs, scans)
+    except DomainError:
+        pass
+    values = []
+    for g, _, js in scans:
+        g = GridFunction(g, window)
+        values += [(alpha_ratio(fs[j], g, window).value,
+                    beta_generic(fs[j], g, 1.0, window).value) for j in js]
+    return values
+
+
+def _maxima_in_lockstep(window: SpectralWindow, fs, scans) -> list:
+    """``chord_power_maxima`` through one grid pass and one lockstep
+    golden-section pass, with each check a lone scan makes; a failing
+    check raises DomainError.
+
+    Each f's chord is made once.  The ratio and the gap of one (f, g)
+    share the chord's grid values and write their objective into the
+    scratch buffer in turn; lane k of n holds the ratio of the k-th
+    (f, g), lane n + k its gap.
+    """
+    ts, scratch = _scan_arena(window)
+    chords = []
+    for f in fs:
+        fm, fM = _endpoint_values(f, window)
+        if not (fm > 0.0 and fM > 0.0):
+            raise DomainError("f must be positive at the window endpoints")
+        chords.append(_chord(fm, fM, window))
+    n = sum(len(js) for _, _, js in scans)
+    lo, hi, best = np.empty((3, 2 * n))
+    slope, intercept, exponent = np.empty((3, n))
+    chord = np.empty_like(ts)
+    k = 0
+    with np.errstate(all="ignore"):
+        for g, q, js in scans:
+            g = GridFunction(g, window)
+            if not g.positive:
+                raise DomainError("g must be positive on the window")
+            y = g.values
+            for j in js:
+                slope[k], intercept[k], exponent[k] = chords[j].slope, chords[j].intercept, q
+                np.multiply(ts, chords[j].slope, out=chord)
+                chord += chords[j].intercept
+                for lane, combine in ((k, np.divide), (n + k, np.subtract)):
+                    combine(chord, y, out=scratch)
+                    i, lo[lane], hi[lane] = _grid_bracket(window, ts, scratch)
+                    best[lane] = scratch[i]
+                k += 1
+        y_ref = _golden_max_lockstep(lo, hi, *(np.tile(v, 2) for v in (slope, intercept, exponent)), n)
+    # the larger of the golden point and the grid point, the golden point
+    # on a tie; no endpoint exceeds the grid point
+    value = np.where(best > y_ref, best, y_ref).tolist()
+    return list(zip(value[:n], value[n:]))
+
+
+def _golden_max_lockstep(a, b, slope, intercept, q, n: int) -> np.ndarray:
+    """The value ``_golden_max`` finds on every lane at once: lane k
+    maximizes (slope_k t + intercept_k) / t^q_k for k < n and
+    slope_k t + intercept_k - t^q_k after, over [a_k, b_k].
+
+    Every lane makes the lone loop's float operations in its order, its
+    branch taken through ``np.where``.  t^q is ``np.float_power``, which
+    is Python's ``t ** q`` bit for bit; ``ndarray ** q`` and ``np.power``
+    are not (their SIMD loops and the -1, 0.5 and 2 fast paths differ in
+    the last bit).  A non-finite t^q or objective value, where a lone
+    scan raises, raises DomainError.
+    """
+    def h(t):
+        tq = np.float_power(t, q)
+        y = np.multiply(t, slope)
+        y += intercept
+        np.divide(y[:n], tq[:n], out=y[:n])
+        y[n:] -= tq[n:]
+        if not (np.isfinite(tq).all() and np.isfinite(y).all()):
+            raise DomainError("non-finite golden-section value")
+        return y
+
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    hc = h(c)
+    hd = h(d)
+    for _ in range(GOLDEN_ITERS):
+        left = hc >= hd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        kept, h_kept = np.where(left, c, d), np.where(left, hc, hd)
+        t = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        y = h(t)
+        c, hc = np.where(left, t, kept), np.where(left, y, h_kept)
+        d, hd = np.where(left, kept, t), np.where(left, h_kept, y)
+    return np.where(hc >= hd, hc, hd)
 
 
 def _require_nondegenerate(e: float, name: str) -> float:

@@ -109,8 +109,9 @@ def _normalization_defects(columns: list, counts: Array) -> Array:
 
 def _require_normalized(defects: Array) -> None:
     """Raise for the first of an array of maps' normalization defects that
-    exceeds NORMALIZATION_TOL: the one error a map's own check raises."""
-    over = np.flatnonzero(defects > NORMALIZATION_TOL)
+    exceeds NORMALIZATION_TOL or is NaN: the one error a map's own check
+    raises."""
+    over = np.flatnonzero(~(defects <= NORMALIZATION_TOL))
     if over.size:
         raise ValueError(f"map is not normalized: |sum W*W - I| = {defects[over[0]]:.3e}")
 

@@ -2,9 +2,11 @@
 
 Emits one CSV row per (window, p, q) cell and constant, plus hand-rolled
 SVG line charts of the two-exponent ratio constant against q for each
-fixed p (no plotting dependency).  Each oracle value comes from the
-public ``alpha_ratio`` or ``beta_generic``, given g as a ``GridFunction``
-so that each power is evaluated on a window's oracle grid once.  K and C,
+fixed p (no plotting dependency).  The oracle values of a window come
+from ``chord_power_maxima``, which evaluates each power on the window's
+oracle grid once and refines all of the window's scans in one lockstep
+golden-section pass; each value is bit for bit what the public
+``alpha_ratio`` or ``beta_generic`` returns called alone.  K and C,
 and their oracles, depend on (window, p) only and are computed once per
 (window, p).  Every float in the CSV is its ``repr``; the records are
 made as the file is written, each repeated value (m and M per window, p,
@@ -20,9 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import (
-    GridFunction,
-    alpha_ratio,
-    beta_generic,
+    chord_power_maxima,
     kantorovich_C,
     kantorovich_C2,
     kantorovich_K,
@@ -127,20 +127,17 @@ def _window_oracles(w: SpectralWindow, p_grid, q_grid):
     """Oracle values (ratio, gap) over one window: per p, of chord(t^p)
     against t^p (K and C); per q and then p, against t^q (K2 and C2).
 
-    Each power is evaluated on the window's oracle grid once; the q-major
-    order keeps only a few grid-sized arrays alive at a time.
+    Each power is evaluated on the window's oracle grid once, and every
+    scan of the window is refined in one lockstep pass
+    (``chord_power_maxima``); the q-major order keeps only a few
+    grid-sized arrays alive at a time.
     """
     powers = [power_fun(p) for p in p_grid]
-
-    def scans(f, g):
-        return alpha_ratio(f, g, w).value, beta_generic(f, g, 1.0, w).value
-
-    by_p = [scans(f, GridFunction(f, w)) for f in powers]
-    by_q = []
-    for q in q_grid:
-        g = GridFunction(power_fun(q), w)
-        by_q.append([scans(f, g) for f in powers])
-    return by_p, by_q
+    n_p = len(powers)
+    scans = [(f, float(p), [j]) for j, (f, p) in enumerate(zip(powers, p_grid))]
+    scans += [(power_fun(q), float(q), range(n_p)) for q in q_grid]
+    values = chord_power_maxima(w, powers, scans)
+    return values[:n_p], [values[n_p * i:n_p * (i + 1)] for i in range(1, len(q_grid) + 1)]
 
 
 def _csv_records(rows, n_p: int, n_q: int):

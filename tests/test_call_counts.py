@@ -22,3 +22,12 @@ def test_seed_1_small_campaign_counts():
     # checks' stacks without np.stack
     assert calls["LoewnerVerdict"] == 0
     assert calls["np.stack"] < checks / 10
+
+
+def test_benchmark_shaped_sweep_counts():
+    rows, calls = call_counts.sweep_counts(ROOT)
+    assert rows == 14400
+    # every scan of a window refined in one lockstep pass, and each f's
+    # endpoint values made once per window: 40 powers x 2 x 3 windows
+    assert calls["constants._golden_max"] == 0
+    assert calls["constants._eval_one"] == 240

@@ -451,6 +451,38 @@ class TestSweep:
         sweep_constants(windows, p_grid, q_grid, tmp_path)
         assert len(dense) == len(windows) * (len(p_grid) + len(q_grid))
 
+    def test_benchmark_shaped_grid_equals_the_lone_scans_bit_for_bit(self, tmp_path):
+        # the benchmark's sweep shape: three windows, 40 p and 30 q from a seed
+        rng = np.random.default_rng(17301)
+        p_grid = sorted(float(p) for p in rng.uniform(-3.0, -0.05, 40))
+        q_grid = sorted(float(q) for q in rng.uniform(-1.0, -0.05, 30))
+        windows = [(1.0, 2.0), (0.5, 4.0), (2.0, 3.0)]
+        result = sweep_constants(windows, p_grid, q_grid, tmp_path)
+        lone = {}
+        got, want = [], []
+        for row in result.rows:
+            name = row["constant_name"]
+            e = row["p"] if name in ("K", "C") else row["q"]
+            key = (row["m"], row["M"], row["p"], e, name in ("K", "K2"))
+            if key not in lone:
+                w, f, g = SpectralWindow(row["m"], row["M"]), power_fun(row["p"]), power_fun(e)
+                scan = alpha_ratio(f, g, w) if key[-1] else beta_generic(f, g, 1.0, w)
+                lone[key] = scan.value
+            got.append(row["oracle"])
+            want.append(lone[key])
+        assert len(lone) == 3 * (40 + 40 * 30) * 2
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_a_failing_window_raises_the_lone_scans_error(self, tmp_path):
+        # f(m) = (1e-200)^-3 overflows: the first scan of the window raises
+        w = SpectralWindow(1e-200, 1.0)
+        with pytest.raises(DomainError) as lone:
+            alpha_ratio(power_fun(-3.0), power_fun(-3.0), w)
+        assert str(lone.value).startswith("function undefined at t=1e-200: ")
+        with pytest.raises(DomainError) as swept:
+            sweep_constants([(1e-200, 1.0)], [-3.0, -1.0], [-0.5], tmp_path)
+        assert str(swept.value) == str(lone.value)
+
     def test_grid_values_are_still_checked(self, tmp_path):
         with pytest.raises(DomainError, match=r"^scalar function non-finite at t=0\.001$"):
             sweep_constants([(1e-3, 1.0)], [-0.5], [-400.0], tmp_path)

@@ -403,10 +403,15 @@ class TestLeanScan:
         with pytest.raises(DomainError, match=message):
             scan(_scalar_only(value))
 
-    def test_infinite_g_at_a_golden_section_point(self):
-        # the ratio turns g = inf into 0.0, a finite value; the gap into -inf
-        with pytest.raises(DomainError, match="^function non-finite at t="):
-            beta_generic(power_fun(-1.0), _scalar_only(math.inf), 1.0, W12)
+    @pytest.mark.parametrize("scan", [
+        lambda g: alpha_ratio(power_fun(-1.0), g, W12),
+        lambda g: beta_generic(power_fun(-1.0), g, 1.0, W12),
+    ], ids=["ratio", "gap"])
+    def test_infinite_g_at_a_golden_section_point(self, scan):
+        # the gap turns g = inf into -inf; the ratio's chord / inf alone
+        # would be a finite 0.0, so the ratio checks g itself
+        with pytest.raises(DomainError, match=r"^function non-finite at t=1\.0000190983005626$"):
+            scan(_scalar_only(math.inf))
 
     @pytest.mark.parametrize("w", [W12, SpectralWindow(0.5, 4.0), SpectralWindow(0.05, 20.0)])
     @pytest.mark.parametrize("e", [-1.0, -0.6])
@@ -420,6 +425,57 @@ class TestLeanScan:
         for got, want in pairs:
             assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
             assert np.float64(got.t_star).tobytes() == np.float64(want.t_star).tobytes()
+
+
+class TestLockstep:
+    """Many scans of one window refined in one golden-section pass."""
+
+    def test_each_lane_is_the_lone_loop_bit_for_bit(self):
+        # q = -1, 0.5 and 2 are where numpy's own power loops take fast paths
+        rng = np.random.default_rng(7)
+        qs = [-3.0, -1.0, -0.37, 0.5, 2.0, -2.2]
+        lanes = []
+        for w in WINDOWS:
+            for p, q in zip(rng.uniform(-3.0, -0.05, len(qs)), qs):
+                chord = chord_coefficients(power_fun(float(p)), w)
+                lo = float(rng.uniform(w.m, w.M))
+                lanes.append((lo, min(lo + 1e-3, w.M), chord.slope, chord.intercept, q))
+        lo, hi, slope, intercept, q = (np.array(column * 2) for column in zip(*lanes))
+        n = len(lanes)
+        got = constants._golden_max_lockstep(lo, hi, slope, intercept, q, n)
+        for k, (a, b, s, c, e) in enumerate(lanes * 2):
+            if k < n:
+                h = lambda t: (s * t + c) / t ** e
+            else:
+                h = lambda t: s * t + c - t ** e
+            _, want = constants._golden_max(h, a, b, constants.GOLDEN_ITERS)
+            assert np.float64(got[k]).tobytes() == np.float64(want).tobytes(), k
+
+    @pytest.mark.parametrize("lo", [1e-120, 1e200], ids=["overflow", "underflow"])
+    def test_a_non_finite_golden_value_raises(self, lo):
+        # the second lane's t^-3 is inf, or 0.0 under a chord, at its golden points
+        with pytest.raises(DomainError), np.errstate(all="ignore"):
+            constants._golden_max_lockstep(np.array([1.0, lo]), np.array([2.0, 2.0 * lo]),
+                                           np.ones(2), np.ones(2), np.array([-1.0, -3.0]), 2)
+
+    def test_maxima_are_the_lone_scans(self):
+        w = SpectralWindow(0.5, 4.0)
+        fs = [power_fun(-2.5), power_fun(-1.0), power_fun(-0.2)]
+        scans = [(fs[1], -1.0, [1]), (power_fun(-0.6), -0.6, range(3)),
+                 (power_fun(0.5), 0.5, [2, 0])]
+        want = [(alpha_ratio(fs[j], g, w).value, beta_generic(fs[j], g, 1.0, w).value)
+                for g, _, js in scans for j in js]
+        got = constants.chord_power_maxima(w, fs, scans)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_a_failing_scan_is_made_again_alone(self):
+        # g = t^-0.5 is not positive on (-1, 1): the lone ratio scan's error
+        w = SpectralWindow(-1.0, 1.0)
+        with pytest.raises(DomainError) as lone:
+            alpha_ratio(power_fun(-2.0), power_fun(-0.5), w)
+        with pytest.raises(DomainError) as lockstep:
+            constants.chord_power_maxima(w, [power_fun(-2.0)], [(power_fun(-0.5), -0.5, [0])])
+        assert str(lockstep.value) == str(lone.value)
 
 
 class TestModuleInvariants:

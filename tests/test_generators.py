@@ -325,6 +325,19 @@ class TestStackedNormalization:
         for phi, defect in zip(maps, defects):
             assert np.float64(defect).tobytes() == np.float64(phi.normalization_defect()).tobytes()
 
+    def test_a_nan_defect_in_the_stack_is_rejected(self, monkeypatch):
+        # the stacked certificate raises as a map made alone does
+        real = posmaps._normalization_defects
+
+        def with_nan(ws, counts):
+            defects = real(ws, counts)
+            defects[2] = np.nan
+            return defects
+
+        monkeypatch.setattr(generators, "_normalization_defects", with_nan)
+        with pytest.raises(ValueError, match=r"^map is not normalized: .* = nan$"):
+            gen_positive_linear_maps(3, 2, self.COUNTS, self.SEEDS)
+
     def test_generated_maps_skip_the_per_map_check(self, monkeypatch):
         checked = []
         real = PositiveLinearMap.normalization_defect

@@ -99,6 +99,11 @@ class TestApplyMap:
         with pytest.raises(ValueError):
             PositiveLinearMap((2.0 * np.eye(2),))
 
+    def test_a_nan_normalization_defect_is_rejected(self):
+        # NaN > NORMALIZATION_TOL is False: the test must not read it as in bounds
+        with pytest.raises(ValueError, match=r"^map is not normalized: .* = nan$"):
+            PositiveLinearMap((np.full((2, 2), np.nan),))
+
     def test_dimensions_come_from_the_factors(self):
         w1 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], dtype=complex) / np.sqrt(2.0)
         w2 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=complex) / np.sqrt(2.0)

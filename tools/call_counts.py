@@ -1,4 +1,4 @@
-"""Print how often a small campaign's fixed-cost calls run, per check.
+"""Print how often a small campaign's fixed-cost calls or a sweep's scalar oracle calls run.
 
 Runs the seed-1 small campaign (the default grid, dims 2, 3, 4 and 6,
 4 samples per cell, base seed 1: 2,544 checks) from a checkout's ``src``
@@ -13,6 +13,12 @@ so two checkouts compare exactly:
 
     python3 tools/call_counts.py                  # this checkout
     python3 tools/call_counts.py ../other-checkout
+
+``--sweep`` counts instead the oracle's scalar calls in one sweep of the
+benchmark's shape (windows (1, 2), (0.5, 4) and (2, 3), 40 p in
+[-3, -0.05] and 30 q in [-1, -0.05] drawn from seed 1: 14,400 rows): the
+golden-section loops run one scan at a time (``constants._golden_max``)
+and the points evaluated one at a time (``constants._eval_one``).
 """
 
 from __future__ import annotations
@@ -37,6 +43,23 @@ COUNTED = (
 )
 
 
+SWEEP_WINDOWS = [(1.0, 2.0), (0.5, 4.0), (2.0, 3.0)]
+SWEEP_SEED = 1
+SWEEP_COUNTED = (
+    ("constants._golden_max", "constants.py", "_golden_max"),
+    ("constants._eval_one", "constants.py", "_eval_one"),
+)
+
+
+def _calls(profile: cProfile.Profile, counted_calls) -> dict:
+    calls = dict.fromkeys((name for name, _, _ in counted_calls), 0)
+    for (path, _, func), (_, ncalls, *_rest) in pstats.Stats(profile).stats.items():
+        for name, suffix, counted in counted_calls:
+            if func == counted and path.endswith(suffix):
+                calls[name] += ncalls
+    return calls
+
+
 def counts(checkout: Path) -> tuple[int, dict]:
     """The number of checks of the campaign and the count of each counted call."""
     sys.path.insert(0, str(checkout / "src"))
@@ -56,25 +79,38 @@ def counts(checkout: Path) -> tuple[int, dict]:
             summary = profile.runcall(kantcheck.run_campaign, cfg)
     finally:
         hermitian.LoewnerVerdict.__init__ = init
-    calls = dict.fromkeys((name for name, _, _ in COUNTED), 0)
-    for (path, _, func), (_, ncalls, *_rest) in pstats.Stats(profile).stats.items():
-        for name, suffix, counted in COUNTED:
-            if func == counted and path.endswith(suffix):
-                calls[name] += ncalls
-    return summary.total_checks, calls
+    return summary.total_checks, _calls(profile, COUNTED)
+
+
+def sweep_counts(checkout: Path) -> tuple[int, dict]:
+    """The number of rows of the sweep and the count of each counted call."""
+    sys.path.insert(0, str(checkout / "src"))
+    import numpy as np
+    import kantcheck
+
+    rng = np.random.default_rng(SWEEP_SEED)
+    p_grid = sorted(float(p) for p in rng.uniform(-3.0, -0.05, 40))
+    q_grid = sorted(float(q) for q in rng.uniform(-1.0, -0.05, 30))
+    with tempfile.TemporaryDirectory(prefix="kantcheck_counts_") as tmp:
+        profile = cProfile.Profile()
+        result = profile.runcall(kantcheck.sweep_constants, SWEEP_WINDOWS, p_grid, q_grid, tmp)
+    return len(result.rows), _calls(profile, SWEEP_COUNTED)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", default=Path(__file__).resolve().parent.parent,
                         type=Path, help="checkout whose src/ runs (default: this one)")
+    parser.add_argument("--sweep", action="store_true",
+                        help="count the oracle's scalar calls in one benchmark-shaped sweep")
     args = parser.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy is first imported
-    checks, calls = counts(args.checkout.resolve())
-    print(f"{'checks':<32}{checks:>10,}")
+    unit, counter = ("rows", sweep_counts) if args.sweep else ("checks", counts)
+    total, calls = counter(args.checkout.resolve())
+    print(f"{unit:<32}{total:>10,}")
     for name, n in calls.items():
-        print(f"{name:<32}{n:>10,}{n / checks:>10.3f} per check")
+        print(f"{name:<32}{n:>10,}{n / total:>10.3f} per {unit[:-1]}")
     return 0
 
 
