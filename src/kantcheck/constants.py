@@ -12,13 +12,15 @@ values, and g's positivity probe, so many chords scanned against one g
 over a window evaluate g on the grid once.  A lone scan evaluates every
 golden-section point afresh, one step at a time (``_golden_max``).
 
-``chord_power_maxima`` makes the ratio and the gap (alpha = 1) of many
+``_chord_power_maxima`` makes the ratio and the gap (alpha = 1) of many
 chords against powers t^q over one window, as the sweep needs them: a
 grid pass finds each scan's best grid point, then one golden-section
 pass refines every scan in lockstep (``_golden_max_lockstep``), each
 lane making a lone scan's float operations in the same order, so every
 value is bit for bit the lone scan's.  If any check of the window fails,
-its scans are made again one at a time, which raise the lone error.
+its scans are made again one at a time, which raise the lone error.  It
+takes each power both as g and as its exponent q, and trusts the two to
+agree, so it is private to the sweep, which makes g from q.
 
 Where each check lives: ``GridFunction.values`` checks g's grid values
 for being real and finite (``hermitian.eval_scalar``), once per
@@ -42,12 +44,12 @@ Every scan of a window reads one read-only grid and writes one
 grid-sized scratch buffer, the window's scan arena.  The arena of the
 last window scanned is kept, so a campaign's or a sweep's scans of one
 window allocate no grid-sized buffer but their objective (and, in
-``chord_power_maxima``, one chord shared by a ratio and a gap), and at
+``_chord_power_maxima``, one chord shared by a ratio and a gap), and at
 most two such arrays are kept whatever the number of windows.  Scans
 share the scratch buffer, so two must not run at once from two threads.
 Endpoint values f(m) and f(M) are evaluated through the same checks as
 golden-section points, once per scan (once per f in
-``chord_power_maxima``): an undefined or non-finite endpoint value
+``_chord_power_maxima``): an undefined or non-finite endpoint value
 raises DomainError.
 """
 
@@ -316,12 +318,14 @@ def alpha_ratio(f, g, window: SpectralWindow) -> ExtremumResult:
     return _chord_max(chord, g, h, lambda c, y: np.divide(c, y, out=c))
 
 
-def chord_power_maxima(window: SpectralWindow, fs, scans) -> list:
+def _chord_power_maxima(window: SpectralWindow, fs, scans) -> list:
     """The oracle ratio and gap of many chords against powers over one window.
 
-    Each scan of ``scans`` is (g, q, js): g is the power t -> t^q and js
-    indexes ``fs``.  For each scan in order and each j of its js, the
-    result holds ``(alpha_ratio(fs[j], g, window).value,
+    Each scan of ``scans`` is (g, q, js): js indexes ``fs``, and g must be
+    the power t -> t ** q, as ``sweep.power_fun(q)`` makes it.  Nothing
+    checks that: the grid pass and the lone scans evaluate g, but the
+    lockstep pass evaluates t^q from q.  For each scan in order and each j
+    of its js, the result holds ``(alpha_ratio(fs[j], g, window).value,
     beta_generic(fs[j], g, 1.0, window).value)``, bit for bit.
 
     A grid pass finds every scan's best grid point, and one golden-section
@@ -342,9 +346,9 @@ def chord_power_maxima(window: SpectralWindow, fs, scans) -> list:
 
 
 def _maxima_in_lockstep(window: SpectralWindow, fs, scans) -> list:
-    """``chord_power_maxima`` through one grid pass and one lockstep
+    """``_chord_power_maxima`` through one grid pass and one lockstep
     golden-section pass, with each check a lone scan makes; a failing
-    check raises DomainError.
+    check raises a bare DomainError (the lone scans give its message).
 
     Each f's chord is made once.  The ratio and the gap of one (f, g)
     share the chord's grid values and write their objective into the
@@ -356,7 +360,7 @@ def _maxima_in_lockstep(window: SpectralWindow, fs, scans) -> list:
     for f in fs:
         fm, fM = _endpoint_values(f, window)
         if not (fm > 0.0 and fM > 0.0):
-            raise DomainError("f must be positive at the window endpoints")
+            raise DomainError
         chords.append(_chord(fm, fM, window))
     n = sum(len(js) for _, _, js in scans)
     lo, hi, best = np.empty((3, 2 * n))
@@ -367,7 +371,7 @@ def _maxima_in_lockstep(window: SpectralWindow, fs, scans) -> list:
         for g, q, js in scans:
             g = GridFunction(g, window)
             if not g.positive:
-                raise DomainError("g must be positive on the window")
+                raise DomainError
             y = g.values
             for j in js:
                 slope[k], intercept[k], exponent[k] = chords[j].slope, chords[j].intercept, q
@@ -404,7 +408,7 @@ def _golden_max_lockstep(a, b, slope, intercept, q, n: int) -> np.ndarray:
         np.divide(y[:n], tq[:n], out=y[:n])
         y[n:] -= tq[n:]
         if not (np.isfinite(tq).all() and np.isfinite(y).all()):
-            raise DomainError("non-finite golden-section value")
+            raise DomainError
         return y
 
     c = b - _INV_PHI * (b - a)

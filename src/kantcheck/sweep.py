@@ -3,7 +3,7 @@
 Emits one CSV row per (window, p, q) cell and constant, plus hand-rolled
 SVG line charts of the two-exponent ratio constant against q for each
 fixed p (no plotting dependency).  The oracle values of a window come
-from ``chord_power_maxima``, which evaluates each power on the window's
+from ``_chord_power_maxima``, which evaluates each power on the window's
 oracle grid once and refines all of the window's scans in one lockstep
 golden-section pass; each value is bit for bit what the public
 ``alpha_ratio`` or ``beta_generic`` returns called alone.  K and C,
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import (
-    chord_power_maxima,
+    _chord_power_maxima,
     kantorovich_C,
     kantorovich_C2,
     kantorovich_K,
@@ -129,14 +129,14 @@ def _window_oracles(w: SpectralWindow, p_grid, q_grid):
 
     Each power is evaluated on the window's oracle grid once, and every
     scan of the window is refined in one lockstep pass
-    (``chord_power_maxima``); the q-major order keeps only a few
+    (``_chord_power_maxima``); the q-major order keeps only a few
     grid-sized arrays alive at a time.
     """
     powers = [power_fun(p) for p in p_grid]
     n_p = len(powers)
     scans = [(f, float(p), [j]) for j, (f, p) in enumerate(zip(powers, p_grid))]
     scans += [(power_fun(q), float(q), range(n_p)) for q in q_grid]
-    values = chord_power_maxima(w, powers, scans)
+    values = _chord_power_maxima(w, powers, scans)
     return values[:n_p], [values[n_p * i:n_p * (i + 1)] for i in range(1, len(q_grid) + 1)]
 
 

@@ -465,7 +465,7 @@ class TestLockstep:
                  (power_fun(0.5), 0.5, [2, 0])]
         want = [(alpha_ratio(fs[j], g, w).value, beta_generic(fs[j], g, 1.0, w).value)
                 for g, _, js in scans for j in js]
-        got = constants.chord_power_maxima(w, fs, scans)
+        got = constants._chord_power_maxima(w, fs, scans)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_a_failing_scan_is_made_again_alone(self):
@@ -473,9 +473,17 @@ class TestLockstep:
         w = SpectralWindow(-1.0, 1.0)
         with pytest.raises(DomainError) as lone:
             alpha_ratio(power_fun(-2.0), power_fun(-0.5), w)
+        scans = [(power_fun(-0.5), -0.5, [0])]
         with pytest.raises(DomainError) as lockstep:
-            constants.chord_power_maxima(w, [power_fun(-2.0)], [(power_fun(-0.5), -0.5, [0])])
+            constants._chord_power_maxima(w, [power_fun(-2.0)], scans)
         assert str(lockstep.value) == str(lone.value)
+        # the grid pass's own checks raise no message; the lone scan gives it
+        w, negative = SpectralWindow(1.0, 2.0), [(lambda t: t - 1.5, 1.0, [0])]
+        with pytest.raises(DomainError) as bare:
+            constants._maxima_in_lockstep(w, [power_fun(-2.0)], negative)
+        assert str(bare.value) == ""
+        with pytest.raises(DomainError, match="^g must be positive on the window$"):
+            constants._chord_power_maxima(w, [power_fun(-2.0)], negative)
 
 
 class TestModuleInvariants:
