@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import collections
 import csv
-import functools
 import hashlib
 import io
 import itertools
@@ -43,7 +42,6 @@ from typing import Callable
 
 from . import verifiers
 from .constants import (
-    GridFunction,
     alpha_ratio,
     beta_generic,
     beta_power_closed,
@@ -75,38 +73,26 @@ class OracleScans:
     ``ratio`` is max chord(t^p)/t^q and ``gap`` is max{chord(t^p) - alpha t^q}
     over a window (``alpha_ratio`` and ``beta_generic``).  Cells of several
     suites need the same values; theorem_2_1 and theorem_4_1 need all of
-    theirs.  A run keeps one instance, so the memo lives as long as the run.
-    The g = t^q of the last (window, q) scanned is kept as a
-    ``GridFunction`` until ``release``, so a cell's ratio and gap scans of
-    one q evaluate and check t^q on the oracle grid once.  ``run_cell``
-    releases it before the cell's checks, which then hold no grid-sized
-    array: kept through them, it raises the peak memory of a large-dim run.
+    theirs.  A run keeps one instance, so the memo lives as long as the run;
+    it holds the scans' values only, so no grid-sized array outlives its
+    scan.
     """
 
     def __init__(self):
         self._values = {}
-        self._g = functools.lru_cache(maxsize=1)(_power_on_grid)
 
     def _scan(self, key, scan) -> float:
         if key not in self._values:
             self._values[key] = scan().value
         return self._values[key]
 
-    def release(self) -> None:
-        """Drop the kept g."""
-        self._g.cache_clear()
-
     def ratio(self, w, p, q) -> float:
         return self._scan(("ratio", w, p, q),
-                          lambda: alpha_ratio(power_fun(p), self._g(w, q), w))
+                          lambda: alpha_ratio(power_fun(p), power_fun(q), w))
 
     def gap(self, w, p, q, alpha) -> float:
         return self._scan(("gap", w, p, q, alpha),
-                          lambda: beta_generic(power_fun(p), self._g(w, q), alpha, w))
-
-
-def _power_on_grid(w: SpectralWindow, q: float) -> GridFunction:
-    return GridFunction(power_fun(q), w)
+                          lambda: beta_generic(power_fun(p), power_fun(q), alpha, w))
 
 
 @dataclass(frozen=True)
@@ -462,7 +448,6 @@ def run_cell(cfg: CampaignConfig, cell: Cell,
     args = params if suite.cell_args is None else suite.cell_args(block.scans, w, **params)
     deviation = (None if suite.deviation is None
                  else suite.deviation(block.scans, w, **{**params, **args}))
-    block.scans.release()
     check = getattr(verifiers, suite.check)
     reports = [check(*next(block.streams[_dim_for(cfg, j)]), **args, rel_tol=cfg.rel_tol)
                for j in range(cfg.samples_per_cell)]

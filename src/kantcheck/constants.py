@@ -7,48 +7,49 @@ the window, then refines around the best grid point by golden section; the
 two routes must agree to 1e-6 relative on the supported exponent grids.
 ``grid_max_1d`` scans any objective.  ``alpha_ratio`` and ``beta_generic``
 scan chord(f) / g and chord(f) - alpha * g through one body that builds
-the objective from g's values on the grid.  A ``GridFunction`` keeps those
-values, and g's positivity probe, so many chords scanned against one g
-over a window evaluate g on the grid once.  A lone scan evaluates every
-golden-section point afresh, one step at a time (``_golden_max``).
+the objective from g's values on the grid, evaluated once per scan.  A
+lone scan evaluates every golden-section point afresh, one step at a
+time (``_golden_max``).
 
 ``_chord_power_maxima`` makes the ratio and the gap (alpha = 1) of many
-chords against powers t^q over one window, as the sweep needs them: a
-grid pass finds each scan's best grid point, then one golden-section
-pass refines every scan in lockstep (``_golden_max_lockstep``), each
-lane making a lone scan's float operations in the same order, so every
-value is bit for bit the lone scan's.  If any check of the window fails,
-its scans are made again one at a time, which raise the lone error.  It
-takes each power both as g and as its exponent q, and trusts the two to
-agree, so it is private to the sweep, which makes g from q.
+chords of powers t^p against powers t^q over one window, as the sweep
+needs them, from the exponents alone: a grid pass evaluates each t^q on
+the grid once and finds each scan's best grid point, then one
+golden-section pass refines every scan in lockstep
+(``_golden_max_lockstep``), each lane making a lone scan's float
+operations in the same order, so every value is bit for bit the lone
+scan's.  If any check of the window fails, its scans are made again one
+at a time, which raise the lone error.
 
-Where each check lives: ``GridFunction.values`` checks g's grid values
-for being real and finite (``hermitian.eval_scalar``), once per
-GridFunction; a ratio scan needs it, since chord / inf is a finite 0.0.
-``_grid_bracket`` checks the grid objective for being finite (its
-largest and its smallest value, so a -inf is caught too), which catches
-an objective that overflows although g is finite, and raises the message
-``eval_scalar`` raises; ``real_values`` checks ``grid_max_1d``'s
-objective for being real.  ``_golden_max`` checks each step's value for
-being defined and finite itself, without a helper call per step.  The
-chord objectives there are closures over the chord's slope and
-intercept, which do the float operations ``ChordCoefficients.at`` does;
-the ratio's objective multiplies by g(t) / g(t), 1.0 where g(t) is
-finite and NaN where it is not, so an infinite g at a golden-section
-point is caught as the gap's -inf is.  The lockstep pass checks every
-step's t^q and objective values for being finite, and the grid pass
-makes a lone scan's other checks (f positive at m and M, g positive on
-the window); a failure there sends the window to the lone scans.
+Where each check lives: a ratio or gap scan checks g's grid values for
+being real and finite (``hermitian.eval_scalar``); a ratio scan needs
+it, since chord / inf is a finite 0.0.  A ratio scan then checks the
+same values for being positive, so g is positive at every grid point
+the scan divides by.  ``_grid_bracket`` checks the grid objective for
+being finite (its largest and its smallest value, so a -inf is caught
+too), which catches an objective that overflows although g is finite,
+and raises the message ``eval_scalar`` raises; ``real_values`` checks
+``grid_max_1d``'s objective for being real.  ``_golden_max`` checks
+each step's value for being defined and finite itself, without a helper
+call per step.  The chord objectives there are closures over the
+chord's slope and intercept, which do the float operations
+``ChordCoefficients.at`` does; the ratio's objective multiplies by
+g(t) / g(t), 1.0 where g(t) is finite and NaN where it is not, so an
+infinite g at a golden-section point is caught as the gap's -inf is.
+The lockstep pass checks every step's t^q and objective values for
+being finite, and the grid pass makes a lone scan's other checks (f
+positive at m and M, t^q finite and positive on the grid); a failure
+there sends the window to the lone scans.
 
 Every scan of a window reads one read-only grid and writes one
 grid-sized scratch buffer, the window's scan arena.  The arena of the
 last window scanned is kept, so a campaign's or a sweep's scans of one
-window allocate no grid-sized buffer but their objective (and, in
-``_chord_power_maxima``, one chord shared by a ratio and a gap), and at
-most two such arrays are kept whatever the number of windows.  Scans
-share the scratch buffer, so two must not run at once from two threads.
-Endpoint values f(m) and f(M) are evaluated through the same checks as
-golden-section points, once per scan (once per f in
+window allocate no grid-sized buffer but g's values and their objective
+(and, in ``_chord_power_maxima``, one chord shared by a ratio and a
+gap), and at most two such arrays are kept whatever the number of
+windows.  Scans share the scratch buffer, so two must not run at once
+from two threads.  Endpoint values f(m) and f(M) are evaluated through
+the same checks as golden-section points, once per scan (once per f in
 ``_chord_power_maxima``): an undefined or non-finite endpoint value
 raises DomainError.
 """
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -214,69 +215,20 @@ def grid_max_1d(h, window: SpectralWindow) -> ExtremumResult:
     return _refine(h, window, ts, real_values(h, ts))
 
 
-class GridFunction:
-    """A scalar function together with its values on a window's oracle grid.
+def _chord_max(chord: ChordCoefficients, window: SpectralWindow, ys: np.ndarray, h,
+               finish) -> ExtremumResult:
+    """Maximize h over [m, M], where h(t) combines chord(t) with g(t).
 
-    The grid values, and whether the function is positive on the window,
-    are computed on first use and kept.  ``alpha_ratio`` and
-    ``beta_generic`` take one as g, so many chords scanned against one g
-    over one window evaluate g on the grid, and probe its sign, once.
-    The grid and the scratch buffer are the window's scan arena, shared
-    by every scan of the window.
-    """
-
-    def __init__(self, fn, window: SpectralWindow):
-        self.fn = fn
-        self.window = window
-
-    def __call__(self, t):
-        return self.fn(t)
-
-    @property
-    def grid(self) -> np.ndarray:
-        """The window's oracle scan points, read-only."""
-        return _scan_arena(self.window)[0]
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """fn on the grid, checked for being real and finite: a non-finite
-        value raises DomainError naming the first grid point that has one.
-        A ratio scan needs the check, since chord / inf is a finite 0.0
-        that the objective's own check passes."""
-        return eval_scalar(self.fn, self.grid)
-
-    @cached_property
-    def positive(self) -> bool:
-        """fn > 0 at 2001 evenly spaced points of the window."""
-        probe = eval_scalar(self.fn, np.linspace(self.window.m, self.window.M, 2001))
-        return float(np.min(probe)) > 0.0
-
-    @property
-    def scratch(self) -> np.ndarray:
-        """The window's grid-sized buffer, which any scan of the window
-        may overwrite."""
-        return _scan_arena(self.window)[1]
-
-
-def _on_grid(g, window: SpectralWindow) -> GridFunction:
-    if isinstance(g, GridFunction) and g.window == window:
-        return g
-    return GridFunction(g, window)
-
-
-def _chord_max(chord: ChordCoefficients, g: GridFunction, h, finish) -> ExtremumResult:
-    """Maximize h over g's window, where h(t) combines chord(t) with g(t).
-
-    On the grid, ``finish(c, y)`` makes the same combination in place, of
-    the chord's values c with g's values y, and ``_refine`` checks the
+    On the grid, ``finish(c, ys)`` makes the same combination in place, of
+    the chord's values c with g's values ys, and ``_refine`` checks the
     result for being finite; golden-section points are evaluated through h.
     """
-    grid = g.grid
+    grid, _ = _scan_arena(window)
     with np.errstate(all="ignore"):
         c = np.multiply(grid, chord.slope)
         c += chord.intercept
-        finish(c, g.values)
-    return _refine(h, g.window, grid, c)
+        finish(c, ys)
+    return _refine(h, window, grid, c)
 
 
 def beta_generic(f, g, alpha: float, window: SpectralWindow) -> ExtremumResult:
@@ -287,73 +239,75 @@ def beta_generic(f, g, alpha: float, window: SpectralWindow) -> ExtremumResult:
     chord = _chord(fm, fM, window)
     slope, intercept = chord.slope, chord.intercept
     alpha = float(alpha)
-    g = _on_grid(g, window)
-    fn = g.fn
+    grid, scratch = _scan_arena(window)
+    ys = eval_scalar(g, grid)
 
     def h(t):
-        return slope * t + intercept - alpha * fn(t)
+        return slope * t + intercept - alpha * g(t)
 
     def finish(c, y):
         # y * 1.0 is y, bit for bit
-        c -= y if alpha == 1.0 else np.multiply(y, alpha, out=g.scratch)
+        c -= y if alpha == 1.0 else np.multiply(y, alpha, out=scratch)
 
-    return _chord_max(chord, g, h, finish)
+    return _chord_max(chord, window, ys, h, finish)
 
 
 def alpha_ratio(f, g, window: SpectralWindow) -> ExtremumResult:
-    """Oracle ratio: max over [m, M] of chord_of_f(t) / g(t); needs g > 0."""
+    """Oracle ratio: max over [m, M] of chord_of_f(t) / g(t); needs g > 0
+    at every grid point."""
     chord = chord_coefficients(f, window)
     slope, intercept = chord.slope, chord.intercept
-    g = _on_grid(g, window)
-    if not g.positive:
+    ys = eval_scalar(g, _scan_arena(window)[0])
+    if not ys.min() > 0.0:
         raise DomainError("g must be positive on the window")
-    fn = g.fn
 
     def h(t):
         # chord / inf alone is a finite 0.0; y / y is 1.0 where y is
         # finite and NaN where it is not, so the step's check sees it
-        y = fn(t)
+        y = g(t)
         return (slope * t + intercept) / y * (y / y)
 
-    return _chord_max(chord, g, h, lambda c, y: np.divide(c, y, out=c))
+    return _chord_max(chord, window, ys, h, lambda c, y: np.divide(c, y, out=c))
 
 
-def _chord_power_maxima(window: SpectralWindow, fs, scans) -> list:
-    """The oracle ratio and gap of many chords against powers over one window.
+def _chord_power_maxima(window: SpectralWindow, ps, scans) -> list:
+    """The oracle ratio and gap of many chords of powers against powers
+    over one window.
 
-    Each scan of ``scans`` is (g, q, js): js indexes ``fs``, and g must be
-    the power t -> t ** q, as ``sweep.power_fun(q)`` makes it.  Nothing
-    checks that: the grid pass and the lone scans evaluate g, but the
-    lockstep pass evaluates t^q from q.  For each scan in order and each j
-    of its js, the result holds ``(alpha_ratio(fs[j], g, window).value,
-    beta_generic(fs[j], g, 1.0, window).value)``, bit for bit.
+    Each scan of ``scans`` is (q, js): js indexes the exponents ``ps``.
+    For each scan in order and each j of its js, the result holds
+    ``(alpha_ratio(f, g, window).value, beta_generic(f, g, 1.0,
+    window).value)`` for f = ``power_fun(ps[j])`` and g = ``power_fun(q)``,
+    bit for bit.
 
     A grid pass finds every scan's best grid point, and one golden-section
     pass refines all of them in lockstep.  If any of that raises, or meets
     a non-finite value, the scans are made again one at a time, in order,
     so the error raised is the one the first failing lone call raises.
     """
+    fs = [power_fun(p) for p in ps]
     try:
         return _maxima_in_lockstep(window, fs, scans)
     except DomainError:
         pass
     values = []
-    for g, _, js in scans:
-        g = GridFunction(g, window)
+    for q, js in scans:
+        g = power_fun(q)
         values += [(alpha_ratio(fs[j], g, window).value,
                     beta_generic(fs[j], g, 1.0, window).value) for j in js]
     return values
 
 
 def _maxima_in_lockstep(window: SpectralWindow, fs, scans) -> list:
-    """``_chord_power_maxima`` through one grid pass and one lockstep
-    golden-section pass, with each check a lone scan makes; a failing
-    check raises a bare DomainError (the lone scans give its message).
+    """``_chord_power_maxima`` of the powers fs through one grid pass and
+    one lockstep golden-section pass, with each check a lone scan makes; a
+    failing check raises a bare DomainError (the lone scans give its
+    message).
 
-    Each f's chord is made once.  The ratio and the gap of one (f, g)
-    share the chord's grid values and write their objective into the
-    scratch buffer in turn; lane k of n holds the ratio of the k-th
-    (f, g), lane n + k its gap.
+    Each f's chord is made once, and each scan's t^q is evaluated on the
+    grid once.  The ratio and the gap of one (f, q) share the chord's grid
+    values and write their objective into the scratch buffer in turn;
+    lane k of n holds the ratio of the k-th (f, q), lane n + k its gap.
     """
     ts, scratch = _scan_arena(window)
     chords = []
@@ -362,17 +316,16 @@ def _maxima_in_lockstep(window: SpectralWindow, fs, scans) -> list:
         if not (fm > 0.0 and fM > 0.0):
             raise DomainError
         chords.append(_chord(fm, fM, window))
-    n = sum(len(js) for _, _, js in scans)
+    n = sum(len(js) for _, js in scans)
     lo, hi, best = np.empty((3, 2 * n))
     slope, intercept, exponent = np.empty((3, n))
     chord = np.empty_like(ts)
     k = 0
     with np.errstate(all="ignore"):
-        for g, q, js in scans:
-            g = GridFunction(g, window)
-            if not g.positive:
+        for q, js in scans:
+            y = eval_scalar(power_fun(q), ts)
+            if not y.min() > 0.0:
                 raise DomainError
-            y = g.values
             for j in js:
                 slope[k], intercept[k], exponent[k] = chords[j].slope, chords[j].intercept, q
                 np.multiply(ts, chords[j].slope, out=chord)

@@ -4,10 +4,10 @@ negative parameter.
 
 A map made by hand checks its normalization when it is made.  The
 generators certify the normalization of a whole stack of maps in one
-computation (``_normalization_defects``, each defect bit for bit the
-map's own ``normalization_defect``), raise the error a map made alone
-raises (``_require_normalized``), and build each map with
-``PositiveLinearMap._certified``, which does not check it again.
+computation (``_normalization_defects``, the one body a map's own
+``normalization_defect`` also runs, as a stack of one), raise the error
+a map made alone raises (``_require_normalized``), and build each map
+with ``PositiveLinearMap._certified``, which does not check it again.
 """
 
 from __future__ import annotations
@@ -76,17 +76,18 @@ class PositiveLinearMap:
         return phi
 
     def normalization_defect(self) -> float:
-        acc = sum(w.conj().T @ w for w in self.kraus)
-        return float(np.max(np.abs(acc - np.eye(self.dim_out))))
+        """max |sum W_i* W_i - I|, as the map's own one-map stack."""
+        return float(_normalization_defects([w[None] for w in self.kraus],
+                                            np.array([len(self.kraus)]))[0])
 
 
 def _normalization_defects(columns: list, counts: Array) -> Array:
-    """``normalization_defect`` of each map of a stack, bit for bit, from its
-    Kraus columns: column k stacks the k-th factor of each map with more
-    than k factors (``counts > k``), in map order.  Each sum of W_i* W_i
-    is added up in Kraus order from zero, as the sum over one map's
-    factors is, and numpy's stacked products give each member the bits a
-    product of that member alone gives.
+    """The normalization defect max |sum W_i* W_i - I| of each map of a
+    stack, from its Kraus columns: column k stacks the k-th factor of each
+    map with more than k factors (``counts > k``), in map order.  Each sum
+    of W_i* W_i is added up in Kraus order from zero, and numpy's stacked
+    products give each member the bits a product of that member alone
+    gives, so a map's defect does not depend on the stack it is in.
 
     The maps are taken in runs of at most NORMALIZATION_RUN_ENTRIES factor
     entries (maps x dim_in x dim_out), so the temporaries stay that size:

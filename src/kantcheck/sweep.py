@@ -27,7 +27,6 @@ from .constants import (
     kantorovich_C2,
     kantorovich_K,
     kantorovich_K2,
-    power_fun,
 )
 from .hermitian import SpectralWindow
 
@@ -132,11 +131,11 @@ def _window_oracles(w: SpectralWindow, p_grid, q_grid):
     (``_chord_power_maxima``); the q-major order keeps only a few
     grid-sized arrays alive at a time.
     """
-    powers = [power_fun(p) for p in p_grid]
-    n_p = len(powers)
-    scans = [(f, float(p), [j]) for j, (f, p) in enumerate(zip(powers, p_grid))]
-    scans += [(power_fun(q), float(q), range(n_p)) for q in q_grid]
-    values = _chord_power_maxima(w, powers, scans)
+    ps = [float(p) for p in p_grid]
+    n_p = len(ps)
+    scans = [(p, [j]) for j, p in enumerate(ps)]
+    scans += [(float(q), range(n_p)) for q in q_grid]
+    values = _chord_power_maxima(w, ps, scans)
     return values[:n_p], [values[n_p * i:n_p * (i + 1)] for i in range(1, len(q_grid) + 1)]
 
 

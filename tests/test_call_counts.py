@@ -22,6 +22,9 @@ def test_seed_1_small_campaign_counts():
     # checks' stacks without np.stack
     assert calls["LoewnerVerdict"] == 0
     assert calls["np.stack"] < checks / 10
+    # each oracle scan evaluates its g on the grid once, and on nothing else
+    assert calls["oracle scans"] == calls["oracle g on the grid"] == 368
+    assert calls["oracle g on the probe"] == 0
 
 
 def test_benchmark_shaped_sweep_counts():
@@ -31,3 +34,8 @@ def test_benchmark_shaped_sweep_counts():
     # endpoint values made once per window: 40 powers x 2 x 3 windows
     assert calls["constants._golden_max"] == 0
     assert calls["constants._eval_one"] == 240
+    # 3 windows x (40 + 40 x 30) chords x (ratio, gap), with each of a
+    # window's 40 + 30 powers evaluated on the grid once
+    assert calls["oracle scans"] == 7440
+    assert calls["oracle g on the grid"] == 210
+    assert calls["oracle g on the probe"] == 0

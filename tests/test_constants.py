@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from kantcheck import constants
 from kantcheck.constants import (
     ExtremumResult,
-    GridFunction,
     alpha_ratio,
     beta_generic,
     beta_power_closed,
@@ -255,18 +254,22 @@ class TestAlphaRatio:
         with pytest.raises(DomainError, match="undefined at t=0.0"):
             alpha_ratio(power_fun(-1.0), power_fun(-0.5), ZERO_ENDED)
 
-    def test_grid_function_serves_only_its_own_window(self):
-        w = SpectralWindow(0.5, 4.0)
-        f, g = power_fun(-1.0), power_fun(-0.5)
-        on_w12 = GridFunction(g, W12)
-        assert alpha_ratio(f, on_w12, w) == alpha_ratio(f, g, w)
-        assert beta_generic(f, on_w12, 2.0, w) == beta_generic(f, g, 2.0, w)
-        assert alpha_ratio(f, on_w12, W12) == alpha_ratio(f, g, W12)
+    def test_g_non_positive_at_one_grid_point_raises(self):
+        # grid point 137 of (1, 2) is none of 2001 evenly spaced points, so
+        # a sign test on such a probe misses it; the scan divides by it
+        bad = float(constants._scan_arena(W12)[0][137])
+        assert bad not in np.linspace(W12.m, W12.M, 2001)
+
+        def g(t):
+            return np.where(t == bad, -1.0, t ** -0.5)
+
+        with pytest.raises(DomainError, match="^g must be positive on the window$"):
+            alpha_ratio(power_fun(-1.0), g, W12)
 
     @pytest.mark.parametrize("w", [W12, SpectralWindow(0.05, 20.0)])
     def test_grid_values_are_the_objective_on_the_grid(self, monkeypatch, w):
         # the scans build chord(f) / g and chord(f) - alpha * g on the grid
-        # in place, from g's kept values; those must be, bit for bit, the
+        # in place, from g's grid values; those must be, bit for bit, the
         # values of the objective h that the golden-section steps evaluate
         seen = []
         real = constants._refine
@@ -278,11 +281,11 @@ class TestAlphaRatio:
         monkeypatch.setattr(constants, "_refine", spy)
         f = power_fun(-2.0)
         for e in (-1.0, -0.6):
-            for g in (power_fun(e), GridFunction(power_fun(e), w)):
-                alpha_ratio(f, g, w)
-                for alpha in (1.0, 2.5, -0.5):
-                    beta_generic(f, g, alpha, w)
-        assert len(seen) == 16
+            g = power_fun(e)
+            alpha_ratio(f, g, w)
+            for alpha in (1.0, 2.5, -0.5):
+                beta_generic(f, g, alpha, w)
+        assert len(seen) == 8
         grid = np.linspace(w.m, w.M, constants.GRID_RESOLUTION + 1)
         for h, ts, ys in seen:
             assert np.array_equal(ts, grid)
@@ -301,20 +304,21 @@ class TestScanArena:
         monkeypatch.setattr(constants, "_refine", spy)
         w = SpectralWindow(0.5, 4.0)
         alpha_ratio(power_fun(-1.0), power_fun(-0.5), w)
-        beta_generic(power_fun(-2.0), GridFunction(power_fun(-0.25), w), 1.5, w)
+        grid, scratch = constants._scan_arena(w)
+        beta_generic(power_fun(-2.0), power_fun(-0.25), 1.5, w)
         grid_max_1d(power_fun(-1.0), w)
-        assert seen[0] is seen[1] is seen[2] is GridFunction(power_fun(2.0), w).grid
-        assert np.array_equal(seen[0], np.linspace(w.m, w.M, constants.GRID_RESOLUTION + 1))
+        assert seen[0] is seen[1] is seen[2] is grid
+        assert np.array_equal(grid, np.linspace(w.m, w.M, constants.GRID_RESOLUTION + 1))
         with pytest.raises(ValueError, match="read-only"):
-            seen[0][0] = 0.0
+            grid[0] = 0.0
         # the scratch buffer is the window's too
-        assert GridFunction(power_fun(-1.0), w).scratch is GridFunction(power_fun(3.0), w).scratch
+        assert constants._scan_arena(w)[1] is scratch
 
     @pytest.mark.parametrize("w", [W12, SpectralWindow(0.05, 20.0)])
     def test_scratch_contents_do_not_reach_a_scan(self, w):
         f, g = power_fun(-2.0), power_fun(-0.6)
         scans = [lambda: alpha_ratio(f, g, w), lambda: beta_generic(f, g, 1.0, w),
-                 lambda: beta_generic(f, GridFunction(g, w), -0.5, w)]
+                 lambda: beta_generic(f, g, -0.5, w)]
         clean = [scan() for scan in scans]
         for scan, want in zip(scans, clean):
             _, scratch = constants._scan_arena(w)
@@ -348,7 +352,7 @@ class TestLeanScan:
 
     def test_infinite_g_at_one_grid_point_names_that_point(self):
         # chord - alpha * inf is -inf there: the grid's argmax alone misses it
-        bad = float(GridFunction(power_fun(-0.5), W12).grid[137])
+        bad = float(constants._scan_arena(W12)[0][137])
 
         def g(t):
             return np.where(t == bad, np.inf, t ** -0.5)
@@ -364,31 +368,29 @@ class TestLeanScan:
     def test_infinite_g_off_the_positivity_probe_names_its_grid_point(self, scan):
         # chord / inf is a finite 0.0, so the ratio's objective passes its own
         # check there; g's grid values must show the infinity.  Grid point 137
-        # of (1, 2) is none of the positivity probe's 2001 points.
-        bad = float(GridFunction(power_fun(-0.5), W12).grid[137])
+        # of (1, 2) is none of 2001 evenly spaced points, as a sign probe
+        # would take them.
+        bad = float(constants._scan_arena(W12)[0][137])
         assert bad not in np.linspace(W12.m, W12.M, 2001)
 
         def g(t):
             return np.where(t == bad, np.inf, t ** -0.5)
 
-        message = f"^{re.escape(f'scalar function non-finite at t={bad!r}')}$"
-        for given in (g, GridFunction(g, W12)):
-            with pytest.raises(DomainError, match=message):
-                scan(given)
+        with pytest.raises(DomainError, match=f"^{re.escape(f'scalar function non-finite at t={bad!r}')}$"):
+            scan(g)
 
-    def test_grid_values_are_evaluated_once_per_grid_function(self):
+    def test_each_scan_evaluates_g_on_the_grid_once_and_on_no_other_array(self):
         sizes = []
 
         def g(t):
             sizes.append(np.size(t))
             return t ** -0.5
 
-        grid_function = GridFunction(g, W12)
         for alpha in (0.5, 1.0, 2.5):
-            beta_generic(power_fun(-1.0), grid_function, alpha, W12)
-        alpha_ratio(power_fun(-1.0), grid_function, W12)
+            beta_generic(power_fun(-1.0), g, alpha, W12)
+        alpha_ratio(power_fun(-1.0), g, W12)
         arrays = [size for size in sizes if size > 1]
-        assert arrays == [constants.GRID_RESOLUTION + 1, 2001]
+        assert arrays == [constants.GRID_RESOLUTION + 1] * 4
 
     @pytest.mark.parametrize("scan", [
         lambda g: alpha_ratio(power_fun(-1.0), g, W12),
@@ -460,30 +462,47 @@ class TestLockstep:
 
     def test_maxima_are_the_lone_scans(self):
         w = SpectralWindow(0.5, 4.0)
-        fs = [power_fun(-2.5), power_fun(-1.0), power_fun(-0.2)]
-        scans = [(fs[1], -1.0, [1]), (power_fun(-0.6), -0.6, range(3)),
-                 (power_fun(0.5), 0.5, [2, 0])]
-        want = [(alpha_ratio(fs[j], g, w).value, beta_generic(fs[j], g, 1.0, w).value)
-                for g, _, js in scans for j in js]
-        got = constants._chord_power_maxima(w, fs, scans)
+        ps = [-2.5, -1.0, -0.2]
+        scans = [(-1.0, [1]), (-0.6, range(3)), (0.5, [2, 0])]
+        want = [(alpha_ratio(power_fun(ps[j]), power_fun(q), w).value,
+                 beta_generic(power_fun(ps[j]), power_fun(q), 1.0, w).value)
+                for q, js in scans for j in js]
+        got = constants._chord_power_maxima(w, ps, scans)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("w", WINDOWS + [SpectralWindow(0.05, 20.0)])
+    def test_given_exponents_it_returns_the_public_scans_bit_for_bit(self, w):
+        # each p against itself, then every p against each q, as the sweep
+        # asks; q = -1, 0.5 and 2 are where numpy's own power loops take
+        # fast paths
+        rng = np.random.default_rng(11)
+        ps = [float(p) for p in rng.uniform(-3.0, -0.05, 5)]
+        qs = [-1.0, 0.5, 2.0] + [float(q) for q in rng.uniform(-1.0, -0.05, 3)]
+        scans = [(p, [j]) for j, p in enumerate(ps)] + [(q, range(len(ps))) for q in qs]
+        want = []
+        for q, js in scans:
+            g = power_fun(q)
+            want += [(alpha_ratio(power_fun(ps[j]), g, w).value,
+                      beta_generic(power_fun(ps[j]), g, 1.0, w).value) for j in js]
+        got = constants._chord_power_maxima(w, ps, scans)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_a_failing_scan_is_made_again_alone(self):
-        # g = t^-0.5 is not positive on (-1, 1): the lone ratio scan's error
+        # g = t^-0.5 is not real on (-1, 1): the lone ratio scan's error
         w = SpectralWindow(-1.0, 1.0)
         with pytest.raises(DomainError) as lone:
             alpha_ratio(power_fun(-2.0), power_fun(-0.5), w)
-        scans = [(power_fun(-0.5), -0.5, [0])]
         with pytest.raises(DomainError) as lockstep:
-            constants._chord_power_maxima(w, [power_fun(-2.0)], scans)
+            constants._chord_power_maxima(w, [-2.0], [(-0.5, [0])])
         assert str(lockstep.value) == str(lone.value)
-        # the grid pass's own checks raise no message; the lone scan gives it
-        w, negative = SpectralWindow(1.0, 2.0), [(lambda t: t - 1.5, 1.0, [0])]
+        # t^2 is 0.0 at the grid point 0.0 of (-1, 1): the grid pass's own
+        # sign check raises no message; the lone scan gives it
+        assert 0.0 in constants._scan_arena(w)[0]
         with pytest.raises(DomainError) as bare:
-            constants._maxima_in_lockstep(w, [power_fun(-2.0)], negative)
+            constants._maxima_in_lockstep(w, [power_fun(2.0)], [(2.0, [0])])
         assert str(bare.value) == ""
         with pytest.raises(DomainError, match="^g must be positive on the window$"):
-            constants._chord_power_maxima(w, [power_fun(-2.0)], negative)
+            constants._chord_power_maxima(w, [2.0], [(2.0, [0])])
 
 
 class TestModuleInvariants:

@@ -8,8 +8,13 @@ numpy's ``np.stack``, ``np.linalg.eigh`` and ``np.linalg.eigvalsh``, the
 ``LoewnerVerdict`` objects built, and the Kraus-map normalization checks
 (``PositiveLinearMap.normalization_defect``, one per map checked alone,
 and ``posmaps._normalization_defects``, one per stack of maps checked
-together, where the checkout has it).  Counts do not depend on the host,
-so two checkouts compare exactly:
+together, where the checkout has it).  Both modes also count the oracle's
+scans (one ``constants._grid_bracket`` per scan, whether made alone or
+in a lockstep pass) and its evaluations of g on a grid-sized array (the
+GRID_RESOLUTION + 1 scan points) and on a probe-sized one (2,001 points,
+the sign probe of checkouts that have one), which are the calls of
+``eval_scalar`` in ``constants``.  Counts do not depend on the host, so
+two checkouts compare exactly:
 
     python3 tools/call_counts.py                  # this checkout
     python3 tools/call_counts.py ../other-checkout
@@ -24,6 +29,7 @@ and the points evaluated one at a time (``constants._eval_one``).
 from __future__ import annotations
 
 import argparse
+import collections
 import cProfile
 import os
 import pstats
@@ -40,6 +46,7 @@ COUNTED = (
     ("LoewnerVerdict", "call_counts.py", "_loewner_verdict_init"),
     ("map normalization (one map)", "posmaps.py", "normalization_defect"),
     ("map normalization (one stack)", "posmaps.py", "_normalization_defects"),
+    ("oracle scans", "constants.py", "_grid_bracket"),
 )
 
 
@@ -48,7 +55,9 @@ SWEEP_SEED = 1
 SWEEP_COUNTED = (
     ("constants._golden_max", "constants.py", "_golden_max"),
     ("constants._eval_one", "constants.py", "_eval_one"),
+    ("oracle scans", "constants.py", "_grid_bracket"),
 )
+PROBE_POINTS = 2001
 
 
 def _calls(profile: cProfile.Profile, counted_calls) -> dict:
@@ -58,6 +67,30 @@ def _calls(profile: cProfile.Profile, counted_calls) -> dict:
             if func == counted and path.endswith(suffix):
                 calls[name] += ncalls
     return calls
+
+
+def _profiled(run, counted_calls) -> tuple:
+    """run()'s result, and the count of each counted call and of the
+    oracle's grid-sized and probe-sized evaluations of g while it ran."""
+    from kantcheck import constants
+
+    sizes = collections.Counter()
+    eval_scalar = constants.eval_scalar
+
+    def counted_eval_scalar(f, xs):
+        sizes[len(xs)] += 1
+        return eval_scalar(f, xs)
+
+    constants.eval_scalar = counted_eval_scalar
+    try:
+        profile = cProfile.Profile()
+        result = profile.runcall(run)
+    finally:
+        constants.eval_scalar = eval_scalar
+    calls = _calls(profile, counted_calls)
+    calls["oracle g on the grid"] = sizes[constants.GRID_RESOLUTION + 1]
+    calls["oracle g on the probe"] = sizes[PROBE_POINTS]
+    return result, calls
 
 
 def counts(checkout: Path) -> tuple[int, dict]:
@@ -75,11 +108,10 @@ def counts(checkout: Path) -> tuple[int, dict]:
     try:
         with tempfile.TemporaryDirectory(prefix="kantcheck_counts_") as tmp:
             cfg = kantcheck.CampaignConfig(**CONFIG, output_dir=tmp)
-            profile = cProfile.Profile()
-            summary = profile.runcall(kantcheck.run_campaign, cfg)
+            summary, calls = _profiled(lambda: kantcheck.run_campaign(cfg), COUNTED)
     finally:
         hermitian.LoewnerVerdict.__init__ = init
-    return summary.total_checks, _calls(profile, COUNTED)
+    return summary.total_checks, calls
 
 
 def sweep_counts(checkout: Path) -> tuple[int, dict]:
@@ -92,9 +124,9 @@ def sweep_counts(checkout: Path) -> tuple[int, dict]:
     p_grid = sorted(float(p) for p in rng.uniform(-3.0, -0.05, 40))
     q_grid = sorted(float(q) for q in rng.uniform(-1.0, -0.05, 30))
     with tempfile.TemporaryDirectory(prefix="kantcheck_counts_") as tmp:
-        profile = cProfile.Profile()
-        result = profile.runcall(kantcheck.sweep_constants, SWEEP_WINDOWS, p_grid, q_grid, tmp)
-    return len(result.rows), _calls(profile, SWEEP_COUNTED)
+        result, calls = _profiled(
+            lambda: kantcheck.sweep_constants(SWEEP_WINDOWS, p_grid, q_grid, tmp), SWEEP_COUNTED)
+    return len(result.rows), calls
 
 
 def main(argv=None) -> int:
