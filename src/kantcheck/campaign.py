@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -73,26 +74,17 @@ class OracleScans:
     ``ratio`` is max chord(t^p)/t^q and ``gap`` is max{chord(t^p) - alpha t^q}
     over a window (``alpha_ratio`` and ``beta_generic``).  Cells of several
     suites need the same values; theorem_2_1 and theorem_4_1 need all of
-    theirs.  A run keeps one instance, so the memo lives as long as the run;
-    it holds the scans' values only, so no grid-sized array outlives its
-    scan.
+    theirs.  Each instance memoizes its own ``ratio`` and ``gap``
+    (``functools.cache``) and a run keeps one, so the memo lives as long as
+    the run; it holds the scans' values only, so no grid-sized array
+    outlives its scan.
     """
 
     def __init__(self):
-        self._values = {}
-
-    def _scan(self, key, scan) -> float:
-        if key not in self._values:
-            self._values[key] = scan().value
-        return self._values[key]
-
-    def ratio(self, w, p, q) -> float:
-        return self._scan(("ratio", w, p, q),
-                          lambda: alpha_ratio(power_fun(p), power_fun(q), w))
-
-    def gap(self, w, p, q, alpha) -> float:
-        return self._scan(("gap", w, p, q, alpha),
-                          lambda: beta_generic(power_fun(p), power_fun(q), alpha, w))
+        self.ratio = functools.cache(
+            lambda w, p, q: alpha_ratio(power_fun(p), power_fun(q), w).value)
+        self.gap = functools.cache(
+            lambda w, p, q, alpha: beta_generic(power_fun(p), power_fun(q), alpha, w).value)
 
 
 @dataclass(frozen=True)
@@ -350,6 +342,9 @@ def validate_config(cfg: CampaignConfig) -> None:
     for m, upper in cfg.windows:
         if not 0.0 < float(m) < float(upper):
             raise ConfigError(f"window ({m}, {upper}) must satisfy 0 < m < M")
+    for name in ("p_grid", "q_grid", "r_grid", "alpha_grid", "p_grid_theorem_1_1"):
+        if not getattr(cfg, name):
+            raise ConfigError(f"{name} must be nonempty")
     for p in cfg.p_grid:
         if p > -DEGENERATE_GAP:
             raise ConfigError(f"p_grid cell p={p} violates p <= -{DEGENERATE_GAP} "

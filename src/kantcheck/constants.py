@@ -11,10 +11,11 @@ the objective from g's values on the grid, evaluated once per scan.  A
 lone scan evaluates every golden-section point afresh, one step at a
 time (``_golden_max``).
 
-``_chord_power_maxima`` makes the ratio and the gap (alpha = 1) of many
-chords of powers t^p against powers t^q over one window, as the sweep
-needs them, from the exponents alone: a grid pass evaluates each t^q on
-the grid once and finds each scan's best grid point, then one
+``_chord_power_maxima`` makes the ratio and the gap (alpha = 1) of the
+chords of powers t^p against powers over one window, as the sweep needs
+them, from its two exponent grids alone (each t^p against itself, and
+every t^p against each t^q): a grid pass evaluates each power on the
+grid once and finds each scan's best grid point, then one
 golden-section pass refines every scan in lockstep
 (``_golden_max_lockstep``), each lane making a lone scan's float
 operations in the same order, so every value is bit for bit the lone
@@ -174,18 +175,14 @@ def _refine(h, window: SpectralWindow, ts: np.ndarray, ys: np.ndarray) -> Extrem
 
     A non-finite value in ys raises DomainError (``_grid_bracket``).
     GOLDEN_ITERS golden-section steps around the best grid point; the
-    result is the best of that, the grid point and both endpoints.
+    result is the golden point, or the grid point if its value is larger.
+    The grid holds m and M, so no endpoint exceeds the grid point.
     """
     i, lo, hi = _grid_bracket(window, ts, ys)
-    t_ref, y_ref = _golden_max(h, lo, hi, GOLDEN_ITERS)
-    candidates = [
-        (y_ref, t_ref),
-        (float(ys[i]), float(ts[i])),
-        (float(ys[0]), window.m),
-        (float(ys[-1]), window.M),
-    ]
-    value, t_star = max(candidates, key=lambda c: c[0])
-    return ExtremumResult(t_star=float(t_star), value=float(value))
+    t, y = _golden_max(h, lo, hi, GOLDEN_ITERS)
+    if ys[i] > y:
+        t, y = ts[i], ys[i]
+    return ExtremumResult(t_star=float(t), value=float(y))
 
 
 def _grid_bracket(window: SpectralWindow, ts: np.ndarray, ys: np.ndarray) -> tuple[int, float, float]:
@@ -270,76 +267,76 @@ def alpha_ratio(f, g, window: SpectralWindow) -> ExtremumResult:
     return _chord_max(chord, window, ys, h, lambda c, y: np.divide(c, y, out=c))
 
 
-def _chord_power_maxima(window: SpectralWindow, ps, scans) -> list:
-    """The oracle ratio and gap of many chords of powers against powers
-    over one window.
+def _chord_power_maxima(window: SpectralWindow, ps, qs) -> tuple[list, list]:
+    """The oracle ratio and gap of the chords of powers t^p against powers
+    over one window, as the sweep needs them: ``(by_p, by_q)``.
 
-    Each scan of ``scans`` is (q, js): js indexes the exponents ``ps``.
-    For each scan in order and each j of its js, the result holds
-    ``(alpha_ratio(f, g, window).value, beta_generic(f, g, 1.0,
-    window).value)`` for f = ``power_fun(ps[j])`` and g = ``power_fun(q)``,
-    bit for bit.
+    ``by_p[i]`` is the (ratio, gap) of t^p_i against itself and
+    ``by_q[j][i]`` that of t^p_i against t^q_j, each ``(alpha_ratio(f, g,
+    window).value, beta_generic(f, g, 1.0, window).value)`` bit for bit.
 
     A grid pass finds every scan's best grid point, and one golden-section
     pass refines all of them in lockstep.  If any of that raises, or meets
-    a non-finite value, the scans are made again one at a time, in order,
-    so the error raised is the one the first failing lone call raises.
+    a non-finite value, the scans are made again one at a time, each p
+    against itself and then every p against each q in turn, so the error
+    raised is the one the first failing lone call raises.
     """
-    fs = [power_fun(p) for p in ps]
     try:
-        return _maxima_in_lockstep(window, fs, scans)
+        return _maxima_in_lockstep(window, ps, qs)
     except DomainError:
         pass
-    values = []
-    for q, js in scans:
-        g = power_fun(q)
-        values += [(alpha_ratio(fs[j], g, window).value,
-                    beta_generic(fs[j], g, 1.0, window).value) for j in js]
-    return values
+    fs = [power_fun(p) for p in ps]
+
+    def lone(f, g):
+        return alpha_ratio(f, g, window).value, beta_generic(f, g, 1.0, window).value
+
+    return [lone(f, f) for f in fs], [[lone(f, power_fun(q)) for f in fs] for q in qs]
 
 
-def _maxima_in_lockstep(window: SpectralWindow, fs, scans) -> list:
-    """``_chord_power_maxima`` of the powers fs through one grid pass and
-    one lockstep golden-section pass, with each check a lone scan makes; a
-    failing check raises a bare DomainError (the lone scans give its
-    message).
+def _maxima_in_lockstep(window: SpectralWindow, ps, qs) -> tuple[list, list]:
+    """``_chord_power_maxima`` through one grid pass and one lockstep
+    golden-section pass, with each check a lone scan makes; a failing check
+    raises a bare DomainError (the lone scans give its message).
 
-    Each f's chord is made once, and each scan's t^q is evaluated on the
-    grid once.  The ratio and the gap of one (f, q) share the chord's grid
-    values and write their objective into the scratch buffer in turn;
-    lane k of n holds the ratio of the k-th (f, q), lane n + k its gap.
+    Each chord of t^p is made once, and each power of the window's scans
+    is evaluated on the grid once.  Lane k of n holds the ratio of the
+    k-th scan, each p against itself and then every p against each q, and
+    lane n + k its gap; the two share the chord's grid values and write
+    their objective into the scratch buffer in turn.
     """
     ts, scratch = _scan_arena(window)
-    chords = []
-    for f in fs:
-        fm, fM = _endpoint_values(f, window)
+    n_p = len(ps)
+    n = n_p * (1 + len(qs))
+    chords = np.empty((2, n_p))
+    for j, p in enumerate(ps):
+        fm, fM = _endpoint_values(power_fun(p), window)
         if not (fm > 0.0 and fM > 0.0):
             raise DomainError
-        chords.append(_chord(fm, fM, window))
-    n = sum(len(js) for _, js in scans)
+        c = _chord(fm, fM, window)
+        chords[:, j] = c.slope, c.intercept
+    slope, intercept = np.tile(chords, 2 * (1 + len(qs)))
+    exponent = np.tile(np.concatenate([ps, np.repeat(qs, n_p)]), 2)
     lo, hi, best = np.empty((3, 2 * n))
-    slope, intercept, exponent = np.empty((3, n))
     chord = np.empty_like(ts)
-    k = 0
     with np.errstate(all="ignore"):
-        for q, js in scans:
-            y = eval_scalar(power_fun(q), ts)
-            if not y.min() > 0.0:
-                raise DomainError
-            for j in js:
-                slope[k], intercept[k], exponent[k] = chords[j].slope, chords[j].intercept, q
-                np.multiply(ts, chords[j].slope, out=chord)
-                chord += chords[j].intercept
-                for lane, combine in ((k, np.divide), (n + k, np.subtract)):
-                    combine(chord, y, out=scratch)
-                    i, lo[lane], hi[lane] = _grid_bracket(window, ts, scratch)
-                    best[lane] = scratch[i]
-                k += 1
-        y_ref = _golden_max_lockstep(lo, hi, *(np.tile(v, 2) for v in (slope, intercept, exponent)), n)
-    # the larger of the golden point and the grid point, the golden point
-    # on a tie; no endpoint exceeds the grid point
-    value = np.where(best > y_ref, best, y_ref).tolist()
-    return list(zip(value[:n], value[n:]))
+        for k in range(n):
+            if k < n_p or k % n_p == 0:  # each p's own power, then each q's
+                y = eval_scalar(power_fun(exponent[k]), ts)
+                if not y.min() > 0.0:
+                    raise DomainError
+            np.multiply(ts, slope[k], out=chord)
+            chord += intercept[k]
+            for lane, combine in ((k, np.divide), (n + k, np.subtract)):
+                combine(chord, y, out=scratch)
+                i, lo[lane], hi[lane] = _grid_bracket(window, ts, scratch)
+                best[lane] = scratch[i]
+        y_ref = _golden_max_lockstep(lo, hi, slope, intercept, exponent, n)
+    # as ``_refine`` chooses: the larger of the golden point and the grid
+    # point, the golden point on a tie
+    value = np.where(best > y_ref, best, y_ref)
+    ratio, gap = (v.reshape(1 + len(qs), n_p).tolist() for v in np.split(value, 2))
+    by_p, *by_q = (list(zip(r, g)) for r, g in zip(ratio, gap))
+    return by_p, by_q
 
 
 def _golden_max_lockstep(a, b, slope, intercept, q, n: int) -> np.ndarray:

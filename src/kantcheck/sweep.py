@@ -3,19 +3,23 @@
 Emits one CSV row per (window, p, q) cell and constant, plus hand-rolled
 SVG line charts of the two-exponent ratio constant against q for each
 fixed p (no plotting dependency).  The oracle values of a window come
-from ``_chord_power_maxima``, which evaluates each power on the window's
-oracle grid once and refines all of the window's scans in one lockstep
-golden-section pass; each value is bit for bit what the public
-``alpha_ratio`` or ``beta_generic`` returns called alone.  K and C,
-and their oracles, depend on (window, p) only and are computed once per
-(window, p).  Every float in the CSV is its ``repr``; the records are
-made as the file is written, each repeated value (m and M per window, p,
-q, and the K and C fields per p) formatted once.
+from ``_chord_power_maxima``, given the two exponent grids: it evaluates
+each power on the window's oracle grid once and refines all of the
+window's scans in one lockstep golden-section pass; each value is bit
+for bit what the public ``alpha_ratio`` or ``beta_generic`` returns
+called alone.  Every window is scanned before the CSV is opened, so a
+failing window writes no file; a closed form that raises while the file
+is written removes it.  Then one loop over window, p and q makes each
+row and its CSV record together as the file is written: every float is
+its ``repr``, and each repeated field is formatted once, at the level
+that makes it (m and M per window, p per p, each q once, and K and C,
+which depend on (window, p) only, per (window, p)).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +32,7 @@ from .constants import (
     kantorovich_K,
     kantorovich_K2,
 )
+from .errors import KantCheckError
 from .hermitian import SpectralWindow
 
 CSV_COLUMNS = ["m", "M", "p", "q", "constant_name", "closed_form", "oracle", "abs_diff"]
@@ -122,92 +127,56 @@ def svg_line_chart(path, title: str, x_label: str, y_label: str, series) -> None
         handle.write("\n".join(parts) + "\n")
 
 
-def _window_oracles(w: SpectralWindow, p_grid, q_grid):
-    """Oracle values (ratio, gap) over one window: per p, of chord(t^p)
-    against t^p (K and C); per q and then p, against t^q (K2 and C2).
-
-    Each power is evaluated on the window's oracle grid once, and every
-    scan of the window is refined in one lockstep pass
-    (``_chord_power_maxima``); the q-major order keeps only a few
-    grid-sized arrays alive at a time.
-    """
-    ps = [float(p) for p in p_grid]
-    n_p = len(ps)
-    scans = [(p, [j]) for j, p in enumerate(ps)]
-    scans += [(float(q), range(n_p)) for q in q_grid]
-    values = _chord_power_maxima(w, ps, scans)
-    return values[:n_p], [values[n_p * i:n_p * (i + 1)] for i in range(1, len(q_grid) + 1)]
-
-
-def _csv_records(rows, n_p: int, n_q: int):
-    """The CSV records of ``rows``, each float field its ``repr``.
-
-    rows run per window, per p, per q, through the constants K, K2, C2
-    and C, and K and C depend on (window, p) only.  So m and M are
-    formatted once per window, p once per p, q once per q, and the K and
-    C fields once per p, from the first q's rows.
-    """
-    def fields(row):
-        return [row["constant_name"], repr(row["closed_form"]), repr(row["oracle"]),
-                repr(row["abs_diff"])]
-
-    yield CSV_COLUMNS
-    if not rows:
-        return
-    per_p = 4 * n_q
-    q_fields = [repr(row["q"]) for row in rows[:per_p:4]]
-    for w_start in range(0, len(rows), n_p * per_p):
-        m_M = [repr(rows[w_start]["m"]), repr(rows[w_start]["M"])]
-        for start in range(w_start, w_start + n_p * per_p, per_p):
-            p_field = repr(rows[start]["p"])
-            k_fields, c_fields = fields(rows[start]), fields(rows[start + 3])
-            for j, q_field in enumerate(q_fields, start // 4):
-                head = [*m_M, p_field, q_field]
-                yield head + k_fields
-                yield head + fields(rows[4 * j + 1])
-                yield head + fields(rows[4 * j + 2])
-                yield head + c_fields
+def _constant(name: str, closed: float, oracle: float) -> tuple:
+    """A constant's row fields, then their CSV fields, each float its ``repr``."""
+    diff = abs(closed - oracle)
+    return name, closed, oracle, diff, [name, repr(closed), repr(oracle), repr(diff)]
 
 
 def sweep_constants(windows, p_grid, q_grid, out_dir) -> SweepResult:
     """Evaluate K, K2, C2, C per cell against their oracles; write CSV + SVGs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    ws = [SpectralWindow(*window) for window in windows]
+    ps, qs = [float(p) for p in p_grid], [float(q) for q in q_grid]
+    # every window's scans run before the CSV is opened: a failing window
+    # leaves no file
+    oracles = [_chord_power_maxima(w, ps, qs) for w in ws]
     rows = []
-    max_diff = 0.0
-    for window in windows:
-        w = SpectralWindow(*window)
-        by_p, by_q = _window_oracles(w, p_grid, q_grid)
-        for i, p in enumerate(p_grid):
-            p = float(p)
-            oracle_k, oracle_c = by_p[i]
-            closed_k, closed_c = kantorovich_K(w, p), kantorovich_C(w, p)
-            for j, q in enumerate(q_grid):
-                q = float(q)
-                oracle_k2, oracle_c2 = by_q[j][i]
-                values = [
-                    ("K", closed_k, oracle_k),
-                    ("K2", kantorovich_K2(w, p, q), oracle_k2),
-                    ("C2", kantorovich_C2(w, p, q), oracle_c2),
-                    ("C", closed_c, oracle_c),
-                ]
-                for name, closed, oracle in values:
-                    diff = abs(closed - oracle)
-                    max_diff = max(max_diff, diff)
-                    rows.append({
-                        "m": w.m, "M": w.M, "p": p, "q": q,
-                        "constant_name": name, "closed_form": closed,
-                        "oracle": oracle, "abs_diff": diff,
-                    })
+
+    def records():
+        yield CSV_COLUMNS
+        q_fields = [repr(q) for q in qs]
+        for w, (by_p, by_q) in zip(ws, oracles):
+            m, M = w.m, w.M
+            m_M = [repr(m), repr(M)]
+            for i, p in enumerate(ps):
+                p_head = [*m_M, repr(p)]
+                k = _constant("K", kantorovich_K(w, p), by_p[i][0])
+                c = _constant("C", kantorovich_C(w, p), by_p[i][1])
+                for q, q_field, at_q in zip(qs, q_fields, by_q):
+                    head = [*p_head, q_field]
+                    k2 = _constant("K2", kantorovich_K2(w, p, q), at_q[i][0])
+                    c2 = _constant("C2", kantorovich_C2(w, p, q), at_q[i][1])
+                    for name, closed, oracle, diff, fields in (k, k2, c2, c):
+                        rows.append({"m": m, "M": M, "p": p, "q": q, "constant_name": name,
+                                     "closed_form": closed, "oracle": oracle, "abs_diff": diff})
+                        yield head + fields
+
     csv_path = out / "constants.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-        csv.writer(handle).writerows(_csv_records(rows, len(p_grid), len(q_grid)))
+    try:
+        with open(csv_path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows(records())
+    except KantCheckError:
+        # a closed form outside its regime raises as the file is written
+        csv_path.unlink()
+        raise
     svg_paths = []
-    for idx, window in enumerate(windows):
-        w = SpectralWindow(*window)
+    for idx, w in enumerate(ws):
         path = out / f"k2_vs_q_window_{idx}.svg"
         svg_line_chart(path, f"K2(m={w.m:g}, M={w.M:g}, p, q) against q",
                        "q", "K2", _chart_series(w, p_grid))
         svg_paths.append(str(path))
+    max_diff = functools.reduce(max, (row["abs_diff"] for row in rows), 0.0)
     return SweepResult(rows=rows, max_abs_diff=max_diff, csv_path=str(csv_path),
                        svg_paths=svg_paths)

@@ -35,7 +35,7 @@ from kantcheck.constants import (
     kantorovich_K2,
     power_fun,
 )
-from kantcheck.errors import ConfigError, DomainError
+from kantcheck.errors import ConfigError, DomainError, ParameterError
 from kantcheck.generators import gen_weighted_family
 from kantcheck.hermitian import SpectralWindow
 from kantcheck.hunt import hunt_sharpness
@@ -68,6 +68,9 @@ def test_oracle_scans_are_the_fresh_public_scans_bit_for_bit():
     scans = OracleScans()
     got = [(scans.ratio(w, p, q), scans.gap(w, p, q, 2.0)) for p, q in inputs]
     assert np.array(got).tobytes() == np.array(fresh).tobytes()
+
+
+EXPONENT_GRIDS = ["p_grid", "q_grid", "r_grid", "alpha_grid", "p_grid_theorem_1_1"]
 
 
 class TestConfig:
@@ -120,6 +123,13 @@ class TestConfig:
                                               r"underflows 1e-200\*\*2.0 to 0.0"):
             validate_config(CampaignConfig(windows=[(1e-200, 1.0)], p_grid=[-0.5],
                                            p_grid_theorem_1_1=[2.0]))
+
+    @pytest.mark.parametrize("field", EXPONENT_GRIDS)
+    def test_an_empty_grid_is_rejected_before_anything_is_written(self, tmp_path, field):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=f"^{field} must be nonempty$"):
+            run_campaign(CampaignConfig(**{field: []}, output_dir=str(out)))
+        assert not out.exists()
 
     def test_load_config_round_trip(self, tmp_path):
         cfg = CampaignConfig(suites=["corollary_2_3"], samples_per_cell=3)
@@ -466,6 +476,17 @@ class TestSweep:
             sweep_constants([(1e-200, 1.0)], [-3.0, -1.0], [-0.5], tmp_path)
         assert str(swept.value) == str(lone.value)
 
+    @pytest.mark.parametrize("windows, q, error", [
+        # f(m) = (1e-200)^-3 overflows in the second window's scans
+        ([(1.0, 2.0), (1e-200, 1.0)], -0.5, DomainError),
+        # the scans pass, and C2 rejects q > 0 as the file is written
+        ([(1.0, 2.0)], 0.5, ParameterError),
+    ], ids=["window", "closed_form"])
+    def test_a_failing_sweep_leaves_no_file(self, tmp_path, windows, q, error):
+        with pytest.raises(error):
+            sweep_constants(windows, [-3.0], [q], tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_grid_values_are_still_checked(self, tmp_path):
         with pytest.raises(DomainError, match=r"^scalar function non-finite at t=0\.001$"):
             sweep_constants([(1e-3, 1.0)], [-0.5], [-400.0], tmp_path)
@@ -679,6 +700,16 @@ class TestCli:
         assert cli_main([*argv, "--config", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: window (1000.0, 10000.0): p=-200.0 underflows")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", EXPONENT_GRIDS)
+    @pytest.mark.parametrize("command", ["sweep", "run"])
+    def test_an_empty_grid_is_a_config_error(self, tmp_path, capsys, command, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({field: []}))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {field} must be nonempty\n"
         assert not out.exists()
 
     def test_show_rejects_unreadable_reports(self, tmp_path, capsys):

@@ -460,49 +460,62 @@ class TestLockstep:
             constants._golden_max_lockstep(np.array([1.0, lo]), np.array([2.0, 2.0 * lo]),
                                            np.ones(2), np.ones(2), np.array([-1.0, -3.0]), 2)
 
+    @staticmethod
+    def lone_scans(w, ps, qs):
+        """What ``_chord_power_maxima`` returns, from the public scans."""
+        def lone(p, e):
+            f, g = power_fun(p), power_fun(e)
+            return alpha_ratio(f, g, w).value, beta_generic(f, g, 1.0, w).value
+
+        return [lone(p, p) for p in ps], [[lone(p, q) for p in ps] for q in qs]
+
     def test_maxima_are_the_lone_scans(self):
+        # by_p[i] is p_i against itself, by_q[j][i] p_i against q_j; -1.0 is
+        # in both grids
         w = SpectralWindow(0.5, 4.0)
-        ps = [-2.5, -1.0, -0.2]
-        scans = [(-1.0, [1]), (-0.6, range(3)), (0.5, [2, 0])]
-        want = [(alpha_ratio(power_fun(ps[j]), power_fun(q), w).value,
-                 beta_generic(power_fun(ps[j]), power_fun(q), 1.0, w).value)
-                for q, js in scans for j in js]
-        got = constants._chord_power_maxima(w, ps, scans)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        ps, qs = [-2.5, -1.0, -0.2], [-1.0, -0.6]
+        by_p, by_q = constants._chord_power_maxima(w, ps, qs)
+        assert len(by_p) == 3 and len(by_q) == 2 and all(len(row) == 3 for row in by_q)
+        want_p, want_q = self.lone_scans(w, ps, qs)
+        assert np.array(by_p).tobytes() == np.array(want_p).tobytes()
+        assert np.array(by_q).tobytes() == np.array(want_q).tobytes()
 
     @pytest.mark.parametrize("w", WINDOWS + [SpectralWindow(0.05, 20.0)])
     def test_given_exponents_it_returns_the_public_scans_bit_for_bit(self, w):
-        # each p against itself, then every p against each q, as the sweep
-        # asks; q = -1, 0.5 and 2 are where numpy's own power loops take
-        # fast paths
+        # q = -1, 0.5 and 2 are where numpy's own power loops take fast paths
         rng = np.random.default_rng(11)
         ps = [float(p) for p in rng.uniform(-3.0, -0.05, 5)]
         qs = [-1.0, 0.5, 2.0] + [float(q) for q in rng.uniform(-1.0, -0.05, 3)]
-        scans = [(p, [j]) for j, p in enumerate(ps)] + [(q, range(len(ps))) for q in qs]
-        want = []
-        for q, js in scans:
-            g = power_fun(q)
-            want += [(alpha_ratio(power_fun(ps[j]), g, w).value,
-                      beta_generic(power_fun(ps[j]), g, 1.0, w).value) for j in js]
-        got = constants._chord_power_maxima(w, ps, scans)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        got = constants._chord_power_maxima(w, ps, qs)
+        want = self.lone_scans(w, ps, qs)
+        for got_part, want_part in zip(got, want):
+            assert np.array(got_part).tobytes() == np.array(want_part).tobytes()
 
     def test_a_failing_scan_is_made_again_alone(self):
-        # g = t^-0.5 is not real on (-1, 1): the lone ratio scan's error
+        # on (-1, 1), g = t^-0.5 is not real at t = -1.0 and g = t^-2 is
+        # inf at t = 0.0; t^0 is 1.0 everywhere, so p = 0 against itself
+        # passes.  The lone scans run each p against itself, then every p
+        # against each q, and the first failing one gives the error.
         w = SpectralWindow(-1.0, 1.0)
-        with pytest.raises(DomainError) as lone:
-            alpha_ratio(power_fun(-2.0), power_fun(-0.5), w)
-        with pytest.raises(DomainError) as lockstep:
-            constants._chord_power_maxima(w, [-2.0], [(-0.5, [0])])
-        assert str(lockstep.value) == str(lone.value)
+        lone = {}
+        for e in (-0.5, -2.0):
+            with pytest.raises(DomainError) as raised:
+                alpha_ratio(power_fun(0.0), power_fun(e), w)
+            lone[e] = str(raised.value)
+        assert lone[-0.5] != lone[-2.0]
+        for ps, qs, first in [([0.0], [-0.5, -2.0], -0.5), ([0.0], [-2.0, -0.5], -2.0),
+                              ([0.0, -2.0], [-0.5], -2.0)]:
+            with pytest.raises(DomainError) as lockstep:
+                constants._chord_power_maxima(w, ps, qs)
+            assert str(lockstep.value) == lone[first], (ps, qs)
         # t^2 is 0.0 at the grid point 0.0 of (-1, 1): the grid pass's own
         # sign check raises no message; the lone scan gives it
         assert 0.0 in constants._scan_arena(w)[0]
         with pytest.raises(DomainError) as bare:
-            constants._maxima_in_lockstep(w, [power_fun(2.0)], [(2.0, [0])])
+            constants._maxima_in_lockstep(w, [2.0], [])
         assert str(bare.value) == ""
         with pytest.raises(DomainError, match="^g must be positive on the window$"):
-            constants._chord_power_maxima(w, [2.0], [(2.0, [0])])
+            constants._chord_power_maxima(w, [2.0], [])
 
 
 class TestModuleInvariants:
