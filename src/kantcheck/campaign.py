@@ -19,7 +19,8 @@ stack is drawn.
 Stacking removes numpy's per-call overhead, which dominates at d <= 6;
 the budget keeps a d = 64 stack at one member, where stacking gains
 nothing and would only hold more matrices in memory.  Cells still run
-one ``run_cell`` each, in enumeration order.  The oracle scans behind
+one ``run_cell`` each, in enumeration order, and a suite's report file
+is open only while its cells run.  The oracle scans behind
 the cells' constants are made once per run (``OracleScans``), and a
 block's scans share its window's scan arena (``constants``).
 """
@@ -327,6 +328,8 @@ def validate_config(cfg: CampaignConfig) -> None:
     for suite in cfg.suites:
         if suite not in SUITES:
             raise ConfigError(f"unknown suite {suite!r}; known: {ALL_SUITES}")
+        if cfg.suites.count(suite) > 1:
+            raise ConfigError(f"suite {suite!r} is listed twice")
     for name in ("samples_per_cell", "fuzz_samples"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
@@ -427,17 +430,14 @@ def _stream(generate: Callable, dim: int, window: SpectralWindow, seeds: list):
         yield from generate(dim, window, seeds[start:start + size])
 
 
-def run_cell(cfg: CampaignConfig, cell: Cell,
-             block: Block | None = None) -> tuple[list, float | None]:
+def run_cell(cfg: CampaignConfig, cell: Cell, block: Block) -> tuple[list, float | None]:
     """Run every sample of one parameter cell.
 
-    ``block`` is the cell's block in a campaign run, which supplies its
-    instances and the run's oracle scans; alone, the cell is a block of
-    its own.  Returns the chain reports plus the absolute
+    ``block`` is the cell's block, which supplies its instances and the
+    run's oracle scans.  Returns the chain reports plus the absolute
     closed-form-vs-oracle deviation of the cell's constant, when the
     suite has one.
     """
-    block = Block(cfg, [cell], OracleScans()) if block is None else block
     suite, w = block.suite, block.window
     params = {name: value for name, value in cell.params.items() if name != "window"}
     args = params if suite.cell_args is None else suite.cell_args(block.scans, w, **params)
@@ -532,35 +532,29 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     config_hash = cfg.config_hash()
 
     stats: dict = {}
-    handles: dict = {}
     # the encoder json.dumps builds for these separators, built once per run
     encode = json.JSONEncoder(separators=(",", ":")).encode
-    try:
-        for suite in cfg.suites:
-            stats[suite] = SuiteStats(suite=suite)
-            handle = open(reports_dir / f"{suite}.jsonl", "w", encoding="utf-8")
-            handles[suite] = handle
-            header = {
-                "suite": suite,
-                "statement": CHAIN_CATALOG[suite],
-                "config_hash": config_hash,
-                "base_seed": cfg.base_seed,
-                "config": cfg.semantic_dict(),
-            }
+    scans = OracleScans()
+    # enumerate_cells lists each suite's cells together, window by window
+    for suite, suite_cells in itertools.groupby(cells, key=lambda c: c.suite):
+        stats[suite] = SuiteStats(suite=suite)
+        header = {
+            "suite": suite,
+            "statement": CHAIN_CATALOG[suite],
+            "config_hash": config_hash,
+            "base_seed": cfg.base_seed,
+            "config": cfg.semantic_dict(),
+        }
+        with open(reports_dir / f"{suite}.jsonl", "w", encoding="utf-8") as handle:
             handle.write(encode(header) + "\n")
-        scans = OracleScans()
-        for _, run in itertools.groupby(cells, key=lambda c: (c.suite, c.params["window"])):
-            run = list(run)
-            block = Block(cfg, run, scans)
-            for cell in run:
-                reports, deviation = run_cell(cfg, cell, block)
-                stats[cell.suite].absorb(reports, deviation)
-                handle = handles[cell.suite]
-                for report in reports:
-                    handle.write(encode(report.to_json_dict()) + "\n")
-    finally:
-        for handle in handles.values():
-            handle.close()
+            for _, run in itertools.groupby(suite_cells, key=lambda c: c.params["window"]):
+                run = list(run)
+                block = Block(cfg, run, scans)
+                for cell in run:
+                    reports, deviation = run_cell(cfg, cell, block)
+                    stats[suite].absorb(reports, deviation)
+                    for report in reports:
+                        handle.write(encode(report.to_json_dict()) + "\n")
 
     _write_summary_csv(out_dir / "summary.csv", stats)
     return CampaignSummary(

@@ -6,10 +6,10 @@ validated against scans the objective on GRID_RESOLUTION equal cells of
 the window, then refines around the best grid point by golden section; the
 two routes must agree to 1e-6 relative on the supported exponent grids.
 ``grid_max_1d`` scans any objective.  ``alpha_ratio`` and ``beta_generic``
-scan chord(f) / g and chord(f) - alpha * g through one body that builds
-the objective from g's values on the grid, evaluated once per scan.  A
-lone scan evaluates every golden-section point afresh, one step at a
-time (``_golden_max``).
+scan chord(f) / g and chord(f) - alpha * g: each evaluates g on the grid
+once, builds the objective from those values in place and refines it
+(``_refine``), the step every scan ends in.  A lone scan evaluates every
+golden-section point afresh, one step at a time (``_golden_max``).
 
 ``_chord_power_maxima`` makes the ratio and the gap (alpha = 1) of the
 chords of powers t^p against powers over one window, as the sweep needs
@@ -93,14 +93,14 @@ class ChordCoefficients:
 
 def chord_coefficients(f, window: SpectralWindow) -> ChordCoefficients:
     """Chord of f over [m, M]: slope (f(M)-f(m))/(M-m), matching endpoints."""
-    return _chord(*_endpoint_values(f, window), window)
+    return ChordCoefficients(*_chord(*_endpoint_values(f, window), window))
 
 
-def _chord(fm: float, fM: float, window: SpectralWindow) -> ChordCoefficients:
-    """The chord through (m, fm) and (M, fM)."""
+def _chord(fm: float, fM: float, window: SpectralWindow) -> tuple[float, float]:
+    """The slope and intercept of the chord through (m, fm) and (M, fM)."""
     slope = (fM - fm) / window.width
     intercept = (window.M * fm - window.m * fM) / window.width
-    return ChordCoefficients(slope, intercept)
+    return slope, intercept
 
 
 @dataclass(frozen=True)
@@ -212,29 +212,12 @@ def grid_max_1d(h, window: SpectralWindow) -> ExtremumResult:
     return _refine(h, window, ts, real_values(h, ts))
 
 
-def _chord_max(chord: ChordCoefficients, window: SpectralWindow, ys: np.ndarray, h,
-               finish) -> ExtremumResult:
-    """Maximize h over [m, M], where h(t) combines chord(t) with g(t).
-
-    On the grid, ``finish(c, ys)`` makes the same combination in place, of
-    the chord's values c with g's values ys, and ``_refine`` checks the
-    result for being finite; golden-section points are evaluated through h.
-    """
-    grid, _ = _scan_arena(window)
-    with np.errstate(all="ignore"):
-        c = np.multiply(grid, chord.slope)
-        c += chord.intercept
-        finish(c, ys)
-    return _refine(h, window, grid, c)
-
-
 def beta_generic(f, g, alpha: float, window: SpectralWindow) -> ExtremumResult:
     """Oracle gap: max over [m, M] of chord_of_f(t) - alpha * g(t)."""
     fm, fM = _endpoint_values(f, window)
     if not (fm > 0.0 and fM > 0.0):
         raise DomainError("f must be positive at the window endpoints")
-    chord = _chord(fm, fM, window)
-    slope, intercept = chord.slope, chord.intercept
+    slope, intercept = _chord(fm, fM, window)
     alpha = float(alpha)
     grid, scratch = _scan_arena(window)
     ys = eval_scalar(g, grid)
@@ -242,19 +225,20 @@ def beta_generic(f, g, alpha: float, window: SpectralWindow) -> ExtremumResult:
     def h(t):
         return slope * t + intercept - alpha * g(t)
 
-    def finish(c, y):
-        # y * 1.0 is y, bit for bit
-        c -= y if alpha == 1.0 else np.multiply(y, alpha, out=scratch)
-
-    return _chord_max(chord, window, ys, h, finish)
+    with np.errstate(all="ignore"):
+        c = grid * slope
+        c += intercept
+        # ys * 1.0 is ys, bit for bit
+        c -= ys if alpha == 1.0 else np.multiply(ys, alpha, out=scratch)
+    return _refine(h, window, grid, c)
 
 
 def alpha_ratio(f, g, window: SpectralWindow) -> ExtremumResult:
     """Oracle ratio: max over [m, M] of chord_of_f(t) / g(t); needs g > 0
     at every grid point."""
-    chord = chord_coefficients(f, window)
-    slope, intercept = chord.slope, chord.intercept
-    ys = eval_scalar(g, _scan_arena(window)[0])
+    slope, intercept = _chord(*_endpoint_values(f, window), window)
+    grid, _ = _scan_arena(window)
+    ys = eval_scalar(g, grid)
     if not ys.min() > 0.0:
         raise DomainError("g must be positive on the window")
 
@@ -264,7 +248,11 @@ def alpha_ratio(f, g, window: SpectralWindow) -> ExtremumResult:
         y = g(t)
         return (slope * t + intercept) / y * (y / y)
 
-    return _chord_max(chord, window, ys, h, lambda c, y: np.divide(c, y, out=c))
+    with np.errstate(all="ignore"):
+        c = grid * slope
+        c += intercept
+        c /= ys
+    return _refine(h, window, grid, c)
 
 
 def _chord_power_maxima(window: SpectralWindow, ps, qs) -> tuple[list, list]:
@@ -312,8 +300,7 @@ def _maxima_in_lockstep(window: SpectralWindow, ps, qs) -> tuple[list, list]:
         fm, fM = _endpoint_values(power_fun(p), window)
         if not (fm > 0.0 and fM > 0.0):
             raise DomainError
-        c = _chord(fm, fM, window)
-        chords[:, j] = c.slope, c.intercept
+        chords[:, j] = _chord(fm, fM, window)
     slope, intercept = np.tile(chords, 2 * (1 + len(qs)))
     exponent = np.tile(np.concatenate([ps, np.repeat(qs, n_p)]), 2)
     lo, hi, best = np.empty((3, 2 * n))

@@ -248,31 +248,22 @@ def _certified_pairs(a: Array, b: Array, window: SpectralWindow, certificate: st
     """One pair per member of the stacks ``a`` and ``b``, handed its members of
     one stack of operands (its A and B are views of it) and of the decompositions
     ``spectra`` (spec_A among them), certified by its member of each fact.  The
-    facts, and the positivity of each A, are tested for the whole stack at once;
-    the first member to fail raises the error ``_certified`` raises for it."""
-    operands = np.stack([a, b], axis=1)
-    decs = [dec.members() for dec in spectra.values()]
-    pairs = [_with_spectra(CertifiedPair(A=ops[0], B=ops[1], window=window,
-                                         certificate=certificate, seed=int(seed),
-                                         window_side=window_side),
-                           operands=ops, **dict(zip(spectra, member_decs)))
-             for seed, ops, *member_decs in zip(seeds, operands, *decs)]
-    positive = spectra["spec_A"].eigenvalues[:, 0] > 0.0
-    failed = np.flatnonzero(~np.array([*facts.values(), positive]).all(axis=0))
+    facts, and the one all certificates share, a strictly positive A, are tested
+    for the whole stack at once; the first member to fail raises a GenerationError
+    that lists its value of every fact."""
+    facts = {**facts, "positive": spectra["spec_A"].eigenvalues[:, 0] > 0.0}
+    failed = np.flatnonzero(~np.array(list(facts.values())).all(axis=0))
     if failed.size:
         i = failed[0]
-        _certified(pairs[i], **{name: bool(holds[i]) for name, holds in facts.items()})
-    return pairs
-
-
-def _certified(pair: CertifiedPair, **facts) -> CertifiedPair:
-    """Return ``pair`` if each named certificate fact holds, plus the one all
-    certificates share, a strictly positive A; else raise listing every fact."""
-    facts["positive"] = float(pair.spec_A.eigenvalues[0]) > 0.0
-    if not all(facts.values()):
-        listed = " ".join(f"{name}={holds}" for name, holds in facts.items())
-        raise GenerationError(f"{pair.certificate} certificate failed for seed {pair.seed}: {listed}")
-    return pair
+        listed = " ".join(f"{name}={bool(holds[i])}" for name, holds in facts.items())
+        raise GenerationError(f"{certificate} certificate failed for seed {int(seeds[i])}: {listed}")
+    operands = np.stack([a, b], axis=1)
+    decs = [dec.members() for dec in spectra.values()]
+    return [_with_spectra(CertifiedPair(A=ops[0], B=ops[1], window=window,
+                                        certificate=certificate, seed=int(seed),
+                                        window_side=window_side),
+                          operands=ops, **dict(zip(spectra, member_decs)))
+            for seed, ops, *member_decs in zip(seeds, operands, *decs)]
 
 
 def gen_dominated_pair(dim: int, window: SpectralWindow, seed: int,

@@ -1,9 +1,12 @@
+import collections
 import csv
 import dataclasses
 import gc
 import hashlib
+import inspect
 import itertools
 import json
+import sys
 import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 from kantcheck import campaign, constants, hunt, verifiers
 from kantcheck.campaign import (
     ALL_SUITES,
+    SUITES,
     Block,
     CampaignConfig,
     CampaignSummary,
@@ -80,6 +84,11 @@ class TestConfig:
     def test_unknown_suite(self):
         with pytest.raises(ConfigError, match="unknown suite"):
             validate_config(CampaignConfig(suites=["theorem_9_9"]))
+
+    def test_a_suite_listed_twice(self):
+        with pytest.raises(ConfigError, match="^suite 'corollary_2_3' is listed twice$"):
+            validate_config(CampaignConfig(suites=["corollary_2_3", "lemma_3_1",
+                                                   "corollary_2_3"]))
 
     def test_regime_violations_name_the_cell(self):
         with pytest.raises(ConfigError, match="q=-2.0"):
@@ -264,7 +273,8 @@ class TestRunCampaign:
             monkeypatch.setattr(module, "beta_generic", counted)
         cfg = CampaignConfig(suites=[suite], dims=[2, 3], windows=[(1.0, 2.0)],
                              p_grid=[-1.0], q_grid=[-0.5], samples_per_cell=4)
-        reports, _ = run_cell(cfg, enumerate_cells(cfg)[0])
+        (cell,) = enumerate_cells(cfg)
+        reports, _ = run_cell(cfg, cell, Block(cfg, [cell], OracleScans()))
         assert len(reports) == 4 and all(report.overall for report in reports)
         assert len(calls) == 1
 
@@ -299,7 +309,8 @@ class TestRunCampaign:
         grid = dict(suites=[suite], windows=[(1.0, 2.0)], q_grid=[-0.5], r_grid=[-0.5],
                     p_grid_theorem_1_1=[2.0, 3.0])
         cfg = CampaignConfig(dims=[64], p_grid=[-1.0], samples_per_cell=2, **grid)
-        reports, _ = run_cell(cfg, enumerate_cells(cfg)[0])
+        cell = enumerate_cells(cfg)[0]
+        reports, _ = run_cell(cfg, cell, Block(cfg, [cell], OracleScans()))
         assert len(reports) == 2 and all(report.overall for report in reports)
         assert shapes and all(len(shape) == 2 or shape[0] == 1 for shape in shapes)
         shapes.clear()
@@ -352,6 +363,93 @@ class TestRunCampaign:
                              output_dir=str(tmp_path / "cells"))
         assert run_campaign(cfg).total_failures == 0
         assert seen == list(range(len(enumerate_cells(cfg))))
+
+    def test_a_raising_check_leaves_the_files_written_before_it_whole(self, monkeypatch,
+                                                                      tmp_path):
+        """A check that raises in the second suite's second cell ends the run
+        with its error; the first suite's file is whole (header and every
+        report) and the second's holds its header and first cell, each
+        byte for byte as in a clean run."""
+        cfg = CampaignConfig(suites=["corollary_2_3", "lemma_3_1"], dims=[2, 3],
+                             windows=[(1.0, 2.0)], p_grid=[-1.0, -0.5], q_grid=[-0.5],
+                             r_grid=[-0.5], samples_per_cell=2,
+                             output_dir=str(tmp_path / "clean"))
+        run_campaign(cfg)
+        clean = read_bytes_tree(cfg.output_dir)
+        real = verifiers.check_lemma_3_1_forward
+        error = RuntimeError("check failed")
+        calls = []
+
+        def raising(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > cfg.samples_per_cell:
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verifiers, "check_lemma_3_1_forward", raising)
+        cfg.output_dir = str(tmp_path / "broken")
+        with pytest.raises(RuntimeError) as info:
+            run_campaign(cfg)
+        assert info.value is error
+        written = read_bytes_tree(cfg.output_dir)
+        assert set(written) == {"reports/corollary_2_3.jsonl", "reports/lemma_3_1.jsonl"}
+        first = written["reports/corollary_2_3.jsonl"]
+        assert first == clean["reports/corollary_2_3.jsonl"]
+        assert first.count(b"\n") == 1 + 2 * cfg.samples_per_cell
+        second = clean["reports/lemma_3_1.jsonl"].splitlines(keepends=True)
+        assert written["reports/lemma_3_1.jsonl"] == b"".join(second[:1 + cfg.samples_per_cell])
+
+    def test_every_report_is_one_unnested_public_check_call(self, monkeypatch, tmp_path):
+        """A traced run counts one span per public ``verifiers.check_*`` call
+        and sums links from the spans; that agrees with the reports only if
+        each report comes from one call and no public check calls another.
+        Every check is wrapped in each namespace that binds it, as the
+        tracer does."""
+        calls = collections.Counter()
+        nested = []
+        running = []
+        links = collections.Counter()
+
+        def wrap(name, fn):
+            def wrapped(*args, **kwargs):
+                if running:
+                    nested.append((running[-1], name))
+                running.append(name)
+                try:
+                    report = fn(*args, **kwargs)
+                finally:
+                    running.pop()
+                calls[name] += 1
+                links["links"] += len(report.links)
+                links["tight"] += sum(lk.tight for lk in report.links)
+                links["failed"] += sum(not lk.holds for lk in report.links)
+                return report
+            return wrapped
+
+        namespaces = [module for name, module in sys.modules.items()
+                      if name == "kantcheck" or name.startswith("kantcheck.")]
+        for name, fn in list(vars(verifiers).items()):
+            if (name.startswith("check_") and inspect.isfunction(fn)
+                    and fn.__module__ == verifiers.__name__):
+                wrapper = wrap(name, fn)
+                for namespace in namespaces:
+                    for attr, value in list(vars(namespace).items()):
+                        if value is fn:
+                            monkeypatch.setattr(namespace, attr, wrapper)
+        cfg = CampaignConfig(dims=[2, 3], samples_per_cell=2, output_dir=str(tmp_path / "all"))
+        summary = run_campaign(cfg)
+        assert nested == []
+        written = collections.Counter()
+        for suite, stats in summary.suites.items():
+            lines = (Path(cfg.output_dir) / "reports" / f"{suite}.jsonl").read_text().splitlines()
+            assert calls[SUITES[suite].check] == stats.checks == len(lines) - 1
+            for record in map(json.loads, lines[1:]):
+                written["links"] += len(record["links"])
+                written["tight"] += sum(lk["tight"] for lk in record["links"])
+                written["failed"] += sum(not lk["holds"] for lk in record["links"])
+        assert sum(calls.values()) == summary.total_checks
+        assert links == written
+        assert links["tight"] == sum(s.tight_links for s in summary.suites.values())
 
     def test_theorem_4_1_line_regenerates_from_its_seed(self, tmp_path):
         cfg = CampaignConfig(suites=["theorem_4_1"], dims=[2, 3], windows=[(1.0, 2.0)],
@@ -485,6 +583,14 @@ class TestSweep:
     def test_a_failing_sweep_leaves_no_file(self, tmp_path, windows, q, error):
         with pytest.raises(error):
             sweep_constants(windows, [-3.0], [q], tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("p_grid, q_grid, field", [([], [-0.5], "p_grid"),
+                                                        ([-1.0], [], "q_grid")])
+    def test_an_empty_grid_raises_before_any_file_is_written(self, tmp_path, p_grid, q_grid,
+                                                              field):
+        with pytest.raises(ParameterError, match=f"^{field} must be nonempty$"):
+            sweep_constants([(1.0, 2.0)], p_grid, q_grid, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_grid_values_are_still_checked(self, tmp_path):
@@ -710,6 +816,14 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main([command, "--config", str(bad), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {field} must be nonempty\n"
+        assert not out.exists()
+
+    def test_a_suite_listed_twice_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--suite", "corollary_2_3", "--suite", "lemma_3_1",
+                "--suite", "corollary_2_3", "--samples", "1", "--out", str(out)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == "config error: suite 'corollary_2_3' is listed twice\n"
         assert not out.exists()
 
     def test_show_rejects_unreadable_reports(self, tmp_path, capsys):

@@ -29,7 +29,7 @@ from kantcheck.generators import (
     pair_to_json,
     read_corpus,
     write_corpus,
-    _certified,
+    _certified_pairs,
 )
 from kantcheck.hermitian import (
     SpectralWindow,
@@ -164,12 +164,15 @@ class TestDominatedPairs:
         assert int(np.sum(slacks > 0.3 * W12.width)) >= 1
 
     def test_certificate_failure_lists_every_fact(self):
-        a = np.diag([-0.5, 1.0]).astype(complex)
-        b = np.diag([1.5, 1.2]).astype(complex)
-        pair = CertifiedPair(A=a, B=b, window=W12, certificate=CERT_DOMINATED, seed=4)
+        # seed 3's pair passes; seed 4's has order and window but a negative A
+        a = np.array([np.diag([1.0, 1.2]), np.diag([-0.5, 1.0])]).astype(complex)
+        b = np.array([np.diag([1.5, 1.8]), np.diag([1.5, 1.2])]).astype(complex)
+        spec_b = eig_hermitian(b)
+        facts = {"order": np.array([loewner_leq(x, y).holds for x, y in zip(a, b)]),
+                 "window": spectrum_in_window(spec_b, W12, 0.0)}
         with pytest.raises(GenerationError) as info:
-            _certified(pair, order=loewner_leq(a, b).holds,
-                       window=spectrum_in_window(pair.spec_B, W12, 0.0))
+            _certified_pairs(a, b, W12, CERT_DOMINATED, [3, 4], facts,
+                             spec_A=eig_hermitian(a), spec_B=spec_b)
         assert str(info.value) == ("dominated certificate failed for seed 4: "
                                    "order=True window=True positive=False")
 
