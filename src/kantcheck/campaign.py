@@ -43,14 +43,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import verifiers
-from .constants import (
-    alpha_ratio,
-    beta_generic,
-    beta_power_closed,
-    kantorovich_K,
-    kantorovich_K2,
-    power_fun,
-)
+from .constants import alpha_ratio, beta_generic, beta_power_closed, kantorovich_K, power_fun
 from .errors import ConfigError
 from .generators import (
     WINDOW_ON_A,
@@ -99,8 +92,10 @@ class Suite:
     values.  ``cell_args(scans, window, **params)`` computes once per cell
     the keyword arguments after the instance, oracle constants included;
     by default they are the parameters themselves.  ``deviation(scans,
-    window, **params, **cell_args)`` is the cell's closed-form-vs-oracle
-    distance, if any.  Both take oracle values from the run's
+    window, report_params, **params)`` compares the constant one report
+    carries in its params, the float its check used, with its oracle scan;
+    a cell's deviation is the largest over its reports, taken after its
+    checks ran.  Both take oracle values from the run's
     ``OracleScans``.  ``check`` names a ``verifiers`` function and is
     looked up at call time, so a rebinding of that name (as a tracer
     makes) is honoured; the other callables resolve module globals at call
@@ -158,50 +153,43 @@ def _self_gap(scans, w, p) -> dict:
     return {"f": power_fun(p), "alpha": alpha, "beta": scans.gap(w, p, p, alpha)}
 
 
-def _ratio_deviation(scans, w, p, q) -> float:
-    """|K2(m,M,p,q) - max chord(t^p)/t^q| against the oracle."""
-    return abs(kantorovich_K2(w, p, q) - scans.ratio(w, p, q))
-
-
-def _gap_deviation(scans, w, p, q, alpha) -> float:
-    """|beta(p,q,alpha) - max{chord(t^p) - alpha t^q}| against the oracle."""
-    return abs(beta_power_closed(w, p, q, alpha) - scans.gap(w, p, q, alpha))
-
-
 _P = (("p", "p_grid"),)
 _PQ = _P + (("q", "q_grid"),)
 _PR = _P + (("r", "r_grid"),)
 
 SUITES = {
     "theorem_1_1": Suite((("p", "p_grid_theorem_1_1"),), _dominated_on_a, "check_theorem_1_1",
-                         deviation=lambda s, w, p: _ratio_deviation(s, w, p, p)),
+                         deviation=lambda s, w, rp, p: abs(rp["K"] - s.ratio(w, p, p))),
     "theorem_2_1": Suite(_PQ, _dominated_on_b, "check_theorem_2_1", cell_args=_tight_gap),
     "corollary_2_2": Suite(_PQ + (("alpha", "alpha_grid"),), _dominated_on_b,
-                           "check_corollary_2_2", deviation=_gap_deviation),
+                           "check_corollary_2_2", deviation=lambda s, w, rp, p, q, alpha:
+                           abs(rp["beta"] - s.gap(w, p, q, alpha))),
     "corollary_2_3": Suite(_PQ, _dominated_on_b, "check_corollary_2_3",
-                           deviation=_ratio_deviation),
+                           deviation=lambda s, w, rp, p, q: abs(rp["K2"] - s.ratio(w, p, q))),
     "corollary_2_4": Suite(_PQ, _dominated_on_b, "check_corollary_2_4",
-                           deviation=lambda s, w, p, q: _gap_deviation(s, w, p, q, 1.0)),
+                           deviation=lambda s, w, rp, p, q: abs(rp["C2"] - s.gap(w, p, q, 1.0))),
     "lemma_3_1": Suite(_PR, _chaotic, "check_lemma_3_1_forward"),
-    "corollary_3_2": Suite(_PR, _chaotic, "check_corollary_3_2",
-                           deviation=lambda s, w, p, r: _ratio_deviation(s, w, p + r, p + r)),
-    "corollary_3_3": Suite(_PR, _chaotic, "check_corollary_3_3",
-                           deviation=lambda s, w, p, r: _gap_deviation(s, w, p + r, p + r, 1.0)),
+    "corollary_3_2": Suite(_PR, _chaotic, "check_corollary_3_2", deviation=lambda s, w, rp, p, r:
+                           abs(rp["K"] - s.ratio(w, p + r, p + r))),
+    "corollary_3_3": Suite(_PR, _chaotic, "check_corollary_3_3", deviation=lambda s, w, rp, p, r:
+                           abs(rp["C"] - s.gap(w, p + r, p + r, 1.0))),
     "theorem_4_1": Suite(_PQ, _weighted_family, "check_theorem_4_1", cell_args=_tight_gap),
+    # the check's beta is the oracle's, so the closed form is the other side
     "theorem_4_2": Suite(_P, _relative_with_map, "check_theorem_4_2", cell_args=_self_gap,
-                         deviation=lambda s, w, p, f, alpha, beta:
-                         _gap_deviation(s, w, p, p, alpha)),
+                         deviation=lambda s, w, rp, p:
+                         abs(beta_power_closed(w, p, p, rp["alpha"]) - rp["beta"])),
     "corollary_4_3": Suite(_P, _relative_with_map, "check_corollary_4_3",
                            cell_args=lambda s, w, p: {"p": p, "alpha": kantorovich_K(w, p)},
-                           deviation=lambda s, w, p, alpha: _gap_deviation(s, w, p, p, alpha)),
+                           deviation=lambda s, w, rp, p:
+                           abs(rp["beta"] - s.gap(w, p, p, rp["alpha"]))),
     "corollary_4_4": Suite(
         _P + (("mode", ("ratio", "difference")),), _relative_with_map, "check_corollary_4_4",
-        deviation=lambda s, w, p, mode: (_ratio_deviation(s, w, p, p) if mode == "ratio"
-                                         else _gap_deviation(s, w, p, p, 1.0))),
+        deviation=lambda s, w, rp, p, mode: (abs(rp["K"] - s.ratio(w, p, p)) if mode == "ratio"
+                                             else abs(rp["C"] - s.gap(w, p, p, 1.0)))),
     # regime -1 <= p < 0
     "theorem_4_5": Suite((("p", "q_grid"),), _relative_with_map, "check_theorem_4_5",
-                         deviation=lambda s, w, p: max(_ratio_deviation(s, w, p, p),
-                                                       _gap_deviation(s, w, p, p, 1.0))),
+                         deviation=lambda s, w, rp, p: max(abs(rp["K"] - s.ratio(w, p, p)),
+                                                           abs(rp["C"] - s.gap(w, p, p, 1.0)))),
 }
 
 ALL_SUITES = list(SUITES)
@@ -434,19 +422,18 @@ def run_cell(cfg: CampaignConfig, cell: Cell, block: Block) -> tuple[list, float
     """Run every sample of one parameter cell.
 
     ``block`` is the cell's block, which supplies its instances and the
-    run's oracle scans.  Returns the chain reports plus the absolute
-    closed-form-vs-oracle deviation of the cell's constant, when the
+    run's oracle scans.  Returns the chain reports plus the largest
+    absolute deviation of a report's constant from its oracle, when the
     suite has one.
     """
     suite, w = block.suite, block.window
     params = {name: value for name, value in cell.params.items() if name != "window"}
     args = params if suite.cell_args is None else suite.cell_args(block.scans, w, **params)
-    deviation = (None if suite.deviation is None
-                 else suite.deviation(block.scans, w, **{**params, **args}))
     check = getattr(verifiers, suite.check)
     reports = [check(*next(block.streams[_dim_for(cfg, j)]), **args, rel_tol=cfg.rel_tol)
                for j in range(cfg.samples_per_cell)]
-    return reports, deviation
+    return reports, (None if suite.deviation is None else
+                     max(suite.deviation(block.scans, w, r.params, **params) for r in reports))
 
 
 @dataclass

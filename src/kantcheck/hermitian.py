@@ -62,16 +62,25 @@ Array = np.ndarray
 
 
 def frobenius(a: Array) -> float:
-    return float(np.linalg.norm(a))
+    """The Frobenius norm, taken again scaled by the largest entry where the squares overflow."""
+    norm = float(np.linalg.norm(a))
+    if math.isinf(norm) and np.isfinite(a).all():
+        scale = np.abs(a).max()
+        norm = float(scale * np.linalg.norm(a / scale))
+    return norm
 
 
 def _frobenius_norms(stack: Array) -> Array:
     """``frobenius`` of each member of a complex stack (k, n, n), bit for bit:
-    each member's squared norm is the same two BLAS dot products
-    ``np.linalg.norm`` takes, of its real and of its imaginary parts."""
+    the two BLAS dot products ``np.linalg.norm`` takes, of each member's real
+    and imaginary parts, and ``frobenius`` itself where they overflow."""
     flat = stack.reshape(len(stack), 1, -1)
     re, im = flat.real, flat.imag
-    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
+    norms = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
+    if not np.isfinite(norms).all():
+        for i in np.flatnonzero(np.isinf(norms)):
+            norms[i] = frobenius(stack[i])
+    return norms
 
 
 def hermitize(a: Array) -> Array:

@@ -7,9 +7,9 @@ from ``_chord_power_maxima``, given the two exponent grids: it evaluates
 each power on the window's oracle grid once and refines all of the
 window's scans in one lockstep golden-section pass; each value is bit
 for bit what the public ``alpha_ratio`` or ``beta_generic`` returns
-called alone.  An empty grid raises before any file is written, and
-every window is scanned before the CSV is opened, so a failing window
-writes no file; a closed form that raises while the file is written
+called alone.  An empty grid or window list raises before any file is
+written, and every window is scanned before the CSV is opened, so a
+failing window writes no file; a closed form that raises while the file is written
 removes it.  Then one loop over window, p and q makes each
 row and its CSV record together as the file is written: every float is
 its ``repr``, and each repeated field is formatted once, at the level
@@ -138,6 +138,8 @@ def sweep_constants(windows, p_grid, q_grid, out_dir) -> SweepResult:
     """Evaluate K, K2, C2, C per cell against their oracles; write CSV + SVGs."""
     ws = [SpectralWindow(*window) for window in windows]
     ps, qs = [float(p) for p in p_grid], [float(q) for q in q_grid]
+    if not ws:
+        raise ParameterError("windows must be nonempty")
     if not (ps and qs):
         raise ParameterError(f"{'q_grid' if ps else 'p_grid'} must be nonempty")
     out = Path(out_dir)

@@ -451,6 +451,26 @@ class TestRunCampaign:
         assert links == written
         assert links["tight"] == sum(s.tight_links for s in summary.suites.values())
 
+    @pytest.mark.parametrize("closed_form, suites", [
+        ("kantorovich_K2", ["corollary_2_3"]),
+        ("kantorovich_K", ["theorem_1_1", "corollary_3_2", "corollary_4_4", "theorem_4_5"]),
+        ("kantorovich_C", ["corollary_3_3", "corollary_4_4", "theorem_4_5"]),
+        ("kantorovich_C2", ["corollary_2_4"]),
+        # corollary_4_3's beta is about 0, so a relative error has no absolute size
+        ("beta_power_closed", ["corollary_2_2"]),
+    ])
+    def test_the_deviation_reads_the_constant_each_check_used(self, monkeypatch, tmp_path,
+                                                              closed_form, suites):
+        """A closed form scaled by (1 - 1e-6) where the checks call it moves
+        the deviation of every suite whose check uses it."""
+        real = getattr(verifiers, closed_form)
+        monkeypatch.setattr(verifiers, closed_form, lambda *args: real(*args) * (1.0 - 1e-6))
+        cfg = CampaignConfig(suites=suites, dims=[2, 3], samples_per_cell=2,
+                             output_dir=str(tmp_path / closed_form))
+        summary = run_campaign(cfg)
+        assert {suite: stats.max_constant_dev > 1e-9
+                for suite, stats in summary.suites.items()} == dict.fromkeys(suites, True)
+
     def test_theorem_4_1_line_regenerates_from_its_seed(self, tmp_path):
         cfg = CampaignConfig(suites=["theorem_4_1"], dims=[2, 3], windows=[(1.0, 2.0)],
                              p_grid=[-1.0], q_grid=[-0.5], samples_per_cell=3, base_seed=5,
@@ -585,12 +605,15 @@ class TestSweep:
             sweep_constants(windows, [-3.0], [q], tmp_path)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("p_grid, q_grid, field", [([], [-0.5], "p_grid"),
-                                                        ([-1.0], [], "q_grid")])
-    def test_an_empty_grid_raises_before_any_file_is_written(self, tmp_path, p_grid, q_grid,
-                                                              field):
+    @pytest.mark.parametrize("windows, p_grid, q_grid, field", [
+        ([(1.0, 2.0)], [], [-0.5], "p_grid"),
+        ([(1.0, 2.0)], [-1.0], [], "q_grid"),
+        ([], [-1.0], [-0.5], "windows"),
+    ], ids=["p_grid", "q_grid", "windows"])
+    def test_an_empty_grid_raises_before_any_file_is_written(self, tmp_path, windows, p_grid,
+                                                              q_grid, field):
         with pytest.raises(ParameterError, match=f"^{field} must be nonempty$"):
-            sweep_constants([(1.0, 2.0)], p_grid, q_grid, tmp_path)
+            sweep_constants(windows, p_grid, q_grid, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_grid_values_are_still_checked(self, tmp_path):
@@ -755,6 +778,20 @@ class TestCli:
         assert cli_main(argv) == 2
         assert "rel_tol must be a finite number" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_huge_alpha_gives_finite_tolerances(self, tmp_path, capsys):
+        """alpha A^q at alpha = 1e300 has entries whose squares overflow; each
+        link's tolerance stays finite, so the report holds no Infinity."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suites": ["corollary_2_2"], "alpha_grid": [1e300],
+                                   "dims": [2], "samples_per_cell": 2}))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        text = (out / "reports" / "corollary_2_2.jsonl").read_text()
+        assert "Infinity" not in text
+        tolerances = [link["tolerance"] for line in text.splitlines()[1:]
+                      for link in json.loads(line)["links"]]
+        assert len(tolerances) == 360 and max(tolerances) > 1e290
 
     def test_hunt_rejects_negative_samples(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -16,6 +16,7 @@ from kantcheck.hermitian import (
     eval_scalar,
     frobenius,
     geometric_interpolant,
+    hermitian,
     loewner_leq,
     loewner_verdicts,
     matrix_exp,
@@ -481,3 +482,29 @@ class TestNonFiniteEntries:
         stack = np.stack([diag(1, 2), self._matrix(bad, entry), diag(2, 3)])
         with pytest.raises(ValueError, match="NaN or infinite"):
             eig_hermitian(stack)
+
+
+class TestEntriesWhoseSquaresOverflow:
+    """Entries above about 1e154 overflow their squares, not the norm."""
+
+    def test_frobenius_is_finite(self):
+        assert frobenius(np.array([[3e200, 4e200j]])) == pytest.approx(5e200, rel=1e-15)
+        assert frobenius(np.array([[1e200, math.inf]])) == math.inf
+
+    def test_an_asymmetry_is_still_rejected(self):
+        with pytest.raises(HermiticityError, match="by 1.000e\\+190"):
+            hermitian(np.array([[1e200, 1e190], [0.0, 1e200]]))
+
+    def test_a_failing_order_still_fails(self):
+        verdict = loewner_leq(np.diag([1e200, 0.0]), np.diag([1e200, -1e190]))
+        assert not verdict.holds
+        assert verdict.min_slack == -1e190
+        assert verdict.tolerance_used == pytest.approx(1e-8 * 1e190, rel=1e-15)
+
+    def test_stacked_tolerances_still_equal_one_norm_per_link(self):
+        zero = np.zeros((2, 2), dtype=complex)
+        diffs = [diag(1e200, -1e190), diag(1.0, 2.0), diag(-1e160, 1e160)]
+        verdicts = loewner_verdicts([(zero, diff) for diff in diffs])
+        assert [v.tolerance_used for v in verdicts] == [
+            1e-8 * (1.0 + frobenius(diff)) for diff in diffs]
+        assert all(math.isfinite(v.tolerance_used) for v in verdicts)
