@@ -64,9 +64,10 @@ Array = np.ndarray
 def frobenius(a: Array) -> float:
     """The Frobenius norm, taken again scaled by the largest entry where the squares overflow."""
     norm = float(np.linalg.norm(a))
-    if math.isinf(norm) and np.isfinite(a).all():
-        scale = np.abs(a).max()
-        norm = float(scale * np.linalg.norm(a / scale))
+    if math.isinf(norm):
+        scale = np.abs(a).max()  # inf where an entry or its modulus is
+        if math.isfinite(scale):
+            norm = float(scale * np.linalg.norm(a / scale))
     return norm
 
 

@@ -9,8 +9,8 @@ window's scans in one lockstep golden-section pass; each value is bit
 for bit what the public ``alpha_ratio`` or ``beta_generic`` returns
 called alone.  An empty grid or window list raises before any file is
 written, and every window is scanned before the CSV is opened, so a
-failing window writes no file; a closed form that raises while the file is written
-removes it.  Then one loop over window, p and q makes each
+failing window writes no file; a closed form that raises while the file
+is written removes it.  Then one loop over window, p and q makes each
 row and its CSV record together as the file is written: every float is
 its ``repr``, and each repeated field is formatted once, at the level
 that makes it (m and M per window, p per p, each q once, and K and C,

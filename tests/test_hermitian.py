@@ -487,9 +487,12 @@ class TestNonFiniteEntries:
 class TestEntriesWhoseSquaresOverflow:
     """Entries above about 1e154 overflow their squares, not the norm."""
 
-    def test_frobenius_is_finite(self):
+    def test_frobenius_is_infinite_only_where_an_entry_or_the_norm_is(self):
         assert frobenius(np.array([[3e200, 4e200j]])) == pytest.approx(5e200, rel=1e-15)
+        assert frobenius(np.array([[1.5e308, 1.5e308]])) == math.inf
         assert frobenius(np.array([[1e200, math.inf]])) == math.inf
+        assert frobenius(np.array([[1.5e308 + 1.5e308j]])) == math.inf
+        assert math.isnan(frobenius(np.array([[1e200, math.nan]])))
 
     def test_an_asymmetry_is_still_rejected(self):
         with pytest.raises(HermiticityError, match="by 1.000e\\+190"):
