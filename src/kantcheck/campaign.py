@@ -10,19 +10,20 @@ header.  Work items are pure functions of (seed, cell), so the loop can
 be fanned out; this runner executes them serially and merges in
 enumeration order.
 
-An instance depends only on (dim, window, seed), so consecutive cells
-that share a suite and a window form a ``Block`` whose samples are
-generated together: one stream per dim yields that dim's samples in
-block order, drawn in stacks of at most ``STACK_ELEMENTS`` matrix
-entries when a cell first needs one, each checked before the dim's next
-stack is drawn.
+An instance depends only on (dim, window, seed), and the generators
+take one window per seed, so all of a suite's cells, across its windows,
+form a ``Block`` whose samples are generated together: one stream per
+dim yields that dim's samples in block order, each in its cell's window,
+drawn in stacks of at most ``STACK_ELEMENTS`` matrix entries when a cell
+first needs one, each checked before the dim's next stack is drawn.
 Stacking removes numpy's per-call overhead, which dominates at d <= 6;
 the budget keeps a d = 64 stack at one member, where stacking gains
 nothing and would only hold more matrices in memory.  Cells still run
 one ``run_cell`` each, in enumeration order, and a suite's report file
 is open only while its cells run.  The oracle scans behind
-the cells' constants are made once per run (``OracleScans``), and a
-block's scans share its window's scan arena (``constants``).
+the cells' constants are made once per run (``OracleScans``), and the
+scans of a suite's cells in one window share that window's scan arena
+(``constants``).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from . import verifiers
 from .constants import alpha_ratio, beta_generic, beta_power_closed, kantorovich_K, power_fun
 from .errors import ConfigError
 from .generators import (
+    POSITIVITY_MARGIN_FACTOR,
     WINDOW_ON_A,
     gen_chaotic_pairs,
     gen_dominated_pairs,
@@ -85,8 +87,8 @@ class OracleScans:
 class Suite:
     """How the campaign runs one catalogued chain.
 
-    ``generate(dim, window, seeds)`` returns one instance, a tuple of check
-    arguments, per seed; a sample calls ``check(*instance, **cell_args,
+    ``generate(dim, windows, seeds)`` returns one instance, a tuple of check
+    arguments, per (window, seed); a sample calls ``check(*instance, **cell_args,
     rel_tol=rel_tol)``.  ``axes`` lists (parameter, source) pairs in loop
     order; a source names a config grid field or is a tuple of literal
     values.  ``cell_args(scans, window, **params)`` computes once per cell
@@ -117,26 +119,26 @@ def _kraus_count(seed: int) -> int:
     return 1 + seed % 3
 
 
-def _dominated_on_b(dim, w, seeds):
-    return [(pair,) for pair in gen_dominated_pairs(dim, w, seeds)]
+def _dominated_on_b(dim, windows, seeds):
+    return [(pair,) for pair in gen_dominated_pairs(dim, windows, seeds)]
 
 
-def _dominated_on_a(dim, w, seeds):
-    return [(pair,) for pair in gen_dominated_pairs(dim, w, seeds, window_side=WINDOW_ON_A)]
+def _dominated_on_a(dim, windows, seeds):
+    return [(pair,) for pair in gen_dominated_pairs(dim, windows, seeds, window_side=WINDOW_ON_A)]
 
 
-def _chaotic(dim, w, seeds):
-    return [(pair,) for pair in gen_chaotic_pairs(dim, w, seeds)]
+def _chaotic(dim, windows, seeds):
+    return [(pair,) for pair in gen_chaotic_pairs(dim, windows, seeds)]
 
 
-def _relative_with_map(dim, w, seeds):
-    pairs = gen_relative_pairs(dim, w, seeds)
+def _relative_with_map(dim, windows, seeds):
+    pairs = gen_relative_pairs(dim, windows, seeds)
     return list(zip(pairs, gen_positive_linear_maps(dim, _out_dim(dim), map(_kraus_count, seeds),
                                                     [seed + MAP_SEED_OFFSET for seed in seeds])))
 
 
-def _weighted_family(dim, w, seeds):
-    return [(family,) for family in gen_weighted_families(3, dim, _out_dim(dim), w, seeds)]
+def _weighted_family(dim, windows, seeds):
+    return [(family,) for family in gen_weighted_families(3, dim, _out_dim(dim), windows, seeds)]
 
 
 def _tight_gap(scans, w, p, q) -> dict:
@@ -310,6 +312,30 @@ def _check_powers_fit(cfg: CampaignConfig) -> None:
                                       f"{t}**{e} to 0.0")
 
 
+def _check_alphas_fit(cfg: CampaignConfig) -> None:
+    """Reject an alpha for which alpha A^q overflows a float on some
+    generated pair, for some window and q.
+
+    corollary_2_2 tests links against alpha A^q + beta, with q < 0, on
+    dominated pairs, whose generator keeps lambda_min(A) >= c m with
+    c = POSITIVITY_MARGIN_FACTOR, so the entries of alpha A^q reach up to
+    alpha (c m)^q; ``hermitize`` then adds each link's difference to its
+    adjoint before halving it, which doubles them.  So 2 alpha (c m)^q must
+    be finite.  The oracle scans alpha t^q on [m, M], whose largest value
+    alpha m^q is smaller by the factor c^(-q) > 1, so it stays finite too.
+    """
+    for alpha in cfg.alpha_grid:
+        for m, upper in cfg.windows:
+            for q in cfg.q_grid:
+                try:
+                    largest = 2.0 * float(alpha) * (POSITIVITY_MARGIN_FACTOR * float(m)) ** float(q)
+                except OverflowError:
+                    largest = math.inf
+                if not math.isfinite(largest):
+                    raise ConfigError(f"alpha_grid cell alpha={alpha} overflows alpha A^q for "
+                                      f"window ({m}, {upper}) and q={q}")
+
+
 def validate_config(cfg: CampaignConfig) -> None:
     """Reject wrongly typed fields, and grids that leave a suite's supported regime."""
     _check_field_types(cfg)
@@ -353,6 +379,7 @@ def validate_config(cfg: CampaignConfig) -> None:
         if p < 1.0 + DEGENERATE_GAP:
             raise ConfigError(f"p_grid_theorem_1_1 cell p={p} violates p >= {1.0 + DEGENERATE_GAP}")
     _check_powers_fit(cfg)
+    _check_alphas_fit(cfg)
     if cfg.rel_tol <= 0.0:
         raise ConfigError(f"rel_tol must be positive, got {cfg.rel_tol}")
 
@@ -389,44 +416,50 @@ def _dim_for(cfg: CampaignConfig, j: int) -> int:
 
 
 class Block:
-    """Consecutive cells that share a suite and a window, whose samples are
-    generated together, plus the run's oracle scans.
+    """Cells of one suite, across its windows, whose samples are generated
+    together, plus the run's oracle scans.
 
-    An instance depends only on (dim, window, seed).  ``streams[dim]``
-    yields that dim's check arguments in block order, drawing a stack of at
-    most ``STACK_ELEMENTS`` matrix entries when a cell first needs one, so
-    each stack is checked before the dim's next is drawn.
+    An instance depends only on (dim, window, seed), and the generators
+    take one window per seed.  ``streams[dim]`` yields that dim's check
+    arguments in block order, each drawn in its cell's window, drawing a
+    stack of at most ``STACK_ELEMENTS`` matrix entries when a cell first
+    needs one, so each stack is checked before the dim's next is drawn.
+    A stack may mix windows; every instance is bit for bit the one a stack
+    of one window makes.
     """
 
     def __init__(self, cfg: CampaignConfig, cells: list, scans: OracleScans):
         self.suite = SUITES[cells[0].suite]
-        self.window = SpectralWindow(*cells[0].params["window"])
         self.scans = scans
-        seeds = collections.defaultdict(list)
+        draws = collections.defaultdict(lambda: ([], []))
         for cell in cells:
+            window = SpectralWindow(*cell.params["window"])
             for j, seed in enumerate(_cell_seeds(cfg, cell)):
-                seeds[_dim_for(cfg, j)].append(seed)
-        self.streams = {dim: _stream(self.suite.generate, dim, self.window, dim_seeds)
-                        for dim, dim_seeds in seeds.items()}
+                windows, seeds = draws[_dim_for(cfg, j)]
+                windows.append(window)
+                seeds.append(seed)
+        self.streams = {dim: _stream(self.suite.generate, dim, windows, seeds)
+                        for dim, (windows, seeds) in draws.items()}
 
 
-def _stream(generate: Callable, dim: int, window: SpectralWindow, seeds: list):
+def _stream(generate: Callable, dim: int, windows: list, seeds: list):
     # takes no Block, so a block and its streams form no reference cycle and
     # are freed as soon as the run moves on to the next block
     size = max(1, STACK_ELEMENTS // (dim * dim))
     for start in range(0, len(seeds), size):
-        yield from generate(dim, window, seeds[start:start + size])
+        yield from generate(dim, windows[start:start + size], seeds[start:start + size])
 
 
 def run_cell(cfg: CampaignConfig, cell: Cell, block: Block) -> tuple[list, float | None]:
     """Run every sample of one parameter cell.
 
     ``block`` is the cell's block, which supplies its instances and the
-    run's oracle scans.  Returns the chain reports plus the largest
+    run's oracle scans; the cell arguments and the deviation are taken in
+    the cell's own window.  Returns the chain reports plus the largest
     absolute deviation of a report's constant from its oracle, when the
     suite has one.
     """
-    suite, w = block.suite, block.window
+    suite, w = block.suite, SpectralWindow(*cell.params["window"])
     params = {name: value for name, value in cell.params.items() if name != "window"}
     args = params if suite.cell_args is None else suite.cell_args(block.scans, w, **params)
     check = getattr(verifiers, suite.check)
@@ -522,8 +555,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     # the encoder json.dumps builds for these separators, built once per run
     encode = json.JSONEncoder(separators=(",", ":")).encode
     scans = OracleScans()
-    # enumerate_cells lists each suite's cells together, window by window
+    # enumerate_cells lists each suite's cells together
     for suite, suite_cells in itertools.groupby(cells, key=lambda c: c.suite):
+        suite_cells = list(suite_cells)
         stats[suite] = SuiteStats(suite=suite)
         header = {
             "suite": suite,
@@ -534,14 +568,12 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
         }
         with open(reports_dir / f"{suite}.jsonl", "w", encoding="utf-8") as handle:
             handle.write(encode(header) + "\n")
-            for _, run in itertools.groupby(suite_cells, key=lambda c: c.params["window"]):
-                run = list(run)
-                block = Block(cfg, run, scans)
-                for cell in run:
-                    reports, deviation = run_cell(cfg, cell, block)
-                    stats[suite].absorb(reports, deviation)
-                    for report in reports:
-                        handle.write(encode(report.to_json_dict()) + "\n")
+            block = Block(cfg, suite_cells, scans)
+            for cell in suite_cells:
+                reports, deviation = run_cell(cfg, cell, block)
+                stats[suite].absorb(reports, deviation)
+                for report in reports:
+                    handle.write(encode(report.to_json_dict()) + "\n")
 
     _write_summary_csv(out_dir / "summary.csv", stats)
     return CampaignSummary(

@@ -7,13 +7,14 @@ an integer seed through numpy's PCG64 generator, so identical
 (seed, dim, window) inputs reproduce identical artifacts byte-for-byte
 in the exchange format.
 
-Each pair family has one body that takes a list of seeds: every seed
-draws from its own generator, and the QR factorizations, eigensolves
-and products then run once over the stack of members.  The
-single-seed generators are that body on a stack of one.  Kraus maps
-and weighted families are drawn the same way: each seed's draws keep
-their order, then every map's normalization matrix is decomposed and
-inverted, and every family operand placed in the window, as one stack.
+Each pair family has one body that takes a list of seeds and one
+window per seed: every seed draws from its own generator, and the QR
+factorizations, eigensolves and products then run once over the stack
+of members.  The single-seed generators are that body on a stack of
+one.  Kraus maps and weighted families are drawn the same way: each
+seed's draws keep their order, then every map's normalization matrix is
+decomposed and inverted, and every family operand placed in its window,
+as one stack.  A relative pair's A and its C are placed in one stack too.
 Each Kraus factor is drawn straight into the column stack that
 normalizes it, and every map's normalization is certified with its
 stack, in one computation, rather than by each map when it is made.
@@ -21,6 +22,12 @@ Likewise each pair family tests its certificate facts (its order, by
 ``hermitian._holds``) for the whole stack at once.  The generators
 decompose their own intermediates with ``_eigh``, which does not
 re-validate them.
+
+A stack may mix windows.  The bodies apply each member's m and M, and
+what is derived from them (the placement margins, the positivity
+margin, the chaotic log-window, taken with ``math.log``), as per-member
+arrays built by the float operations a lone call makes, so every member
+gets the bits a single-window call gives it.
 
 A window placement targets the endpoints m and M but nudges its targets
 inside by a margin that grows with the dimension, so that each operand's
@@ -35,6 +42,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,7 +167,7 @@ def gen_hermitian_in_window(dim: int, window: SpectralWindow, rng) -> Array:
     roundoff still pushed an eigenvalue outside, the targets are nudged
     further inward and the matrix is rebuilt.
     """
-    return _place_in_window([_window_draws(dim, _rng(rng))], window)[0][0]
+    return _place_in_window([_window_draws(dim, _rng(rng))], _Windows.of([window]))[0][0]
 
 
 def _window_draws(dim: int, rng) -> tuple[Array, Array]:
@@ -172,18 +180,32 @@ def _window_draws(dim: int, rng) -> tuple[Array, Array]:
     return rng.random((2, dim)), rng.standard_normal((2, dim, dim))
 
 
-def _window_targets(uniforms: Array, window: SpectralWindow) -> Array:
-    """The target spectrum of each member of a stack (k, 2, d) of uniforms:
-    m or M with probability ENDPOINT_PROB each, else uniform in the window."""
+class _Windows(NamedTuple):
+    """One window per member of a stack: member i's m and M are ``m[i]`` and
+    ``M[i]``, the floats its SpectralWindow holds.  ``spectrum_in_window``
+    takes it as it takes a window, and tests each member against its own."""
+
+    m: Array
+    M: Array
+
+    @classmethod
+    def of(cls, windows) -> "_Windows":
+        return cls(np.array([w.m for w in windows]), np.array([w.M for w in windows]))
+
+
+def _window_targets(uniforms: Array, windows: _Windows) -> Array:
+    """The target spectrum of each member of a stack (k, 2, d) of uniforms,
+    in its own window: m or M with probability ENDPOINT_PROB each, else
+    uniform in the window."""
     u, position = uniforms[:, 0], uniforms[:, 1]
-    interior = window.m + window.width * position
-    return np.where(u < ENDPOINT_PROB, window.m,
-                    np.where(u < 2 * ENDPOINT_PROB, window.M, interior))
+    m, upper = windows.m[:, None], windows.M[:, None]
+    interior = m + (upper - m) * position
+    return np.where(u < ENDPOINT_PROB, m, np.where(u < 2 * ENDPOINT_PROB, upper, interior))
 
 
-def _place_in_window(draws: list, window: SpectralWindow) -> tuple[Array, SpectralDecomposition]:
-    """The stack of window placements of a list of ``_window_draws``, and
-    the stacked decomposition their window test made.
+def _place_in_window(draws: list, windows: _Windows) -> tuple[Array, SpectralDecomposition]:
+    """The stack of window placements of a list of ``_window_draws``, each
+    in its own window, and the stacked decomposition their window test made.
 
     The targets start nudged inside the window by 8 * dim * eps times the
     window's scale, which covers the roundoff of the rebuild and of its
@@ -191,22 +213,27 @@ def _place_in_window(draws: list, window: SpectralWindow) -> tuple[Array, Spectr
     window test passes on the first try.  Should a member's test still
     fail, its targets are nudged further inward and the whole stack is
     rebuilt and tested again; a member that passed is rebuilt bit for bit.
+    A member's margin only grows while it fails, so it is the one a lone
+    placement of that member uses.
     """
     uniforms, parts = zip(*draws)
     q = _haar(_complex_normal(np.array(parts)))
-    scale = max(abs(window.m), abs(window.M), 1.0)
+    m, upper = windows
+    scale = np.maximum(np.maximum(np.abs(m), np.abs(upper)), 1.0)
     margin = 8.0 * np.finfo(float).eps * scale * q.shape[-1]
-    target = np.clip(np.sort(_window_targets(np.array(uniforms), window), axis=-1),
-                     window.m + margin, window.M - margin)
+    target = np.clip(np.sort(_window_targets(np.array(uniforms), windows), axis=-1),
+                     (m + margin)[:, None], (upper - margin)[:, None])
     for _ in range(6):
         a = hermitize((q * target[:, None, :]) @ q.conj().swapaxes(-1, -2))
         dec = _eigh(a)
-        outside = ~spectrum_in_window(dec, window, 0.0)
+        outside = ~spectrum_in_window(dec, windows, 0.0)
         if not outside.any():
             return a, dec
         margin *= 8.0
-        target[outside] = np.clip(target[outside], window.m + margin, window.M - margin)
-    raise GenerationError(f"could not place a spectrum inside [{window.m}, {window.M}]")
+        target[outside] = np.clip(target[outside], (m + margin)[outside, None],
+                                  (upper - margin)[outside, None])
+    i = np.flatnonzero(outside)[0]
+    raise GenerationError(f"could not place a spectrum inside [{float(m[i])}, {float(upper[i])}]")
 
 
 def _perturbation_draws(rngs: list, n_uniform: int, dim: int) -> tuple[Array, Array]:
@@ -243,14 +270,15 @@ def _random_psd(gaussians: Array, spectral_norm: Array, iso_floor: Array) -> Arr
     return np.where(zero[per_member], 0.0, blended * spectral_norm[per_member])
 
 
-def _certified_pairs(a: Array, b: Array, window: SpectralWindow, certificate: str, seeds,
+def _certified_pairs(a: Array, b: Array, windows: list, certificate: str, seeds,
                      facts: dict, window_side: str = WINDOW_ON_B, **spectra) -> list:
-    """One pair per member of the stacks ``a`` and ``b``, handed its members of
-    one stack of operands (its A and B are views of it) and of the decompositions
-    ``spectra`` (spec_A among them), certified by its member of each fact.  The
-    facts, and the one all certificates share, a strictly positive A, are tested
-    for the whole stack at once; the first member to fail raises a GenerationError
-    that lists its value of every fact."""
+    """One pair per member of the stacks ``a`` and ``b``, in its member of
+    ``windows``, handed its members of one stack of operands (its A and B are
+    views of it) and of the decompositions ``spectra`` (spec_A among them),
+    certified by its member of each fact.  The facts, and the one all
+    certificates share, a strictly positive A, are tested for the whole
+    stack at once; the first member to fail raises a GenerationError that
+    lists its value of every fact."""
     facts = {**facts, "positive": spectra["spec_A"].eigenvalues[:, 0] > 0.0}
     failed = np.flatnonzero(~np.array(list(facts.values())).all(axis=0))
     if failed.size:
@@ -263,7 +291,7 @@ def _certified_pairs(a: Array, b: Array, window: SpectralWindow, certificate: st
                                         certificate=certificate, seed=int(seed),
                                         window_side=window_side),
                           operands=ops, **dict(zip(spectra, member_decs)))
-            for seed, ops, *member_decs in zip(seeds, operands, *decs)]
+            for window, seed, ops, *member_decs in zip(windows, seeds, operands, *decs)]
 
 
 def gen_dominated_pair(dim: int, window: SpectralWindow, seed: int,
@@ -276,40 +304,50 @@ def gen_dominated_pair(dim: int, window: SpectralWindow, seed: int,
     adds a PSD perturbation of norm rho*(M - m) to get B.  rho defaults to
     a uniform draw in (0, 1); passing rho=0 yields A = B.
     """
-    return gen_dominated_pairs(dim, window, [seed], rho, window_side)[0]
+    return gen_dominated_pairs(dim, [window], [seed], rho, window_side)[0]
 
 
-def gen_dominated_pairs(dim: int, window: SpectralWindow, seeds,
+def _one_per_seed(windows, seeds) -> list:
+    """The list of ``windows``, which must hold one window per seed."""
+    windows = list(windows)
+    if len(windows) != len(seeds):
+        raise ValueError(f"need one window per seed, got {len(windows)} for {len(seeds)} seeds")
+    return windows
+
+
+def gen_dominated_pairs(dim: int, windows, seeds,
                         rho: float | None = None,
                         window_side: str = WINDOW_ON_B) -> list:
-    """``gen_dominated_pair`` of each seed, with each step stacked over the seeds.
+    """``gen_dominated_pair`` of each (window, seed), with each step stacked
+    over the seeds.
 
     Each seed draws from its own generator in the order a lone pair does,
     so every pair is bit for bit the one ``gen_dominated_pair`` makes.
     """
-    w = window.require_positive()
+    ws = [w.require_positive() for w in _one_per_seed(windows, seeds)]
     if window_side not in (WINDOW_ON_A, WINDOW_ON_B):
         raise ValueError(f"window_side must be 'A' or 'B', got {window_side!r}")
     if not seeds:
         return []
     rngs = [_rng(seed) for seed in seeds]
-    anchor, spec = _place_in_window([_window_draws(dim, rng) for rng in rngs], w)
+    bounds = _Windows.of(ws)
+    anchor, spec = _place_in_window([_window_draws(dim, rng) for rng in rngs], bounds)
     uniforms, gaussians = _perturbation_draws(rngs, 2, dim)
     draw, floor = uniforms.T
     scale = draw if rho is None else np.full(len(rngs), float(rho))
     if window_side == WINDOW_ON_B:
         b = anchor
-        margin = POSITIVITY_MARGIN_FACTOR * w.m
+        margin = POSITIVITY_MARGIN_FACTOR * bounds.m
         lam_min = spec.eigenvalues[:, 0]
         a = hermitize(b - _random_psd(gaussians, scale * np.maximum(lam_min - margin, 0.0), floor))
         spectra = {"spec_A": _eigh(a), "spec_B": spec}
     else:
         a = anchor
-        b = hermitize(a + _random_psd(gaussians, scale * w.width, floor))
+        b = hermitize(a + _random_psd(gaussians, scale * (bounds.M - bounds.m), floor))
         spectra = {"spec_A": spec}
-    return _certified_pairs(a, b, w, CERT_DOMINATED, seeds,
+    return _certified_pairs(a, b, ws, CERT_DOMINATED, seeds,
                             {"order": _holds(zip(a, b)),
-                             "window": spectrum_in_window(spec, w, 0.0)},
+                             "window": spectrum_in_window(spec, bounds, 0.0)},
                             window_side, **spectra)
 
 
@@ -319,27 +357,31 @@ def gen_chaotic_pair(dim: int, window: SpectralWindow, seed: int) -> CertifiedPa
     B = exp(K) for K drawn in the log-window, A = exp(K - Q) for a random
     PSD Q of spectral norm up to MAX_LOG_PERTURBATION.
     """
-    return gen_chaotic_pairs(dim, window, [seed])[0]
+    return gen_chaotic_pairs(dim, [window], [seed])[0]
 
 
-def gen_chaotic_pairs(dim: int, window: SpectralWindow, seeds) -> list:
-    """``gen_chaotic_pair`` of each seed, with each step stacked over the
-    seeds; every pair is bit for bit the one a lone call makes."""
-    w = window.require_positive()
+def gen_chaotic_pairs(dim: int, windows, seeds) -> list:
+    """``gen_chaotic_pair`` of each (window, seed), with each step stacked
+    over the seeds; every pair is bit for bit the one a lone call makes.
+    Each log-window is taken with ``math.log``, as a lone call takes it."""
+    ws = [w.require_positive() for w in _one_per_seed(windows, seeds)]
     if not seeds:
         return []
     rngs = [_rng(seed) for seed in seeds]
-    log_window = SpectralWindow(math.log(w.m), math.log(w.M))
-    k, spec_k = _place_in_window([_window_draws(dim, rng) for rng in rngs], log_window)
+    log_windows = _Windows(np.array([math.log(w.m) for w in ws]),
+                           np.array([math.log(w.M) for w in ws]))
+    k, spec_k = _place_in_window([_window_draws(dim, rng) for rng in rngs], log_windows)
     uniforms, gaussians = _perturbation_draws(rngs, 1, dim)
     q = _random_psd(gaussians, uniforms[:, 0] * MAX_LOG_PERTURBATION, np.zeros(len(rngs)))
     a = matrix_exp(_eigh(hermitize(k - q)))
     b = matrix_exp(spec_k)
     spec_a, spec_b = _eigh(a), _eigh(b)
+    bounds = _Windows.of(ws)
     return _certified_pairs(
-        a, b, w, CERT_CHAOTIC, seeds,
+        a, b, ws, CERT_CHAOTIC, seeds,
         {"log_order": _holds(zip(matrix_log(spec_a), matrix_log(spec_b))),
-         "window": spectrum_in_window(spec_b, w, 1e-10 * max(1.0, abs(w.M)))},
+         "window": spectrum_in_window(spec_b, bounds,
+                                      1e-10 * np.maximum(1.0, np.abs(bounds.M)))},
         spec_A=spec_a, spec_B=spec_b)
 
 
@@ -347,24 +389,28 @@ def gen_relative_pair(dim: int, window: SpectralWindow, seed: int) -> CertifiedP
     """Pair with m A <= B <= M A via congruence: B = A^(1/2) C A^(1/2), Sp(C) in [m, M].
 
     A is drawn with spectrum in RELATIVE_BASE_WINDOW."""
-    return gen_relative_pairs(dim, window, [seed])[0]
+    return gen_relative_pairs(dim, [window], [seed])[0]
 
 
-def gen_relative_pairs(dim: int, window: SpectralWindow, seeds) -> list:
-    """``gen_relative_pair`` of each seed, with each step stacked over the
-    seeds; every pair is bit for bit the one a lone call makes."""
-    w = window.require_positive()
+def gen_relative_pairs(dim: int, windows, seeds) -> list:
+    """``gen_relative_pair`` of each (window, seed), with each step stacked
+    over the seeds; every pair is bit for bit the one a lone call makes.
+    Every A and every C are placed in one call, the A first."""
+    ws = [w.require_positive() for w in _one_per_seed(windows, seeds)]
     if not seeds:
         return []
     rngs = [_rng(seed) for seed in seeds]
-    draws = [(_window_draws(dim, rng), _window_draws(dim, rng)) for rng in rngs]
-    a, spec_a = _place_in_window([base for base, _ in draws], RELATIVE_BASE_WINDOW)
-    c, _ = _place_in_window([congruent for _, congruent in draws], w)
+    bases, congruents = zip(*[(_window_draws(dim, rng), _window_draws(dim, rng)) for rng in rngs])
+    n = len(seeds)
+    placed, spec = _place_in_window([*bases, *congruents],
+                                    _Windows.of([RELATIVE_BASE_WINDOW] * n + ws))
+    a, c = placed[:n], placed[n:]
+    spec_a = SpectralDecomposition(spec.eigenvalues[:n], spec.eigenvectors[:n])
     root = matrix_power(spec_a, 0.5)
     b = hermitize(root @ c @ root)
-    bounds = _holds([bound for a_i, b_i in zip(a, b)
+    bounds = _holds([bound for w, a_i, b_i in zip(ws, a, b)
                      for bound in ((w.m * a_i, b_i), (b_i, w.M * a_i))])
-    return _certified_pairs(a, b, w, CERT_RELATIVE, seeds,
+    return _certified_pairs(a, b, ws, CERT_RELATIVE, seeds,
                             {"lower": bounds[0::2], "upper": bounds[1::2]},
                             spec_A=spec_a)
 
@@ -454,16 +500,16 @@ def gen_weighted_family(n_items: int, dim_in: int, dim_out: int,
     placed in the window, as one stack each.  The seed is recorded on the
     family.
     """
-    return gen_weighted_families(n_items, dim_in, dim_out, window, [seed])[0]
+    return gen_weighted_families(n_items, dim_in, dim_out, [window], [seed])[0]
 
 
-def gen_weighted_families(n_items: int, dim_in: int, dim_out: int,
-                          window: SpectralWindow, seeds) -> list:
-    """``gen_weighted_family`` of each seed, with the maps' normalization and
-    the operands' placement stacked over every item of every seed; each
-    family is bit for bit the one a lone call makes."""
+def gen_weighted_families(n_items: int, dim_in: int, dim_out: int, windows, seeds) -> list:
+    """``gen_weighted_family`` of each (window, seed), with the maps'
+    normalization and the operands' placement stacked over every item of
+    every seed; each family is bit for bit the one a lone call makes."""
     if not n_items:
         raise HypothesisError("weighted family is empty")
+    windows = _one_per_seed(windows, seeds)
     if not seeds:
         return []
     weights, draws = [], []
@@ -476,10 +522,10 @@ def gen_weighted_families(n_items: int, dim_in: int, dim_out: int,
             kraus.draw(int(rng.integers(1, MAX_KRAUS + 1)), rng)
             draws.append(_window_draws(dim_in, rng))
     maps = kraus.normalized_maps([seed for seed in seeds for _ in range(n_items)])
-    ops, spec = _place_in_window(draws, window)
+    ops, spec = _place_in_window(draws, _Windows.of([w for w in windows for _ in range(n_items)]))
     decs = spec.members()
     families = []
-    for i, seed in enumerate(seeds):
+    for i, (window, seed) in enumerate(zip(windows, seeds)):
         items = slice(i * n_items, (i + 1) * n_items)
         family = WeightedFamily(items=tuple(zip(map(float, weights[i]), maps[items], ops[items])),
                                 window=window, seed=int(seed))

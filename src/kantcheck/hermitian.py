@@ -350,7 +350,8 @@ def _holds(pairs) -> Array:
 
 def spectrum_in_window(a, window: SpectralWindow, tol: float = 0.0):
     """True iff every eigenvalue lies in [m - tol, M + tol]; for a stack, a
-    boolean array with one verdict per member."""
+    boolean array with one verdict per member.  For a stack, ``window``'s m
+    and M, and ``tol``, may also be arrays of one value per member."""
     vals = decompose(a).eigenvalues
     holds = (vals[..., 0] >= window.m - tol) & (vals[..., -1] <= window.M + tol)
     return bool(holds) if holds.ndim == 0 else holds

@@ -12,9 +12,14 @@ import call_counts  # noqa: E402
 def test_seed_1_small_campaign_counts():
     checks, calls = call_counts.counts(ROOT)
     assert checks == 2544
+    # one stack per (suite, dim), its three windows mixed: 13 suites x 4
+    # dims, plus a second d = 6 stack for corollary_2_2's 180 instances (a
+    # d = 6 stack holds 113); each stack is placed in one call, a relative
+    # pair's A and C together
+    assert calls["generator stack draws"] == calls["generators._place_in_window"] == 53
     # every operand decomposed once, every chain's links in one eigvalsh
-    assert calls["np.linalg.eigh"] == 1740
-    assert calls["np.linalg.eigvalsh"] == 2784
+    assert calls["np.linalg.eigh"] == 1446
+    assert calls["np.linalg.eigvalsh"] == 2626
     # a generated map is certified with its stack, never alone
     assert calls["map normalization (one map)"] == 0
     assert calls["map normalization (one stack)"] > 0

@@ -40,7 +40,7 @@ from kantcheck.constants import (
     power_fun,
 )
 from kantcheck.errors import ConfigError, DomainError, ParameterError
-from kantcheck.generators import gen_weighted_family
+from kantcheck.generators import POSITIVITY_MARGIN_FACTOR, gen_weighted_family
 from kantcheck.hermitian import SpectralWindow
 from kantcheck.hunt import hunt_sharpness
 from kantcheck.sweep import sweep_constants
@@ -308,22 +308,26 @@ class TestRunCampaign:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or eigh(a))
         grid = dict(suites=[suite], windows=[(1.0, 2.0)], q_grid=[-0.5], r_grid=[-0.5],
                     p_grid_theorem_1_1=[2.0, 3.0])
+        # a relative pair places its A and its C in one window test
+        placed = 2 if suite == "corollary_4_3" else 1
         cfg = CampaignConfig(dims=[64], p_grid=[-1.0], samples_per_cell=2, **grid)
         cell = enumerate_cells(cfg)[0]
         reports, _ = run_cell(cfg, cell, Block(cfg, [cell], OracleScans()))
         assert len(reports) == 2 and all(report.overall for report in reports)
-        assert shapes and all(len(shape) == 2 or shape[0] == 1 for shape in shapes)
+        assert shapes and all(len(shape) == 2 or shape[0] <= placed for shape in shapes)
         shapes.clear()
         cfg = CampaignConfig(dims=[2], p_grid=[-1.0, -0.5], samples_per_cell=3, **grid)
         cells = enumerate_cells(cfg)
         block = Block(cfg, cells, OracleScans())
         assert [len(run_cell(cfg, cell, block)[0]) for cell in cells] == [3, 3]
         # one window test for all six samples of the block's two cells
-        assert max(shape[0] for shape in shapes if len(shape) == 3) == 6
+        assert max(shape[0] for shape in shapes if len(shape) == 3) == 6 * placed
 
     def test_each_block_builds_at_most_one_scan_arena(self, small_config):
-        """The oracle scans of a block share its window's scan arena: a run
-        misses the arena's cache at most once per block."""
+        """A block holds all of a suite's cells, but its cells run window by
+        window, and the scans of one window's cells share its scan arena: a
+        run misses the arena's cache at most once per (suite, window) run
+        of cells."""
         blocks = len(list(itertools.groupby(enumerate_cells(small_config),
                                             key=lambda c: (c.suite, c.params["window"]))))
         constants._scan_arena.cache_clear()
@@ -345,6 +349,34 @@ class TestRunCampaign:
             assert freed() is None
         finally:
             gc.enable()
+
+    def test_a_suite_draws_one_stack_per_dim_across_its_windows(self, monkeypatch, tmp_path):
+        """A 2-window run of one suite calls its generator once per dim, with
+        every cell's seeds of that dim in enumeration order, each with its
+        cell's window, and writes the reports of a run that draws one
+        instance per call."""
+        real = campaign.gen_chaotic_pairs
+        calls = []
+
+        def counted(dim, windows, seeds):
+            calls.append((dim, [(w.m, w.M) for w in windows], list(seeds)))
+            return real(dim, windows, seeds)
+
+        monkeypatch.setattr(campaign, "gen_chaotic_pairs", counted)
+        cfg = CampaignConfig(suites=["lemma_3_1"], dims=[2, 3], windows=[(1.0, 2.0), (0.5, 4.0)],
+                             p_grid=[-1.0, -0.5], r_grid=[-0.5], samples_per_cell=4,
+                             output_dir=str(tmp_path / "stacked"))
+        assert run_campaign(cfg).total_failures == 0
+        # cells 0-1 are in (1, 2), cells 2-3 in (0.5, 4); seeds 1 + 4 i + j
+        windows = [(1.0, 2.0)] * 4 + [(0.5, 4.0)] * 4
+        assert calls == [(2, windows, [1, 3, 5, 7, 9, 11, 13, 15]),
+                         (3, windows, [2, 4, 6, 8, 10, 12, 14, 16])]
+        monkeypatch.setattr(campaign, "gen_chaotic_pairs",
+                            lambda dim, windows, seeds: [pair for w, seed in zip(windows, seeds)
+                                                         for pair in real(dim, [w], [seed])])
+        one_by_one = dataclasses.replace(cfg, output_dir=str(tmp_path / "one_by_one"))
+        run_campaign(one_by_one)
+        assert read_bytes_tree(cfg.output_dir) == read_bytes_tree(one_by_one.output_dir)
 
     def test_each_cell_runs_in_its_own_run_cell_call(self, monkeypatch, tmp_path):
         """Blocks share generation, but every cell is still one ``run_cell``
@@ -792,6 +824,30 @@ class TestCli:
         tolerances = [link["tolerance"] for line in text.splitlines()[1:]
                       for link in json.loads(line)["links"]]
         assert len(tolerances) == 360 and max(tolerances) > 1e290
+
+    @pytest.mark.parametrize("alpha", [1e307, 1e308])
+    def test_an_alpha_whose_chain_overflows_is_a_config_error(self, tmp_path, capsys, alpha):
+        """At 1e307 a link of alpha A^q + beta read NaN, and at 1e308 the
+        oracle's g was infinite; both are now rejected before anything runs."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suites": ["corollary_2_2"], "alpha_grid": [alpha],
+                                   "dims": [2], "samples_per_cell": 2}))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"config error: alpha_grid cell alpha={alpha!r} "
+                                           "overflows alpha A^q for window (1.0, 2.0) and q=-1.0\n")
+        assert not out.exists()
+
+    def test_the_alpha_limit_follows_the_positivity_margin(self):
+        """The largest alpha accepted is float max / (2 (c m)^q) at the
+        window and q that maximize (c m)^q: on the default grid, m = 0.5
+        and q = -1, which the default grid's alphas stay far below."""
+        cfg = CampaignConfig()
+        validate_config(cfg)
+        limit = sys.float_info.max / (2.0 / (POSITIVITY_MARGIN_FACTOR * 0.5))
+        validate_config(dataclasses.replace(cfg, alpha_grid=[0.5, limit * (1 - 1e-15)]))
+        with pytest.raises(ConfigError, match=r"window \(0\.5, 4\.0\) and q=-1\.0$"):
+            validate_config(dataclasses.replace(cfg, alpha_grid=[limit * (1 + 1e-15)]))
 
     def test_hunt_rejects_negative_samples(self, tmp_path, capsys):
         out = tmp_path / "out"

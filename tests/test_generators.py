@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from kantcheck import generators, posmaps
+from kantcheck.campaign import MAP_SEED_OFFSET, SUITES
 from kantcheck.errors import GenerationError, HypothesisError
 from kantcheck.generators import (
     CERT_CHAOTIC,
@@ -122,7 +124,7 @@ class TestWindowGenerator:
         aimed = 0
         for seed in range(8 if dim < 64 else 3):
             uniforms, _ = generators._window_draws(dim, np.random.default_rng(seed))
-            (target,) = generators._window_targets(uniforms[None], w)
+            (target,) = generators._window_targets(uniforms[None], generators._Windows.of([w]))
             at_m, at_upper = int(np.sum(target == w.m)), int(np.sum(target == w.M))
             vals = eig_hermitian(gen_hermitian_in_window(dim, w, seed)).eigenvalues
             assert np.all(np.abs(vals[:at_m] - w.m) <= tol), seed
@@ -171,7 +173,7 @@ class TestDominatedPairs:
         facts = {"order": np.array([loewner_leq(x, y).holds for x, y in zip(a, b)]),
                  "window": spectrum_in_window(spec_b, W12, 0.0)}
         with pytest.raises(GenerationError) as info:
-            _certified_pairs(a, b, W12, CERT_DOMINATED, [3, 4], facts,
+            _certified_pairs(a, b, [W12, W12], CERT_DOMINATED, [3, 4], facts,
                              spec_A=eig_hermitian(a), spec_B=spec_b)
         assert str(info.value) == ("dominated certificate failed for seed 4: "
                                    "order=True window=True positive=False")
@@ -194,6 +196,18 @@ class TestChaoticPairs:
         monkeypatch.setattr(generators, "MAX_LOG_PERTURBATION", 0.0)
         pair = gen_chaotic_pair(3, W12, seed=4)
         assert np.max(np.abs(pair.A - pair.B)) < 1e-14
+
+    def test_log_windows_are_taken_with_math_log(self, monkeypatch):
+        """K is placed in [log m, log M] as ``math.log`` takes them, as a lone
+        pair always did; numpy's log of 1.05 and 18.038 is one ulp off."""
+        logs = [math.log(t) for t in (1.0, 2.0, 1.05, 18.038)]
+        assert np.log(np.array([1.05, 18.038])).tolist() != logs[2:]
+        real, placed = generators._place_in_window, []
+        monkeypatch.setattr(generators, "_place_in_window",
+                            lambda draws, windows: placed.append(windows) or real(draws, windows))
+        gen_chaotic_pairs(3, [W12, SpectralWindow(1.05, 18.038)], [1, 2])
+        (windows,) = placed
+        assert windows.m.tolist() == logs[0::2] and windows.M.tolist() == logs[1::2]
 
     def test_chaotic_order_is_weaker_than_domination(self):
         pair = gen_chaotic_pair(3, W12, CHAOTIC_WITNESS_SEED)
@@ -294,7 +308,7 @@ class TestKrausMaps:
         clean, draws = [], []
         monkeypatch.setattr(generators, "_complex_gaussian",
                             lambda rng, rows, cols: clean.append((rows, cols)) or real(rng, rows, cols))
-        gen_weighted_families(3, 3, 2, W12, seeds)
+        gen_weighted_families(3, 3, 2, [W12] * 3, seeds)
 
         def drawing(rng, rows, cols):
             draws.append((rows, cols))
@@ -304,7 +318,7 @@ class TestKrausMaps:
 
         monkeypatch.setattr(generators, "_complex_gaussian", drawing)
         with pytest.raises(GenerationError, match=r"singular for seed 21$"):
-            gen_weighted_families(3, 3, 2, W12, seeds)
+            gen_weighted_families(3, 3, 2, [W12] * 3, seeds)
         assert draws == clean
 
 
@@ -347,7 +361,7 @@ class TestStackedNormalization:
         monkeypatch.setattr(PositiveLinearMap, "normalization_defect",
                             lambda phi: checked.append(phi) or real(phi))
         maps = gen_positive_linear_maps(3, 2, self.COUNTS, self.SEEDS)
-        families = gen_weighted_families(3, 3, 2, W12, [5, 6])
+        families = gen_weighted_families(3, 3, 2, [W12] * 2, [5, 6])
         assert checked == []
         for phi in maps + [phi for family in families for _, phi, _ in family.items]:
             assert (phi.dim_in, phi.dim_out) == (3, 2)
@@ -423,7 +437,7 @@ class TestWeightedFamilies:
             if len(seeds) == 1:
                 gen_weighted_family(3, dim, dim - 1, w, seeds[0])
             else:
-                gen_weighted_families(3, dim, dim - 1, w, seeds)
+                gen_weighted_families(3, dim, dim - 1, [w] * len(seeds), seeds)
             normalization, *stacks = shapes
             k = len(seeds)
             assert normalization == (3 * k, dim - 1, dim - 1)
@@ -435,7 +449,7 @@ class TestWeightedFamilies:
         with pytest.raises(HypothesisError, match="empty"):
             gen_weighted_family(0, 3, 2, W12, 1)
         with pytest.raises(HypothesisError, match="empty"):
-            gen_weighted_families(0, 3, 2, W12, [1, 2])
+            gen_weighted_families(0, 3, 2, [W12] * 2, [1, 2])
 
     def test_bad_weights_rejected(self):
         family = gen_weighted_family(2, 3, 2, W12, 5)
@@ -475,15 +489,62 @@ def test_pair_spectra_equal_a_fresh_decomposition(make):
 
 
 STACKED_FAMILIES = {
-    "dominated_on_B": (lambda dim, w, seeds: gen_dominated_pairs(dim, w, seeds),
+    "dominated_on_B": (lambda dim, ws, seeds: gen_dominated_pairs(dim, ws, seeds),
                        lambda dim, w, seed: gen_dominated_pair(dim, w, seed)),
-    "dominated_on_A": (lambda dim, w, seeds: gen_dominated_pairs(dim, w, seeds,
-                                                                 window_side=WINDOW_ON_A),
+    "dominated_on_A": (lambda dim, ws, seeds: gen_dominated_pairs(dim, ws, seeds,
+                                                                  window_side=WINDOW_ON_A),
                        lambda dim, w, seed: gen_dominated_pair(dim, w, seed,
                                                                window_side=WINDOW_ON_A)),
     "chaotic": (gen_chaotic_pairs, gen_chaotic_pair),
     "relative": (gen_relative_pairs, gen_relative_pair),
 }
+
+
+MIXED_WINDOWS = [SpectralWindow(1.0, 2.0), SpectralWindow(0.5, 4.0), SpectralWindow(2.0, 3.0)]
+
+# each campaign generate function's instance, made by the single-seed generators
+LONE_INSTANCES = {
+    "corollary_2_3": lambda dim, w, seed: (gen_dominated_pair(dim, w, seed),),
+    "theorem_1_1": lambda dim, w, seed: (gen_dominated_pair(dim, w, seed,
+                                                            window_side=WINDOW_ON_A),),
+    "lemma_3_1": lambda dim, w, seed: (gen_chaotic_pair(dim, w, seed),),
+    "theorem_4_2": lambda dim, w, seed: (
+        gen_relative_pair(dim, w, seed),
+        gen_positive_linear_map(dim, dim - 1, 1 + seed % 3, seed + MAP_SEED_OFFSET)),
+    "theorem_4_1": lambda dim, w, seed: (gen_weighted_family(3, dim, dim - 1, w, seed),),
+}
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def assert_same_bits(got, want):
+    """A pair, map or family is bit for bit ``want``: every matrix and
+    decomposition it holds, and its window and seed."""
+    assert type(got) is type(want)
+    if isinstance(got, PositiveLinearMap):
+        assert len(got.kraus) == len(want.kraus)
+        assert all(same_bits(x, y) for x, y in zip(got.kraus, want.kraus))
+        return
+    assert (got.window, got.seed) == (want.window, want.seed)
+    if isinstance(got, CertifiedPair):
+        assert (got.certificate, got.window_side) == (want.certificate, want.window_side)
+        decs = [(got.spec_A, want.spec_A), (got.spec_B, want.spec_B)]
+        matrices = [(got.A, want.A), (got.B, want.B)]
+    else:
+        decs = list(zip(got.spectra, want.spectra))
+        matrices = []
+        for (weight, phi, op), (weight_1, phi_1, op_1) in zip(got.items, want.items,
+                                                               strict=True):
+            assert same_bits(weight, weight_1)
+            assert_same_bits(phi, phi_1)
+            matrices.append((op, op_1))
+    for dec, dec_1 in decs:
+        matrices += [(dec.eigenvalues, dec_1.eigenvalues), (dec.eigenvectors, dec_1.eigenvectors)]
+    assert all(same_bits(x, y) for x, y in matrices)
 
 
 class TestStackedGenerators:
@@ -501,7 +562,7 @@ class TestStackedGenerators:
         # alone; the stack and its stacks of one then re-place the same members
         masks = reject_first_window_tests(monkeypatch, lambda vals: np.array(
             [hashlib.sha256(v.tobytes()).digest()[0] % 4 != 0 for v in vals]))
-        pairs = stacked(dim, w, seeds)
+        pairs = stacked(dim, [w] * len(seeds), seeds)
         # some member failed a window test and was placed again
         assert any(np.any(mask) for mask in masks)
         assert [pair.seed for pair in pairs] == seeds
@@ -525,7 +586,7 @@ class TestStackedGenerators:
         seeds = list(range(40, 40 + (6 if dim <= 16 else 2)))
         masks = reject_first_window_tests(monkeypatch, lambda vals: np.array(
             [hashlib.sha256(v.tobytes()).digest()[0] % 4 != 0 for v in vals]))
-        families = gen_weighted_families(3, dim, dim - 1, w, seeds)
+        families = gen_weighted_families(3, dim, dim - 1, [w] * len(seeds), seeds)
         assert any(np.any(mask) for mask in masks)
         assert [family.seed for family in families] == seeds
         for seed, family in zip(seeds, families):
@@ -555,7 +616,7 @@ class TestStackedGenerators:
 
     def test_retry_moves_only_the_failing_members(self, monkeypatch):
         seeds = list(range(20))
-        untouched = gen_dominated_pairs(3, W12, seeds)
+        untouched = gen_dominated_pairs(3, [W12] * 20, seeds)
         # these seeds aim an eigenvalue at an endpoint, so a retry, whose
         # larger margin moves that target, changes their B
         failing = np.isin(np.arange(20), [3, 6, 11])
@@ -563,7 +624,7 @@ class TestStackedGenerators:
         real = generators._eigh
         sizes = []
         monkeypatch.setattr(generators, "_eigh", lambda a: sizes.append(len(a)) or real(a))
-        pairs = gen_dominated_pairs(3, W12, seeds)
+        pairs = gen_dominated_pairs(3, [W12] * 20, seeds)
         # the window test of the whole stack, then of the whole stack
         # rebuilt, then the certificate's decomposition of A
         assert sizes == [20, 20, 20]
@@ -591,9 +652,9 @@ class TestStackedGenerators:
         w = SpectralWindow(*window)
         seeds = list(range(8 if dim < 64 else 3))
         if family == "weighted":
-            gen_weighted_families(3, dim, dim - 1 or 1, w, seeds)
+            gen_weighted_families(3, dim, dim - 1 or 1, [w] * len(seeds), seeds)
         else:
-            STACKED_FAMILIES[family][0](dim, w, seeds)
+            STACKED_FAMILIES[family][0](dim, [w] * len(seeds), seeds)
         assert per_placement and all(count == 1 for count in per_placement)
 
     def test_failing_member_raises_its_own_certificate_error(self):
@@ -602,9 +663,9 @@ class TestStackedGenerators:
         with pytest.raises(GenerationError) as alone:
             gen_dominated_pair(3, w, 4, rho=1.05)
         assert "for seed 4:" in str(alone.value)
-        assert len(gen_dominated_pairs(3, w, [0, 1, 2, 3], rho=1.05)) == 4
+        assert len(gen_dominated_pairs(3, [w] * 4, [0, 1, 2, 3], rho=1.05)) == 4
         with pytest.raises(GenerationError) as stacked:
-            gen_dominated_pairs(3, w, [0, 1, 2, 3, 4, 8], rho=1.05)
+            gen_dominated_pairs(3, [w] * 6, [0, 1, 2, 3, 4, 8], rho=1.05)
         assert str(stacked.value) == str(alone.value)
 
     def test_stacks_reproduce_pairs_recorded_one_seed_at_a_time(self):
@@ -622,15 +683,42 @@ class TestStackedGenerators:
         assert len(groups) == 8
         for (family, dim, window), pairs in groups.items():
             stacked, _ = STACKED_FAMILIES[family]
-            for pair, again in zip(pairs, stacked(dim, window, [p.seed for p in pairs])):
+            rebuilt = stacked(dim, [window] * len(pairs), [p.seed for p in pairs])
+            for pair, again in zip(pairs, rebuilt):
                 assert np.array_equal(pair.A, again.A) and np.array_equal(pair.B, again.B)
 
+    @pytest.mark.parametrize("dim", [2, 3, 6, 16])
+    @pytest.mark.parametrize("suite", list(LONE_INSTANCES))
+    def test_a_stack_of_interleaved_windows_equals_lone_calls(self, monkeypatch, suite, dim):
+        """A campaign stack whose members cycle through the windows (1, 2),
+        (0.5, 4) and (2, 3) gives each member the bits of a lone call in its
+        own window: operands, decompositions, Kraus factors, weights, window
+        and seed, re-placed window tests included."""
+        seeds = list(range(70, 82))
+        windows = [MIXED_WINDOWS[i % 3] for i in range(len(seeds))]
+        masks = reject_first_window_tests(monkeypatch, lambda vals: np.array(
+            [hashlib.sha256(v.tobytes()).digest()[0] % 4 != 0 for v in vals]))
+        instances = SUITES[suite].generate(dim, windows, seeds)
+        assert any(np.any(mask) for mask in masks)
+        assert len(instances) == len(seeds)
+        for w, seed, instance in zip(windows, seeds, instances):
+            alone = LONE_INSTANCES[suite](dim, w, seed)
+            assert len(instance) == len(alone)
+            for got, want in zip(instance, alone):
+                assert_same_bits(got, want)
+
+    def test_a_stack_needs_one_window_per_seed(self):
+        with pytest.raises(ValueError, match="one window per seed, got 1 for 2 seeds"):
+            gen_dominated_pairs(3, [W12], [1, 2])
+        with pytest.raises(ValueError, match="one window per seed, got 3 for 2 seeds"):
+            gen_weighted_families(3, 3, 2, MIXED_WINDOWS, [1, 2])
+
     def test_empty_stack(self):
-        assert gen_dominated_pairs(3, W12, []) == []
-        assert gen_chaotic_pairs(3, W12, []) == []
-        assert gen_relative_pairs(3, W12, []) == []
+        assert gen_dominated_pairs(3, [], []) == []
+        assert gen_chaotic_pairs(3, [], []) == []
+        assert gen_relative_pairs(3, [], []) == []
         assert gen_positive_linear_maps(3, 2, [], []) == []
-        assert gen_weighted_families(3, 3, 2, W12, []) == []
+        assert gen_weighted_families(3, 3, 2, [], []) == []
 
 
 class TestCorpusIO:

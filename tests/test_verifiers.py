@@ -462,7 +462,7 @@ class TestTheorem45:
         """The baseline link tests Phi(T_p(A|B)) <= T_p(Phi(A)|Phi(B)) with
         exactly the operators ``tsallis_entropy`` and ``apply_map`` give."""
         for w, dim, seed in CHAIN_GRID:
-            (pair,) = gen_relative_pairs(dim, w, [seed])
+            (pair,) = gen_relative_pairs(dim, [w], [seed])
             phi = gen_positive_linear_map(dim, max(1, dim - 1), 1 + seed % 3, seed + 11)
             p = (-1.0, -0.5, -0.25)[seed % 3]
             phi_a, phi_b = apply_map(phi, np.stack([pair.A, pair.B]))
@@ -491,7 +491,7 @@ class TestCorollariesAreTheirTheorems:
 
     def test_dominated_corollaries(self):
         for w, dim, seed in CHAIN_GRID:
-            (pair,) = gen_dominated_pairs(dim, w, [seed])
+            (pair,) = gen_dominated_pairs(dim, [w], [seed])
             p, q = (-1.0, -0.5, -2.0)[seed % 3], (-0.5, -1.0)[seed % 2]
             f, g = power_fun(p), power_fun(q)
             cor22 = check_corollary_2_2(pair, p, q, (0.5, 1.0, 2.0)[dim % 3])
@@ -506,7 +506,7 @@ class TestCorollariesAreTheirTheorems:
 
     def test_relative_corollaries(self):
         for w, dim, seed in CHAIN_GRID:
-            (pair,) = gen_relative_pairs(dim, w, [seed])
+            (pair,) = gen_relative_pairs(dim, [w], [seed])
             phi = gen_positive_linear_map(dim, max(1, dim - 1), 1 + seed % 3, seed + 7)
             p = (-1.0, -0.5, -2.0)[seed % 3]
             cor43 = check_corollary_4_3(pair, phi, p, (0.5, 1.0, 2.0)[dim % 3])
@@ -748,7 +748,7 @@ class TestDecomposeOnce:
         stacks = []  # (mode, stack size of each eigvalsh call, link count) per check
         for suite, w, args in self._cells(suite_name):
             for seed in (11, 12):
-                (instance,) = suite.generate(3, w, [seed])
+                (instance,) = suite.generate(3, [w], [seed])
                 calls.clear()
                 report = getattr(verifiers, suite.check)(*instance, **args)
                 assert report.overall
@@ -758,7 +758,7 @@ class TestDecomposeOnce:
     @pytest.mark.parametrize("suite_name", ALL_SUITES)
     def test_check_never_redecomposes_an_operand(self, monkeypatch, suite_name):
         suite, w, args = self._cell(suite_name)
-        (instance,) = suite.generate(3, w, [11])
+        (instance,) = suite.generate(3, [w], [11])
         owner = instance[0]
         # touch the cached spectra so that they exist before the check runs
         if isinstance(owner, CertifiedPair):
@@ -785,7 +785,7 @@ class TestDecomposeOnce:
         its spectra."""
         calls = count_validations(monkeypatch)
         for suite, w, args in self._cells(suite_name):
-            (instance,) = suite.generate(3, w, [11])
+            (instance,) = suite.generate(3, [w], [11])
             assert getattr(verifiers, suite.check)(*instance, **args).overall
         assert calls == []
 
@@ -807,7 +807,7 @@ class TestDecomposeOnce:
         monkeypatch.setattr(np.linalg, "eigh", hashed)
         for seed in (11, 12, 13):
             seen.clear()
-            (instance,) = suite.generate(3, w, [seed])
+            (instance,) = suite.generate(3, [w], [seed])
             assert getattr(verifiers, suite.check)(*instance, **args).overall
         assert seen
 

@@ -8,7 +8,10 @@ numpy's ``np.stack``, ``np.linalg.eigh`` and ``np.linalg.eigvalsh``, the
 ``LoewnerVerdict`` objects built, and the Kraus-map normalization checks
 (``PositiveLinearMap.normalization_defect``, one per map checked alone,
 and ``posmaps._normalization_defects``, one per stack of maps checked
-together, where the checkout has it).  Both modes also count the oracle's
+together, where the checkout has it), the campaign's generator stack
+draws (calls of a suite's ``generate``, one per stack the campaign
+draws) and the window placements (``generators._place_in_window``, one
+per stacked placement).  Both modes also count the oracle's
 scans (one ``constants._grid_bracket`` per scan, whether made alone or
 in a lockstep pass) and its evaluations of g on a grid-sized array (the
 GRID_RESOLUTION + 1 scan points) and on a probe-sized one (2,001 points,
@@ -46,8 +49,10 @@ COUNTED = (
     ("LoewnerVerdict", "call_counts.py", "_loewner_verdict_init"),
     ("map normalization (one map)", "posmaps.py", "normalization_defect"),
     ("map normalization (one stack)", "posmaps.py", "_normalization_defects"),
+    ("generators._place_in_window", "generators.py", "_place_in_window"),
     ("oracle scans", "constants.py", "_grid_bracket"),
 )
+STACK_DRAWS = "generator stack draws"
 
 
 SWEEP_WINDOWS = [(1.0, 2.0), (0.5, 4.0), (2.0, 3.0)]
@@ -97,7 +102,7 @@ def counts(checkout: Path) -> tuple[int, dict]:
     """The number of checks of the campaign and the count of each counted call."""
     sys.path.insert(0, str(checkout / "src"))
     import kantcheck
-    from kantcheck import hermitian
+    from kantcheck import campaign, hermitian
 
     init = hermitian.LoewnerVerdict.__init__
 
@@ -105,10 +110,14 @@ def counts(checkout: Path) -> tuple[int, dict]:
         init(self, *args, **kwargs)
 
     hermitian.LoewnerVerdict.__init__ = _loewner_verdict_init
+    # each suite's generate function draws one stack per call
+    draws = sorted({suite.generate.__name__ for suite in campaign.SUITES.values()})
+    counted = ((STACK_DRAWS, "campaign.py", name) for name in draws)
     try:
         with tempfile.TemporaryDirectory(prefix="kantcheck_counts_") as tmp:
             cfg = kantcheck.CampaignConfig(**CONFIG, output_dir=tmp)
-            summary, calls = _profiled(lambda: kantcheck.run_campaign(cfg), COUNTED)
+            summary, calls = _profiled(lambda: kantcheck.run_campaign(cfg),
+                                       (*counted, *COUNTED))
     finally:
         hermitian.LoewnerVerdict.__init__ = init
     return summary.total_checks, calls
