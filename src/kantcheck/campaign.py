@@ -336,9 +336,24 @@ def _check_alphas_fit(cfg: CampaignConfig) -> None:
                                       f"window ({m}, {upper}) and q={q}")
 
 
+def _check_tolerance_binds(cfg: CampaignConfig) -> None:
+    """Reject a rel_tol outside (0, 1): at rel_tol >= 1 no link can fail.
+
+    A link whose difference of sides is D fails when
+    lambda_min(D) < -rel_tol (1 + ||D||_F).  Since |lambda_min(D)| <=
+    ||D||_F < 1 + ||D||_F, no D fails at rel_tol >= 1.  Below 1, the
+    rank-one D = -c v v* (|v| = 1) has lambda_min(D) = -c and ||D||_F = c,
+    so it fails once c > rel_tol / (1 - rel_tol): 1 is the exact bound.
+    """
+    if not 0.0 < cfg.rel_tol < 1.0:
+        raise ConfigError(f"rel_tol must lie in (0, 1), got {cfg.rel_tol}")
+
+
 def validate_config(cfg: CampaignConfig) -> None:
     """Reject wrongly typed fields, and grids that leave a suite's supported regime."""
     _check_field_types(cfg)
+    if not cfg.suites:
+        raise ConfigError("suites must be nonempty")
     for suite in cfg.suites:
         if suite not in SUITES:
             raise ConfigError(f"unknown suite {suite!r}; known: {ALL_SUITES}")
@@ -380,8 +395,20 @@ def validate_config(cfg: CampaignConfig) -> None:
             raise ConfigError(f"p_grid_theorem_1_1 cell p={p} violates p >= {1.0 + DEGENERATE_GAP}")
     _check_powers_fit(cfg)
     _check_alphas_fit(cfg)
-    if cfg.rel_tol <= 0.0:
-        raise ConfigError(f"rel_tol must be positive, got {cfg.rel_tol}")
+    _check_tolerance_binds(cfg)
+
+
+def make_output_dir(path) -> Path:
+    """Create the directory ``path`` and its parents, as a command does
+    before any work; a path no directory can be made at, such as an
+    existing file, raises ConfigError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {str(out)!r} cannot be created: "
+                          f"{exc.strerror or exc}") from exc
+    return out
 
 
 @dataclass
@@ -546,8 +573,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     validate_config(cfg)
     started = time.perf_counter()
     out_dir = Path(cfg.output_dir)
-    reports_dir = out_dir / "reports"
-    reports_dir.mkdir(parents=True, exist_ok=True)
+    reports_dir = make_output_dir(out_dir / "reports")
     cells = enumerate_cells(cfg)
     config_hash = cfg.config_hash()
 

@@ -67,6 +67,7 @@ from .hermitian import (
 from .posmaps import (
     PositiveLinearMap,
     WeightedFamily,
+    _gram_sums,
     _normalization_defects,
     _require_normalized,
 )
@@ -446,17 +447,15 @@ class _KrausColumns:
 
     def normalized_maps(self, seeds: list) -> list:
         """The normalized map of each draw: W_i = V_i S^(-1/2),
-        S = sum V_i* V_i, with every S decomposed, tested and inverted as one
-        stack.  The first singular S, in map order, raises naming its seed.
-        The normalization of every map is certified in one stacked
-        computation, bit for bit each map's own check; the first map in
-        map order that fails raises the ValueError it raises when made."""
-        _, _, dim_out = self.shape
+        S = sum V_i* V_i, with every S summed by ``posmaps._gram_sums`` and
+        decomposed, tested and inverted as one stack.  The first singular S,
+        in map order, raises naming its seed.  The normalization of every
+        map is then certified by the same Gram-sum body over the W columns,
+        bit for bit each map's own check; the first map in map order that
+        fails raises the ValueError it raises when made."""
         counts = np.array(self.counts)
         columns = [column[:filled] for column, filled in zip(self.columns, self.filled)]
-        s = np.zeros((len(counts), dim_out, dim_out), dtype=complex)
-        for k, vs in enumerate(columns):
-            s[counts > k] += vs.conj().swapaxes(-1, -2) @ vs
+        s = _gram_sums(columns, counts)
         s_spec = _eigh(hermitize(s))
         lam = s_spec.eigenvalues
         singular = np.flatnonzero(~(lam[:, 0] > 1e-10 * lam[:, -1]))
@@ -466,6 +465,9 @@ class _KrausColumns:
         inv_root = matrix_power(s_spec, -0.5)
         # column k's rows follow the maps that have a k-th factor, in map order
         ws = [vs @ inv_root[counts > k] for k, vs in enumerate(columns)]
+        # S, its decomposition and S^(-1/2) are each as large as the Gram
+        # sums: free them before the certificate's temporaries add to the peak
+        del s, s_spec, lam, inv_root
         _require_normalized(_normalization_defects(ws, counts))
         rows = [iter(w) for w in ws]
         return [PositiveLinearMap._certified(tuple(next(rows[k]) for k in range(n)))

@@ -12,11 +12,10 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache
-from pathlib import Path
 
 import numpy as np
 
-from .campaign import CampaignConfig, _dim_for, validate_config
+from .campaign import CampaignConfig, _dim_for, make_output_dir, validate_config
 from .constants import alpha_ratio, beta_generic, grid_max_1d, kantorovich_K, power_fun
 from .generators import (
     CERT_CHAOTIC,
@@ -232,6 +231,7 @@ def _hunt_unweighted_difference_constant(cfg: CampaignConfig, samples: int) -> H
 def hunt_sharpness(cfg: CampaignConfig, out_dir) -> dict:
     """Run every fuzz mode and write hunt_report.json under out_dir."""
     validate_config(cfg)
+    out = make_output_dir(out_dir)
     side_samples = max(50, cfg.fuzz_samples // 20)
     modes = [
         _hunt_q_beyond_regime(cfg, cfg.fuzz_samples),
@@ -244,7 +244,5 @@ def hunt_sharpness(cfg: CampaignConfig, out_dir) -> dict:
     ]
     report = {"config_hash": cfg.config_hash(), "base_seed": cfg.base_seed,
               "modes": {m.mode: m.to_json_dict() for m in modes}}
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "hunt_report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return report

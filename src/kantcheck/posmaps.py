@@ -8,6 +8,8 @@ computation (``_normalization_defects``, the one body a map's own
 ``normalization_defect`` also runs, as a stack of one), raise the error
 a map made alone raises (``_require_normalized``), and build each map
 with ``PositiveLinearMap._certified``, which does not check it again.
+Both the certificate and the generators' S = sum V_k* V_k are summed by
+one Gram-sum body, ``_gram_sums``, over a whole stack at once.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from .hermitian import (
 )
 
 NORMALIZATION_TOL = 1e-10
-# Factor entries (maps x dim_in x dim_out) of one stacked normalization run.
-NORMALIZATION_RUN_ENTRIES = 4096
 CONDITION_FLOOR = 1e-10
 WEIGHT_SUM_TOL = 1e-12
 SPECTRUM_TOL = 1e-9
@@ -81,31 +81,25 @@ class PositiveLinearMap:
                                             np.array([len(self.kraus)]))[0])
 
 
+def _gram_sums(columns: list, counts: Array) -> Array:
+    """sum_k W_k* W_k of each map of a stack, from its Kraus columns: column
+    k stacks the k-th factor of each map with more than k factors
+    (``counts > k``), in map order.  Each sum is added up in Kraus order
+    from zero, and numpy's stacked products give each member the bits a
+    product of that member alone gives, so a map's sum does not depend on
+    the stack it is in."""
+    dim_out = columns[0].shape[-1]
+    acc = np.zeros((len(counts), dim_out, dim_out), dtype=complex)
+    for k, ws in enumerate(columns):
+        acc[counts > k] += ws.conj().swapaxes(-1, -2) @ ws
+    return acc
+
+
 def _normalization_defects(columns: list, counts: Array) -> Array:
     """The normalization defect max |sum W_i* W_i - I| of each map of a
-    stack, from its Kraus columns: column k stacks the k-th factor of each
-    map with more than k factors (``counts > k``), in map order.  Each sum
-    of W_i* W_i is added up in Kraus order from zero, and numpy's stacked
-    products give each member the bits a product of that member alone
-    gives, so a map's defect does not depend on the stack it is in.
-
-    The maps are taken in runs of at most NORMALIZATION_RUN_ENTRIES factor
-    entries (maps x dim_in x dim_out), so the temporaries stay that size:
-    a d <= 6 stack is certified in a run or a few, and a d = 64 map alone.
-    """
-    _, dim_in, dim_out = columns[0].shape
-    run = max(1, NORMALIZATION_RUN_ENTRIES // (dim_in * dim_out))
-    # row of column k that holds map i's k-th factor, for i = 0..len(counts)
-    firsts = [np.concatenate([[0], np.cumsum(counts > k)]) for k in range(len(columns))]
-    defects = np.empty(len(counts))
-    for lo in range(0, len(counts), run):
-        hi = min(lo + run, len(counts))
-        acc = np.zeros((hi - lo, dim_out, dim_out), dtype=complex)
-        for k, ws in enumerate(columns):
-            part = ws[firsts[k][lo]:firsts[k][hi]]
-            acc[counts[lo:hi] > k] += part.conj().swapaxes(-1, -2) @ part
-        defects[lo:hi] = np.max(np.abs(acc - np.eye(dim_out)), axis=(-2, -1))
-    return defects
+    stack, from the ``_gram_sums`` of its Kraus columns."""
+    gram = _gram_sums(columns, counts)
+    return np.max(np.abs(gram - np.eye(gram.shape[-1])), axis=(-2, -1))
 
 
 def _require_normalized(defects: Array) -> None:

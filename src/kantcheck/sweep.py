@@ -22,10 +22,10 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .campaign import make_output_dir
 from .constants import (
     _chord_power_maxima,
     kantorovich_C,
@@ -142,8 +142,7 @@ def sweep_constants(windows, p_grid, q_grid, out_dir) -> SweepResult:
         raise ParameterError("windows must be nonempty")
     if not (ps and qs):
         raise ParameterError(f"{'q_grid' if ps else 'p_grid'} must be nonempty")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(out_dir)
     # every window's scans run before the CSV is opened: a failing window
     # leaves no file
     oracles = [_chord_power_maxima(w, ps, qs) for w in ws]

@@ -20,9 +20,10 @@ def test_seed_1_small_campaign_counts():
     # every operand decomposed once, every chain's links in one eigvalsh
     assert calls["np.linalg.eigh"] == 1446
     assert calls["np.linalg.eigvalsh"] == 2626
-    # a generated map is certified with its stack, never alone
+    # a generated map is certified with its stack, never alone: once per
+    # map stack, one for each of the 5 suites with maps x 4 dims
     assert calls["map normalization (one map)"] == 0
-    assert calls["map normalization (one stack)"] > 0
+    assert calls["map normalization (one stack)"] == 20
     # links and certificates are built without a LoewnerVerdict, and the
     # checks' stacks without np.stack
     assert calls["LoewnerVerdict"] == 0

@@ -41,7 +41,7 @@ from kantcheck.constants import (
 )
 from kantcheck.errors import ConfigError, DomainError, ParameterError
 from kantcheck.generators import POSITIVITY_MARGIN_FACTOR, gen_weighted_family
-from kantcheck.hermitian import SpectralWindow
+from kantcheck.hermitian import SpectralWindow, loewner_leq
 from kantcheck.hunt import hunt_sharpness
 from kantcheck.sweep import sweep_constants
 from kantcheck.verifiers import check_theorem_4_1
@@ -250,11 +250,12 @@ class TestRunCampaign:
         run_campaign(replay_cfg)
         assert read_bytes_tree(small_config.output_dir) == read_bytes_tree(replay_cfg.output_dir)
 
-    def test_empty_suites_is_a_clean_no_op(self, tmp_path):
-        cfg = CampaignConfig(suites=[], output_dir=str(tmp_path / "empty"))
-        summary = run_campaign(cfg)
-        assert summary.total_checks == 0
-        assert summary.exit_code == 0
+    def test_empty_suites_is_a_config_error(self, tmp_path):
+        """A campaign of no suites would pass with no check made."""
+        out = tmp_path / "empty"
+        with pytest.raises(ConfigError, match="^suites must be nonempty$"):
+            run_campaign(CampaignConfig(suites=[], output_dir=str(out)))
+        assert not out.exists()
 
     def test_exit_code_reflects_failures(self):
         stats = {"x": SuiteStats(suite="x", checks=3, passed=2, failed=1)}
@@ -810,6 +811,59 @@ class TestCli:
         assert cli_main(argv) == 2
         assert "rel_tol must be a finite number" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["1", "1.5"])
+    def test_a_tolerance_of_one_or_more_is_a_config_error(self, tmp_path, capsys, tol):
+        """At rel_tol >= 1 no link could fail, so the gate would pass anything."""
+        out = tmp_path / "out"
+        argv = ["run", "--suite", "corollary_2_3", "--samples", "1", "--tol", tol,
+                "--out", str(out)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"config error: rel_tol must lie in (0, 1), got {float(tol)}\n"
+        assert not out.exists()
+
+    def test_a_tolerance_below_one_is_accepted(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--suite", "corollary_2_3", "--samples", "1", "--tol", "0.5",
+                "--out", str(out)]
+        assert cli_main(argv) == 0
+        header = json.loads((out / "reports" / "corollary_2_3.jsonl").read_text().splitlines()[0])
+        assert header["config"]["rel_tol"] == 0.5
+
+    @pytest.mark.parametrize("rel_tol, fails_above", [(0.5, 1.0), (1.0 - 2.0 ** -20, 2.0 ** 20 - 1.0)])
+    def test_below_one_a_rank_one_difference_still_fails(self, rel_tol, fails_above):
+        """D = -c v v* fails exactly when c > rel_tol / (1 - rel_tol)."""
+        v = np.array([[1.0], [1.0j]]) / np.sqrt(2.0)
+        for c, holds in ((fails_above * (1 - 1e-9), True), (fails_above * (1 + 1e-9), False)):
+            assert loewner_leq(c * (v @ v.conj().T), np.zeros((2, 2)), rel_tol).holds is holds
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "hunt"])
+    def test_an_empty_suite_list_is_a_config_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"suites": []}')
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: suites must be nonempty\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["run", "--suite", "corollary_2_3", "--samples", "1"],
+                                      ["sweep"], ["hunt", "--samples", "1"]])
+    def test_an_output_path_that_is_a_file_is_a_config_error(self, tmp_path, capsys,
+                                                             monkeypatch, argv):
+        """The output directory is made before any work: hunt runs no mode."""
+
+        def no_mode_runs(*args):
+            raise AssertionError("a hunt mode ran")
+
+        monkeypatch.setattr(hunt, "_hunt_q_beyond_regime", no_mode_runs)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert cli_main([*argv, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        # run names the reports directory it makes inside the output path
+        assert err.startswith(f"config error: output directory '{taken}")
+        assert "cannot be created" in err and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
 
     def test_a_huge_alpha_gives_finite_tolerances(self, tmp_path, capsys):
         """alpha A^q at alpha = 1e300 has entries whose squares overflow; each

@@ -328,10 +328,7 @@ class TestStackedNormalization:
 
     COUNTS, SEEDS = [1, 2, 3, 1, 2], [30, 31, 32, 33, 34]
 
-    @pytest.mark.parametrize("run_entries", [4096, 6, 13])
-    def test_defects_are_each_maps_own_bit_for_bit(self, monkeypatch, run_entries):
-        # 3 x 2 factors: runs of all five maps, of one map, and of two
-        monkeypatch.setattr(posmaps, "NORMALIZATION_RUN_ENTRIES", run_entries)
+    def test_defects_are_each_maps_own_bit_for_bit(self, monkeypatch):
         stacked = []
         real = posmaps._normalization_defects
         monkeypatch.setattr(generators, "_normalization_defects",
