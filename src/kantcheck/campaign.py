@@ -38,6 +38,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -336,6 +337,32 @@ def _check_alphas_fit(cfg: CampaignConfig) -> None:
                                       f"window ({m}, {upper}) and q={q}")
 
 
+def _check_windows_fit(cfg: CampaignConfig) -> None:
+    """Reject a window too narrow for the generators to place a spectrum in
+    at the largest configured dim d.
+
+    A placement (``generators._place_in_window``) clips its d targets into
+    [lo + delta, hi - delta], delta = 8 d eps max(|lo|, |hi|, 1), the margin
+    that keeps the roundoff of the rebuild and of its eigensolve inside
+    [lo, hi]; a member that still leaves it is placed again with delta
+    multiplied by 8.  At hi - lo <= 2 delta that interval holds one point
+    or none, and every target is clipped to hi - delta, within delta of lo:
+    the margin no longer keeps the roundoff inside, and at hi - lo <= delta
+    the target itself lies outside.  A retry, with a larger delta, only
+    clips every target further past lo.  So hi - lo must exceed 2 delta,
+    for [m, M], where pairs and families place their spectra, and for
+    [log m, log M], where chaotic pairs place log B.
+    """
+    d = max(int(dim) for dim in cfg.dims)
+    for m, upper in cfg.windows:
+        m, upper = float(m), float(upper)
+        for name, lo, hi in (("M - m", m, upper), ("log M - log m", math.log(m), math.log(upper))):
+            delta = 8.0 * d * sys.float_info.epsilon * max(abs(lo), abs(hi), 1.0)
+            if not hi - lo > 2.0 * delta:
+                raise ConfigError(f"window ({m}, {upper}) is too narrow to place a spectrum "
+                                  f"at dim {d}: {name} must exceed {2.0 * delta!r}")
+
+
 def _check_tolerance_binds(cfg: CampaignConfig) -> None:
     """Reject a rel_tol outside (0, 1): at rel_tol >= 1 no link can fail.
 
@@ -393,21 +420,31 @@ def validate_config(cfg: CampaignConfig) -> None:
     for p in cfg.p_grid_theorem_1_1:
         if p < 1.0 + DEGENERATE_GAP:
             raise ConfigError(f"p_grid_theorem_1_1 cell p={p} violates p >= {1.0 + DEGENERATE_GAP}")
+    _check_windows_fit(cfg)
     _check_powers_fit(cfg)
     _check_alphas_fit(cfg)
     _check_tolerance_binds(cfg)
 
 
-def make_output_dir(path) -> Path:
-    """Create the directory ``path`` and its parents, as a command does
-    before any work; a path no directory can be made at, such as an
-    existing file, raises ConfigError."""
+def make_output_dir(path, files=()) -> Path:
+    """Create the directory ``path`` and its parents, and the directory of
+    each file ``files`` names inside it, as a command does before any work.
+
+    Each of those files that exists and is not a regular file, such as a
+    directory, raises ConfigError before any directory is made, and so
+    does a directory that cannot be made, such as one at an existing file.
+    """
     out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"output directory {str(out)!r} cannot be created: "
-                          f"{exc.strerror or exc}") from exc
+    targets = [out / name for name in files]
+    for target in targets:
+        if target.exists() and not target.is_file():
+            raise ConfigError(f"output file {str(target)!r} exists and is not a regular file")
+    for directory in dict.fromkeys([out, *(target.parent for target in targets)]):
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output directory {str(directory)!r} cannot be created: "
+                              f"{exc.strerror or exc}") from exc
     return out
 
 
@@ -572,8 +609,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     """
     validate_config(cfg)
     started = time.perf_counter()
-    out_dir = Path(cfg.output_dir)
-    reports_dir = make_output_dir(out_dir / "reports")
+    out_dir = make_output_dir(cfg.output_dir,
+                              ["summary.csv", *(f"reports/{suite}.jsonl" for suite in cfg.suites)])
+    reports_dir = out_dir / "reports"
     cells = enumerate_cells(cfg)
     config_hash = cfg.config_hash()
 

@@ -5,6 +5,9 @@ maximum over a spectral window.  The brute-force route each closed form is
 validated against scans the objective on GRID_RESOLUTION equal cells of
 the window, then refines around the best grid point by golden section; the
 two routes must agree to 1e-6 relative on the supported exponent grids.
+Each closed form is its constant's one route: at a degenerate exponent
+(q within _DEGENERATE_EPS of 0 or 1, or p = 0) the maximized objective is
+linear or monotone in t, and the endpoint branch gives its exact maximum.
 ``grid_max_1d`` scans any objective.  ``alpha_ratio`` and ``beta_generic``
 scan chord(f) / g and chord(f) - alpha * g: each evaluates g on the grid
 once, builds the objective from those values in place and refines it
@@ -64,7 +67,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateExponentError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .hermitian import SpectralWindow, eval_scalar, real_values
 
 GRID_RESOLUTION = 20_000
@@ -364,11 +367,9 @@ def _golden_max_lockstep(a, b, slope, intercept, q, n: int) -> np.ndarray:
     return np.where(hc >= hd, hc, hd)
 
 
-def _require_nondegenerate(e: float, name: str) -> float:
-    e = float(e)
-    if abs(e) < _DEGENERATE_EPS or abs(e - 1.0) < _DEGENERATE_EPS:
-        raise DegenerateExponentError(f"{name}={e} lies in the degenerate set {{0, 1}}")
-    return e
+def _degenerate(q: float) -> bool:
+    """Whether q is within _DEGENERATE_EPS of 0 or 1, where the interior branches divide by 0."""
+    return abs(q) < _DEGENERATE_EPS or abs(q - 1.0) < _DEGENERATE_EPS
 
 
 def _branch_slack(window: SpectralWindow) -> float:
@@ -378,7 +379,7 @@ def _branch_slack(window: SpectralWindow) -> float:
 def kantorovich_K(window: SpectralWindow, p: float) -> float:
     """Ratio constant K(m, M, p): closed form of max{chord(t^p)/t^p}.
 
-    Defined for p outside {0, 1}; it is the two-exponent constant at q = p.
+    It is the two-exponent constant at q = p; K(m, M, 0) = K(m, M, 1) = 1.
     """
     return kantorovich_K2(window, p, p)
 
@@ -388,18 +389,17 @@ def kantorovich_K2(window: SpectralWindow, p: float, q: float) -> float:
 
     Piecewise closed form: the interior expression applies when the chord
     touch point lies inside the window, otherwise the larger endpoint ratio
-    max{m^(p-q), M^(p-q)} is returned.  The supported regime is p <= 0 and
-    -1 <= q < 0; evaluation outside it is permitted for fuzzing and the
-    callers record the regime breach.
+    max{m^(p-q), M^(p-q)} is returned, as it is at p = 0 and at a degenerate
+    q.  The supported regime is p <= 0 and -1 <= q <= 0; evaluation outside
+    it is permitted for fuzzing and the callers record the regime breach.
     """
     w = window.require_positive()
-    p = float(p)
-    q = _require_nondegenerate(q, "q")
+    p, q = float(p), float(q)
     m, M = w.m, w.M
     num = m * M ** p - M * m ** p
     dpow = M ** p - m ** p
     den = (q - 1.0) * dpow
-    if den == 0.0:  # p == 0: the chord is the constant 1
+    if den == 0.0 or _degenerate(q):  # p == 0 makes the chord the constant 1
         return float(max(m ** (p - q), M ** (p - q)))
     t0 = q * num / den
     eps = _branch_slack(w)
@@ -411,36 +411,37 @@ def kantorovich_K2(window: SpectralWindow, p: float, q: float) -> float:
 def kantorovich_C2(window: SpectralWindow, p: float, q: float) -> float:
     """Two-exponent difference constant C(m, M, p, q) = max{chord(t^p) - t^q}.
 
-    Requires p <= 0 and q < 0 (q outside {0, 1}); returns the larger
-    endpoint difference when the interior touch point leaves the window.
-    It is the gap constant at alpha = 1.
+    Requires p <= 0 and q <= 0 (ParameterError otherwise); returns the
+    larger endpoint difference when the interior touch point leaves the
+    window or q is degenerate.  It is the gap constant at alpha = 1.
     """
     return beta_power_closed(window, p, q, 1.0)
 
 
 def kantorovich_C(window: SpectralWindow, p: float) -> float:
-    """One-exponent difference constant C(m, M, p); 0 on the endpoint branch."""
+    """One-exponent difference constant C(m, M, p); 0 on the endpoint branch, as at p = 0."""
     return kantorovich_C2(window, p, p)
 
 
 def beta_power_closed(window: SpectralWindow, p: float, q: float, alpha: float) -> float:
-    """Closed-form gap max{chord(t^p) - alpha * t^q} for p <= 0, q < 0, alpha > 0."""
+    """Closed-form gap max{chord(t^p) - alpha * t^q} for p <= 0, q <= 0, alpha > 0,
+    each tested before any power is taken (ParameterError); a degenerate q
+    takes the endpoint branch, which is max(m^p, M^p) - alpha at q = 0."""
     w = window.require_positive()
-    p = float(p)
-    q = _require_nondegenerate(q, "q")
-    alpha = float(alpha)
+    p, q, alpha = float(p), float(q), float(alpha)
     if alpha <= 0.0:
         raise ParameterError(f"gap constant needs alpha > 0, got alpha={alpha}")
     if p > 0.0:
         raise ParameterError(f"gap constant needs p <= 0, got p={p}")
     if q > 0.0:
-        raise ParameterError(f"gap constant needs q < 0, got q={q}")
+        raise ParameterError(f"gap constant needs q <= 0, got q={q}")
     m, M = w.m, w.M
-    ratio = (M ** p - m ** p) / (alpha * q * w.width)
-    if ratio > 0.0:
-        t0 = ratio ** (1.0 / (q - 1.0))
-        eps = _branch_slack(w)
-        if m - eps <= t0 <= M + eps:
-            return float(alpha * (q - 1.0) * ratio ** (q / (q - 1.0))
-                         + (M * m ** p - m * M ** p) / w.width)
+    if not _degenerate(q):
+        ratio = (M ** p - m ** p) / (alpha * q * w.width)
+        if ratio > 0.0:
+            t0 = ratio ** (1.0 / (q - 1.0))
+            eps = _branch_slack(w)
+            if m - eps <= t0 <= M + eps:
+                return float(alpha * (q - 1.0) * ratio ** (q / (q - 1.0))
+                             + (M * m ** p - m * M ** p) / w.width)
     return float(max(m ** p - alpha * m ** q, M ** p - alpha * M ** q))

@@ -22,7 +22,7 @@ class HypothesisError(KantCheckError):
 
 
 class DegenerateExponentError(KantCheckError):
-    """A closed-form constant is undefined at this exponent."""
+    """A chaotic exponent sum p + r too close to 0, where r/(p+r) degenerates."""
 
 
 class GenerationError(KantCheckError):

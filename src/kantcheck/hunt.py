@@ -231,7 +231,7 @@ def _hunt_unweighted_difference_constant(cfg: CampaignConfig, samples: int) -> H
 def hunt_sharpness(cfg: CampaignConfig, out_dir) -> dict:
     """Run every fuzz mode and write hunt_report.json under out_dir."""
     validate_config(cfg)
-    out = make_output_dir(out_dir)
+    out = make_output_dir(out_dir, ["hunt_report.json"])
     side_samples = max(50, cfg.fuzz_samples // 20)
     modes = [
         _hunt_q_beyond_regime(cfg, cfg.fuzz_samples),

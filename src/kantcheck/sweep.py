@@ -7,10 +7,10 @@ from ``_chord_power_maxima``, given the two exponent grids: it evaluates
 each power on the window's oracle grid once and refines all of the
 window's scans in one lockstep golden-section pass; each value is bit
 for bit what the public ``alpha_ratio`` or ``beta_generic`` returns
-called alone.  An empty grid or window list raises before any file is
-written, and every window is scanned before the CSV is opened, so a
-failing window writes no file; a closed form that raises while the file
-is written removes it.  Then one loop over window, p and q makes each
+called alone.  An empty grid or window list, or an output file path
+taken by a directory, raises before any file is written, and every
+window is scanned before the CSV is opened, so a failing window writes
+no file; a closed form that raises while the file is written removes it.  Then one loop over window, p and q makes each
 row and its CSV record together as the file is written: every float is
 its ``repr``, and each repeated field is formatted once, at the level
 that makes it (m and M per window, p per p, each q once, and K and C,
@@ -142,7 +142,8 @@ def sweep_constants(windows, p_grid, q_grid, out_dir) -> SweepResult:
         raise ParameterError("windows must be nonempty")
     if not (ps and qs):
         raise ParameterError(f"{'q_grid' if ps else 'p_grid'} must be nonempty")
-    out = make_output_dir(out_dir)
+    svg_names = [f"k2_vs_q_window_{idx}.svg" for idx in range(len(ws))]
+    out = make_output_dir(out_dir, ["constants.csv", *svg_names])
     # every window's scans run before the CSV is opened: a failing window
     # leaves no file
     oracles = [_chord_power_maxima(w, ps, qs) for w in ws]
@@ -176,8 +177,8 @@ def sweep_constants(windows, p_grid, q_grid, out_dir) -> SweepResult:
         csv_path.unlink()
         raise
     svg_paths = []
-    for idx, w in enumerate(ws):
-        path = out / f"k2_vs_q_window_{idx}.svg"
+    for name, w in zip(svg_names, ws):
+        path = out / name
         svg_line_chart(path, f"K2(m={w.m:g}, M={w.M:g}, p, q) against q",
                        "q", "K2", _chart_series(w, p_grid))
         svg_paths.append(str(path))

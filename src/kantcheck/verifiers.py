@@ -187,15 +187,16 @@ def _require_certificate(pair: CertifiedPair, certificate: str, check: str) -> N
 
 def check_theorem_1_1(pair: CertifiedPair, p: float,
                       rel_tol: float = DEFAULT_REL_TOL) -> ChainReport:
-    """A^p <= K(m,M,p) B^p <= (M/m)^(p-1) B^p for A <= B, m <= A <= M, p > 1."""
+    """A^p <= K(m,M,p) B^p <= (M/m)^(p-1) B^p for A <= B, m <= A <= M, p > 1;
+    p <= 1 raises ParameterError."""
     _require_certificate(pair, CERT_DOMINATED, "check_theorem_1_1")
     if pair.window_side != WINDOW_ON_A:
         raise HypothesisError("check_theorem_1_1 needs the window certified on A")
     p = float(p)
-    if p < 1.0:
-        raise ParameterError(f"order-preserving bound needs p >= 1, got p={p}")
+    if p <= 1.0:
+        raise ParameterError(f"order-preserving bound needs p > 1, got p={p}")
     w = pair.window
-    k = kantorovich_K(w, p)  # refuses the degenerate p = 1
+    k = kantorovich_K(w, p)
     a_pow = matrix_power(pair.spec_A, p)
     b_pow = matrix_power(pair.spec_B, p)
     cap = (w.M / w.m) ** (p - 1.0)
@@ -245,18 +246,12 @@ def check_theorem_2_1(pair: CertifiedPair, f, g, alpha: float,
 
 def check_corollary_2_2(pair: CertifiedPair, p: float, q: float, alpha: float,
                         rel_tol: float = DEFAULT_REL_TOL) -> ChainReport:
-    """B^p <= G_{t^p}(B) <= alpha A^q + beta for p, q <= 0 and alpha > 0."""
+    """B^p <= G_{t^p}(B) <= alpha A^q + beta for p, q <= 0 and alpha > 0;
+    beta_power_closed enforces that regime before any matrix is built."""
     _require_certificate(pair, CERT_DOMINATED, "check_corollary_2_2")
     p, q, alpha = float(p), float(q), float(alpha)
-    if p > 0.0 or q > 0.0:
-        raise ParameterError(f"needs p <= 0 and q <= 0, got p={p}, q={q}")
-    if alpha <= 0.0:
-        raise ParameterError(f"needs alpha > 0, got alpha={alpha}")
     w = pair.window
-    try:
-        beta = beta_power_closed(w, p, q, alpha)
-    except DegenerateExponentError:
-        beta = beta_generic(power_fun(p), power_fun(q), alpha, w).value
+    beta = beta_power_closed(w, p, q, alpha)
     links = _interpolant_chain(pair, power_fun(p), matrix_power(pair.spec_A, q), alpha, beta,
                                ("B^p", "G_{t^p}(B)", "alpha A^q + beta"), rel_tol)
     return _finish("corollary_2_2", pair.dim, pair.seed, w,
@@ -284,16 +279,12 @@ def check_corollary_2_3(pair: CertifiedPair, p: float, q: float,
 
 def check_corollary_2_4(pair: CertifiedPair, p: float, q: float,
                         rel_tol: float = DEFAULT_REL_TOL) -> ChainReport:
-    """B^p <= G_{t^p}(B) <= C2(m,M,p,q) I + A^q for p, q <= 0."""
+    """B^p <= G_{t^p}(B) <= C2(m,M,p,q) I + A^q for p, q <= 0; C2 enforces
+    that regime before any matrix is built."""
     _require_certificate(pair, CERT_DOMINATED, "check_corollary_2_4")
     p, q = float(p), float(q)
-    if p > 0.0 or q > 0.0:
-        raise ParameterError(f"needs p <= 0 and q <= 0, got p={p}, q={q}")
     w = pair.window
-    try:
-        c2 = kantorovich_C2(w, p, q)
-    except DegenerateExponentError:
-        c2 = beta_generic(power_fun(p), power_fun(q), 1.0, w).value
+    c2 = kantorovich_C2(w, p, q)
     links = _interpolant_chain(pair, power_fun(p), matrix_power(pair.spec_A, q), 1.0, c2,
                                ("B^p", "G_{t^p}(B)", "C2 + A^q"), rel_tol)
     return _finish("corollary_2_4", pair.dim, pair.seed, w, {"p": p, "q": q, "C2": c2}, links)
@@ -512,11 +503,10 @@ def check_theorem_4_2(pair: CertifiedPair, phi: PositiveLinearMap, f, alpha: flo
 def check_corollary_4_3(pair: CertifiedPair, phi: PositiveLinearMap, p: float, alpha: float,
                         rel_tol: float = DEFAULT_REL_TOL) -> ChainReport:
     """Power-mean case with closed-form beta: Phi(A #_p B) <= interpolant term
-    <= beta Phi(A) + alpha Phi(A) #_p Phi(B), beta = beta_power_closed(p, p, alpha)."""
+    <= beta Phi(A) + alpha Phi(A) #_p Phi(B), beta = beta_power_closed(p, p, alpha),
+    which enforces p <= 0 and alpha > 0 before any matrix is built."""
     _require_certificate(pair, CERT_RELATIVE, "check_corollary_4_3")
     p, alpha = float(p), float(alpha)
-    if p > 0.0:
-        raise ParameterError(f"needs p <= 0, got p={p}")
     w = pair.window
     beta = beta_power_closed(w, p, p, alpha)
     links = _relative_chain(pair, phi, power_fun(p), alpha, beta,

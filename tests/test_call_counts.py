@@ -31,6 +31,11 @@ def test_seed_1_small_campaign_counts():
     # each oracle scan evaluates its g on the grid once, and on nothing else
     assert calls["oracle scans"] == calls["oracle g on the grid"] == 368
     assert calls["oracle g on the probe"] == 0
+    # every K and K2 goes through kantorovich_K2 and every C, C2 and beta
+    # through beta_power_closed; the baseline for constants computed ahead
+    # of the campaign
+    assert calls["constants.kantorovich_K2"] == 594
+    assert calls["constants.beta_power_closed"] == 1368
 
 
 def test_benchmark_shaped_sweep_counts():

@@ -133,6 +133,27 @@ class TestConfig:
             validate_config(CampaignConfig(windows=[(1e-200, 1.0)], p_grid=[-0.5],
                                            p_grid_theorem_1_1=[2.0]))
 
+    @pytest.mark.parametrize("window, named", [
+        # 1e-14 wide; 2 delta = 2 * 8 * 6 eps at m = 1 is 2.13e-14
+        ((1.0, 1.00000000000001), r"M - m must exceed 2\.13\d*e-14$"),
+        # wide enough for [m, M] (2 delta = 2.13e-12), not for [log m, log M]
+        ((100.0, 100.0 + 5e-12), r"log M - log m must exceed 9\.8\d*e-14$"),
+    ])
+    def test_a_window_narrower_than_the_placement_margin(self, window, named):
+        with pytest.raises(ConfigError, match=rf"^window \({window[0]}, {window[1]}\) is too "
+                                              rf"narrow to place a spectrum at dim 6: {named}"):
+            validate_config(CampaignConfig(windows=[window], dims=[2, 6]))
+
+    def test_a_window_just_above_the_placement_margin_runs_every_suite(self, tmp_path):
+        # 2.01 delta at d = 64 and m = 1, where the log window's limit is the same
+        upper = 1.0 + 2.01 * 8 * 64 * sys.float_info.epsilon
+        cfg = CampaignConfig(windows=[(1.0, upper)], dims=[64], p_grid=[-1.0], q_grid=[-0.5],
+                             r_grid=[-0.5], alpha_grid=[1.0], p_grid_theorem_1_1=[2.0],
+                             samples_per_cell=1, output_dir=str(tmp_path / "narrow"))
+        summary = run_campaign(cfg)
+        assert list(summary.suites) == ALL_SUITES and summary.exit_code == 0
+        assert all(stats.checks >= 1 for stats in summary.suites.values())
+
     @pytest.mark.parametrize("field", EXPONENT_GRIDS)
     def test_an_empty_grid_is_rejected_before_anything_is_written(self, tmp_path, field):
         out = tmp_path / "out"
@@ -864,6 +885,63 @@ class TestCli:
         assert err.startswith(f"config error: output directory '{taken}")
         assert "cannot be created" in err and err.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("argv, taken", [
+        (["run", "--suite", "corollary_2_3", "--samples", "1"], "reports/corollary_2_3.jsonl"),
+        (["run", "--suite", "corollary_2_3", "--samples", "1"], "summary.csv"),
+        (["sweep"], "constants.csv"),
+        (["sweep"], "k2_vs_q_window_2.svg"),
+        (["hunt", "--samples", "1"], "hunt_report.json"),
+    ])
+    def test_an_output_file_path_that_is_a_directory_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch, argv, taken):
+        """Each file a command writes is tested before any work: hunt runs no mode."""
+
+        def no_mode_runs(*args):
+            raise AssertionError("a hunt mode ran")
+
+        monkeypatch.setattr(hunt, "_hunt_q_beyond_regime", no_mode_runs)
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        assert cli_main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"config error: output file {str(out / taken)!r} "
+                                           "exists and is not a regular file\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "hunt"])
+    def test_a_window_narrower_than_the_placement_margin_is_a_config_error(
+            self, tmp_path, capsys, command):
+        bad = tmp_path / "narrow.json"
+        bad.write_text('{"windows": [[1.0, 1.00000000000001]], "dims": [6], '
+                       '"suites": ["corollary_2_3"], "samples_per_cell": 2}')
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: window (1.0, 1.00000000000001) is too narrow to place a spectrum "
+            "at dim 6: M - m must exceed 2.131628207280322e-14\n")
+        assert not out.exists()
+
+    def test_a_failing_run_counts_its_failures_end_to_end(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """K2 halved where the check calls it: the run exits 1, and summary.csv,
+        the report file and ``show`` agree on the number of failed checks."""
+        real = verifiers.kantorovich_K2
+        monkeypatch.setattr(verifiers, "kantorovich_K2", lambda *args: real(*args) * 0.5)
+        out = tmp_path / "failing"
+        assert cli_main(["run", "--suite", "corollary_2_3", "--samples", "2",
+                         "--out", str(out)]) == 1
+        with open(out / "summary.csv") as handle:
+            (row,) = csv.DictReader(handle)
+        lines = (out / "reports" / "corollary_2_3.jsonl").read_text().splitlines()
+        failed = sum(not json.loads(line)["overall"] for line in lines[1:])
+        # K2 is loose on some cells, so halving it leaves those passing
+        assert 0 < failed < len(lines) - 1 == int(row["checks"])
+        assert int(row["fail_count"]) == failed
+        assert float(row["worst_slack"]) < 0.0
+        capsys.readouterr()
+        assert cli_main(["show", str(out / "reports" / "corollary_2_3.jsonl")]) == 0
+        assert f"failed: {failed}\n" in capsys.readouterr().out + "\n"
 
     def test_a_huge_alpha_gives_finite_tolerances(self, tmp_path, capsys):
         """alpha A^q at alpha = 1e300 has entries whose squares overflow; each

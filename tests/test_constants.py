@@ -21,7 +21,7 @@ from kantcheck.constants import (
     kantorovich_K2,
     power_fun,
 )
-from kantcheck.errors import DegenerateExponentError, DomainError, ParameterError
+from kantcheck.errors import DomainError, ParameterError
 from kantcheck.hermitian import SpectralWindow, eval_scalar
 
 W12 = SpectralWindow(1.0, 2.0)
@@ -150,9 +150,13 @@ class TestBetaPowerClosed:
         assert rel_close(closed, oracle)
 
     def test_degenerate_exponent(self):
-        with pytest.raises(DegenerateExponentError):
-            beta_power_closed(W12, -1.0, 0.0, 1.0)
-        with pytest.raises(DegenerateExponentError):
+        # at q = 0 the gap chord(t^p) - alpha is linear, largest at m for p < 0
+        for w in WINDOWS:
+            for p in (-1.0, -2.5):
+                for alpha in (0.5, 2.0):
+                    assert beta_power_closed(w, p, 0.0, alpha) == w.m ** p - alpha
+        # q = 1 lies outside the regime q <= 0
+        with pytest.raises(ParameterError, match="q <= 0"):
             beta_power_closed(W12, -1.0, 1.0, 1.0)
 
     def test_parameter_validation(self):
@@ -177,9 +181,10 @@ class TestKantorovichK:
                 assert rel_close(kantorovich_K(w, float(p)), oracle), (w, p)
 
     def test_degenerate_exponents(self):
-        for p in (0.0, 1.0):
-            with pytest.raises(DegenerateExponentError):
-                kantorovich_K(W12, p)
+        # chord(t^0)/t^0 = 1 and chord(t)/t = 1: K is 1 at both, exactly
+        for w in WINDOWS:
+            for p in (0.0, 1.0):
+                assert kantorovich_K(w, p) == 1.0
 
 
 class TestKantorovichK2:
@@ -229,8 +234,51 @@ class TestDifferenceConstants:
     def test_c_regime_validation(self):
         with pytest.raises(ParameterError):
             kantorovich_C(W12, 0.5)
-        with pytest.raises(DegenerateExponentError):
-            kantorovich_C(W12, 0.0)
+        # chord(t^0) - t^0 = 0 on the whole window
+        for w in WINDOWS:
+            assert kantorovich_C(w, 0.0) == 0.0
+
+
+# exponents at and beside the degenerate set {0, 1}, and windows up to
+# (1e-13, 1), where K2's touch point at q = 0 sits within the branch slack
+# of m
+DEGENERATE_WINDOWS = [*WINDOWS, SpectralWindow(0.01, 100.0), SpectralWindow(1e-13, 1.0)]
+DEGENERATE_PS = (-3.0, -1.0, -0.25, 0.0, -1e-13)
+
+
+class TestDegenerateExponents:
+    """Each closed form's endpoint branch is its constant's exact maximum at
+    q within 1e-12 of 0 or 1 and at p = 0; the oracle agrees to 1e-6."""
+
+    @pytest.mark.parametrize("w", DEGENERATE_WINDOWS, ids=repr)
+    def test_ratio_constants_match_the_oracle(self, w):
+        for p in DEGENERATE_PS:
+            for q in (0.0, 1e-13, -1e-13, 1.0, 1.0 + 1e-13, 1.0 - 1e-13, -1.0):
+                oracle = alpha_ratio(power_fun(p), power_fun(q), w).value
+                assert rel_close(kantorovich_K2(w, p, q), oracle), (p, q)
+        for p in (0.0, 1e-13, -1e-13, 1.0, 1.0 + 1e-13, 1.0 - 1e-13):
+            oracle = alpha_ratio(power_fun(p), power_fun(p), w).value
+            assert rel_close(kantorovich_K(w, p), oracle), p
+
+    @pytest.mark.parametrize("w", DEGENERATE_WINDOWS, ids=repr)
+    def test_gap_constants_match_the_oracle(self, w):
+        for p in DEGENERATE_PS:
+            for q in (0.0, -1e-13, -1.0):
+                for alpha in (0.5, 1.0, 2.0):
+                    oracle = beta_generic(power_fun(p), power_fun(q), alpha, w).value
+                    assert rel_close(beta_power_closed(w, p, q, alpha), oracle), (p, q, alpha)
+                oracle = beta_generic(power_fun(p), power_fun(q), 1.0, w).value
+                assert rel_close(kantorovich_C2(w, p, q), oracle), (p, q)
+        for p in (0.0, -1e-13):
+            oracle = beta_generic(power_fun(p), power_fun(p), 1.0, w).value
+            assert rel_close(kantorovich_C(w, p), oracle), p
+
+    def test_a_tolerance_routes_the_near_zero_q(self):
+        # at q = 1e-13 on (1e-13, 1) K2's touch point q * num / den lies
+        # inside the branch slack of m, where the interior formula's power
+        # of a negative base is complex
+        w = SpectralWindow(1e-13, 1.0)
+        assert kantorovich_K2(w, -1.0, 1e-13) == max(w.m ** (-1.0 - 1e-13), w.M ** (-1.0 - 1e-13))
 
 
 class TestAlphaRatio:

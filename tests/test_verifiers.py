@@ -89,10 +89,9 @@ class TestTheorem11:
 
     def test_parameter_validation(self):
         pair = gen_dominated_pair(3, W12, seed=1, window_side=WINDOW_ON_A)
-        with pytest.raises(ParameterError):
-            check_theorem_1_1(pair, 0.5)
-        with pytest.raises(DegenerateExponentError):
-            check_theorem_1_1(pair, 1.0)
+        for p in (0.5, 1.0):
+            with pytest.raises(ParameterError, match="needs p > 1"):
+                check_theorem_1_1(pair, p)
 
     def test_needs_window_on_a(self):
         pair = gen_dominated_pair(3, W12, seed=1)
@@ -162,12 +161,12 @@ class TestCorollary22:
                         pair = gen_dominated_pair(3, W12, seed)
                         assert check_corollary_2_2(pair, p, q, alpha).overall
 
-    def test_degenerate_q_falls_back_to_oracle(self):
+    def test_degenerate_q_takes_the_endpoint_gap(self):
         pair = gen_dominated_pair(3, W12, seed=6)
         report = check_corollary_2_2(pair, -1.0, 0.0, 2.0)
         assert report.overall
         # with q = 0 the gap constant is max(chord) - alpha = m^p - alpha
-        assert report.params["beta"] == pytest.approx(W12.m ** -1.0 - 2.0, abs=1e-9)
+        assert report.params["beta"] == W12.m ** -1.0 - 2.0
 
     def test_parameter_validation(self):
         pair = gen_dominated_pair(3, W12, seed=6)
@@ -175,6 +174,8 @@ class TestCorollary22:
             check_corollary_2_2(pair, 0.5, -1.0, 1.0)
         with pytest.raises(ParameterError):
             check_corollary_2_2(pair, -1.0, -1.0, -1.0)
+        with pytest.raises(ParameterError):
+            check_corollary_2_2(pair, -1.0, 1.0, 1.0)
 
 
 class TestCorollary23:
@@ -203,6 +204,14 @@ class TestCorollary23:
                 pair = gen_dominated_pair(2 + seed % 3, W12, seed)
                 assert check_corollary_2_3(pair, p, q).overall
 
+    def test_q_zero_ends_the_regime_and_passes(self):
+        # at q = 0 K2 = max chord(t^p) = m^p for p < 0, with no fuzz note
+        for seed in range(5):
+            pair = gen_dominated_pair(3, W12, seed)
+            report = check_corollary_2_3(pair, -1.0, 0.0)
+            assert report.overall and report.notes == []
+            assert report.params["K2"] == W12.m ** -1.0
+
     def test_fuzz_regime_is_flagged_not_rejected(self):
         pair = gen_dominated_pair(3, W12, seed=8)
         report = check_corollary_2_3(pair, -1.0, -2.0)
@@ -228,11 +237,17 @@ class TestCorollary24:
         assert report.overall
         assert report.params["C2"] == pytest.approx(1.5 - math.sqrt(2.0), abs=1e-12)
 
-    def test_degenerate_exponents_fall_back(self):
+    def test_degenerate_exponents_take_the_endpoint_gap(self):
         pair = gen_dominated_pair(3, W12, seed=10)
         report = check_corollary_2_4(pair, 0.0, 0.0)
         assert report.overall
-        assert abs(report.params["C2"]) < 1e-9  # I <= I <= 0*I + I
+        assert report.params["C2"] == 0.0  # I <= I <= 0*I + I
+
+    @pytest.mark.parametrize("p, q", [(0.5, -1.0), (-1.0, 0.5)], ids=["p", "q"])
+    def test_regime_is_enforced_by_the_constant(self, p, q):
+        pair = gen_dominated_pair(3, W12, seed=10)
+        with pytest.raises(ParameterError, match="gap constant needs"):
+            check_corollary_2_4(pair, p, q)
 
     def test_cells_pass(self):
         for p, q in ((-2.0, -1.0), (-0.5, -0.75)):
@@ -438,6 +453,14 @@ class TestCorollary43And44:
                 pair = gen_relative_pair(dim, W12, seed)
                 phi = gen_positive_linear_map(dim, max(1, dim - 1), 1 + seed % 2, seed + 9)
                 assert check_corollary_4_4(pair, phi, -1.0, mode).overall
+
+    @pytest.mark.parametrize("p, alpha", [(0.5, 1.0), (-1.0, 0.0), (-1.0, -1.0)],
+                             ids=["p", "alpha_zero", "alpha_negative"])
+    def test_corollary_4_3_regime_is_enforced_by_the_constant(self, p, alpha):
+        pair = gen_relative_pair(3, W12, seed=2)
+        phi = gen_positive_linear_map(3, 2, 1, 3)
+        with pytest.raises(ParameterError, match="gap constant needs"):
+            check_corollary_4_3(pair, phi, p, alpha)
 
 
 class TestTheorem45:

@@ -11,13 +11,15 @@ and ``posmaps._normalization_defects``, one per stack of maps checked
 together, where the checkout has it), the campaign's generator stack
 draws (calls of a suite's ``generate``, one per stack the campaign
 draws) and the window placements (``generators._place_in_window``, one
-per stacked placement).  Both modes also count the oracle's
-scans (one ``constants._grid_bracket`` per scan, whether made alone or
-in a lockstep pass) and its evaluations of g on a grid-sized array (the
-GRID_RESOLUTION + 1 scan points) and on a probe-sized one (2,001 points,
-the sign probe of checkouts that have one), which are the calls of
-``eval_scalar`` in ``constants``.  Counts do not depend on the host, so
-two checkouts compare exactly:
+per stacked placement), and the closed-form evaluations
+(``constants.kantorovich_K2``, behind every K and K2, and
+``constants.beta_power_closed``, behind every C, C2 and beta).  Both
+modes also count the oracle's scans (one ``constants._grid_bracket`` per
+scan, whether made alone or in a lockstep pass) and its evaluations of g
+on a grid-sized array (the GRID_RESOLUTION + 1 scan points) and on a
+probe-sized one (2,001 points, the sign probe of checkouts that have
+one), which are the calls of ``eval_scalar`` in ``constants``.  Counts
+do not depend on the host, so two checkouts compare exactly:
 
     python3 tools/call_counts.py                  # this checkout
     python3 tools/call_counts.py ../other-checkout
@@ -51,6 +53,8 @@ COUNTED = (
     ("map normalization (one stack)", "posmaps.py", "_normalization_defects"),
     ("generators._place_in_window", "generators.py", "_place_in_window"),
     ("oracle scans", "constants.py", "_grid_bracket"),
+    ("constants.kantorovich_K2", "constants.py", "kantorovich_K2"),
+    ("constants.beta_power_closed", "constants.py", "beta_power_closed"),
 )
 STACK_DRAWS = "generator stack draws"
 
