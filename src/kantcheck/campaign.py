@@ -38,7 +38,6 @@ import json
 import math
 import numbers
 import os
-import sys
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -50,6 +49,7 @@ from .errors import ConfigError
 from .generators import (
     POSITIVITY_MARGIN_FACTOR,
     WINDOW_ON_A,
+    _placement_margin,
     gen_chaotic_pairs,
     gen_dominated_pairs,
     gen_positive_linear_maps,
@@ -357,7 +357,7 @@ def _check_windows_fit(cfg: CampaignConfig) -> None:
     for m, upper in cfg.windows:
         m, upper = float(m), float(upper)
         for name, lo, hi in (("M - m", m, upper), ("log M - log m", math.log(m), math.log(upper))):
-            delta = 8.0 * d * sys.float_info.epsilon * max(abs(lo), abs(hi), 1.0)
+            delta = float(_placement_margin(lo, hi, d))
             if not hi - lo > 2.0 * delta:
                 raise ConfigError(f"window ({m}, {upper}) is too narrow to place a spectrum "
                                   f"at dim {d}: {name} must exceed {2.0 * delta!r}")

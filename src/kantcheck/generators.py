@@ -204,6 +204,11 @@ def _window_targets(uniforms: Array, windows: _Windows) -> Array:
     return np.where(u < ENDPOINT_PROB, m, np.where(u < 2 * ENDPOINT_PROB, upper, interior))
 
 
+def _placement_margin(lo, hi, dim: int):
+    """8 dim eps max(|lo|, |hi|, 1), the first inward margin of a placement into [lo, hi]."""
+    return 8.0 * np.finfo(float).eps * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0) * dim
+
+
 def _place_in_window(draws: list, windows: _Windows) -> tuple[Array, SpectralDecomposition]:
     """The stack of window placements of a list of ``_window_draws``, each
     in its own window, and the stacked decomposition their window test made.
@@ -220,8 +225,7 @@ def _place_in_window(draws: list, windows: _Windows) -> tuple[Array, SpectralDec
     uniforms, parts = zip(*draws)
     q = _haar(_complex_normal(np.array(parts)))
     m, upper = windows
-    scale = np.maximum(np.maximum(np.abs(m), np.abs(upper)), 1.0)
-    margin = 8.0 * np.finfo(float).eps * scale * q.shape[-1]
+    margin = _placement_margin(m, upper, q.shape[-1])
     target = np.clip(np.sort(_window_targets(np.array(uniforms), windows), axis=-1),
                      (m + margin)[:, None], (upper - margin)[:, None])
     for _ in range(6):
@@ -508,7 +512,8 @@ def gen_weighted_family(n_items: int, dim_in: int, dim_out: int,
 def gen_weighted_families(n_items: int, dim_in: int, dim_out: int, windows, seeds) -> list:
     """``gen_weighted_family`` of each (window, seed), with the maps'
     normalization and the operands' placement stacked over every item of
-    every seed; each family is bit for bit the one a lone call makes."""
+    every seed; each family is bit for bit the one a lone call makes, and is
+    validated where it is checked (``check_theorem_4_1``), not here."""
     if not n_items:
         raise HypothesisError("weighted family is empty")
     windows = _one_per_seed(windows, seeds)
@@ -531,7 +536,7 @@ def gen_weighted_families(n_items: int, dim_in: int, dim_out: int, windows, seed
         items = slice(i * n_items, (i + 1) * n_items)
         family = WeightedFamily(items=tuple(zip(map(float, weights[i]), maps[items], ops[items])),
                                 window=window, seed=int(seed))
-        families.append(_with_spectra(family, spectra=tuple(decs[items])).validate())
+        families.append(_with_spectra(family, spectra=tuple(decs[items])))
     return families
 
 

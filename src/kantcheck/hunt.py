@@ -26,8 +26,9 @@ from .generators import (
     gen_hermitian_in_window,
     pair_to_json,
 )
-from .hermitian import SpectralWindow, geometric_interpolant, loewner_leq, matrix_power
+from .hermitian import SpectralWindow, geometric_interpolant, matrix_power
 from .verifiers import (
+    _links,
     check_corollary_2_2,
     check_corollary_2_3,
     check_corollary_3_2,
@@ -40,8 +41,6 @@ from .verifiers import (
 # while B0^2 - A0^2 has a negative eigenvalue below -0.1.
 SQUARED_ORDER_WITNESS_A = [[1.01, 0.0], [0.0, 0.01]]
 SQUARED_ORDER_WITNESS_B = [[2.01, 1.0], [1.0, 1.01]]
-
-UNWEIGHTED_LINK = "B^(-r) G_{t^(p+r)}(B) <= C I + A^p"
 
 
 @dataclass
@@ -57,25 +56,20 @@ class HuntModeResult:
         return self.__dict__.copy()
 
 
-def _observe(result: HuntModeResult, pair: CertifiedPair, failing: list, params: dict) -> None:
-    """Fold one fuzz sample into the mode result, keeping the worst witness.
-
-    failing lists (label, min_slack) for each link of the sample that did
-    not hold.
-    """
+def _observe(result: HuntModeResult, pair: CertifiedPair, links: list, params: dict) -> None:
+    """Fold one fuzz sample, whose tested links are ``links``, into the mode
+    result: a sample with a link that does not hold is a violation, and the
+    worst one is kept as the witness."""
     result.samples += 1
+    failing = [lk for lk in links if not lk.holds]
     if not failing:
         return
     result.violations += 1
-    worst = min(slack for _, slack in failing)
+    worst = min(lk.min_slack for lk in failing)
     if worst < result.max_violation:
         result.max_violation = worst
         result.witness = {"pair": pair_to_json(pair), "params": params,
-                          "failing_links": [label for label, _ in failing], "min_slack": worst}
-
-
-def _failing_links(report) -> list:
-    return [(lk.label, lk.min_slack) for lk in report.links if not lk.holds]
+                          "failing_links": [lk.label for lk in failing], "min_slack": worst}
 
 
 def _sample(cfg: CampaignConfig, j: int) -> tuple[int, SpectralWindow, int]:
@@ -85,7 +79,7 @@ def _sample(cfg: CampaignConfig, j: int) -> tuple[int, SpectralWindow, int]:
 
 def _sample_loop(cfg: CampaignConfig, mode: str, notes: list, samples: int, draw,
                  *fixed) -> HuntModeResult:
-    """The mode result of the fixed (pair, failing links, params) observations,
+    """The mode result of the fixed (pair, links, params) observations,
     then of samples 0..samples-1, each observed as draw(dim, window, seed)."""
     result = HuntModeResult(mode=mode, samples=0, violations=0, max_violation=0.0, notes=notes)
     for observation in fixed:
@@ -102,7 +96,7 @@ def _checked_draw(cfg: CampaignConfig, generate, check, args):
         pair = generate(dim, w, seed)
         params = args(w)
         report = check(pair, **params, rel_tol=cfg.rel_tol)
-        return pair, _failing_links(report), {**params, "m": w.m, "M": w.M}
+        return pair, report.links, {**params, "m": w.m, "M": w.M}
 
     return draw
 
@@ -136,7 +130,7 @@ def _hunt_non_log_convex(cfg: CampaignConfig, samples: int) -> HuntModeResult:
         pair = gen_dominated_pair(dim, w, seed)
         alpha, beta = gap_constants(w)
         report = check_theorem_2_1(pair, f, g, alpha, cfg.rel_tol, beta=beta)
-        return (pair, _failing_links(report),
+        return (pair, report.links,
                 {"f": "sqrt", "g": "t^-1", "alpha": alpha, "m": w.m, "M": w.M})
 
     return _sample_loop(cfg, "theorem_2_1_non_log_convex_f",
@@ -166,15 +160,14 @@ def _hunt_squared_order_control(cfg: CampaignConfig) -> HuntModeResult:
     """Replay the fixed 2x2 witness that squaring breaks the order."""
     a = np.array(SQUARED_ORDER_WITNESS_A, dtype=complex)
     b = np.array(SQUARED_ORDER_WITNESS_B, dtype=complex)
-    base = loewner_leq(a, b, cfg.rel_tol)
-    squared = loewner_leq(matrix_power(a, 2.0), matrix_power(b, 2.0), cfg.rel_tol)
+    base, squared = _links(cfg.rel_tol, ("A <= B", a, b),
+                           ("A^2 <= B^2", matrix_power(a, 2.0), matrix_power(b, 2.0)))
     pair = CertifiedPair(A=a, B=b, window=SpectralWindow(0.0, 3.0),
                          certificate=CERT_DOMINATED, seed=0)
-    failing = [("A^2 <= B^2", squared.min_slack)] if base.holds and not squared.holds else []
     return _sample_loop(cfg, "squared_order_negative_control",
                         [f"A0 <= B0: holds={base.holds} min_slack={base.min_slack!r}",
                          f"A0^2 <= B0^2: holds={squared.holds} min_slack={squared.min_slack!r}"],
-                        0, None, (pair, failing, {"power": 2.0}))
+                        0, None, (pair, [base, squared], {"power": 2.0}))
 
 
 def _hunt_lemma_exponent_variants(cfg: CampaignConfig, samples: int) -> HuntModeResult:
@@ -185,17 +178,16 @@ def _hunt_lemma_exponent_variants(cfg: CampaignConfig, samples: int) -> HuntMode
     first = corpus[0]
     corpus.append(CertifiedPair(A=first.B, B=first.B, window=first.window,
                                 certificate=CERT_CHAOTIC, seed=first.seed))
-    tallies = [lemma_3_1_exponent_slacks(pair, p, r, cfg.rel_tol)
-               for pair in corpus for p, r in grids]
-    total = len(tallies)
-    exponents = {"r_over_p_plus_r": "r/(p+r)", "p_over_p_plus_r": "p/(p+r)"}
-    held = {name: sum(t[name]["holds"] for t in tallies) for name in exponents}
-    worst = {name: min(0.0, *(t[name]["min_slack"] for t in tallies)) for name in exponents}
+    columns = list(zip(*(lemma_3_1_exponent_slacks(pair, p, r, cfg.rel_tol)
+                         for pair in corpus for p, r in grids)))
+    total = len(columns[0])
+    held = [sum(lk.holds for lk in links) for links in columns]
+    worst = [min(0.0, *(lk.min_slack for lk in links)) for links in columns]
     return HuntModeResult(
         mode="lemma_3_1_exponent_variants", samples=total,
-        violations=total - held["p_over_p_plus_r"], max_violation=worst["p_over_p_plus_r"],
-        notes=[f"exponent {exponent}: held {held[name]}/{total}, worst slack {worst[name]!r}"
-               for name, exponent in exponents.items()])
+        violations=total - held[1], max_violation=worst[1],
+        notes=[f"exponent {exponent}: held {h}/{total}, worst slack {w!r}"
+               for exponent, h, w in zip(("r/(p+r)", "p/(p+r)"), held, worst)])
 
 
 def _hunt_unweighted_difference_constant(cfg: CampaignConfig, samples: int) -> HuntModeResult:
@@ -209,9 +201,8 @@ def _hunt_unweighted_difference_constant(cfg: CampaignConfig, samples: int) -> H
     cfg = replace(cfg, windows=[w for w in cfg.windows if w[0] > 1.0] or cfg.windows)
 
     def observed(pair):
-        slack = corollary_3_3_unweighted_slack(pair, p, r, cfg.rel_tol)
-        failing = [] if slack["holds"] else [(UNWEIGHTED_LINK, slack["min_slack"])]
-        return pair, failing, {"p": p, "r": r, "m": pair.window.m, "M": pair.window.M}
+        return (pair, [corollary_3_3_unweighted_slack(pair, p, r, cfg.rel_tol)],
+                {"p": p, "r": r, "m": pair.window.m, "M": pair.window.M})
 
     # deterministic commuting witness: A = B loaded on the maximizer of the
     # weighted gap t^(-r) (G_{p+r}(t) - t^(p+r)) over the first window

@@ -3,9 +3,10 @@
 Each check builds every operator appearing in its chain, tests its "<="
 links together at the configured tolerance, in one stacked eigensolve,
 with no re-validation of the check's own intermediates, and returns a
-ChainReport.  ``_links`` builds each Link straight from
-``hermitian._slacks``, the body of ``loewner_verdicts``, with the fields
-``loewner_leq`` would give it, bit for bit, and no LoewnerVerdict.  The
+ChainReport.  ``_links`` builds every Link, the diagnostics' and the
+sharpness hunt's too, straight from ``hermitian._slacks``, the body of
+``loewner_verdicts``, with the fields ``loewner_leq`` would give it, bit
+for bit, and no LoewnerVerdict.  The
 operators a check takes from one decomposition are rebuilt from it in
 one call, one row of values each.  A hand-built pair is validated once,
 on first use of its cached ``operands``, ``spec_A`` or ``spec_B``, and a
@@ -59,7 +60,6 @@ from .hermitian import (
     hermitize,
     identity,
     loewner_leq,  # noqa: F401  (still importable from this module, as before)
-    loewner_verdicts,
     matrix_power,
 )
 from .posmaps import (
@@ -318,8 +318,9 @@ def check_lemma_3_1_forward(pair: CertifiedPair, p: float, r: float,
 
 
 def lemma_3_1_exponent_slacks(pair: CertifiedPair, p: float, r: float,
-                              rel_tol: float = DEFAULT_REL_TOL) -> dict:
-    """Slacks of the two candidate outer exponents r/(p+r) and p/(p+r).
+                              rel_tol: float = DEFAULT_REL_TOL) -> list:
+    """The links B^r <= (B^(r/2) A^p B^(r/2))^e of the two candidate outer
+    exponents e = r/(p+r) and e = p/(p+r), in that order.
 
     Diagnostic used by the sharpness hunt to record which exponent the
     chaotic order actually supports; the conformance check uses r/(p+r).
@@ -328,12 +329,10 @@ def lemma_3_1_exponent_slacks(pair: CertifiedPair, p: float, r: float,
     p, r = _chaotic_exponents(p, r)
     b_r = matrix_power(pair.spec_B, r)
     term = furuta_term(pair, p, r)
-    names = ("r_over_p_plus_r", "p_over_p_plus_r")
-    exponents = (r / (p + r), p / (p + r))
-    powers = term.rebuild(np.array([_power_values(term, expo) for expo in exponents]))
-    verdicts = loewner_verdicts([(b_r, power) for power in powers], rel_tol)
-    return {name: {"min_slack": v.min_slack, "holds": v.holds}
-            for name, v in zip(names, verdicts)}
+    exponents = {"r/(p+r)": r / (p + r), "p/(p+r)": p / (p + r)}
+    powers = term.rebuild(np.array([_power_values(term, expo) for expo in exponents.values()]))
+    return _links(rel_tol, *((f"B^r <= (B^(r/2) A^p B^(r/2))^({name})", b_r, power)
+                             for name, power in zip(exponents, powers)))
 
 
 def _chaotic_middle(pair: CertifiedPair, p: float, r: float) -> Array:
@@ -397,8 +396,8 @@ def check_corollary_3_3(pair: CertifiedPair, p: float, r: float,
 
 
 def corollary_3_3_unweighted_slack(pair: CertifiedPair, p: float, r: float,
-                                   rel_tol: float = DEFAULT_REL_TOL) -> dict:
-    """Slack of the unweighted final bound C(m,M,p+r) I + A^p.
+                                   rel_tol: float = DEFAULT_REL_TOL) -> Link:
+    """The link of the unweighted final bound C(m,M,p+r) I + A^p.
 
     Diagnostic only: this variant drops the B^(-r) weight on the constant
     and is refuted already by commuting instances on windows with m > 1;
@@ -410,8 +409,8 @@ def corollary_3_3_unweighted_slack(pair: CertifiedPair, p: float, r: float,
     c = kantorovich_C(w, p + r)
     mid = pair.spec_B.rebuild(_chaotic_middle(pair, p, r))
     rhs = c * identity(pair.dim) + matrix_power(pair.spec_A, p)
-    (verdict,) = loewner_verdicts([(mid, rhs)], rel_tol)
-    return {"min_slack": verdict.min_slack, "holds": verdict.holds}
+    (link,) = _links(rel_tol, ("B^(-r) G_{t^(p+r)}(B) <= C I + A^p", mid, rhs))
+    return link
 
 
 def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,

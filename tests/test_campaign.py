@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kantcheck import campaign, constants, hunt, verifiers
+from kantcheck import campaign, constants, generators, hunt, verifiers
 from kantcheck.campaign import (
     ALL_SUITES,
     SUITES,
@@ -39,7 +39,7 @@ from kantcheck.constants import (
     kantorovich_K2,
     power_fun,
 )
-from kantcheck.errors import ConfigError, DomainError, ParameterError
+from kantcheck.errors import ConfigError, DomainError, GenerationError, ParameterError
 from kantcheck.generators import POSITIVITY_MARGIN_FACTOR, gen_weighted_family
 from kantcheck.hermitian import SpectralWindow, loewner_leq
 from kantcheck.hunt import hunt_sharpness
@@ -143,6 +143,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^window \({window[0]}, {window[1]}\) is too "
                                               rf"narrow to place a spectrum at dim 6: {named}"):
             validate_config(CampaignConfig(windows=[window], dims=[2, 6]))
+
+    @pytest.mark.parametrize("window, generate", [
+        ((1.0, 1.00000000000001), generators.gen_dominated_pair),
+        # the chaotic pair places log B first, in [log m, log M]
+        ((100.0, 100.0 + 5e-12), generators.gen_chaotic_pair),
+    ])
+    def test_the_placement_limit_is_twice_the_generators_first_margin(self, monkeypatch,
+                                                                      window, generate):
+        real, first_margins = generators._placement_margin, []
+
+        def spy(lo, hi, dim):
+            margin = real(lo, hi, dim)
+            first_margins.append(float(margin[0]))
+            return margin
+
+        monkeypatch.setattr(generators, "_placement_margin", spy)
+        with pytest.raises(GenerationError, match="could not place a spectrum"):
+            generate(6, SpectralWindow(*window), 1)
+        with pytest.raises(ConfigError) as raised:
+            validate_config(CampaignConfig(windows=[window], dims=[2, 6]))
+        assert str(raised.value).endswith(f" must exceed {2.0 * first_margins[0]!r}")
 
     def test_a_window_just_above_the_placement_margin_runs_every_suite(self, tmp_path):
         # 2.01 delta at d = 64 and m = 1, where the log window's limit is the same

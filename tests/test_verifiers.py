@@ -31,6 +31,7 @@ from kantcheck.generators import (
     pair_to_json,
 )
 from kantcheck.hermitian import SpectralWindow, loewner_verdicts
+from kantcheck.hunt import hunt_sharpness
 from kantcheck.posmaps import PositiveLinearMap, WeightedFamily, apply_map, tsallis_entropy
 from kantcheck.verifiers import (
     CHAIN_CATALOG,
@@ -283,12 +284,14 @@ class TestLemma31:
         # the stated outer exponent r/(p+r) holds; the p/(p+r) variant is
         # refuted already by A = B with p != r, where it asks B^r <= B^p
         pair = diag_pair(W12, CERT_CHAOTIC)
-        slacks = lemma_3_1_exponent_slacks(pair, -1.0, -0.5)
-        assert slacks["r_over_p_plus_r"]["holds"]
-        assert not slacks["p_over_p_plus_r"]["holds"]
+        stated, variant = lemma_3_1_exponent_slacks(pair, -1.0, -0.5)
+        assert stated.label == check_lemma_3_1_forward(pair, -1.0, -0.5).links[0].label
+        assert variant.label == "B^r <= (B^(r/2) A^p B^(r/2))^(p/(p+r))"
+        assert stated.holds
+        assert not variant.holds
         for seed in range(10):
             random_pair = gen_chaotic_pair(3, W12, seed)
-            assert lemma_3_1_exponent_slacks(random_pair, -1.0, -0.5)["r_over_p_plus_r"]["holds"]
+            assert lemma_3_1_exponent_slacks(random_pair, -1.0, -0.5)[0].holds
 
 
 class TestCorollary32And33:
@@ -328,8 +331,9 @@ class TestCorollary32And33:
         mat = np.diag(np.asarray([2.4538, 2.0], dtype=complex))
         pair = CertifiedPair(A=mat, B=mat, window=w23, certificate=CERT_CHAOTIC, seed=-1)
         unweighted = corollary_3_3_unweighted_slack(pair, p, r)
-        assert not unweighted["holds"]
-        assert unweighted["min_slack"] < -1e-3
+        assert unweighted.label == "B^(-r) G_{t^(p+r)}(B) <= C I + A^p"
+        assert not unweighted.holds
+        assert unweighted.min_slack < -1e-3
         assert check_corollary_3_3(pair, p, r).overall
 
     def test_weighted_chain_survives_the_hot_cell(self):
@@ -737,8 +741,8 @@ class TestDecomposeOnce:
         eigh = np.linalg.eigh
         calls = []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
-        slacks = lemma_3_1_exponent_slacks(pair, -1.0, -0.5)
-        assert slacks["r_over_p_plus_r"]["holds"]
+        stated, _ = lemma_3_1_exponent_slacks(pair, -1.0, -0.5)
+        assert stated.holds
         assert len(calls) == 1
 
     @staticmethod
@@ -879,10 +883,22 @@ class TestLinksFromSlacks:
             assert links[1].holds and links[1].tight and links[1].min_slack == 0.0
             assert not links[2].holds and not links[2].tight
 
-    def test_links_build_no_verdict(self, monkeypatch):
-        monkeypatch.setattr(verifiers, "loewner_verdicts", None)
+    def test_links_build_no_verdict(self, monkeypatch, tmp_path):
+        """A check, both diagnostics and every hunt mode test their links
+        through ``_links``: none builds a LoewnerVerdict."""
+        def no_verdict(**fields):
+            raise AssertionError("a LoewnerVerdict was built")
+
+        monkeypatch.setattr(hermitian, "LoewnerVerdict", no_verdict)
+        with pytest.raises(AssertionError):
+            hermitian.loewner_leq(np.eye(2), np.eye(2))
         pair = gen_dominated_pair(3, W12, seed=3)
         assert check_corollary_2_3(pair, -1.0, -0.5).overall
+        chaotic = gen_chaotic_pair(3, W12, seed=3)
+        assert lemma_3_1_exponent_slacks(chaotic, -1.0, -0.5)[0].holds
+        assert corollary_3_3_unweighted_slack(chaotic, -0.25, -1.0).holds
+        report = hunt_sharpness(CampaignConfig(dims=[2], fuzz_samples=1), tmp_path)
+        assert len(report["modes"]) == 7
 
 
 class TestReportMachinery:
