@@ -57,7 +57,7 @@ from .hermitian import (
     _matrix_entries,
     hermitian,
     hermitize,
-    loewner_leq,  # noqa: F401  (still importable from this module, as before)
+    loewner_leq,  # noqa: F401  (perfbench/tests/test_bench_trace.py reads generators.loewner_leq)
     matrix_exp,
     matrix_log,
     matrix_power,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .generators import (
 )
 from .hermitian import SpectralWindow, geometric_interpolant, matrix_power
 from .verifiers import (
+    ChainReport,
+    _finish,
     _links,
     check_corollary_2_2,
     check_corollary_2_3,
@@ -56,19 +58,19 @@ class HuntModeResult:
         return self.__dict__.copy()
 
 
-def _observe(result: HuntModeResult, pair: CertifiedPair, links: list, params: dict) -> None:
-    """Fold one fuzz sample, whose tested links are ``links``, into the mode
+def _observe(result: HuntModeResult, pair: CertifiedPair, report: ChainReport) -> None:
+    """Fold one fuzz sample, the report of a check on ``pair``, into the mode
     result: a sample with a link that does not hold is a violation, and the
-    worst one is kept as the witness."""
+    worst one is kept as the witness, with the report's params."""
     result.samples += 1
-    failing = [lk for lk in links if not lk.holds]
+    failing = [lk for lk in report.links if not lk.holds]
     if not failing:
         return
     result.violations += 1
     worst = min(lk.min_slack for lk in failing)
     if worst < result.max_violation:
         result.max_violation = worst
-        result.witness = {"pair": pair_to_json(pair), "params": params,
+        result.witness = {"pair": pair_to_json(pair), "params": report.params,
                           "failing_links": [lk.label for lk in failing], "min_slack": worst}
 
 
@@ -77,28 +79,19 @@ def _sample(cfg: CampaignConfig, j: int) -> tuple[int, SpectralWindow, int]:
     return _dim_for(cfg, j), SpectralWindow(*cfg.windows[j % len(cfg.windows)]), cfg.base_seed + j
 
 
-def _sample_loop(cfg: CampaignConfig, mode: str, notes: list, samples: int, draw,
-                 *fixed) -> HuntModeResult:
-    """The mode result of the fixed (pair, links, params) observations,
-    then of samples 0..samples-1, each observed as draw(dim, window, seed)."""
+def _sample_loop(cfg: CampaignConfig, mode: str, notes: list, samples: int, generate=None,
+                 check=None, args=None, fixed=()) -> HuntModeResult:
+    """The mode result of the ``fixed`` (pair, report) observations, then of
+    samples 0..samples-1, each the report of check(pair, **args(window)) on
+    pair = generate(dim, window, seed)."""
     result = HuntModeResult(mode=mode, samples=0, violations=0, max_violation=0.0, notes=notes)
     for observation in fixed:
         _observe(result, *observation)
     for j in range(samples):
-        _observe(result, *draw(*_sample(cfg, j)))
-    return result
-
-
-def _checked_draw(cfg: CampaignConfig, generate, check, args):
-    """A draw that runs check(pair, **args(window)) on generate(dim, window,
-    seed) and records the arguments with the window."""
-    def draw(dim, w, seed):
+        dim, w, seed = _sample(cfg, j)
         pair = generate(dim, w, seed)
-        params = args(w)
-        report = check(pair, **params, rel_tol=cfg.rel_tol)
-        return pair, report.links, {**params, "m": w.m, "M": w.M}
-
-    return draw
+        _observe(result, pair, check(pair, **args(w), rel_tol=cfg.rel_tol))
+    return result
 
 
 def _hunt_q_beyond_regime(cfg: CampaignConfig, samples: int) -> HuntModeResult:
@@ -106,15 +99,13 @@ def _hunt_q_beyond_regime(cfg: CampaignConfig, samples: int) -> HuntModeResult:
     return _sample_loop(cfg, "corollary_2_3_q_beyond_regime",
                         [f"regime relaxed to q={q}; violations are sharpness witnesses, "
                          "absence of violations is also a valid outcome"], samples,
-                        _checked_draw(cfg, gen_dominated_pair, check_corollary_2_3,
-                                      lambda w: {"p": p, "q": q}))
+                        gen_dominated_pair, check_corollary_2_3, lambda w: {"p": p, "q": q})
 
 
 def _hunt_r_beyond_regime(cfg: CampaignConfig, samples: int) -> HuntModeResult:
     p, r = -1.0, -2.0
     return _sample_loop(cfg, "corollary_3_2_r_beyond_regime", [f"regime relaxed to r={r}"],
-                        samples, _checked_draw(cfg, gen_chaotic_pair, check_corollary_3_2,
-                                               lambda w: {"p": p, "r": r}))
+                        samples, gen_chaotic_pair, check_corollary_3_2, lambda w: {"p": p, "r": r})
 
 
 def _hunt_non_log_convex(cfg: CampaignConfig, samples: int) -> HuntModeResult:
@@ -124,18 +115,12 @@ def _hunt_non_log_convex(cfg: CampaignConfig, samples: int) -> HuntModeResult:
     def gap_constants(w):
         """alpha = max chord(f)/g and theorem_2_1's beta, once per window."""
         alpha = alpha_ratio(f, g, w).value
-        return alpha, beta_generic(f, g, alpha, w).value
-
-    def draw(dim, w, seed):
-        pair = gen_dominated_pair(dim, w, seed)
-        alpha, beta = gap_constants(w)
-        report = check_theorem_2_1(pair, f, g, alpha, cfg.rel_tol, beta=beta)
-        return (pair, report.links,
-                {"f": "sqrt", "g": "t^-1", "alpha": alpha, "m": w.m, "M": w.M})
+        return {"alpha": alpha, "beta": beta_generic(f, g, alpha, w).value}
 
     return _sample_loop(cfg, "theorem_2_1_non_log_convex_f",
-                        ["f(t) = sqrt(t) is log-concave; the interpolant link "
-                         "is expected to flip in the interior"], samples, draw)
+                        ["f(t) = sqrt(t) is log-concave and g(t) = t^-1; the interpolant "
+                         "link is expected to flip in the interior"], samples,
+                        gen_dominated_pair, partial(check_theorem_2_1, f=f, g=g), gap_constants)
 
 
 def _undominated_pair(dim: int, w: SpectralWindow, seed: int) -> CertifiedPair:
@@ -152,8 +137,8 @@ def _hunt_missing_domination(cfg: CampaignConfig, samples: int) -> HuntModeResul
     return _sample_loop(cfg, "corollary_2_2_without_domination",
                         ["A is drawn independently of B with spectrum in [m, 2M]; "
                          "the dominated certificate is deliberately not satisfied"], samples,
-                        _checked_draw(cfg, _undominated_pair, check_corollary_2_2,
-                                      lambda w: {"p": -1.0, "q": -1.0, "alpha": ratio(w)}))
+                        _undominated_pair, check_corollary_2_2,
+                        lambda w: {"p": -1.0, "q": -1.0, "alpha": ratio(w)})
 
 
 def _hunt_squared_order_control(cfg: CampaignConfig) -> HuntModeResult:
@@ -162,12 +147,13 @@ def _hunt_squared_order_control(cfg: CampaignConfig) -> HuntModeResult:
     b = np.array(SQUARED_ORDER_WITNESS_B, dtype=complex)
     base, squared = _links(cfg.rel_tol, ("A <= B", a, b),
                            ("A^2 <= B^2", matrix_power(a, 2.0), matrix_power(b, 2.0)))
-    pair = CertifiedPair(A=a, B=b, window=SpectralWindow(0.0, 3.0),
-                         certificate=CERT_DOMINATED, seed=0)
+    w = SpectralWindow(0.0, 3.0)
+    pair = CertifiedPair(A=a, B=b, window=w, certificate=CERT_DOMINATED, seed=0)
+    report = _finish("squared_order", pair.dim, pair.seed, w, {"power": 2.0}, [base, squared])
     return _sample_loop(cfg, "squared_order_negative_control",
                         [f"A0 <= B0: holds={base.holds} min_slack={base.min_slack!r}",
                          f"A0^2 <= B0^2: holds={squared.holds} min_slack={squared.min_slack!r}"],
-                        0, None, (pair, [base, squared], {"power": 2.0}))
+                        0, fixed=[(pair, report)])
 
 
 def _hunt_lemma_exponent_variants(cfg: CampaignConfig, samples: int) -> HuntModeResult:
@@ -178,16 +164,16 @@ def _hunt_lemma_exponent_variants(cfg: CampaignConfig, samples: int) -> HuntMode
     first = corpus[0]
     corpus.append(CertifiedPair(A=first.B, B=first.B, window=first.window,
                                 certificate=CERT_CHAOTIC, seed=first.seed))
-    columns = list(zip(*(lemma_3_1_exponent_slacks(pair, p, r, cfg.rel_tol)
-                         for pair in corpus for p, r in grids)))
-    total = len(columns[0])
+    observed = [(pair, lemma_3_1_exponent_slacks(pair, p, r, cfg.rel_tol))
+                for pair in corpus for p, r in grids]
+    columns = list(zip(*(report.links for _, report in observed)))
+    total = len(observed)
     held = [sum(lk.holds for lk in links) for links in columns]
     worst = [min(0.0, *(lk.min_slack for lk in links)) for links in columns]
-    return HuntModeResult(
-        mode="lemma_3_1_exponent_variants", samples=total,
-        violations=total - held[1], max_violation=worst[1],
-        notes=[f"exponent {exponent}: held {h}/{total}, worst slack {w!r}"
-               for exponent, h, w in zip(("r/(p+r)", "p/(p+r)"), held, worst)])
+    return _sample_loop(cfg, "lemma_3_1_exponent_variants",
+                        [f"exponent {exponent}: held {h}/{total}, worst slack {w!r}"
+                         for exponent, h, w in zip(("r/(p+r)", "p/(p+r)"), held, worst)],
+                        0, fixed=observed)
 
 
 def _hunt_unweighted_difference_constant(cfg: CampaignConfig, samples: int) -> HuntModeResult:
@@ -199,11 +185,6 @@ def _hunt_unweighted_difference_constant(cfg: CampaignConfig, samples: int) -> H
     """
     p, r = -0.25, -1.0
     cfg = replace(cfg, windows=[w for w in cfg.windows if w[0] > 1.0] or cfg.windows)
-
-    def observed(pair):
-        return (pair, [corollary_3_3_unweighted_slack(pair, p, r, cfg.rel_tol)],
-                {"p": p, "r": r, "m": pair.window.m, "M": pair.window.M})
-
     # deterministic commuting witness: A = B loaded on the maximizer of the
     # weighted gap t^(-r) (G_{p+r}(t) - t^(p+r)) over the first window
     w0 = SpectralWindow(*cfg.windows[0])
@@ -212,11 +193,12 @@ def _hunt_unweighted_difference_constant(cfg: CampaignConfig, samples: int) -> H
     t_star = grid_max_1d(lambda t: t ** (-r) * (g(t) - t ** s), w0).t_star
     mat = np.diag(np.asarray([t_star, w0.m], dtype=complex))
     commuting = CertifiedPair(A=mat, B=mat, window=w0, certificate=CERT_CHAOTIC, seed=-1)
+    check = corollary_3_3_unweighted_slack
     return _sample_loop(cfg, "corollary_3_3_unweighted_constant",
                         ["final bound relaxed to C(m,M,p+r) I + A^p; the "
                          "conformance chain uses C(m,M,p+r) B^(-r) + A^p"], samples,
-                        lambda dim, w, seed: observed(gen_chaotic_pair(dim, w, seed)),
-                        observed(commuting))
+                        gen_chaotic_pair, check, lambda w: {"p": p, "r": r},
+                        fixed=[(commuting, check(commuting, p, r, cfg.rel_tol))])
 
 
 def hunt_sharpness(cfg: CampaignConfig, out_dir) -> dict:

@@ -59,7 +59,7 @@ from .hermitian import (
     geometric_interpolant,
     hermitize,
     identity,
-    loewner_leq,  # noqa: F401  (still importable from this module, as before)
+    loewner_leq,  # noqa: F401  (perfbench/tests/test_bench_trace.py reads verifiers.loewner_leq)
     matrix_power,
 )
 from .posmaps import (
@@ -260,10 +260,10 @@ def check_corollary_2_2(pair: CertifiedPair, p: float, q: float, alpha: float,
 
 def check_corollary_2_3(pair: CertifiedPair, p: float, q: float,
                         rel_tol: float = DEFAULT_REL_TOL) -> ChainReport:
-    """B^p <= G_{t^p}(B) <= K2(m,M,p,q) A^q; regime p <= 0, -1 <= q < 0.
+    """B^p <= G_{t^p}(B) <= K2(m,M,p,q) A^q; regime p <= 0, -1 <= q <= 0.
 
-    Values of q outside [-1, 0) are still executed (fuzz mode) and flagged
-    in the report notes instead of being rejected.
+    Values of q outside [-1, 0], the paper's regime, are still executed
+    (fuzz mode) and flagged in the report notes instead of being rejected.
     """
     _require_certificate(pair, CERT_DOMINATED, "check_corollary_2_3")
     p, q = float(p), float(q)
@@ -318,9 +318,9 @@ def check_lemma_3_1_forward(pair: CertifiedPair, p: float, r: float,
 
 
 def lemma_3_1_exponent_slacks(pair: CertifiedPair, p: float, r: float,
-                              rel_tol: float = DEFAULT_REL_TOL) -> list:
-    """The links B^r <= (B^(r/2) A^p B^(r/2))^e of the two candidate outer
-    exponents e = r/(p+r) and e = p/(p+r), in that order.
+                              rel_tol: float = DEFAULT_REL_TOL) -> ChainReport:
+    """The report of the links B^r <= (B^(r/2) A^p B^(r/2))^e of the two
+    candidate outer exponents e = r/(p+r) and e = p/(p+r), in that order.
 
     Diagnostic used by the sharpness hunt to record which exponent the
     chaotic order actually supports; the conformance check uses r/(p+r).
@@ -331,8 +331,10 @@ def lemma_3_1_exponent_slacks(pair: CertifiedPair, p: float, r: float,
     term = furuta_term(pair, p, r)
     exponents = {"r/(p+r)": r / (p + r), "p/(p+r)": p / (p + r)}
     powers = term.rebuild(np.array([_power_values(term, expo) for expo in exponents.values()]))
-    return _links(rel_tol, *((f"B^r <= (B^(r/2) A^p B^(r/2))^({name})", b_r, power)
-                             for name, power in zip(exponents, powers)))
+    links = _links(rel_tol, *((f"B^r <= (B^(r/2) A^p B^(r/2))^({name})", b_r, power)
+                              for name, power in zip(exponents, powers)))
+    return _finish("lemma_3_1_exponent_slacks", pair.dim, pair.seed, pair.window,
+                   {"p": p, "r": r}, links)
 
 
 def _chaotic_middle(pair: CertifiedPair, p: float, r: float) -> Array:
@@ -396,8 +398,8 @@ def check_corollary_3_3(pair: CertifiedPair, p: float, r: float,
 
 
 def corollary_3_3_unweighted_slack(pair: CertifiedPair, p: float, r: float,
-                                   rel_tol: float = DEFAULT_REL_TOL) -> Link:
-    """The link of the unweighted final bound C(m,M,p+r) I + A^p.
+                                   rel_tol: float = DEFAULT_REL_TOL) -> ChainReport:
+    """The report of the one link of the unweighted final bound C(m,M,p+r) I + A^p.
 
     Diagnostic only: this variant drops the B^(-r) weight on the constant
     and is refuted already by commuting instances on windows with m > 1;
@@ -409,8 +411,9 @@ def corollary_3_3_unweighted_slack(pair: CertifiedPair, p: float, r: float,
     c = kantorovich_C(w, p + r)
     mid = pair.spec_B.rebuild(_chaotic_middle(pair, p, r))
     rhs = c * identity(pair.dim) + matrix_power(pair.spec_A, p)
-    (link,) = _links(rel_tol, ("B^(-r) G_{t^(p+r)}(B) <= C I + A^p", mid, rhs))
-    return link
+    links = _links(rel_tol, ("B^(-r) G_{t^(p+r)}(B) <= C I + A^p", mid, rhs))
+    return _finish("corollary_3_3_unweighted_slack", pair.dim, pair.seed, w,
+                   {"p": p, "r": r, "C": c}, links)
 
 
 def check_theorem_4_1(family: WeightedFamily, f, g, alpha: float,

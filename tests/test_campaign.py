@@ -41,7 +41,7 @@ from kantcheck.constants import (
 )
 from kantcheck.errors import ConfigError, DomainError, GenerationError, ParameterError
 from kantcheck.generators import POSITIVITY_MARGIN_FACTOR, gen_weighted_family
-from kantcheck.hermitian import SpectralWindow, loewner_leq
+from kantcheck.hermitian import SpectralWindow, loewner_leq, matrix_power
 from kantcheck.hunt import hunt_sharpness
 from kantcheck.sweep import sweep_constants
 from kantcheck.verifiers import check_theorem_4_1
@@ -799,6 +799,38 @@ class TestHunt:
         held_variant = int(variant.split("held ")[1].split("/")[0])
         assert held_stated == total
         assert held_variant < total
+
+    # the links of each witnessed mode's check, rerun on a witness's pair
+    # with the witness's params
+    REPLAYS = {
+        "theorem_2_1_non_log_convex_f": lambda pair, prm, tol: verifiers.check_theorem_2_1(
+            pair, np.sqrt, power_fun(-1.0), prm["alpha"], tol, beta=prm["beta"]).links,
+        "corollary_2_2_without_domination": lambda pair, prm, tol: verifiers.check_corollary_2_2(
+            pair, prm["p"], prm["q"], prm["alpha"], tol).links,
+        "squared_order_negative_control": lambda pair, prm, tol: verifiers._links(
+            tol, ("A <= B", pair.A, pair.B),
+            ("A^2 <= B^2", matrix_power(pair.A, prm["power"]), matrix_power(pair.B, prm["power"]))),
+        "lemma_3_1_exponent_variants": lambda pair, prm, tol: verifiers.lemma_3_1_exponent_slacks(
+            pair, prm["p"], prm["r"], tol).links,
+        "corollary_3_3_unweighted_constant": lambda pair, prm, tol:
+            verifiers.corollary_3_3_unweighted_slack(pair, prm["p"], prm["r"], tol).links,
+    }
+
+    def test_every_witness_replays_bit_for_bit(self, hunt_report):
+        """A witness's pair and params, read back from hunt_report.json and
+        rerun through its mode's check, give its failing links and its
+        min_slack bit for bit."""
+        _, out = hunt_report
+        modes = json.loads((out / "hunt_report.json").read_text())["modes"]
+        witnessed = {name for name, mode in modes.items() if mode["witness"] is not None}
+        assert witnessed == set(self.REPLAYS)
+        for name in witnessed:
+            witness = modes[name]["witness"]
+            links = self.REPLAYS[name](generators.pair_from_json(witness["pair"]),
+                                       witness["params"], CampaignConfig().rel_tol)
+            failing = [lk for lk in links if not lk.holds]
+            assert [lk.label for lk in failing] == witness["failing_links"], name
+            assert min(lk.min_slack for lk in failing) == witness["min_slack"], name
 
 
 class TestCli:

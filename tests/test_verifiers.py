@@ -284,14 +284,16 @@ class TestLemma31:
         # the stated outer exponent r/(p+r) holds; the p/(p+r) variant is
         # refuted already by A = B with p != r, where it asks B^r <= B^p
         pair = diag_pair(W12, CERT_CHAOTIC)
-        stated, variant = lemma_3_1_exponent_slacks(pair, -1.0, -0.5)
+        report = lemma_3_1_exponent_slacks(pair, -1.0, -0.5)
+        assert report.params == {"m": W12.m, "M": W12.M, "p": -1.0, "r": -0.5}
+        stated, variant = report.links
         assert stated.label == check_lemma_3_1_forward(pair, -1.0, -0.5).links[0].label
         assert variant.label == "B^r <= (B^(r/2) A^p B^(r/2))^(p/(p+r))"
         assert stated.holds
         assert not variant.holds
         for seed in range(10):
             random_pair = gen_chaotic_pair(3, W12, seed)
-            assert lemma_3_1_exponent_slacks(random_pair, -1.0, -0.5)[0].holds
+            assert lemma_3_1_exponent_slacks(random_pair, -1.0, -0.5).links[0].holds
 
 
 class TestCorollary32And33:
@@ -330,7 +332,10 @@ class TestCorollary32And33:
         p, r = -0.25, -1.0
         mat = np.diag(np.asarray([2.4538, 2.0], dtype=complex))
         pair = CertifiedPair(A=mat, B=mat, window=w23, certificate=CERT_CHAOTIC, seed=-1)
-        unweighted = corollary_3_3_unweighted_slack(pair, p, r)
+        report = corollary_3_3_unweighted_slack(pair, p, r)
+        assert report.params == {"m": 2.0, "M": 3.0, "p": p, "r": r,
+                                 "C": kantorovich_C(w23, p + r)}
+        (unweighted,) = report.links
         assert unweighted.label == "B^(-r) G_{t^(p+r)}(B) <= C I + A^p"
         assert not unweighted.holds
         assert unweighted.min_slack < -1e-3
@@ -741,7 +746,7 @@ class TestDecomposeOnce:
         eigh = np.linalg.eigh
         calls = []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
-        stated, _ = lemma_3_1_exponent_slacks(pair, -1.0, -0.5)
+        stated, _ = lemma_3_1_exponent_slacks(pair, -1.0, -0.5).links
         assert stated.holds
         assert len(calls) == 1
 
@@ -895,8 +900,8 @@ class TestLinksFromSlacks:
         pair = gen_dominated_pair(3, W12, seed=3)
         assert check_corollary_2_3(pair, -1.0, -0.5).overall
         chaotic = gen_chaotic_pair(3, W12, seed=3)
-        assert lemma_3_1_exponent_slacks(chaotic, -1.0, -0.5)[0].holds
-        assert corollary_3_3_unweighted_slack(chaotic, -0.25, -1.0).holds
+        assert lemma_3_1_exponent_slacks(chaotic, -1.0, -0.5).links[0].holds
+        assert corollary_3_3_unweighted_slack(chaotic, -0.25, -1.0).overall
         report = hunt_sharpness(CampaignConfig(dims=[2], fuzz_samples=1), tmp_path)
         assert len(report["modes"]) == 7
 
