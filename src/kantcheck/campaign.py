@@ -23,7 +23,7 @@ one ``run_cell`` each, in enumeration order, and a suite's report file
 is open only while its cells run.  The oracle scans behind
 the cells' constants are made once per run (``OracleScans``), and the
 scans of a suite's cells in one window share that window's scan arena
-(``constants``).
+and their grid powers (``constants``).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import verifiers
-from .constants import alpha_ratio, beta_generic, beta_power_closed, kantorovich_K, power_fun
+from .constants import _power_gap, _power_ratio, beta_power_closed, kantorovich_K, power_fun
 from .errors import ConfigError
 from .generators import (
     POSITIVITY_MARGIN_FACTOR,
@@ -69,19 +69,19 @@ class OracleScans:
     """The oracle scans of one campaign run, each distinct input scanned once.
 
     ``ratio`` is max chord(t^p)/t^q and ``gap`` is max{chord(t^p) - alpha t^q}
-    over a window (``alpha_ratio`` and ``beta_generic``).  Cells of several
-    suites need the same values; theorem_2_1 and theorem_4_1 need all of
-    theirs.  Each instance memoizes its own ``ratio`` and ``gap``
-    (``functools.cache``) and a run keeps one, so the memo lives as long as
-    the run; it holds the scans' values only, so no grid-sized array
-    outlives its scan.
+    over a window, ``alpha_ratio`` and ``beta_generic`` of t^p and t^q bit
+    for bit.  Cells of several suites need the same values; theorem_2_1
+    and theorem_4_1 need all of theirs.  Each instance memoizes its own
+    ``ratio`` and ``gap`` (``functools.cache``) and a run keeps one, so the
+    memo lives as long as the run; it holds the scans' values only.  The
+    scans share their grid powers: each reads t^q on the window's grid
+    from ``constants._grid_power``, which keeps the last four (window, q)
+    asked for, so scans of one q in one window evaluate it once.
     """
 
     def __init__(self):
-        self.ratio = functools.cache(
-            lambda w, p, q: alpha_ratio(power_fun(p), power_fun(q), w).value)
-        self.gap = functools.cache(
-            lambda w, p, q, alpha: beta_generic(power_fun(p), power_fun(q), alpha, w).value)
+        self.ratio = functools.cache(lambda w, p, q: _power_ratio(w, p, q).value)
+        self.gap = functools.cache(lambda w, p, q, alpha: _power_gap(w, p, q, alpha).value)
 
 
 @dataclass(frozen=True)

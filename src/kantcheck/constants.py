@@ -9,10 +9,15 @@ Each closed form is its constant's one route: at a degenerate exponent
 (q within _DEGENERATE_EPS of 0 or 1, or p = 0) the maximized objective is
 linear or monotone in t, and the endpoint branch gives its exact maximum.
 ``grid_max_1d`` scans any objective.  ``alpha_ratio`` and ``beta_generic``
-scan chord(f) / g and chord(f) - alpha * g: each evaluates g on the grid
-once, builds the objective from those values in place and refines it
-(``_refine``), the step every scan ends in.  A lone scan evaluates every
-golden-section point afresh, one step at a time (``_golden_max``).
+scan chord(f) / g and chord(f) - alpha * g: each makes f's chord,
+evaluates g on the grid once, and hands both to its body (``_ratio_scan``,
+``_gap_scan``), which builds the objective from g's grid values in place
+and refines it (``_refine``), the step every scan ends in.  A lone scan
+evaluates every golden-section point afresh, one step at a time
+(``_golden_max``).  ``_power_ratio`` and ``_power_gap`` are the two scans
+of t^p against t^q, bit for bit, with t^q's grid values read from
+``_grid_power``, which keeps the last four (window, q) evaluated; the
+campaign's scans share their grid powers through it.
 
 ``_chord_power_maxima`` makes the ratio and the gap (alpha = 1) of the
 chords of powers t^p against powers over one window, as the sweep needs
@@ -51,8 +56,9 @@ last window scanned is kept, so a campaign's or a sweep's scans of one
 window allocate no grid-sized buffer but g's values and their objective
 (and, in ``_chord_power_maxima``, one chord shared by a ratio and a
 gap), and at most two such arrays are kept whatever the number of
-windows.  Scans share the scratch buffer, so two must not run at once
-from two threads.  Endpoint values f(m) and f(M) are evaluated through
+windows, besides the four grid powers ``_grid_power`` keeps.  Scans
+share the scratch buffer, so two must not run at once from two threads.
+Endpoint values f(m) and f(M) are evaluated through
 the same checks as golden-section points, once per scan (once per f in
 ``_chord_power_maxima``): an undefined or non-finite endpoint value
 raises DomainError.
@@ -217,13 +223,46 @@ def grid_max_1d(h, window: SpectralWindow) -> ExtremumResult:
 
 def beta_generic(f, g, alpha: float, window: SpectralWindow) -> ExtremumResult:
     """Oracle gap: max over [m, M] of chord_of_f(t) - alpha * g(t)."""
+    chord = _positive_chord(f, window)
+    alpha = float(alpha)
+    return _gap_scan(chord, g, _grid_values(g, window), alpha, window)
+
+
+def alpha_ratio(f, g, window: SpectralWindow) -> ExtremumResult:
+    """Oracle ratio: max over [m, M] of chord_of_f(t) / g(t); needs g > 0
+    at every grid point."""
+    chord = _chord(*_endpoint_values(f, window), window)
+    return _ratio_scan(chord, g, _grid_values(g, window), window)
+
+
+def _positive_chord(f, window: SpectralWindow) -> tuple[float, float]:
+    """The chord of f over the window, which must be positive at m and M."""
     fm, fM = _endpoint_values(f, window)
     if not (fm > 0.0 and fM > 0.0):
         raise DomainError("f must be positive at the window endpoints")
-    slope, intercept = _chord(fm, fM, window)
-    alpha = float(alpha)
+    return _chord(fm, fM, window)
+
+
+def _grid_values(g, window: SpectralWindow) -> np.ndarray:
+    """g on the window's oracle grid, checked real and finite."""
+    return eval_scalar(g, _scan_arena(window)[0])
+
+
+@lru_cache(maxsize=4)
+def _grid_power(window: SpectralWindow, q: float) -> np.ndarray:
+    """``_grid_values`` of t^q (read-only), kept for the last four (window,
+    q) asked for, as the scan arena is kept: at most four grid-sized arrays
+    whatever the number of scans."""
+    ys = _grid_values(power_fun(q), window)
+    ys.flags.writeable = False
+    return ys
+
+
+def _gap_scan(chord, g, ys: np.ndarray, alpha: float, window: SpectralWindow) -> ExtremumResult:
+    """``beta_generic``'s scan from the chord (slope, intercept) of f and
+    g's values ys on the window's grid; alpha is a float."""
+    slope, intercept = chord
     grid, scratch = _scan_arena(window)
-    ys = eval_scalar(g, grid)
 
     def h(t):
         return slope * t + intercept - alpha * g(t)
@@ -236,14 +275,13 @@ def beta_generic(f, g, alpha: float, window: SpectralWindow) -> ExtremumResult:
     return _refine(h, window, grid, c)
 
 
-def alpha_ratio(f, g, window: SpectralWindow) -> ExtremumResult:
-    """Oracle ratio: max over [m, M] of chord_of_f(t) / g(t); needs g > 0
-    at every grid point."""
-    slope, intercept = _chord(*_endpoint_values(f, window), window)
-    grid, _ = _scan_arena(window)
-    ys = eval_scalar(g, grid)
+def _ratio_scan(chord, g, ys: np.ndarray, window: SpectralWindow) -> ExtremumResult:
+    """``alpha_ratio``'s scan from the chord (slope, intercept) of f and
+    g's values ys on the window's grid."""
+    slope, intercept = chord
     if not ys.min() > 0.0:
         raise DomainError("g must be positive on the window")
+    grid, _ = _scan_arena(window)
 
     def h(t):
         # chord / inf alone is a finite 0.0; y / y is 1.0 where y is
@@ -256,6 +294,21 @@ def alpha_ratio(f, g, window: SpectralWindow) -> ExtremumResult:
         c += intercept
         c /= ys
     return _refine(h, window, grid, c)
+
+
+def _power_gap(window: SpectralWindow, p: float, q: float, alpha: float) -> ExtremumResult:
+    """``beta_generic(power_fun(p), power_fun(q), alpha, window)`` bit for
+    bit, with t^q's grid values from ``_grid_power``."""
+    chord = _positive_chord(power_fun(p), window)
+    alpha = float(alpha)
+    return _gap_scan(chord, power_fun(q), _grid_power(window, q), alpha, window)
+
+
+def _power_ratio(window: SpectralWindow, p: float, q: float) -> ExtremumResult:
+    """``alpha_ratio(power_fun(p), power_fun(q), window)`` bit for bit,
+    with t^q's grid values from ``_grid_power``."""
+    chord = _chord(*_endpoint_values(power_fun(p), window), window)
+    return _ratio_scan(chord, power_fun(q), _grid_power(window, q), window)
 
 
 def _chord_power_maxima(window: SpectralWindow, ps, qs) -> tuple[list, list]:

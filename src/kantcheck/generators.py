@@ -23,6 +23,15 @@ Likewise each pair family tests its certificate facts (its order, by
 decompose their own intermediates with ``_eigh``, which does not
 re-validate them.
 
+A stack's generators are seeded together (``_rngs``): when it holds two
+or more seeds, each an int in [0, 2^128), one pass of uint32 arithmetic
+(``_bulk_rngs``) makes SeedSequence's hash of every seed, and each PCG64
+takes its row of that state.  SeedSequence's hash is held stable by
+numpy's random-stream policy (NEP 19), so every stream is bit for bit
+``np.random.default_rng(seed)``'s.  A stack of one seed, or one holding
+any other seed (a Generator, or a negative, float or larger seed), seeds
+each generator directly, which raises the error a lone call raises.
+
 A stack may mix windows.  The bodies apply each member's m and M, and
 what is derived from them (the placement margins, the positivity
 margin, the chaotic log-window, taken with ``math.log``), as per-member
@@ -41,7 +50,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -128,6 +137,86 @@ def _rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.Generator(np.random.PCG64(seed_or_rng))
+
+
+def _rngs(seeds):
+    """``_rng`` of each seed of a stack, in order: a list from one
+    ``_bulk_rngs`` pass when the stack holds two or more seeds, each an int
+    in [0, 2^128), else a lazy map of ``_rng``, which seeds each
+    generator (or raises its error) when the stack's loop reaches it."""
+    if len(seeds) > 1 and all(isinstance(seed, int) and 0 <= seed < _SEED_BOUND
+                              for seed in seeds):
+        return _bulk_rngs(seeds)
+    return map(_rng, seeds)
+
+
+def _hash_multipliers(init: int, mult: int, n: int) -> Array:
+    """init * mult^k mod 2^32 for k = 0, ..., n, as a (n + 1, 1) uint32 column."""
+    column = [init]
+    for _ in range(n):
+        column.append(column[-1] * mult & 0xFFFFFFFF)
+    return np.array(column, dtype=np.uint32)[:, None]
+
+
+# numpy.random.SeedSequence's hash (numpy/random/bit_generator.pyx, held
+# stable by NEP 19): mix_entropy's 16 hashmix calls take the constants
+# INIT_A * MULT_A^k, generate_state's 8 words INIT_B * MULT_B^k, and mix
+# multiplies by MIX_MULT_L and MIX_MULT_R
+_HASH_A = _hash_multipliers(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_multipliers(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# a seed below 2^128 fills at most the 4 words of SeedSequence's pool
+_SEED_BOUND = 1 << 128
+_OTHER_WORDS = [np.array([i for i in range(4) if i != src]) for src in range(4)]
+_STATE_WORDS = np.array([0, 1, 2, 3, 0, 1, 2, 3])
+
+
+def _xorshift(words: Array) -> Array:
+    words ^= words >> 16
+    return words
+
+
+def _bulk_rngs(seeds) -> list:
+    """``_rng`` of each of a list of int seeds in [0, 2^128), its stream
+    bit for bit ``np.random.default_rng(seed)``'s, with the SeedSequence
+    hash of every seed made in one pass of uint32 arithmetic.
+
+    A seed's entropy is its four 32-bit words, low word first, the zero
+    words SeedSequence pads its pool with included.  ``mix_entropy`` hashes
+    each word into the pool and then mixes every pool word into the other
+    three; ``generate_state(4, np.uint64)`` hashes the pool, cycled twice,
+    into eight words, read as four little-endian uint64, which PCG64 takes
+    as its state and increment.  Each row reaches PCG64 through
+    ``_seed_state``.
+    """
+    words = np.frombuffer(b"".join(seed.to_bytes(16, "little") for seed in seeds), "<u4")
+    pool = _xorshift((words.reshape(-1, 4).T ^ _HASH_A[:4]) * _HASH_A[1:5])
+    for src, others in enumerate(_OTHER_WORDS):
+        k = 4 + 3 * src
+        hashed = _xorshift((pool[src] ^ _HASH_A[k:k + 3]) * _HASH_A[k + 1:k + 4])
+        pool[others] = _xorshift(pool[others] * _MIX_MULT_L - hashed * _MIX_MULT_R)
+    state = _xorshift((pool[_STATE_WORDS] ^ _HASH_B[:8]) * _HASH_B[1:])
+    rows = np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
+    seed_state = _seed_state()
+    return [np.random.Generator(np.random.PCG64(seed_state(row))) for row in rows]
+
+
+@cache
+def _seed_state() -> type:
+    """The ISeedSequence that hands PCG64 one ``_bulk_rngs`` row as the
+    answer to its one request, ``generate_state(4, np.uint64)``.  It is
+    made on first use, so importing kantcheck does not import
+    ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        def __init__(self, state: Array):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return SeedState
 
 
 def _complex_normal(parts: Array) -> Array:
@@ -334,7 +423,7 @@ def gen_dominated_pairs(dim: int, windows, seeds,
         raise ValueError(f"window_side must be 'A' or 'B', got {window_side!r}")
     if not seeds:
         return []
-    rngs = [_rng(seed) for seed in seeds]
+    rngs = list(_rngs(seeds))
     bounds = _Windows.of(ws)
     anchor, spec = _place_in_window([_window_draws(dim, rng) for rng in rngs], bounds)
     uniforms, gaussians = _perturbation_draws(rngs, 2, dim)
@@ -372,7 +461,7 @@ def gen_chaotic_pairs(dim: int, windows, seeds) -> list:
     ws = [w.require_positive() for w in _one_per_seed(windows, seeds)]
     if not seeds:
         return []
-    rngs = [_rng(seed) for seed in seeds]
+    rngs = list(_rngs(seeds))
     log_windows = _Windows(np.array([math.log(w.m) for w in ws]),
                            np.array([math.log(w.M) for w in ws]))
     k, spec_k = _place_in_window([_window_draws(dim, rng) for rng in rngs], log_windows)
@@ -404,7 +493,7 @@ def gen_relative_pairs(dim: int, windows, seeds) -> list:
     ws = [w.require_positive() for w in _one_per_seed(windows, seeds)]
     if not seeds:
         return []
-    rngs = [_rng(seed) for seed in seeds]
+    rngs = list(_rngs(seeds))
     bases, congruents = zip(*[(_window_draws(dim, rng), _window_draws(dim, rng)) for rng in rngs])
     n = len(seeds)
     placed, spec = _place_in_window([*bases, *congruents],
@@ -491,8 +580,8 @@ def gen_positive_linear_maps(dim_in: int, dim_out: int, counts, seeds) -> list:
     if not seeds:
         return []
     kraus = _KrausColumns(len(seeds), dim_in, dim_out)
-    for n_kraus, seed in zip(counts, seeds, strict=True):
-        kraus.draw(n_kraus, _rng(seed))
+    for n_kraus, rng in zip(counts, _rngs(seeds), strict=True):
+        kraus.draw(n_kraus, rng)
     return kraus.normalized_maps(seeds)
 
 
@@ -521,8 +610,7 @@ def gen_weighted_families(n_items: int, dim_in: int, dim_out: int, windows, seed
         return []
     weights, draws = [], []
     kraus = _KrausColumns(len(seeds) * n_items, dim_in, dim_out)
-    for seed in seeds:
-        rng = _rng(seed)
+    for rng in _rngs(seeds):
         raw = 0.1 + rng.random(n_items)
         weights.append(raw / raw.sum())
         for _ in range(n_items):

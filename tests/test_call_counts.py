@@ -28,8 +28,16 @@ def test_seed_1_small_campaign_counts():
     # checks' stacks without np.stack
     assert calls["LoewnerVerdict"] == 0
     assert calls["np.stack"] < checks / 10
-    # each oracle scan evaluates its g on the grid once, and on nothing else
-    assert calls["oracle scans"] == calls["oracle g on the grid"] == 368
+    # every stack's generators are seeded in one pass, 53 pair and family
+    # stacks and 16 map stacks (4 suites with maps beside their pairs x 4
+    # dims); no stack holds fewer than two seeds, so none is seeded alone
+    assert calls["seedings (one seed)"] == 0
+    assert calls["seedings (one stack)"] == 69
+    # 368 scans; each reads t^q on the grid from a cache of the last four
+    # (window, q) scanned, so the grid powers are evaluated 101 times in
+    # the campaign's order of scans, and g on nothing else
+    assert calls["oracle scans"] == 368
+    assert calls["oracle g on the grid"] == 101
     assert calls["oracle g on the probe"] == 0
     # every K and K2 goes through kantorovich_K2 and every C, C2 and beta
     # through beta_power_closed; the baseline for constants computed ahead

@@ -308,12 +308,16 @@ class TestRunCampaign:
     def test_gap_oracle_runs_once_per_cell(self, monkeypatch, suite):
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return constants.beta_generic(*args, **kwargs)
+        # the campaign scans t^p against t^q by ``_power_gap``, a check that
+        # makes its own beta by ``beta_generic``
+        for module, name in ((campaign, "_power_gap"), (verifiers, "beta_generic")):
+            real = getattr(constants, name)
 
-        for module in (campaign, verifiers):
-            monkeypatch.setattr(module, "beta_generic", counted)
+            def counted(*args, real=real, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
         cfg = CampaignConfig(suites=[suite], dims=[2, 3], windows=[(1.0, 2.0)],
                              p_grid=[-1.0], q_grid=[-0.5], samples_per_cell=4)
         (cell,) = enumerate_cells(cfg)
@@ -325,12 +329,12 @@ class TestRunCampaign:
         """theorem_2_1 and theorem_4_1 share each cell's alpha and beta; a run
         scans them once, and a second run scans them again."""
         calls = []
-        for name in ("alpha_ratio", "beta_generic"):
+        for name in ("_power_ratio", "_power_gap"):
             real = getattr(constants, name)
 
-            def counted(f, g, *args, name=name, real=real):
-                calls.append((name, args[-1], float(f(2.0)), float(g(2.0))))
-                return real(f, g, *args)
+            def counted(w, p, q, *args, name=name, real=real):
+                calls.append((name, w, p, q))
+                return real(w, p, q, *args)
 
             monkeypatch.setattr(campaign, name, counted)
         cfg = CampaignConfig(suites=["theorem_2_1", "theorem_4_1"], dims=[2],

@@ -383,6 +383,45 @@ class TestScanArena:
         assert (info.misses, info.currsize, info.maxsize) == (3, 1, 1)
 
 
+class TestGridPowers:
+    """The campaign's scans of t^p against t^q read t^q on the grid from
+    ``constants._grid_power`` and give the public scans' results bit for bit."""
+
+    @pytest.mark.parametrize("w", [W12, SpectralWindow(0.5, 4.0), SpectralWindow(0.05, 20.0)],
+                             ids=["1-2", "0.5-4", "0.05-20"])
+    @pytest.mark.parametrize("p, q, alpha", [(-1.0, -1.0, 1.0), (-2.5, -0.5, 1.0),
+                                             (-0.3, -0.8, 0.7), (-4.0, -1.0, 2.5)])
+    def test_power_scans_equal_the_public_scans(self, w, p, q, alpha):
+        f, g = power_fun(p), power_fun(q)
+        for got, want in ((constants._power_ratio(w, p, q), alpha_ratio(f, g, w)),
+                          (constants._power_gap(w, p, q, alpha), beta_generic(f, g, alpha, w))):
+            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+            assert np.float64(got.t_star).tobytes() == np.float64(want.t_star).tobytes()
+
+    def test_a_grid_power_is_evaluated_once_and_read_only(self, monkeypatch):
+        constants._grid_power.cache_clear()
+        evaluated = []
+        real = constants.eval_scalar
+        monkeypatch.setattr(constants, "eval_scalar", lambda g, ts: evaluated.append(g) or real(g, ts))
+        w = SpectralWindow(0.5, 4.0)
+        for p in (-1.0, -2.0, -3.0):
+            constants._power_ratio(w, p, -0.5)
+            constants._power_gap(w, p, -0.5, 1.0)
+        assert len(evaluated) == 1
+        ys = constants._grid_power(w, -0.5)
+        assert np.array_equal(ys, constants._scan_arena(w)[0] ** -0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            ys[0] = 0.0
+
+    def test_four_grid_powers_are_kept(self):
+        constants._grid_power.cache_clear()
+        for q in (-0.25, -0.5, -0.75, -1.0, -0.25, -0.125, -0.5):
+            constants._power_ratio(W12, -1.0, q)
+        info = constants._grid_power.cache_info()
+        # -0.25 is kept; -0.125 pushes out -0.5, which is then made again
+        assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 6, 4, 4)
+
+
 def _scalar_only(value):
     """A power t^-0.5 on arrays that, called on one float, returns ``value``,
     or raises ValueError if it is None."""

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -716,6 +719,84 @@ class TestStackedGenerators:
         assert gen_relative_pairs(3, [], []) == []
         assert gen_positive_linear_maps(3, 2, [], []) == []
         assert gen_weighted_families(3, 3, 2, [], []) == []
+
+
+# the edges of SeedSequence's 32-bit words: a Kraus map's seed offset is 2^32
+BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**96, 2**128 - 1]
+
+
+def seed_sequence_state(seed):
+    return np.random.SeedSequence(seed).generate_state(4, np.uint64)
+
+
+class TestBulkSeeding:
+    """A stack of seeds is seeded in one pass (``generators._bulk_rngs``),
+    each stream bit for bit ``np.random.default_rng``'s."""
+
+    @pytest.mark.parametrize("seeds", [
+        BOUNDARY_SEEDS,
+        [int.from_bytes(np.random.default_rng(2024).bytes(16), "little") for _ in range(1000)],
+        list(range(2_000, 3_200)),
+    ], ids=["boundaries", "random-128-bit", "consecutive"])
+    def test_states_equal_seed_sequence(self, seeds):
+        rngs = generators._bulk_rngs(seeds)
+        assert len(rngs) == len(seeds)
+        for seed, rng in zip(seeds, rngs):
+            state = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
+            assert same_bits(state, seed_sequence_state(seed)), seed
+
+    def test_streams_equal_default_rng(self):
+        for seed, rng in zip(BOUNDARY_SEEDS, generators._bulk_rngs(BOUNDARY_SEEDS)):
+            lone = np.random.default_rng(seed)
+            assert rng.bit_generator.state == lone.bit_generator.state, seed
+            assert rng.random() == lone.random(), seed
+            assert rng.standard_normal() == lone.standard_normal(), seed
+
+    def test_a_stack_is_seeded_in_one_pass(self, monkeypatch):
+        calls = []
+        bulk = generators._bulk_rngs
+        monkeypatch.setattr(generators, "_bulk_rngs", lambda seeds: calls.append(seeds) or bulk(seeds))
+        gen_dominated_pairs(3, [W12] * 2, [5, 2**64])
+        gen_positive_linear_maps(3, 2, [1, 2], [5, 2**32 + 5])
+        gen_weighted_families(2, 3, 2, [W12] * 2, [5, 6])
+        gen_dominated_pair(3, W12, 5)
+        assert calls == [[5, 2**64], [5, 2**32 + 5], [5, 6]]
+
+    @pytest.mark.parametrize("odd_seed", [2**128, 2**200, np.int64(7)], ids=["2^128", "2^200", "int64"])
+    def test_a_seed_past_the_pool_is_seeded_alone(self, odd_seed):
+        seeds = [5, odd_seed]
+        for seed, rng in zip(seeds, generators._rngs(seeds)):
+            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        for pair, seed in zip(gen_chaotic_pairs(3, [W12] * 2, seeds), seeds):
+            assert_same_bits(pair, gen_chaotic_pair(3, W12, seed))
+
+    def test_a_generator_in_a_stack_is_drawn_from_as_it_is(self):
+        maps = gen_positive_linear_maps(3, 2, [2, 2], [5, np.random.default_rng(9)])
+        assert_same_bits(maps[0], gen_positive_linear_map(3, 2, 2, 5))
+        assert_same_bits(maps[1], gen_positive_linear_map(3, 2, 2, np.random.default_rng(9)))
+
+    @pytest.mark.parametrize("bad_seed", [-1, 1.5, 2.0], ids=["negative", "float", "whole-float"])
+    def test_a_bad_seed_raises_the_lone_error(self, bad_seed):
+        with pytest.raises(Exception) as lone:
+            np.random.default_rng(bad_seed)
+        stacks = [lambda: gen_dominated_pairs(3, [W12] * 3, [1, bad_seed, 2]),
+                  lambda: gen_chaotic_pairs(3, [W12] * 2, [1, bad_seed]),
+                  lambda: gen_relative_pairs(3, [W12] * 2, [1, bad_seed]),
+                  lambda: gen_positive_linear_maps(3, 2, [1, 1], [1, bad_seed]),
+                  lambda: gen_weighted_families(2, 3, 2, [W12] * 2, [1, bad_seed])]
+        for stack in stacks:
+            with pytest.raises(type(lone.value)) as stacked:
+                stack()
+            assert str(stacked.value) == str(lone.value)
+
+    def test_importing_kantcheck_does_not_import_numpy_random(self):
+        src = str(Path(generators.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        probe = "import sys, kantcheck; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestCorpusIO:

@@ -11,7 +11,10 @@ and ``posmaps._normalization_defects``, one per stack of maps checked
 together, where the checkout has it), the campaign's generator stack
 draws (calls of a suite's ``generate``, one per stack the campaign
 draws) and the window placements (``generators._place_in_window``, one
-per stacked placement), and the closed-form evaluations
+per stacked placement), the seedings of the generators' random streams
+(``generators._rng``, one per seed seeded alone, and
+``generators._bulk_rngs``, one per stack of seeds seeded in one pass,
+where the checkout has it), and the closed-form evaluations
 (``constants.kantorovich_K2``, behind every K and K2, and
 ``constants.beta_power_closed``, behind every C, C2 and beta).  Both
 modes also count the oracle's scans (one ``constants._grid_bracket`` per
@@ -52,6 +55,8 @@ COUNTED = (
     ("map normalization (one map)", "posmaps.py", "normalization_defect"),
     ("map normalization (one stack)", "posmaps.py", "_normalization_defects"),
     ("generators._place_in_window", "generators.py", "_place_in_window"),
+    ("seedings (one seed)", "generators.py", "_rng"),
+    ("seedings (one stack)", "generators.py", "_bulk_rngs"),
     ("oracle scans", "constants.py", "_grid_bracket"),
     ("constants.kantorovich_K2", "constants.py", "kantorovich_K2"),
     ("constants.beta_power_closed", "constants.py", "beta_power_closed"),
